@@ -29,7 +29,7 @@ from .metrics import (
     r_3dpck,
     r_mpjpe,
 )
-from .nn import AdamState, MlpConfig, adam_step, backward, forward, init_adam, init_params, lr_schedule
+from .nn import AdamState, MlpConfig, ParamVector, adam_step, backward, forward, init_adam, init_params, lr_schedule
 from .pipeline import (
     ConfigError,
     ModelBundle,
@@ -38,7 +38,6 @@ from .pipeline import (
     build_input,
     fit_standardizer,
     load_bundle,
-    predict,
     predict_frames,
     predict_pose,
     save_bundle,

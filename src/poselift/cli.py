@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Sample, read_pose_file, split_dataset, write_pose_file
+from .data import Sample, group_frames, read_pose_file, split_dataset, write_pose_file
 from .depth import save_depth
 from .gradcheck import run_all
 from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, evaluate
@@ -86,10 +86,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
     samples = read_pose_file(Path(args.data) / "samples.jsonl")
     frame_ids, pred_frames = predict_frames(bundle, samples)
-
-    by_frame = {}
-    for sample in samples:
-        by_frame.setdefault(sample.frame_id, []).append(sample)
+    by_frame = group_frames(samples)
     out_samples = []
     for fid, poses in zip(frame_ids, pred_frames):
         for src, pose in zip(by_frame[fid], poses):

@@ -8,13 +8,14 @@ One record per person instance per frame:
      "depth_path": "depth/....dmap"}       # optional, relative to the file
 
 Records without ``joints_3d`` are depth-only (weak) samples.  Floats are
-written with ``repr`` precision so files round trip bit-exact.
+written with ``repr`` precision so files round trip bit-exact.  The
+module also checks JSON config values against dataclass field types.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -106,11 +107,21 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
 
 
 def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
+    """A record's sample; a missing field raises KeyError naming it and
+    per-joint arrays that disagree on the joint count raise ValueError."""
     cam_rec = record["camera"]
     depth_path = record.get("depth_path")
     if depth_path is not None and base_dir is not None:
         depth_path = str(base_dir / depth_path)
+    joints_2d = np.asarray(record["joints_2d"], dtype=np.float64)
+    if joints_2d.ndim != 2 or joints_2d.shape[1] != 2:
+        raise ValueError(f"joints_2d has shape {joints_2d.shape}, expected (J, 2)")
+    num_joints = joints_2d.shape[0]
     joints_3d = record.get("joints_3d")
+    if joints_3d is not None:
+        joints_3d = np.asarray(joints_3d, dtype=np.float64)
+        if joints_3d.shape != (num_joints, 3):
+            raise ValueError(f"joints_3d has shape {joints_3d.shape}, expected ({num_joints}, 3) like joints_2d")
     readouts = record.get("depth_readouts")
     depth_readouts = None
     depth_valid = None
@@ -118,14 +129,18 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
         depth_readouts = np.array(
             [np.nan if v is None else float(v) for v in readouts], dtype=np.float64
         )
+        if depth_readouts.shape != (num_joints,):
+            raise ValueError(
+                f"depth_readouts has shape {depth_readouts.shape}, expected ({num_joints},) like joints_2d"
+            )
         depth_valid = np.isfinite(depth_readouts)
     return Sample(
         frame_id=str(record["frame_id"]),
         camera=CameraIntrinsics.from_dict(cam_rec),
         width=int(cam_rec["width"]),
         height=int(cam_rec["height"]),
-        joints_2d=np.asarray(record["joints_2d"], dtype=np.float64),
-        joints_3d=None if joints_3d is None else np.asarray(joints_3d, dtype=np.float64),
+        joints_2d=joints_2d,
+        joints_3d=joints_3d,
         depth_path=depth_path,
         depth_readouts=depth_readouts,
         depth_valid=depth_valid,
@@ -150,7 +165,12 @@ def read_pose_file(path: str | Path) -> list[Sample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON record: {exc}") from exc
-            samples.append(record_to_sample(record, base_dir=path.parent))
+            try:
+                samples.append(record_to_sample(record, base_dir=path.parent))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_no}: record has no field {exc.args[0]!r}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return samples
 
 
@@ -171,3 +191,24 @@ def group_frames(samples: list[Sample]) -> dict[str, list[Sample]]:
     for sample in samples:
         frames.setdefault(sample.frame_id, []).append(sample)
     return frames
+
+
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def _fits(value, annotation: str) -> bool:
+    if annotation.endswith(" | None"):
+        return value is None or _fits(value, annotation[: -len(" | None")])
+    if annotation.startswith("tuple["):
+        parts = annotation[len("tuple[") : -1].split(", ")
+        return isinstance(value, (list, tuple)) and len(value) == len(parts) and all(map(_fits, value, parts))
+    # JSON true/false parse as bool, which Python also counts as an int.
+    return isinstance(value, _JSON_TYPES[annotation]) and (annotation == "bool" or not isinstance(value, bool))
+
+
+def check_field_types(cls, values: dict, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first field of dataclass ``cls`` whose
+    value in ``values`` (parsed JSON) does not fit the field's annotation."""
+    for f in fields(cls):
+        if f.name in values and not _fits(values[f.name], f.type):
+            raise error(f"config field {f.name!r} must be {f.type}, got {values[f.name]!r}")

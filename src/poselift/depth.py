@@ -55,12 +55,6 @@ class DepthMap:
             raise ValueError("valid depth values must be positive")
         self.values = vals
 
-    def scale_values(self, scale: float) -> "DepthMap":
-        """Return a copy with every valid depth multiplied by ``scale``."""
-        if scale <= 0:
-            raise ValueError(f"scale must be > 0, got {scale}")
-        return DepthMap(self.width, self.height, self.values * np.float32(scale))
-
 
 @dataclass
 class JointDepthVector:

@@ -151,7 +151,7 @@ def check_mlp(seed: int, train: bool) -> CheckResult:
     _, cache = nn.forward(params, config, x, train=train, rng=forward_rng())
     grads, dx = nn.backward(params, config, cache, c)
     results = [_check_array(f"mlp-{mode}/dx", dx, loss, x, PRIMITIVE_TOL)]
-    for name in nn.param_names(config):
+    for name in params:
         results.append(_check_array(f"mlp-{mode}/{name}", grads[name], loss, params[name], PRIMITIVE_TOL))
     return _merge(f"mlp-{mode}", results)
 
@@ -251,12 +251,12 @@ def check_weak_path(seed: int) -> CheckResult:
     _, pose_grads, depth_grads = run(True)
     sample_rng = np.random.default_rng(seed + 5)
     results = []
-    for name in nn.param_names(pose_config):
+    for name in pose_params:
         results.append(
             _check_array(f"weak/pose.{name}", pose_grads[name], lambda: run(False), pose_params[name],
                          END_TO_END_TOL, max_entries=12, rng=sample_rng)
         )
-    for name in nn.param_names(depth_config):
+    for name in depth_params:
         results.append(
             _check_array(f"weak/depth.{name}", depth_grads[name], lambda: run(False), depth_params[name],
                          END_TO_END_TOL, max_entries=12, rng=sample_rng)
@@ -283,7 +283,7 @@ def check_annotated_path(seed: int) -> CheckResult:
     results = [
         _check_array(f"annotated/{name}", grads[name], lambda: run(False), pose_params[name],
                      END_TO_END_TOL, max_entries=12, rng=sample_rng)
-        for name in nn.param_names(pose_config)
+        for name in pose_params
     ]
     return _merge("annotated-path", results, tol=END_TO_END_TOL)
 

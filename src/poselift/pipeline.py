@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+import zipfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .data import Dataset, Sample, group_frames
+from .data import Dataset, Sample, check_field_types, group_frames
 from .geometry import normalize_2d, zoom_augment
 from .losses import RobustLossConfig, l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_to_pose
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -293,6 +294,7 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        check_field_types(cls, d, ConfigError)
         return cls(**d)
 
 
@@ -300,46 +302,65 @@ class TrainConfig:
 class ModelBundle:
     skeleton: SkeletonSpec
     pose_config: nn.MlpConfig
-    pose_params: dict
+    pose_params: nn.ParamVector
     depth_config: nn.MlpConfig
-    depth_params: dict
+    depth_params: nn.ParamVector
     stats: StandardizerStats
     version: int = BUNDLE_VERSION
 
 
 def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
-    blob = {
+    """Write one ``.npz`` file at exactly ``path``: both parameter vectors and
+    a JSON ``meta`` entry.  Equal bundles give byte-identical files."""
+    meta = {
         "version": bundle.version,
         "skeleton": bundle.skeleton.to_dict(),
         "stats": bundle.stats.to_dict(),
-        "posenet": {
-            "config": bundle.pose_config.to_dict(),
-            "params": nn.params_to_jsonable(bundle.pose_params),
-        },
-        "jointdepthnet": {
-            "config": bundle.depth_config.to_dict(),
-            "params": nn.params_to_jsonable(bundle.depth_params),
-        },
+        "posenet": bundle.pose_config.to_dict(),
+        "jointdepthnet": bundle.depth_config.to_dict(),
     }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), posenet=bundle.pose_params.flat,
+                 jointdepthnet=bundle.depth_params.flat)
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
-    with open(path) as fh:
-        blob = json.load(fh)
-    version = blob.get("version")
-    if version != BUNDLE_VERSION:
-        raise ValueError(f"unsupported model version {version!r}")
-    return ModelBundle(
-        skeleton=SkeletonSpec.from_dict(blob["skeleton"]),
-        pose_config=nn.MlpConfig.from_dict(blob["posenet"]["config"]),
-        pose_params=nn.params_from_jsonable(blob["posenet"]["params"]),
-        depth_config=nn.MlpConfig.from_dict(blob["jointdepthnet"]["config"]),
-        depth_params=nn.params_from_jsonable(blob["jointdepthnet"]["params"]),
-        stats=StandardizerStats.from_dict(blob["stats"]),
-        version=version,
-    )
+    """Read a file written by :func:`save_bundle`.  A version-1 JSON
+    checkpoint, a truncated file, or sizes that do not match the stored
+    configs and skeleton raise ValueError naming ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(4)
+            if head[:1] == b"{":
+                raise ValueError("version-1 JSON checkpoints are unsupported, retrain the model")
+            if head != b"PK\x03\x04":
+                raise ValueError("not a zip archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                meta = json.loads(str(npz["meta"]))
+                pose_flat, depth_flat = npz["posenet"], npz["jointdepthnet"]
+        if meta["version"] != BUNDLE_VERSION:
+            raise ValueError(f"unsupported model version {meta['version']!r}")
+        skeleton = SkeletonSpec.from_dict(meta["skeleton"])
+        stats = StandardizerStats.from_dict(meta["stats"])
+        dim, k = 3 * skeleton.num_joints, len(skeleton.depth_subset)
+        for name, value in vars(stats).items():
+            size = k if name.startswith("depth_offset") else dim
+            if value.shape != (size,):
+                raise ValueError(f"stats {name} has shape {value.shape}, the skeleton needs ({size},)")
+        pose_config = nn.MlpConfig.from_dict(meta["posenet"])
+        depth_config = nn.MlpConfig.from_dict(meta["jointdepthnet"])
+        return ModelBundle(
+            skeleton=skeleton,
+            pose_config=pose_config,
+            pose_params=nn.ParamVector(pose_config, pose_flat),
+            depth_config=depth_config,
+            depth_params=nn.ParamVector(depth_config, depth_flat),
+            stats=stats,
+            version=meta["version"],
+        )
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot load model bundle: {exc}") from exc
 
 
 def predict_pose(bundle: ModelBundle, sample: Sample) -> np.ndarray:
@@ -348,10 +369,6 @@ def predict_pose(bundle: ModelBundle, sample: Sample) -> np.ndarray:
     o, _ = nn.forward(bundle.pose_params, bundle.pose_config, x, train=False)
     vec = destandardize_output(o[0], bundle.stats)
     return vector_to_pose(vec, bundle.skeleton)
-
-
-def predict(bundle: ModelBundle, samples: list[Sample]) -> list[np.ndarray]:
-    return [predict_pose(bundle, s) for s in samples]
 
 
 def predict_frames(bundle: ModelBundle, samples: list[Sample]):
@@ -372,8 +389,11 @@ def _step_rng(seed: int, epoch: int, step: int, role: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 3, epoch, step, role])))
 
 
-def _add_grads(a: dict, b: dict) -> dict:
-    return {k: a[k] + b[k] for k in a}
+def _diverged(exc: FloatingPointError, epoch: int, step: int, net: str, params: nn.ParamVector):
+    """The error for a training step that went non-finite, saying where."""
+    bad = next((name for name, p in params.items() if not np.isfinite(p).all()), None)
+    found = f"first non-finite parameter {bad}" if bad else "all parameters finite"
+    return FloatingPointError(f"training diverged at epoch {epoch}, step {step}, in {net}: {exc}; {found}")
 
 
 def _zoomed_batch(samples: list[Sample], factors: np.ndarray):
@@ -411,6 +431,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     depth_params = nn.init_params(depth_config, init_rng)
     pose_adam = nn.init_adam(pose_params)
     depth_adam = nn.init_adam(depth_params)
+    nets = {"posenet": pose_params, "jointdepthnet": depth_params}
 
     order_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 1])))
     weak_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 2])))
@@ -433,61 +454,67 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
         grad_n = {"visible": 0, "occluded": 0}
 
         for step in range(steps_per_epoch):
-            idx = order[step * ann_per_step : (step + 1) * ann_per_step]
-            ann_raw = [dataset.annotated[i] for i in idx]
-            zoom_rng = _step_rng(config.seed, epoch, step, 0)
-            factors = zoom_rng.uniform(config.zoom_min, config.zoom_max, size=len(ann_raw))
-            ann = _zoomed_batch(ann_raw, factors)
-            x_ann, _ = build_inputs(ann, stats, spec)
-            targets = np.stack([pose_to_vector(s.joints_3d, spec) for s in ann])
-            t_std = standardize_output(targets, stats)
+            net = "posenet"  # the network of the running call, for the divergence error
+            try:
+                idx = order[step * ann_per_step : (step + 1) * ann_per_step]
+                ann_raw = [dataset.annotated[i] for i in idx]
+                zoom_rng = _step_rng(config.seed, epoch, step, 0)
+                factors = zoom_rng.uniform(config.zoom_min, config.zoom_max, size=len(ann_raw))
+                ann = _zoomed_batch(ann_raw, factors)
+                x_ann, _ = build_inputs(ann, stats, spec)
+                targets = np.stack([pose_to_vector(s.joints_3d, spec) for s in ann])
+                t_std = standardize_output(targets, stats)
 
-            o_ann, cache_ann = nn.forward(
-                pose_params, pose_config, x_ann, train=True, rng=_step_rng(config.seed, epoch, step, 2)
-            )
-            l1_value, d_o_ann = l1_pose_loss(o_ann, t_std)
-            pose_grads, _ = nn.backward(pose_params, pose_config, cache_ann, d_o_ann)
-            epoch_l1 += l1_value
-
-            if use_weak:
-                widx = weak_rng.integers(n_weak, size=len(ann_raw))
-                weak_raw = [dataset.weak[i] for i in widx]
-                wz_rng = _step_rng(config.seed, epoch, step, 1)
-                wfactors = wz_rng.uniform(config.zoom_min, config.zoom_max, size=len(weak_raw))
-                weak_batch = _zoomed_batch(weak_raw, wfactors)
-                x_weak, valid_all = build_inputs(weak_batch, stats, spec)
-                target_depths = np.stack([s.depth_readouts for s in weak_batch])[:, subset]
-                valid = valid_all[:, subset]
-
-                o_weak, cache_weak = nn.forward(
-                    pose_params, pose_config, x_weak, train=True, rng=_step_rng(config.seed, epoch, step, 3)
+                o_ann, cache_ann = nn.forward(
+                    pose_params, pose_config, x_ann, train=True, rng=_step_rng(config.seed, epoch, step, 2)
                 )
-                depths, head_cache = predicted_joint_depths(
-                    o_weak, depth_params, depth_config, stats, spec,
-                    train=True, rng=_step_rng(config.seed, epoch, step, 4),
-                )
-                target_depths = np.where(valid, target_depths, 0.0)
-                weak_value, _, d_depths = total_loss(
-                    np.zeros((0, dim)), np.zeros((0, dim)), depths, target_depths, valid, loss_config
-                )
-                epoch_weak += weak_value
+                l1_value, d_o_ann = l1_pose_loss(o_ann, t_std)
+                pose_grads, _ = nn.backward(pose_params, pose_config, cache_ann, d_o_ann)
+                epoch_l1 += l1_value
 
-                depth_grads, d_o_weak = joint_depth_backward(
-                    d_depths, head_cache, depth_params, depth_config, stats
-                )
-                if not config.stop_weak_pose_gradient:
-                    weak_pose_grads, _ = nn.backward(pose_params, pose_config, cache_weak, d_o_weak)
-                    pose_grads = _add_grads(pose_grads, weak_pose_grads)
-                depth_params, depth_adam = nn.adam_step(depth_params, depth_grads, depth_adam, lr)
+                if use_weak:
+                    widx = weak_rng.integers(n_weak, size=len(ann_raw))
+                    weak_raw = [dataset.weak[i] for i in widx]
+                    wz_rng = _step_rng(config.seed, epoch, step, 1)
+                    wfactors = wz_rng.uniform(config.zoom_min, config.zoom_max, size=len(weak_raw))
+                    weak_batch = _zoomed_batch(weak_raw, wfactors)
+                    x_weak, valid_all = build_inputs(weak_batch, stats, spec)
+                    target_depths = np.stack([s.depth_readouts for s in weak_batch])[:, subset]
+                    valid = valid_all[:, subset]
 
-                if config.track_weak_grad_stats:
-                    vis = np.stack([s.eval_visibility for s in weak_raw])[:, subset]
-                    mags = np.abs(d_depths)
-                    for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
-                        grad_abs[label] += float(mags[mask].sum())
-                        grad_n[label] += int(mask.sum())
+                    o_weak, cache_weak = nn.forward(
+                        pose_params, pose_config, x_weak, train=True, rng=_step_rng(config.seed, epoch, step, 3)
+                    )
+                    net = "jointdepthnet"
+                    depths, head_cache = predicted_joint_depths(
+                        o_weak, depth_params, depth_config, stats, spec,
+                        train=True, rng=_step_rng(config.seed, epoch, step, 4),
+                    )
+                    target_depths = np.where(valid, target_depths, 0.0)
+                    weak_value, _, d_depths = total_loss(
+                        np.zeros((0, dim)), np.zeros((0, dim)), depths, target_depths, valid, loss_config
+                    )
+                    epoch_weak += weak_value
 
-            pose_params, pose_adam = nn.adam_step(pose_params, pose_grads, pose_adam, lr)
+                    depth_grads, d_o_weak = joint_depth_backward(
+                        d_depths, head_cache, depth_params, depth_config, stats
+                    )
+                    nn.adam_step(depth_params, depth_grads, depth_adam, lr)
+                    net = "posenet"
+                    if not config.stop_weak_pose_gradient:
+                        weak_pose_grads, _ = nn.backward(pose_params, pose_config, cache_weak, d_o_weak)
+                        pose_grads.flat += weak_pose_grads.flat
+
+                    if config.track_weak_grad_stats:
+                        vis = np.stack([s.eval_visibility for s in weak_raw])[:, subset]
+                        mags = np.abs(d_depths)
+                        for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
+                            grad_abs[label] += float(mags[mask].sum())
+                            grad_n[label] += int(mask.sum())
+
+                nn.adam_step(pose_params, pose_grads, pose_adam, lr)
+            except FloatingPointError as exc:
+                raise _diverged(exc, epoch, step, net, nets[net]) from exc
 
         entry = {
             "epoch": epoch,

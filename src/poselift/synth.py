@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Sample
+from .data import Dataset, Sample, check_field_types
 from .depth import DepthMap, read_depth_at
 from .geometry import CameraIntrinsics, project
 from .skeleton import DEFAULT_JOINT_NAMES, SkeletonSpec, default_skeleton, knee_neck_distance
@@ -98,6 +98,7 @@ class SceneConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
+        check_field_types(cls, d)
         kwargs = dict(d)
         for name in (
             "fx_range",

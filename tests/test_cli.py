@@ -11,7 +11,8 @@ import pytest
 
 from poselift.cli import main
 from poselift.data import read_pose_file
-from poselift.pipeline import ConfigError
+from poselift.pipeline import ConfigError, load_bundle
+from poselift.skeleton import default_skeleton
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ def workspace(tmp_path_factory):
     data = root / "data"
     assert main(["generate", "--config", str(config), "--out", str(data),
                  "--seed", "11", "--n-annotated", "12", "--n-weak", "6"]) == 0
-    model = root / "model.json"
+    model = root / "model.npz"
     log_file = root / "train_log.jsonl"
     assert main(["train", "--config", str(config), "--data", str(data),
                  "--out", str(model), "--log-file", str(log_file), "--epochs", "2"]) == 0
@@ -77,16 +78,17 @@ class TestTrain:
         assert all("loss" in e and "lr" in e for e in entries)
 
     def test_model_file_is_a_loadable_bundle(self, workspace):
-        blob = json.loads(workspace["model"].read_text())
-        assert blob["version"] == 1
-        assert set(blob) >= {"skeleton", "stats", "posenet", "jointdepthnet"}
+        bundle = load_bundle(workspace["model"])
+        assert bundle.version == 2
+        assert bundle.skeleton == default_skeleton()
+        assert bundle.pose_config.hidden_dim == 32
 
     def test_flat_config_without_section_key(self, workspace, tmp_path):
         flat = tmp_path / "train.json"
         flat.write_text(json.dumps({"epochs": 1, "batch_size": 4, "hidden_dim": 32,
                                     "num_blocks": 1, "depth_hidden_dim": 32,
                                     "depth_num_blocks": 1, "zoom_max": 1.2}))
-        out = tmp_path / "model.json"
+        out = tmp_path / "model.npz"
         assert main(["train", "--config", str(flat), "--data", str(workspace["data"]),
                      "--out", str(out)]) == 0
         assert out.exists()
@@ -96,7 +98,7 @@ class TestTrain:
         bad.write_text(json.dumps({"train": {"epochs": 1, "momentum": 0.9}}))
         with pytest.raises(ConfigError, match="momentum"):
             main(["train", "--config", str(bad), "--data", str(workspace["data"]),
-                  "--out", str(tmp_path / "model.json")])
+                  "--out", str(tmp_path / "model.npz")])
 
 
 class TestPredict:

@@ -141,6 +141,28 @@ class TestPoseFile:
         with pytest.raises(ValueError, match=r"samples\.jsonl:2"):
             read_pose_file(path)
 
+    def test_missing_field_names_file_line_and_field(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        record = sample_to_record(_sample())
+        del record["camera"]
+        path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=r"samples\.jsonl:2: record has no field 'camera'"):
+            read_pose_file(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("joints_2d", [[1.0, 2.0, 3.0]] * 17),
+        ("joints_3d", [[1.0, 2.0, 3.0]] * 16),
+        ("joints_3d", [[1.0, 2.0]] * 17),
+        ("depth_readouts", [1000.0] * 18),
+    ])
+    def test_joint_arrays_must_agree_on_shape(self, tmp_path, field, value):
+        path = tmp_path / "samples.jsonl"
+        record = sample_to_record(_sample(readouts=[1000.0] * 17))
+        record[field] = value
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=rf"samples\.jsonl:1: {field} has shape"):
+            read_pose_file(path)
+
 
 class TestDatasetHelpers:
     def test_split_partitions_on_pose_presence(self):

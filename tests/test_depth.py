@@ -74,13 +74,6 @@ class TestDepthMapValidation:
         dm = DepthMap(4, 3, np.full((3, 4), np.nan))
         assert np.isnan(dm.values).all()
 
-    def test_scale_values(self):
-        dm = DepthMap(2, 1, np.array([[1000.0, 2000.0]]))
-        scaled = dm.scale_values(0.5)
-        np.testing.assert_allclose(scaled.values, [[500.0, 1000.0]])
-        with pytest.raises(ValueError):
-            dm.scale_values(0.0)
-
 
 class TestBilinearReadout:
     def test_two_by_two_hand_case(self):

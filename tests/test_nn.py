@@ -1,10 +1,10 @@
-"""Network plumbing tests: shapes, determinism, Adam, serialization.
+"""Network plumbing tests: layout, shapes, determinism, Adam.
 
 Gradient correctness has its own finite-difference suite; these tests
-pin everything else: initialization layout, forward-pass semantics in
-train and eval mode, the exact Adam update rule against an independent
-scalar implementation, the learning-rate schedule values, and the JSON
-parameter round trip.
+pin everything else: the parameter layout and its views into one
+vector, forward-pass semantics in train and eval mode, the exact Adam
+update rule against an independent scalar implementation and against
+the whole-array formula, and the learning-rate schedule values.
 """
 
 import math
@@ -39,10 +39,20 @@ class TestInitParams:
     def test_shapes_and_names(self):
         config = _tiny_config()
         params = nn.init_params(config, np.random.default_rng(0))
-        assert sorted(params) == sorted(nn.param_names(config))
+        assert {k: p.shape for k, p in params.items()} == nn.param_shapes(config)
         assert params["fc_in.w"].shape == (8, 6)
         assert params["fc_out.w"].shape == (4, 8)
         assert params["block1.fc2.w"].shape == (8, 8)
+
+    def test_parameters_are_views_into_one_vector(self):
+        config = _tiny_config()
+        params = nn.init_params(config, np.random.default_rng(0))
+        assert params.flat.shape == (sum(p.size for p in params.values()),)
+        np.testing.assert_array_equal(params.flat, np.concatenate([p.ravel() for p in params.values()]))
+        params.flat[:] = 7.0
+        assert all((p == 7.0).all() for p in params.values())
+        with pytest.raises(ValueError, match="layout needs"):
+            nn.ParamVector(config, np.zeros(params.flat.size - 1))
 
     def test_biases_zero_gains_one(self):
         params = nn.init_params(_tiny_config(), np.random.default_rng(1))
@@ -147,50 +157,84 @@ def _reference_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return p - lr * m_hat / (math.sqrt(v_hat) + eps), m, v
 
 
+def _vectors(config, *seeds):
+    """ParamVectors of ``config`` filled with normal draws, one per seed."""
+    size = nn.ParamVector(config).flat.size
+    return [nn.ParamVector(config, np.random.default_rng(s).normal(size=size)) for s in seeds]
+
+
 class TestAdam:
     def test_three_steps_match_scalar_reference(self):
-        params = {"w": np.array([1.0, -2.0])}
+        config = _tiny_config()
+        (params,) = _vectors(config, 17)
         state = nn.init_adam(params)
-        ref = {"p": [1.0, -2.0], "m": [0.0, 0.0], "v": [0.0, 0.0]}
-        rng = np.random.default_rng(17)
+        ref = {"p": params.flat.tolist(), "m": [0.0] * params.flat.size, "v": [0.0] * params.flat.size}
         for t in (1, 2, 3):
-            g = rng.normal(size=2)
-            params, state = nn.adam_step(params, {"w": g.copy()}, state, lr=0.05)
-            for i in range(2):
+            (grads,) = _vectors(config, 100 + t)
+            nn.adam_step(params, grads, state, lr=0.05)
+            for i, g in enumerate(grads.flat):
                 ref["p"][i], ref["m"][i], ref["v"][i] = _reference_adam(
-                    ref["p"][i], g[i], ref["m"][i], ref["v"][i], t, lr=0.05
+                    ref["p"][i], g, ref["m"][i], ref["v"][i], t, lr=0.05
                 )
-            np.testing.assert_allclose(params["w"], ref["p"], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(params.flat, ref["p"], rtol=0, atol=1e-15)
             assert state.t == t
+
+    def test_matches_the_whole_array_formula_bit_for_bit(self):
+        """Across several update blocks, including a partial last one."""
+        config = nn.MlpConfig(input_dim=6, output_dim=4, hidden_dim=128, num_blocks=1)
+        (params,) = _vectors(config, 20)
+        assert params.flat.size > 2 * nn._ADAM_BLOCK and params.flat.size % nn._ADAM_BLOCK
+        p, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        state = nn.init_adam(params)
+        for t in (1, 2, 3):
+            (grads,) = _vectors(config, 200 + t)
+            g = grads.flat
+            nn.adam_step(params, grads, state, lr=1e-3)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            p = p - 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert params.flat.tobytes() == p.tobytes()
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
     def test_first_step_size_is_the_learning_rate(self):
         """With fresh moments, Adam's first update is -lr * sign(g) up to eps."""
-        rng = np.random.default_rng(18)
-        params = {"w": rng.normal(size=20)}
-        g = rng.normal(size=20)
+        params, grads = _vectors(_tiny_config(), 18, 19)
+        g = grads.flat
         g[np.abs(g) < 0.1] = 0.5
-        new_params, _ = nn.adam_step(params, {"w": g}, nn.init_adam(params), lr=0.01)
-        np.testing.assert_allclose(new_params["w"] - params["w"], -0.01 * np.sign(g), atol=1e-6)
+        before = params.flat.copy()
+        nn.adam_step(params, grads, nn.init_adam(params), lr=0.01)
+        np.testing.assert_allclose(params.flat - before, -0.01 * np.sign(g), atol=1e-6)
 
     def test_key_mismatch_raises(self):
-        params = {"w": np.zeros(2)}
+        (params,) = _vectors(_tiny_config(), 1)
+        (grads,) = _vectors(nn.MlpConfig(input_dim=6, output_dim=4, hidden_dim=8, num_blocks=1), 2)
         with pytest.raises(ValueError):
-            nn.adam_step(params, {"b": np.zeros(2)}, nn.init_adam(params), lr=0.1)
+            nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
 
     def test_shape_mismatch_raises(self):
-        params = {"w": np.zeros(2)}
+        (params,) = _vectors(_tiny_config(), 1)
+        (grads,) = _vectors(nn.MlpConfig(input_dim=6, output_dim=4, hidden_dim=9, num_blocks=2), 2)
         with pytest.raises(ValueError):
-            nn.adam_step(params, {"w": np.zeros(3)}, nn.init_adam(params), lr=0.1)
+            nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
 
     def test_non_finite_gradient_raises(self):
-        params = {"w": np.zeros(2)}
-        with pytest.raises(FloatingPointError):
-            nn.adam_step(params, {"w": np.array([1.0, np.nan])}, nn.init_adam(params), lr=0.1)
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        grads["block1.ln2.b"][3] = np.nan
+        before = params.flat.copy()
+        with pytest.raises(FloatingPointError, match="block1.ln2.b"):
+            nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
+        assert params.flat.tobytes() == before.tobytes()
 
-    def test_original_params_are_not_mutated(self):
-        params = {"w": np.array([1.0])}
-        nn.adam_step(params, {"w": np.array([1.0])}, nn.init_adam(params), lr=0.1)
-        assert params["w"][0] == 1.0
+    def test_updates_params_and_moments_in_place(self):
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        flat, view, g = params.flat, params["fc_out.b"], grads.flat.copy()
+        before = flat.copy()
+        state = nn.init_adam(params)
+        nn.adam_step(params, grads, state, lr=0.1)
+        assert params.flat is flat and np.shares_memory(params["fc_out.b"], flat) and params["fc_out.b"] is view
+        assert (flat != before).all()
+        assert state.t == 1 and state.m.any() and state.v.any()
+        assert grads.flat.tobytes() == g.tobytes()
 
 
 class TestLrSchedule:
@@ -212,19 +256,3 @@ class TestLrSchedule:
             nn.lr_schedule(0.1, -1)
         with pytest.raises(ValueError):
             nn.lr_schedule(0.1, 1, every=0)
-
-
-class TestParamSerialization:
-    def test_json_round_trip_bit_exact(self):
-        config = _tiny_config()
-        params = nn.init_params(config, np.random.default_rng(19))
-        blob = nn.params_to_jsonable(params)
-        back = nn.params_from_jsonable(blob)
-        assert sorted(back) == sorted(params)
-        for k in params:
-            assert back[k].shape == params[k].shape
-            np.testing.assert_array_equal(back[k], params[k])
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            nn.params_from_jsonable({"w": {"shape": [2, 2], "values": [1.0, 2.0, 3.0]}})

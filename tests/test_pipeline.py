@@ -30,7 +30,6 @@ from poselift.pipeline import (
     fit_standardizer,
     joint_depth_backward,
     load_bundle,
-    predict,
     predict_frames,
     predict_pose,
     predicted_joint_depths,
@@ -273,6 +272,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig.from_dict(d)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", "40"), ("epochs", 2.0), ("epochs", True), ("base_lr", "0.1"),
+        ("stop_weak_pose_gradient", 1),
+    ])
+    def test_wrongly_typed_value_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig.from_dict({field: value})
+
+    def test_integer_is_accepted_for_a_float_field(self):
+        assert TrainConfig.from_dict({"base_lr": 1, "alpha": 50}).base_lr == 1
+
 
 class TestTrain:
     def test_smoke_and_bundle_round_trip(self, tiny_dataset, tmp_path):
@@ -285,7 +295,7 @@ class TestTrain:
                 assert np.isfinite(entry[key])
         assert logs[0]["loss"] == logs[0]["loss_l1"] + logs[0]["loss_weak"]
 
-        preds = predict(bundle, tiny_dataset.annotated)
+        preds = [p for poses in predict_frames(bundle, tiny_dataset.annotated)[1] for p in poses]
         assert len(preds) == 10
         for pose in preds:
             assert pose.shape == (17, 3) and np.isfinite(pose).all()
@@ -298,7 +308,7 @@ class TestTrain:
         for name in bundle.depth_params:
             assert back.depth_params[name].tobytes() == bundle.depth_params[name].tobytes()
         assert back.skeleton == bundle.skeleton
-        reloaded = predict(back, tiny_dataset.annotated)
+        reloaded = [p for poses in predict_frames(back, tiny_dataset.annotated)[1] for p in poses]
         for a, b in zip(preds, reloaded):
             np.testing.assert_array_equal(a, b)
 
@@ -350,6 +360,22 @@ class TestTrain:
             total = entry["weak_grad_visible_n"] + entry["weak_grad_occluded_n"]
             assert 0 < total <= entry["steps"] * 2 * 14
 
+    @pytest.mark.parametrize("base_lr, lambda_weight, found", [
+        # The first update moves every weight by about 1e300: the weights stay
+        # finite and the next forward pass overflows.
+        (1e300, 1e-3, "all parameters finite"),
+        # A strong weak term gives gradients above one, so lr * gradient
+        # overflows and the update itself leaves infinite weights.
+        (1.7e308, 1e3, "first non-finite parameter fc_in.w"),
+    ])
+    def test_divergence_names_epoch_step_network_and_parameter(self, tiny_dataset, base_lr, lambda_weight, found):
+        config = _tiny_config(base_lr=base_lr, lambda_weight=lambda_weight)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as info:
+            train(config, tiny_dataset, SPEC)
+        assert str(info.value) == (
+            f"training diverged at epoch 0, step 1, in posenet: non-finite activations in forward pass; {found}"
+        )
+
     def test_without_annotated_samples_raises(self, tiny_dataset):
         weak_only = Dataset(annotated=[], weak=tiny_dataset.weak)
         with pytest.raises(ConfigError, match="annotated"):
@@ -372,13 +398,64 @@ class TestPredictFrames:
         np.testing.assert_array_equal(preds[1][0], predict_pose(bundle, samples[1]))
 
 
+@pytest.fixture(scope="module")
+def tiny_bundle(tiny_dataset):
+    bundle, _ = train(_tiny_config(epochs=1), tiny_dataset, SPEC)
+    return bundle
+
+
+def _edited_copy(src, dst, edit):
+    """Copy a saved bundle, letting ``edit(meta, arrays)`` change it on the way."""
+    with np.load(src) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    edit(meta, arrays)
+    with open(dst, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+
 class TestBundleFormat:
-    def test_version_tamper_is_rejected(self, tiny_dataset, tmp_path):
-        bundle, _ = train(_tiny_config(epochs=1), tiny_dataset, SPEC)
+    def test_writes_exactly_the_given_path(self, tiny_bundle, tmp_path):
+        save_bundle(tmp_path / "model", tiny_bundle)
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+        back = load_bundle(tmp_path / "model")
+        assert back.pose_params.flat.tobytes() == tiny_bundle.pose_params.flat.tobytes()
+        assert back.depth_params.flat.tobytes() == tiny_bundle.depth_params.flat.tobytes()
+        for name, value in vars(tiny_bundle.stats).items():
+            assert getattr(back.stats, name).tobytes() == value.tobytes()
+        assert (back.pose_config, back.depth_config) == (tiny_bundle.pose_config, tiny_bundle.depth_config)
+
+    def test_version_tamper_is_rejected(self, tiny_bundle, tmp_path):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", lambda meta, arrays: meta.update(version=99))
+        with pytest.raises(ValueError, match="b.npz.*unsupported model version 99"):
+            load_bundle(tmp_path / "b.npz")
+
+    def test_version_1_json_checkpoint_is_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        save_bundle(path, bundle)
-        blob = json.loads(path.read_text())
-        blob["version"] = 99
-        path.write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match="unsupported model version"):
+        path.write_text(json.dumps({"version": 1, "posenet": {"config": {}, "params": {}}}))
+        with pytest.raises(ValueError, match="model.json.*unsupported, retrain"):
             load_bundle(path)
+
+    def test_vector_length_must_match_its_config(self, tiny_bundle, tmp_path):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz",
+                     lambda meta, arrays: arrays.update(jointdepthnet=arrays["jointdepthnet"][:-1]))
+        with pytest.raises(ValueError, match="b.npz.*layout needs"):
+            load_bundle(tmp_path / "b.npz")
+
+    def test_stats_sizes_must_match_the_skeleton(self, tiny_bundle, tmp_path):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz",
+                     lambda meta, arrays: meta["stats"]["depth_offset_std"].pop())
+        with pytest.raises(ValueError, match="b.npz.*depth_offset_std"):
+            load_bundle(tmp_path / "b.npz")
+
+    def test_truncated_or_foreign_file_is_rejected(self, tiny_bundle, tmp_path):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        data = (tmp_path / "a.npz").read_bytes()
+        for name, content in (("cut.npz", data[: len(data) // 2]), ("tail.npz", data[:-10]),
+                              ("empty.npz", b""), ("text.npz", b"not a bundle")):
+            (tmp_path / name).write_bytes(content)
+            with pytest.raises(ValueError, match=name):
+                load_bundle(tmp_path / name)

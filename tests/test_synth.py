@@ -73,6 +73,15 @@ class TestSceneConfig:
                              background_depth=None, standing_probability=1.0)
         assert SceneConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize("field, value", [
+        ("persons_range", "13"), ("persons_range", [1.5, 3]), ("persons_range", [1, 2, 3]),
+        ("fx_range", ["200", 300.0]), ("image_width", 160.0), ("background_depth", "far"),
+        ("sensor_noise_mm", False),
+    ])
+    def test_wrongly_typed_value_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SceneConfig.from_dict({field: value})
+
 
 class TestPrimitiveDepths:
     def test_sphere_on_axis_closed_form(self):
