@@ -3,6 +3,7 @@
 from .data import (
     Dataset,
     Sample,
+    SampleBatch,
     group_frames,
     load_dataset,
     read_pose_file,
@@ -35,7 +36,7 @@ from .pipeline import (
     ModelBundle,
     StandardizerStats,
     TrainConfig,
-    build_input,
+    build_inputs,
     fit_standardizer,
     load_bundle,
     predict_frames,

@@ -8,8 +8,10 @@ One record per person instance per frame:
      "depth_path": "depth/....dmap"}       # optional, relative to the file
 
 Records without ``joints_3d`` are depth-only (weak) samples.  Floats are
-written with ``repr`` precision so files round trip bit-exact.  The
-module also checks JSON config values against dataclass field types.
+written with ``repr`` precision so files round trip bit-exact.  A
+:class:`SampleBatch` holds a sample list as arrays for training and
+prediction.  The module also checks JSON config values against
+dataclass field types.
 """
 
 from __future__ import annotations
@@ -57,15 +59,90 @@ class Sample:
             self.depth = load_depth(self.depth_path)
         return self.depth
 
-    def ensure_readouts(self) -> None:
-        """Cache per-joint depth readouts at the 2D joints, once."""
+    def readouts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-joint depth readouts at the 2D joints and their validity: the
+        cached ones, else read from the map or the DMAP file.  Stores nothing."""
         if self.depth_readouts is not None:
-            if self.depth_valid is None:
-                self.depth_valid = np.isfinite(self.depth_readouts)
-            return
-        readout = read_depth_at(self.load_depth_map(), self.joints_2d)
-        self.depth_readouts = readout.values
-        self.depth_valid = readout.valid
+            values = np.asarray(self.depth_readouts, dtype=np.float64)
+            valid = np.isfinite(values) if self.depth_valid is None else np.asarray(self.depth_valid, dtype=bool)
+            return values, valid
+        if self.depth is None and self.depth_path is None:
+            raise ValueError(f"sample {self.frame_id} has no depth source")
+        readout = read_depth_at(self.depth if self.depth is not None else load_depth(self.depth_path), self.joints_2d)
+        return readout.values, readout.valid
+
+    def ensure_readouts(self) -> None:
+        """Cache per-joint depth readouts at the 2D joints (not the map), once."""
+        self.depth_readouts, self.depth_valid = self.readouts()
+
+
+def _checked(sample: Sample, name: str, value, shape: tuple, dtype=np.float64, finite: bool = True) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"sample {sample.frame_id}: {name} has shape {arr.shape}, expected {shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"sample {sample.frame_id}: {name} contains non-finite values")
+    return arr
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """A sample list as arrays, row i holding sample i: the form training
+    and prediction work on.  Build it with :meth:`from_samples`."""
+
+    frame_ids: np.ndarray  # (N,) str objects
+    intrinsics: np.ndarray  # (N, 4) fx, fy, cx, cy in pixels
+    joints_2d: np.ndarray  # (N, J, 2) pixels
+    readouts: np.ndarray  # (N, J) mm, NaN where invalid
+    valid: np.ndarray  # (N, J) bool
+    joints_3d: np.ndarray | None = None  # (N, J, 3) mm, when every sample is annotated
+    visibility: np.ndarray | None = None  # (N, J) bool, when every sample has eval_visibility
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def take(self, idx) -> "SampleBatch":
+        """The rows at the integer index array ``idx``, as a new batch."""
+        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
+        return SampleBatch(**{name: None if a is None else a[idx] for name, a in arrays.items()})
+
+    @classmethod
+    def from_samples(cls, samples: list[Sample], num_joints: int) -> "SampleBatch":
+        """Check each sample's fields against ``num_joints`` and stack them.
+
+        This is where sample arrays are validated: a wrong shape, a
+        non-finite joint or a non-finite readout marked valid raises
+        ValueError naming the frame id and the field.  A missing readout
+        is read from the sample's map or DMAP file without storing it.
+        """
+        n, j = len(samples), num_joints
+        joints_2d = np.empty((n, j, 2))
+        readouts = np.empty((n, j))
+        valid = np.empty((n, j), dtype=bool)
+        joints_3d = np.empty((n, j, 3)) if all(s.joints_3d is not None for s in samples) else None
+        visibility = np.empty((n, j), dtype=bool) if all(s.eval_visibility is not None for s in samples) else None
+        for i, s in enumerate(samples):
+            joints_2d[i] = _checked(s, "joints_2d", s.joints_2d, (j, 2))
+            values, ok = s.readouts()
+            values = _checked(s, "depth_readouts", values, (j,), finite=False)
+            valid[i] = _checked(s, "depth_valid", ok, (j,), dtype=bool, finite=False)
+            if not np.isfinite(values[valid[i]]).all():
+                raise ValueError(f"sample {s.frame_id}: depth_readouts marked valid are not finite")
+            readouts[i] = np.where(valid[i], values, np.nan)
+            if joints_3d is not None:
+                joints_3d[i] = _checked(s, "joints_3d", s.joints_3d, (j, 3))
+            if visibility is not None:
+                visibility[i] = _checked(s, "eval_visibility", s.eval_visibility, (j,), dtype=bool, finite=False)
+        return cls(
+            frame_ids=np.array([s.frame_id for s in samples], dtype=object),
+            intrinsics=np.array([[s.camera.fx, s.camera.fy, s.camera.cx, s.camera.cy] for s in samples],
+                                dtype=np.float64).reshape(n, 4),
+            joints_2d=joints_2d,
+            readouts=readouts,
+            valid=valid,
+            joints_3d=joints_3d,
+            visibility=visibility,
+        )
 
 
 @dataclass
@@ -107,8 +184,9 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
 
 
 def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
-    """A record's sample; a missing field raises KeyError naming it and
-    per-joint arrays that disagree on the joint count raise ValueError."""
+    """A record's sample; a missing field raises KeyError naming it, and
+    per-joint arrays that disagree on the joint count or joints that are
+    not finite raise ValueError.  A null readout marks an invalid one."""
     cam_rec = record["camera"]
     depth_path = record.get("depth_path")
     if depth_path is not None and base_dir is not None:
@@ -116,12 +194,16 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
     joints_2d = np.asarray(record["joints_2d"], dtype=np.float64)
     if joints_2d.ndim != 2 or joints_2d.shape[1] != 2:
         raise ValueError(f"joints_2d has shape {joints_2d.shape}, expected (J, 2)")
+    if not np.isfinite(joints_2d).all():
+        raise ValueError("joints_2d contains non-finite values")
     num_joints = joints_2d.shape[0]
     joints_3d = record.get("joints_3d")
     if joints_3d is not None:
         joints_3d = np.asarray(joints_3d, dtype=np.float64)
         if joints_3d.shape != (num_joints, 3):
             raise ValueError(f"joints_3d has shape {joints_3d.shape}, expected ({num_joints}, 3) like joints_2d")
+        if not np.isfinite(joints_3d).all():
+            raise ValueError("joints_3d contains non-finite values")
     readouts = record.get("depth_readouts")
     depth_readouts = None
     depth_valid = None
@@ -207,8 +289,12 @@ def _fits(value, annotation: str) -> bool:
 
 
 def check_field_types(cls, values: dict, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming the first field of dataclass ``cls`` whose
-    value in ``values`` (parsed JSON) does not fit the field's annotation."""
+    """Raise ``error`` naming the keys of ``values`` (parsed JSON) that are
+    not fields of dataclass ``cls``, or else the first field whose value
+    does not fit the field's annotation."""
+    unknown = set(values) - {f.name for f in fields(cls)}
+    if unknown:
+        raise error(f"unknown config fields: {sorted(unknown)}")
     for f in fields(cls):
         if f.name in values and not _fits(values[f.name], f.type):
             raise error(f"config field {f.name!r} must be {f.type}, got {values[f.name]!r}")

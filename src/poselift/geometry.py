@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .data import Sample
+    from .data import SampleBatch
 
 
 class BehindCameraError(ValueError):
@@ -110,29 +110,32 @@ def zoom_pose_3d(pose: np.ndarray, factor: float) -> np.ndarray:
     return out
 
 
-def zoom_augment(sample: "Sample", factor: float) -> "Sample":
-    """Apply a synthetic camera zoom to a sample, intrinsics unchanged.
+def zoom_augment(batch: "SampleBatch", factors: np.ndarray) -> "SampleBatch":
+    """Apply a synthetic camera zoom to each row of a batch, intrinsics unchanged.
 
-    2D joints are scaled about the principal point by ``factor``; the 3D
-    pose z coordinates and the depth readouts are divided by ``factor``,
-    which keeps reprojection exact and amounts to moving the person
-    closer to (factor > 1) or further from (factor < 1) the camera.
-    Depth readouts must already be cached on the sample; the dense map,
-    if any, is dropped because its pixel grid no longer matches the
-    zoomed joints.
+    Row i's 2D joints are scaled about its principal point by
+    ``factors[i]``; its 3D pose z coordinates and depth readouts are
+    divided by ``factors[i]``, which keeps reprojection exact and amounts
+    to moving the person closer to (factor > 1) or further from
+    (factor < 1) the camera.  Each element gets the arithmetic of
+    :func:`zoom_points_2d` and :func:`zoom_pose_3d`; rows with factor 1.0
+    come back unchanged, bit for bit.  The input batch is not modified.
     """
-    if not math.isfinite(factor) or factor <= 0.0:
-        raise ValueError(f"zoom factor must be finite and > 0, got {factor!r}")
-    if factor == 1.0:
-        return sample
-    joints_2d = zoom_points_2d(sample.joints_2d, sample.camera, factor)
-    joints_3d = None if sample.joints_3d is None else zoom_pose_3d(sample.joints_3d, factor)
-    readouts = None if sample.depth_readouts is None else sample.depth_readouts / factor
-    return dataclasses.replace(
-        sample,
-        joints_2d=joints_2d,
-        joints_3d=joints_3d,
-        depth_readouts=readouts,
-        depth=None,
-        depth_path=None,
-    )
+    f = np.asarray(factors, dtype=np.float64)
+    if f.shape != (len(batch),):
+        raise ValueError(f"need one zoom factor per row ({len(batch)}), got shape {f.shape}")
+    bad = ~(np.isfinite(f) & (f > 0.0))
+    if bad.any():
+        raise ValueError(f"zoom factors must be finite and > 0, got {f[bad][0]!r}")
+    rows = np.flatnonzero(f != 1.0)
+    scale = f[rows, None]
+    center = batch.intrinsics[rows, None, 2:]
+    joints_2d = batch.joints_2d.copy()
+    joints_2d[rows] = center + scale[..., None] * (joints_2d[rows] - center)
+    readouts = batch.readouts.copy()
+    readouts[rows] /= scale
+    joints_3d = batch.joints_3d
+    if joints_3d is not None:
+        joints_3d = joints_3d.copy()
+        joints_3d[rows, :, 2] /= scale
+    return dataclasses.replace(batch, joints_2d=joints_2d, joints_3d=joints_3d, readouts=readouts)

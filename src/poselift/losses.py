@@ -30,28 +30,33 @@ class RobustLossConfig:
 def gm_loss(x: np.ndarray, alpha: float) -> np.ndarray:
     """Geman-McClure penalty x^2 / (x^2 + alpha), elementwise.
 
-    Bounded in [0, 1), even, and rho(sqrt(alpha)) = 1/2: alpha sets the
+    Bounded in [0, 1], even, and rho(sqrt(alpha)) = 1/2: alpha sets the
     squared residual scale beyond which a measurement is treated as an
-    outlier.
+    outlier.  A residual whose square overflows gets the limit 1.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     arr = np.asarray(x, dtype=np.float64)
-    sq = arr * arr
-    return sq / (sq + alpha)
+    with np.errstate(over="ignore"):
+        sq = arr * arr
+    return np.divide(sq, sq + alpha, out=np.ones_like(sq), where=~np.isinf(sq))
 
 
 def gm_grad(x: np.ndarray, alpha: float) -> np.ndarray:
     """Derivative of :func:`gm_loss`: 2 * alpha * x / (x^2 + alpha)^2.
 
     Peaks at |x| = sqrt(alpha / 3) and decays to zero for large
-    residuals, which is what rejects outliers.
+    residuals, which is what rejects outliers.  A residual whose squared
+    denominator overflows gets the limit 0.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     arr = np.asarray(x, dtype=np.float64)
-    denom = arr * arr + alpha
-    return 2.0 * alpha * arr / (denom * denom)
+    with np.errstate(over="ignore"):
+        numer = 2.0 * alpha * arr
+        denom = arr * arr + alpha
+        denom = denom * denom
+    return np.divide(numer, denom, out=np.zeros_like(denom), where=~np.isinf(denom))
 
 
 def l1_pose_loss(pred: np.ndarray, gt: np.ndarray):

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, Sample, check_field_types, group_frames
-from .geometry import normalize_2d, zoom_augment
+from .data import Dataset, Sample, SampleBatch, check_field_types
+from .geometry import zoom_augment
 from .losses import RobustLossConfig, l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_to_pose
 
@@ -64,18 +64,12 @@ class StandardizerStats:
         return cls(**{f.name: np.asarray(d[f.name], dtype=np.float64) for f in fields(cls)})
 
 
-def _raw_input(sample: Sample, spec: SkeletonSpec):
-    """Un-standardized feature vector plus the depth validity mask."""
-    joints_2d = np.asarray(sample.joints_2d, dtype=np.float64)
-    if joints_2d.shape != (spec.num_joints, 2):
-        raise ValueError(
-            f"sample {sample.frame_id}: joints_2d shape {joints_2d.shape}, "
-            f"expected ({spec.num_joints}, 2)"
-        )
-    sample.ensure_readouts()
-    normalized = normalize_2d(joints_2d, sample.camera)
-    readouts = np.where(sample.depth_valid, sample.depth_readouts, np.nan)
-    return np.concatenate([normalized.ravel(), readouts]), np.asarray(sample.depth_valid, dtype=bool)
+def _raw_inputs(batch: SampleBatch) -> np.ndarray:
+    """Un-standardized features (N, 3J): normalized 2D joints, then readouts
+    (NaN where invalid).  Normalization is that of ``normalize_2d``."""
+    intrinsics = batch.intrinsics[:, None, :]
+    normalized = (batch.joints_2d - intrinsics[..., 2:]) / intrinsics[..., :2]
+    return np.concatenate([normalized.reshape(len(batch), 2 * normalized.shape[1]), batch.readouts], axis=1)
 
 
 _OFFSET_WINDOW = (-300.0, 150.0)
@@ -95,31 +89,21 @@ def _robust_offset(col: np.ndarray) -> tuple[float, float] | None:
     return float(inliers.mean()), float(inliers.std())
 
 
-def fit_standardizer(samples: list[Sample], spec: SkeletonSpec) -> StandardizerStats:
-    """Fit all statistics on annotated samples.
+def fit_standardizer(batch: SampleBatch, spec: SkeletonSpec) -> StandardizerStats:
+    """Fit all statistics on an annotated batch.
 
     Depth readout dimensions are fit on valid readouts only.  Constant
     or empty dimensions are rejected: a network fed zero-variance inputs
     or trained toward zero-variance targets cannot be de-standardized.
     """
-    if len(samples) < 2:
+    if len(batch) < 2:
         raise ConfigError("need at least two annotated samples to fit the standardizer")
-    raws = []
-    outputs = []
-    offsets = []
-    for sample in samples:
-        if not sample.is_annotated:
-            raise ConfigError("fit_standardizer needs annotated samples")
-        raw, valid = _raw_input(sample, spec)
-        raws.append(raw)
-        outputs.append(pose_to_vector(sample.joints_3d, spec))
-        z = np.asarray(sample.joints_3d, dtype=np.float64)[:, 2]
-        subset = np.asarray(spec.depth_subset, dtype=int)
-        off = np.where(valid[subset], sample.depth_readouts[subset] - z[subset], np.nan)
-        offsets.append(off)
-    raw_mat = np.stack(raws)
-    out_mat = np.stack(outputs)
-    off_mat = np.stack(offsets)
+    if batch.joints_3d is None:
+        raise ConfigError("fit_standardizer needs annotated samples")
+    raw_mat = _raw_inputs(batch)
+    out_mat = pose_to_vector(batch.joints_3d, spec)
+    subset = np.asarray(spec.depth_subset, dtype=int)
+    off_mat = batch.readouts[:, subset] - batch.joints_3d[:, subset, 2]
 
     counts = np.isfinite(raw_mat).sum(axis=0)
     if np.any(counts < 2):
@@ -164,23 +148,15 @@ def fit_standardizer(samples: list[Sample], spec: SkeletonSpec) -> StandardizerS
     )
 
 
-def build_input(sample: Sample, stats: StandardizerStats, spec: SkeletonSpec):
-    """Standardized network input for one sample.
+def build_inputs(batch: SampleBatch, stats: StandardizerStats):
+    """Standardized network inputs (N, 3J) and the readout validity (N, J).
 
     Invalid depth readouts are imputed with the standardized mean (zero)
-    so they carry no signal; the validity mask is returned alongside.
+    so they carry no signal.
     """
-    raw, valid = _raw_input(sample, spec)
-    x = (raw - stats.input_mean) / stats.input_std
+    x = (_raw_inputs(batch) - stats.input_mean) / stats.input_std
     x[np.isnan(x)] = 0.0
-    return x, valid
-
-
-def build_inputs(samples: list[Sample], stats: StandardizerStats, spec: SkeletonSpec):
-    pairs = [build_input(s, stats, spec) for s in samples]
-    x = np.stack([p[0] for p in pairs])
-    valid = np.stack([p[1] for p in pairs])
-    return x, valid
+    return x, batch.valid
 
 
 def standardize_output(pose_vecs: np.ndarray, stats: StandardizerStats) -> np.ndarray:
@@ -290,10 +266,6 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         check_field_types(cls, d, ConfigError)
         return cls(**d)
 
@@ -363,20 +335,23 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise ValueError(f"{path}: cannot load model bundle: {exc}") from exc
 
 
-def predict_pose(bundle: ModelBundle, sample: Sample) -> np.ndarray:
-    """Absolute 3D pose (J, 3) for one sample; the depth net plays no part."""
-    x, _ = build_input(sample, bundle.stats, bundle.skeleton)
-    o, _ = nn.forward(bundle.pose_params, bundle.pose_config, x, train=False)
-    vec = destandardize_output(o[0], bundle.stats)
-    return vector_to_pose(vec, bundle.skeleton)
-
-
 def predict_frames(bundle: ModelBundle, samples: list[Sample]):
-    """Predictions grouped per frame: (frame_ids, list of pose lists)."""
-    frames = group_frames(samples)
-    frame_ids = list(frames)
-    preds = [[predict_pose(bundle, s) for s in frames[fid]] for fid in frame_ids]
-    return frame_ids, preds
+    """Absolute 3D poses (J, 3) from one forward pass over all samples,
+    grouped per frame in first-appearance order: (frame_ids, list of pose
+    lists).  The depth net plays no part."""
+    batch = SampleBatch.from_samples(samples, bundle.skeleton.num_joints)
+    x, _ = build_inputs(batch, bundle.stats)
+    o, _ = nn.forward(bundle.pose_params, bundle.pose_config, x, train=False)
+    poses = vector_to_pose(destandardize_output(o, bundle.stats), bundle.skeleton)
+    frames: dict[str, list[np.ndarray]] = {}
+    for frame_id, pose in zip(batch.frame_ids, poses):
+        frames.setdefault(frame_id, []).append(pose)
+    return list(frames), list(frames.values())
+
+
+def predict_pose(bundle: ModelBundle, sample: Sample) -> np.ndarray:
+    """Absolute 3D pose (J, 3) for one sample."""
+    return predict_frames(bundle, [sample])[1][0][0]
 
 
 def _step_rng(seed: int, epoch: int, step: int, role: int) -> np.random.Generator:
@@ -396,10 +371,6 @@ def _diverged(exc: FloatingPointError, epoch: int, step: int, net: str, params: 
     return FloatingPointError(f"training diverged at epoch {epoch}, step {step}, in {net}: {exc}; {found}")
 
 
-def _zoomed_batch(samples: list[Sample], factors: np.ndarray):
-    return [zoom_augment(s, float(f)) for s, f in zip(samples, factors)]
-
-
 def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = None):
     """Train both networks; returns (ModelBundle, per-epoch log dicts).
 
@@ -408,15 +379,17 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     The weak half flows through both networks and contributes the robust
     depth term; gradient flows back into the pose network unless
     ``stop_weak_pose_gradient`` is set.  Runs with equal seeds are
-    bit-reproducible.
+    bit-reproducible.  The dataset's samples are not modified.
     """
     spec = spec or default_skeleton()
     if not dataset.annotated:
         raise ConfigError("training needs at least one annotated sample")
-    for sample in dataset.annotated + dataset.weak:
-        sample.ensure_readouts()
+    ann_all = SampleBatch.from_samples(dataset.annotated, spec.num_joints)
+    weak_all = SampleBatch.from_samples(dataset.weak, spec.num_joints)
+    if config.track_weak_grad_stats and weak_all.visibility is None:
+        raise ConfigError("track_weak_grad_stats needs eval_visibility on every weak sample")
 
-    stats = fit_standardizer(dataset.annotated, spec)
+    stats = fit_standardizer(ann_all, spec)
     dim = 3 * spec.num_joints
     pose_config = nn.MlpConfig(
         input_dim=dim, output_dim=dim,
@@ -438,8 +411,8 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     loss_config = RobustLossConfig(alpha=config.alpha, lambda_weight=config.lambda_weight)
     subset = np.asarray(spec.depth_subset, dtype=int)
 
-    n_ann = len(dataset.annotated)
-    n_weak = len(dataset.weak)
+    n_ann = len(ann_all)
+    n_weak = len(weak_all)
     use_weak = n_weak > 0
     ann_per_step = config.batch_size // 2 if use_weak else config.batch_size
     steps_per_epoch = math.ceil(n_ann / ann_per_step)
@@ -457,13 +430,11 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
             net = "posenet"  # the network of the running call, for the divergence error
             try:
                 idx = order[step * ann_per_step : (step + 1) * ann_per_step]
-                ann_raw = [dataset.annotated[i] for i in idx]
                 zoom_rng = _step_rng(config.seed, epoch, step, 0)
-                factors = zoom_rng.uniform(config.zoom_min, config.zoom_max, size=len(ann_raw))
-                ann = _zoomed_batch(ann_raw, factors)
-                x_ann, _ = build_inputs(ann, stats, spec)
-                targets = np.stack([pose_to_vector(s.joints_3d, spec) for s in ann])
-                t_std = standardize_output(targets, stats)
+                factors = zoom_rng.uniform(config.zoom_min, config.zoom_max, size=len(idx))
+                ann = zoom_augment(ann_all.take(idx), factors)
+                x_ann, _ = build_inputs(ann, stats)
+                t_std = standardize_output(pose_to_vector(ann.joints_3d, spec), stats)
 
                 o_ann, cache_ann = nn.forward(
                     pose_params, pose_config, x_ann, train=True, rng=_step_rng(config.seed, epoch, step, 2)
@@ -473,13 +444,12 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                 epoch_l1 += l1_value
 
                 if use_weak:
-                    widx = weak_rng.integers(n_weak, size=len(ann_raw))
-                    weak_raw = [dataset.weak[i] for i in widx]
+                    widx = weak_rng.integers(n_weak, size=len(idx))
                     wz_rng = _step_rng(config.seed, epoch, step, 1)
-                    wfactors = wz_rng.uniform(config.zoom_min, config.zoom_max, size=len(weak_raw))
-                    weak_batch = _zoomed_batch(weak_raw, wfactors)
-                    x_weak, valid_all = build_inputs(weak_batch, stats, spec)
-                    target_depths = np.stack([s.depth_readouts for s in weak_batch])[:, subset]
+                    wfactors = wz_rng.uniform(config.zoom_min, config.zoom_max, size=len(widx))
+                    weak = zoom_augment(weak_all.take(widx), wfactors)
+                    x_weak, valid_all = build_inputs(weak, stats)
+                    target_depths = weak.readouts[:, subset]
                     valid = valid_all[:, subset]
 
                     o_weak, cache_weak = nn.forward(
@@ -506,7 +476,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                         pose_grads.flat += weak_pose_grads.flat
 
                     if config.track_weak_grad_stats:
-                        vis = np.stack([s.eval_visibility for s in weak_raw])[:, subset]
+                        vis = weak.visibility[:, subset]
                         mags = np.abs(d_depths)
                         for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
                             grad_abs[label] += float(mags[mask].sum())

@@ -155,18 +155,24 @@ def compose(parts: PoseDecomposition, spec: SkeletonSpec) -> np.ndarray:
 
 
 def pose_to_vector(pose: np.ndarray, spec: SkeletonSpec) -> np.ndarray:
-    """Flatten a pose to [root, relative offsets], the network output layout."""
-    parts = decompose(pose, spec)
-    return np.concatenate([parts.root, parts.relative.ravel()])
+    """Flatten a pose (J, 3) to [root, relative offsets] (3J,), the network
+    output layout; poses (..., J, 3) give vectors (..., 3J)."""
+    arr = np.asarray(pose, dtype=np.float64)
+    if arr.shape[-2:] != (spec.num_joints, 3):
+        raise ValueError(f"pose must have shape (..., {spec.num_joints}, 3), got {arr.shape}")
+    root = arr[..., spec.root, :]
+    relative = np.delete(arr, spec.root, axis=-2) - root[..., None, :]
+    return np.concatenate([root, relative.reshape(*arr.shape[:-2], 3 * spec.num_joints - 3)], axis=-1)
 
 
 def vector_to_pose(vec: np.ndarray, spec: SkeletonSpec) -> np.ndarray:
-    """Inverse of :func:`pose_to_vector`."""
-    arr = np.asarray(vec, dtype=np.float64).ravel()
-    if arr.size != 3 * spec.num_joints:
-        raise ValueError(f"expected {3 * spec.num_joints} values, got {arr.size}")
-    parts = PoseDecomposition(root=arr[:3], relative=arr[3:].reshape(-1, 3))
-    return compose(parts, spec)
+    """Inverse of :func:`pose_to_vector`: (..., 3J) to (..., J, 3)."""
+    arr = np.asarray(vec, dtype=np.float64)
+    if arr.ndim == 0 or arr.shape[-1] != 3 * spec.num_joints:
+        raise ValueError(f"expected {3 * spec.num_joints} values on the last axis, got shape {arr.shape}")
+    root = arr[..., :3]
+    joints = arr[..., 3:].reshape(*arr.shape[:-1], spec.num_joints - 1, 3) + root[..., None, :]
+    return np.insert(joints, spec.root, root, axis=-2)
 
 
 def knee_neck_distance(pose: np.ndarray, spec: SkeletonSpec) -> float:

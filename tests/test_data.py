@@ -164,6 +164,28 @@ class TestPoseFile:
             read_pose_file(path)
 
 
+    @pytest.mark.parametrize("field, bad", [
+        ("joints_2d", float("nan")), ("joints_2d", float("inf")),
+        ("joints_3d", float("nan")), ("joints_3d", float("-inf")),
+    ])
+    def test_non_finite_joints_name_file_line_and_field(self, tmp_path, field, bad):
+        path = tmp_path / "samples.jsonl"
+        record = sample_to_record(_sample())
+        record[field][4][1] = bad
+        path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=rf"samples\.jsonl:2: {field} contains non-finite values"):
+            read_pose_file(path)
+
+    def test_null_readout_marks_an_invalid_one(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        record = sample_to_record(_sample(readouts=[1000.0] * 17))
+        record["depth_readouts"][5] = None
+        path.write_text(json.dumps(record) + "\n")
+        sample = read_pose_file(path)[0]
+        assert np.isnan(sample.depth_readouts[5])
+        assert sample.depth_valid.sum() == 16 and not sample.depth_valid[5]
+
+
 class TestDatasetHelpers:
     def test_split_partitions_on_pose_presence(self):
         samples = [

@@ -2,9 +2,9 @@
 
 Projection and normalization are checked against hand-computed values
 and against each other (normalized coordinates of a projected point must
-equal x/z, y/z).  The zoom augmentation is checked for its defining
-property: reprojecting the zoomed 3D pose with unchanged intrinsics
-reproduces the zoomed 2D points.
+equal x/z, y/z).  The batch zoom augmentation is checked for its
+defining property: reprojecting the zoomed 3D pose with unchanged
+intrinsics reproduces the zoomed 2D points.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from poselift.data import Sample
+from poselift.data import Sample, SampleBatch
 from poselift.geometry import (
     BehindCameraError,
     CameraIntrinsics,
@@ -147,48 +147,49 @@ def _make_sample(rng) -> Sample:
     )
 
 
+def _batch(samples) -> SampleBatch:
+    return SampleBatch.from_samples(samples, 17)
+
+
 class TestZoomAugment:
     def test_identity_factor_returns_sample_unchanged(self):
-        sample = _make_sample(np.random.default_rng(0))
-        assert zoom_augment(sample, 1.0) is sample
+        """Rows with factor 1 come back bit for bit; the others change."""
+        rng = np.random.default_rng(0)
+        batch = _batch([_make_sample(rng) for _ in range(3)])
+        zoomed = zoom_augment(batch, np.array([1.0, 1.2, 1.0]))
+        for name in ("joints_2d", "joints_3d", "readouts"):
+            before, after = getattr(batch, name), getattr(zoomed, name)
+            assert after[[0, 2]].tobytes() == before[[0, 2]].tobytes()
+            assert not np.array_equal(after[1], before[1])
 
     def test_rejects_non_positive_or_non_finite_factor(self):
-        sample = _make_sample(np.random.default_rng(0))
+        batch = _batch([_make_sample(np.random.default_rng(0)) for _ in range(2)])
         for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                zoom_augment(sample, bad)
+            with pytest.raises(ValueError, match="zoom factors"):
+                zoom_augment(batch, np.array([1.1, bad]))
+        with pytest.raises(ValueError, match="one zoom factor per row"):
+            zoom_augment(batch, np.array([1.1]))
 
     def test_geometry_stays_consistent(self):
         """The zoomed 2D joints are exactly the projection of the zoomed pose."""
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            sample = _make_sample(rng)
-            f = rng.uniform(1.0, 1.5)
-            zoomed = zoom_augment(sample, f)
-            np.testing.assert_allclose(
-                zoomed.joints_2d, project(zoomed.joints_3d, CAM), rtol=0, atol=1e-6
-            )
+        batch = _batch([_make_sample(rng) for _ in range(20)])
+        zoomed = zoom_augment(batch, rng.uniform(1.0, 1.5, size=20))
+        for joints_2d, joints_3d in zip(zoomed.joints_2d, zoomed.joints_3d):
+            np.testing.assert_allclose(joints_2d, project(joints_3d, CAM), rtol=0, atol=1e-6)
 
     def test_readouts_scale_like_depths(self):
-        sample = _make_sample(np.random.default_rng(1))
-        zoomed = zoom_augment(sample, 2.0)
-        np.testing.assert_allclose(
-            zoomed.depth_readouts, sample.depth_readouts / 2.0, rtol=0, atol=0
-        )
-        assert np.isnan(zoomed.depth_readouts[3])
-
-    def test_dense_map_is_dropped(self):
-        sample = _make_sample(np.random.default_rng(2))
-        zoomed = zoom_augment(sample, 1.2)
-        assert zoomed.depth is None
-        assert zoomed.depth_path is None
-        # The original sample is untouched.
-        assert sample.depth_path == "depth/f0.dmap"
+        batch = _batch([_make_sample(np.random.default_rng(1))])
+        zoomed = zoom_augment(batch, np.array([2.0]))
+        np.testing.assert_allclose(zoomed.readouts, batch.readouts / 2.0, rtol=0, atol=0)
+        assert np.isnan(zoomed.readouts[0, 3])
+        # The input batch is untouched.
+        assert not np.array_equal(zoomed.readouts[0, :3], batch.readouts[0, :3])
 
     def test_weak_sample_without_pose(self):
         sample = dataclasses.replace(_make_sample(np.random.default_rng(4)), joints_3d=None)
-        zoomed = zoom_augment(sample, 1.3)
+        zoomed = zoom_augment(_batch([sample]), np.array([1.3]))
         assert zoomed.joints_3d is None
         np.testing.assert_allclose(
-            zoomed.joints_2d, zoom_points_2d(sample.joints_2d, CAM, 1.3), atol=1e-12
+            zoomed.joints_2d[0], zoom_points_2d(sample.joints_2d, CAM, 1.3), atol=1e-12
         )

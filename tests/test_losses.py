@@ -8,6 +8,7 @@ finite differences on a few entries.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ class TestGmLoss:
     def test_saturates_toward_one(self):
         assert gm_loss(np.array(1e8), 100.0) > 1.0 - 1e-12
 
+    def test_overflowing_square_gives_the_limit_without_warnings(self):
+        x = np.array([1e200, -1e300, np.inf, 3.0, -40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = gm_loss(x, 2500.0)
+        np.testing.assert_array_equal(rho[:3], 1.0)
+        # Finite squares keep the plain formula's bits.
+        finite = x[3:]
+        assert rho[3:].tobytes() == (finite * finite / (finite * finite + 2500.0)).tobytes()
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             gm_loss(np.zeros(3), 0.0)
@@ -103,6 +114,16 @@ class TestGmGrad:
             tail = np.abs(gm_grad(np.array([10.0, 100.0, 1e4]) * math.sqrt(alpha), alpha))
             assert (tail < 0.02 / math.sqrt(alpha)).all()
             assert tail[2] < tail[1] < tail[0]
+
+    def test_overflowing_denominator_gives_zero_without_warnings(self):
+        x = np.array([1e200, -1e100, 1e306, -np.inf, 3.0, -40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = gm_grad(x, 2500.0)
+        np.testing.assert_array_equal(grad[:4], 0.0)
+        finite = x[4:]
+        denom = finite * finite + 2500.0
+        assert grad[4:].tobytes() == (2.0 * 2500.0 * finite / (denom * denom)).tobytes()
 
 
 class TestL1PoseLoss:

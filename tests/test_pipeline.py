@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from poselift import nn
-from poselift.data import Dataset, Sample
+from poselift.data import Dataset, Sample, SampleBatch
+from poselift.depth import DepthMap, save_depth
 from poselift.geometry import CameraIntrinsics
 from poselift.pipeline import (
     ConfigError,
@@ -25,7 +26,7 @@ from poselift.pipeline import (
     TrainConfig,
     _head_z_dims,
     _robust_offset,
-    build_input,
+    build_inputs,
     destandardize_output,
     fit_standardizer,
     joint_depth_backward,
@@ -37,7 +38,7 @@ from poselift.pipeline import (
     standardize_output,
     train,
 )
-from poselift.skeleton import SkeletonSpec, default_skeleton, pose_to_vector
+from poselift.skeleton import SkeletonSpec, default_skeleton
 from poselift.synth import SceneConfig, generate_dataset
 
 SPEC = default_skeleton()
@@ -66,6 +67,10 @@ def _annotated(rng, offset=-50.0, offset_noise=0.0, readouts=None):
 def _training_set(n=12, seed=0, **kwargs):
     rng = np.random.Generator(np.random.Philox(seed))
     return [_annotated(rng, **kwargs) for _ in range(n)]
+
+
+def _fit(samples):
+    return fit_standardizer(SampleBatch.from_samples(samples, 17), SPEC)
 
 
 @pytest.fixture(scope="module")
@@ -106,19 +111,19 @@ class TestRobustOffset:
 class TestFitStandardizer:
     def test_needs_two_samples(self):
         with pytest.raises(ConfigError, match="at least two"):
-            fit_standardizer(_training_set(1), SPEC)
+            _fit(_training_set(1))
 
     def test_rejects_unannotated_samples(self):
         samples = _training_set(3)
         samples[1].joints_3d = None
         with pytest.raises(ConfigError, match="annotated"):
-            fit_standardizer(samples, SPEC)
+            _fit(samples)
 
     def test_rejects_constant_input_dimension(self):
         samples = _training_set(2)
         clone = dataclasses.replace(samples[0], frame_id="copy")
         with pytest.raises(ConfigError, match="constant"):
-            fit_standardizer([samples[0], clone], SPEC)
+            _fit([samples[0], clone])
 
     def test_rejects_constant_output_dimension(self):
         samples = _training_set(6, offset_noise=5.0)
@@ -127,7 +132,7 @@ class TestFitStandardizer:
             sample.joints_3d = shared
             sample.depth_readouts = shared[:, 2] - 50.0 + float(i)
         with pytest.raises(ConfigError, match="output dimension"):
-            fit_standardizer(samples, SPEC)
+            _fit(samples)
 
     def test_rejects_readout_dim_with_one_valid_value(self):
         samples = _training_set(6)
@@ -135,12 +140,12 @@ class TestFitStandardizer:
             sample.depth_readouts[3] = np.nan
             sample.depth_valid = np.isfinite(sample.depth_readouts)
         with pytest.raises(ConfigError, match="fewer than two valid values"):
-            fit_standardizer(samples, SPEC)
+            _fit(samples)
 
     def test_exact_offsets_and_std_floor(self):
         """Readouts exactly z - 45 give offset mean -45; the zero spread
         is floored so the weak head keeps a usable scale."""
-        stats = fit_standardizer(_training_set(8, offset=-45.0), SPEC)
+        stats = _fit(_training_set(8, offset=-45.0))
         np.testing.assert_allclose(stats.depth_offset_mean, -45.0, rtol=0, atol=1e-9)
         np.testing.assert_array_equal(stats.depth_offset_std, np.ones(len(SUBSET)))
 
@@ -148,17 +153,17 @@ class TestFitStandardizer:
         samples = _training_set(10, offset=-50.0)
         for sample in samples:
             sample.depth_readouts[0] = sample.joints_3d[0, 2] - 900.0
-        stats = fit_standardizer(samples, SPEC)
+        stats = _fit(samples)
         assert stats.depth_offset_mean[0] == pytest.approx(-50.0, abs=1e-9)
         np.testing.assert_allclose(stats.depth_offset_mean[1:], -50.0, rtol=0, atol=1e-9)
 
     def test_no_usable_offsets_anywhere_uses_the_default(self):
-        stats = fit_standardizer(_training_set(8, offset=-900.0), SPEC)
+        stats = _fit(_training_set(8, offset=-900.0))
         np.testing.assert_array_equal(stats.depth_offset_mean, np.full(len(SUBSET), -40.0))
         np.testing.assert_array_equal(stats.depth_offset_std, np.full(len(SUBSET), 30.0))
 
     def test_stats_dict_round_trip(self):
-        stats = fit_standardizer(_training_set(8), SPEC)
+        stats = _fit(_training_set(8))
         back = StandardizerStats.from_dict(json.loads(json.dumps(stats.to_dict())))
         for name in ("input_mean", "input_std", "output_mean", "output_std",
                      "depth_offset_mean", "depth_offset_std"):
@@ -168,19 +173,20 @@ class TestFitStandardizer:
 class TestBuildInput:
     def test_invalid_readouts_are_imputed_to_zero(self):
         samples = _training_set(8)
-        stats = fit_standardizer(samples, SPEC)
+        stats = _fit(samples)
         probe = samples[0]
         probe.depth_readouts[(2, 9),] = np.nan
         probe.depth_valid = np.isfinite(probe.depth_readouts)
-        x, valid = build_input(probe, stats, SPEC)
-        assert x.shape == (51,)
+        x, valid = build_inputs(SampleBatch.from_samples([samples[1], probe], 17), stats)
+        assert x.shape == (2, 51) and valid.shape == (2, 17)
         assert np.isfinite(x).all()
-        assert x[34 + 2] == 0.0 and x[34 + 9] == 0.0
-        assert not valid[2] and not valid[9]
-        assert x[34 + 3] != 0.0
+        assert x[1, 34 + 2] == 0.0 and x[1, 34 + 9] == 0.0
+        assert not valid[1, 2] and not valid[1, 9]
+        assert x[1, 34 + 3] != 0.0
+        assert valid[0].all() and (x[0, 34:] != 0.0).all()
 
     def test_standardize_round_trip(self):
-        stats = fit_standardizer(_training_set(8), SPEC)
+        stats = _fit(_training_set(8))
         rng = np.random.Generator(np.random.Philox(6))
         vecs = rng.normal(0.0, 500.0, size=(5, 51))
         back = destandardize_output(standardize_output(vecs, stats), stats)
@@ -211,7 +217,7 @@ class TestWeakHead:
     def test_zeroed_network_reduces_to_z_plus_offset(self):
         """With the depth net silenced the head is exactly the predicted
         absolute joint z plus the calibrated sensor offset."""
-        stats = fit_standardizer(_training_set(8), SPEC)
+        stats = _fit(_training_set(8))
         params, config = self._zeroed_head(stats, SPEC)
         rng = np.random.Generator(np.random.Philox(8))
         o_std = rng.normal(size=(3, 51))
@@ -223,7 +229,7 @@ class TestWeakHead:
         np.testing.assert_allclose(depths, expected, rtol=1e-12)
 
     def test_backward_matches_finite_differences(self):
-        stats = fit_standardizer(_training_set(8), SPEC)
+        stats = _fit(_training_set(8))
         config = nn.MlpConfig(input_dim=51, output_dim=14, hidden_dim=16,
                               num_blocks=1, dropout=0.0)
         params = nn.init_params(config, np.random.Generator(np.random.Philox(9)))
@@ -376,6 +382,34 @@ class TestTrain:
             f"training diverged at epoch 0, step 1, in posenet: non-finite activations in forward pass; {found}"
         )
 
+    def test_leaves_the_dataset_samples_unchanged(self, tiny_dataset, tmp_path):
+        """Training reads readouts it lacks from the maps and DMAP files
+        but writes nothing onto the caller's samples."""
+        def snapshot(sample):
+            state = {}
+            for name, value in vars(sample).items():
+                if isinstance(value, DepthMap):
+                    value = (id(value), value.values.tobytes())
+                elif isinstance(value, np.ndarray):
+                    value = (id(value), value.tobytes())
+                state[name] = value
+            return state
+
+        save_depth(tmp_path / "f.dmap", tiny_dataset.weak[0].depth)
+        bare = dataclasses.replace(tiny_dataset.weak[0], depth=None, depth_path=str(tmp_path / "f.dmap"),
+                                   depth_readouts=None, depth_valid=None)
+        from_map = dataclasses.replace(tiny_dataset.weak[1], depth_readouts=None, depth_valid=None)
+        dataset = Dataset(annotated=list(tiny_dataset.annotated), weak=[bare, from_map] + tiny_dataset.weak[2:])
+        before = [snapshot(s) for s in dataset.all_samples()]
+        train(_tiny_config(zoom_min=1.2, zoom_max=1.5, track_weak_grad_stats=True), dataset, SPEC)
+        assert [snapshot(s) for s in dataset.all_samples()] == before
+        assert bare.depth is None and bare.depth_readouts is None and from_map.depth_readouts is None
+
+    def test_weak_grad_stats_need_visibility(self, tiny_dataset):
+        weak = [dataclasses.replace(tiny_dataset.weak[0], eval_visibility=None)] + tiny_dataset.weak[1:]
+        with pytest.raises(ConfigError, match="eval_visibility"):
+            train(_tiny_config(track_weak_grad_stats=True), Dataset(tiny_dataset.annotated, weak), SPEC)
+
     def test_without_annotated_samples_raises(self, tiny_dataset):
         weak_only = Dataset(annotated=[], weak=tiny_dataset.weak)
         with pytest.raises(ConfigError, match="annotated"):
@@ -393,9 +427,13 @@ class TestPredictFrames:
         frame_ids, preds = predict_frames(bundle, samples)
         assert frame_ids == ["b", "a"]
         assert [len(p) for p in preds] == [2, 1]
-        np.testing.assert_array_equal(preds[0][0], predict_pose(bundle, samples[0]))
-        np.testing.assert_array_equal(preds[0][1], predict_pose(bundle, samples[2]))
-        np.testing.assert_array_equal(preds[1][0], predict_pose(bundle, samples[1]))
+        # One batched forward pass against three batch-1 passes: BLAS may
+        # round differently, so agreement is to 1e-9 mm, not bit for bit.
+        for pred, sample in ((preds[0][0], samples[0]), (preds[0][1], samples[2]), (preds[1][0], samples[1])):
+            np.testing.assert_allclose(pred, predict_pose(bundle, sample), rtol=0, atol=1e-9)
+
+    def test_no_samples_give_no_frames(self, tiny_bundle):
+        assert predict_frames(tiny_bundle, []) == ([], [])
 
 
 @pytest.fixture(scope="module")

@@ -82,6 +82,10 @@ class TestSceneConfig:
         with pytest.raises(ValueError, match=field):
             SceneConfig.from_dict({field: value})
 
+    def test_unknown_fields_are_named(self):
+        with pytest.raises(ValueError, match=r"unknown config fields: \['persons', 'zoom'\]"):
+            SceneConfig.from_dict({"zoom": 2, "persons": [1, 2], "image_width": 160})
+
 
 class TestPrimitiveDepths:
     def test_sphere_on_axis_closed_form(self):
