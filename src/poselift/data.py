@@ -113,7 +113,8 @@ class SampleBatch:
         This is where sample arrays are validated: a wrong shape, a
         non-finite joint or a non-finite readout marked valid raises
         ValueError naming the frame id and the field.  A missing readout
-        is read from the sample's map or DMAP file without storing it.
+        is read from the sample's map or DMAP file without storing it; a
+        run of samples that share a DMAP file loads it once.
         """
         n, j = len(samples), num_joints
         joints_2d = np.empty((n, j, 2))
@@ -121,9 +122,19 @@ class SampleBatch:
         valid = np.empty((n, j), dtype=bool)
         joints_3d = np.empty((n, j, 3)) if all(s.joints_3d is not None for s in samples) else None
         visibility = np.empty((n, j), dtype=bool) if all(s.eval_visibility is not None for s in samples) else None
+        # A pose file written frame by frame (as `poselift generate` writes
+        # one) holds a frame's persons in adjacent records, so keeping the
+        # previous DMAP loads each such file once.
+        last_path, last_map = None, None
         for i, s in enumerate(samples):
             joints_2d[i] = _checked(s, "joints_2d", s.joints_2d, (j, 2))
-            values, ok = s.readouts()
+            if s.depth_readouts is None and s.depth is None and s.depth_path is not None:
+                if s.depth_path != last_path:
+                    last_path, last_map = s.depth_path, load_depth(s.depth_path)
+                readout = read_depth_at(last_map, s.joints_2d)
+                values, ok = readout.values, readout.valid
+            else:
+                values, ok = s.readouts()
             values = _checked(s, "depth_readouts", values, (j,), finite=False)
             valid[i] = _checked(s, "depth_valid", ok, (j,), dtype=bool, finite=False)
             if not np.isfinite(values[valid[i]]).all():

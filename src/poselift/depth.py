@@ -106,11 +106,13 @@ def read_depth_at(depth: DepthMap, points: np.ndarray) -> JointDepthVector:
     wx = xc - x0
     wy = yc - y0
 
-    v = depth.values.astype(np.float64)
-    q00 = v[y0, x0]
-    q01 = v[y0, x1]
-    q10 = v[y1, x0]
-    q11 = v[y1, x1]
+    # Gather the corners first: the float32 -> float64 cast is exact, so
+    # casting four values per point gives the bits of casting the map.
+    v = depth.values
+    q00 = v[y0, x0].astype(np.float64)
+    q01 = v[y0, x1].astype(np.float64)
+    q10 = v[y1, x0].astype(np.float64)
+    q11 = v[y1, x1].astype(np.float64)
 
     valid = inside & np.isfinite(q00) & np.isfinite(q01) & np.isfinite(q10) & np.isfinite(q11)
     top = q00 * (1.0 - wx) + q01 * wx

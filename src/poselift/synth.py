@@ -4,7 +4,12 @@ Bodies are unions of capsules around the bones of the built-in skeleton;
 occluders are camera-facing rectangles placed between the camera and a
 person.  Depth is ray-cast analytically per pixel (the stored value is
 the z coordinate of the nearest hit, matching a time-of-flight sensor),
-then corrupted with Gaussian noise and NaN holes.  Every random draw
+then corrupted with Gaussian noise and NaN holes.  Each primitive is
+solved only over the pixels whose rays can meet its axis-aligned 3D
+bounding box: in front of the camera, perspective projection maps the
+box into the convex hull of its projected corners, so the window is
+conservative and the map is the one a full-frame solve gives, byte for
+byte.  Every random draw
 comes from a per-scene stream, so datasets are reproducible and scenes
 could be generated in parallel.
 """
@@ -208,7 +213,11 @@ def _require_default_skeleton(spec: SkeletonSpec) -> None:
 def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation of v around a unit axis."""
     c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(axis, v) * s + axis * np.dot(axis, v) * (1.0 - c)
+    (a0, a1, a2), (v0, v1, v2) = axis.tolist(), v.tolist()
+    # np.cross's arithmetic on Python floats: the same bits, without its
+    # per-call overhead on 3-vectors.
+    cross = np.array([a1 * v2 - a2 * v1, a2 * v0 - a0 * v2, a0 * v1 - a1 * v0])
+    return v * c + cross * s + axis * np.dot(axis, v) * (1.0 - c)
 
 
 def _tree_order(spec: SkeletonSpec) -> list[int]:
@@ -232,6 +241,7 @@ def generate_pose(rng: np.random.Generator, config: SceneConfig, spec: SkeletonS
     """
     _require_default_skeleton(spec)
     sigma = math.radians(config.joint_jitter_deg)
+    order = _tree_order(spec)[1:]
     while True:
         template = _STANDING if rng.random() < config.standing_probability else _SITTING
         yaw = math.radians(rng.uniform(*config.yaw_range_deg))
@@ -240,7 +250,7 @@ def generate_pose(rng: np.random.Generator, config: SceneConfig, spec: SkeletonS
         template = template @ rot_y.T
 
         pose = np.zeros_like(template)
-        for child in _tree_order(spec)[1:]:
+        for child in order:
             parent = spec.parents[child]
             bone = template[child] - template[parent]
             length = float(np.linalg.norm(bone))
@@ -311,6 +321,22 @@ def _body_capsules(pose: np.ndarray, spec: SkeletonSpec) -> list[tuple[np.ndarra
     ]
 
 
+def _ray_span(rays: np.ndarray, lo: float, hi: float) -> slice:
+    """Indices of the sorted ray slopes in [lo, hi], padded by one each side."""
+    start = max(int(np.searchsorted(rays, lo)) - 1, 0)
+    return slice(start, int(np.searchsorted(rays, hi, side="right")) + 1)
+
+
+def _pixel_window(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> tuple[slice, slice]:
+    """Rows and columns of the pixels whose rays can meet the box [lo, hi]:
+    the whole frame when the box reaches z <= 0 (see render_clean_depth)."""
+    if lo[2] <= 0.0:
+        return slice(None), slice(None)
+    xs = (lo[0] / lo[2], lo[0] / hi[2], hi[0] / lo[2], hi[0] / hi[2])
+    ys = (lo[1] / lo[2], lo[1] / hi[2], hi[1] / lo[2], hi[1] / hi[2])
+    return _ray_span(dy, min(ys), max(ys)), _ray_span(dx, min(xs), max(xs))
+
+
 def render_clean_depth(
     poses: list[np.ndarray],
     occluders: list[Occluder],
@@ -318,18 +344,33 @@ def render_clean_depth(
     config: SceneConfig,
     spec: SkeletonSpec,
 ) -> np.ndarray:
-    """Noise-free z-depth per pixel, NaN where no surface returns."""
+    """Noise-free z-depth per pixel, NaN where no surface returns.
+
+    Each capsule and occluder is solved only over the pixel window of its
+    axis-aligned 3D bounding box, padded by one pixel against rounding.
+    The window is conservative: a ray (dx, dy, 1) meets a point p only
+    where dx = p_x / p_z and dy = p_y / p_z, and for a box in front of the
+    camera p_x / p_z is monotone in p_x and in p_z, so over the box it
+    spans the range of its corner values (likewise y).  A box reaching
+    z <= 0 gets the whole frame.  Every per-pixel quantity is elementwise,
+    so each pixel gets the bytes a whole-frame solve gives it.
+    """
     _require_default_skeleton(spec)
     dx = (np.arange(config.image_width, dtype=np.float64) - cam.cx) / cam.fx
     dy = (np.arange(config.image_height, dtype=np.float64) - cam.cy) / cam.fy
-    dx = dx[None, :]
-    dy = dy[:, None]
     best = np.full((config.image_height, config.image_width), np.inf)
+
+    def solve(lo, hi, depth_fn, *args):
+        rows, cols = _pixel_window(lo, hi, dx, dy)
+        window = best[rows, cols]
+        np.minimum(window, depth_fn(dx[None, cols], dy[rows, None], *args), out=window)
+
     for pose in poses:
         for a, b, radius in _body_capsules(pose, spec):
-            best = np.minimum(best, _capsule_depth(dx, dy, a, b, radius))
+            solve(np.minimum(a, b) - radius, np.maximum(a, b) + radius, _capsule_depth, a, b, radius)
     for occ in occluders:
-        best = np.minimum(best, _occluder_depth(dx, dy, occ))
+        half = np.array([occ.half_width, occ.half_height, 0.0])
+        solve(occ.center - half, occ.center + half, _occluder_depth, occ)
     if config.background_depth is not None:
         best = np.minimum(best, config.background_depth)
     return np.where(np.isfinite(best), best, np.nan)

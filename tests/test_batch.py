@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poselift import data
 from poselift.data import Sample, SampleBatch
 from poselift.depth import DepthMap, save_depth
 from poselift.geometry import CameraIntrinsics, normalize_2d, zoom_augment, zoom_points_2d, zoom_pose_3d
@@ -237,3 +238,24 @@ class TestFromSamples:
         assert batch.readouts[0].tobytes() == batch.readouts[1].tobytes()
         assert _same_with_nans(batch.readouts[1], from_map.depth_readouts)
         np.testing.assert_array_equal(batch.valid[1], from_map.depth_valid)
+
+    def test_adjacent_samples_of_a_dmap_file_load_it_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(10)
+        paths = []
+        for name in "abc":
+            values = rng.uniform(1000.0, 5000.0, (120, 160)).astype(np.float32)
+            values[rng.random(values.shape) < 0.2] = np.nan
+            save_depth(tmp_path / f"{name}.dmap", DepthMap(160, 120, values))
+            paths.append(str(tmp_path / f"{name}.dmap"))
+        samples = [_sample(f"f{i}", depth_readouts=None, depth_valid=None, depth_path=paths[k])
+                   for i, k in enumerate([0, 0, 1, 1, 1, 2])]
+        samples.append(_sample("cached", depth_path=paths[2]))
+        expected = [s.readouts() for s in samples]
+        loads = []
+        real_load = data.load_depth
+        monkeypatch.setattr(data, "load_depth", lambda path: loads.append(path) or real_load(path))
+        batch = SampleBatch.from_samples(samples, J)
+        assert loads == paths
+        for i, (values, valid) in enumerate(expected):
+            assert _same_with_nans(batch.readouts[i], np.where(valid, values, np.nan))
+            np.testing.assert_array_equal(batch.valid[i], valid)

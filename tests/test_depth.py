@@ -7,6 +7,7 @@ bit-exact, and malformed files must raise the right error types.
 """
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,6 +113,22 @@ class TestBilinearReadout:
                     assert abs(out.values[k] - ref_value) < 1e-9
                 else:
                     assert np.isnan(out.values[k])
+
+    def test_matches_casting_the_whole_map_bit_for_bit(self):
+        """Gathering float32 corners and casting them reads the bits of a
+        map cast to float64 first, NaN pattern included."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            dm = _random_map(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)), hole_prob=0.2)
+            w, h = dm.width - 1.0, dm.height - 1.0
+            edges = [[0.0, 0.0], [w, h], [w, 0.0], [0.0, h], [w / 2, h], [w, h / 2], [-1e-9, 0.0],
+                     [w + 1e-9, h], [np.nan, 1.0], [1.0, np.inf], [-3.0, 2.0 * h + 1]]
+            pts = np.concatenate([rng.uniform([-2.0, -2.0], [w + 2.0, h + 2.0], size=(60, 2)), edges])
+            cast = SimpleNamespace(width=dm.width, height=dm.height, values=dm.values.astype(np.float64))
+            out, ref = read_depth_at(dm, pts), read_depth_at(cast, pts)
+            assert out.values.dtype == np.float64
+            assert out.values.tobytes() == ref.values.tobytes()
+            np.testing.assert_array_equal(out.valid, ref.valid)
 
     def test_edge_of_image_is_inside(self):
         dm = DepthMap(3, 3, np.full((3, 3), 1000.0, dtype=np.float32))

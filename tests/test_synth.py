@@ -8,10 +8,20 @@ cover determinism, anthropometric bone bounds, the visibility flags of
 a hand-built occluded scene, and two statistical properties: visible
 joints read their own depth to within noise plus interpolation error,
 and the occluded fraction grows with the number of occluders.
+
+The renderer solves each primitive only over its pixel window; the
+full-frame loop it replaced is kept here as the reference, and a
+property test requires the two to agree to the bit.  Dataset digests
+pinned from the full-frame renderer guard the criterion-4 and
+criterion-5 scene configs end to end.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poselift.depth import read_depth_at
 from poselift.geometry import CameraIntrinsics, project
@@ -22,7 +32,10 @@ from poselift.synth import (
     _STANDING,
     Occluder,
     SceneConfig,
+    _body_capsules,
     _capsule_depth,
+    _occluder_depth,
+    _pixel_window,
     _sphere_depth,
     generate_dataset,
     generate_pose,
@@ -47,6 +60,87 @@ def _incident_radius(joint: int) -> float:
         if joint in (parent, child):
             radii.append(_BONE_RADII[SPEC.joint_names[child]])
     return max(radii)
+
+
+def ref_render_clean_depth(poses, occluders, cam, config, spec):
+    """The full-frame renderer: every primitive solved over every pixel."""
+    dx = (np.arange(config.image_width, dtype=np.float64) - cam.cx) / cam.fx
+    dy = (np.arange(config.image_height, dtype=np.float64) - cam.cy) / cam.fy
+    dx = dx[None, :]
+    dy = dy[:, None]
+    best = np.full((config.image_height, config.image_width), np.inf)
+    for pose in poses:
+        for a, b, radius in _body_capsules(pose, spec):
+            best = np.minimum(best, _capsule_depth(dx, dy, a, b, radius))
+    for occ in occluders:
+        best = np.minimum(best, _occluder_depth(dx, dy, occ))
+    if config.background_depth is not None:
+        best = np.minimum(best, config.background_depth)
+    return np.where(np.isfinite(best), best, np.nan)
+
+
+@st.composite
+def scenes(draw):
+    """(poses, occluders, camera, config) around and beyond the frame.
+
+    Bodies are placed on the ray through a pixel that may lie outside
+    the image, at depths from behind the camera to 6 m; a zero joint
+    spread makes every capsule degenerate (a == b), and collapsed bones
+    make some of them so.  Occluders may sit behind the camera too.
+    """
+    width, height = draw(st.integers(2, 33)), draw(st.integers(2, 33))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    focal = draw(st.sampled_from([3.0, 40.0, 260.0]))
+    cam = CameraIntrinsics(fx=focal * rng.uniform(0.8, 1.2), fy=focal * rng.uniform(0.8, 1.2),
+                           cx=rng.uniform(-0.2, 1.2) * width, cy=rng.uniform(-0.2, 1.2) * height)
+    poses = []
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = rng.uniform(-0.5, 1.5) * width, rng.uniform(-0.5, 1.5) * height
+        z = rng.uniform(-1000.0, 6000.0)
+        pose = [(u - cam.cx) / cam.fx * z, (v - cam.cy) / cam.fy * z, z] + rng.normal(
+            0.0, draw(st.sampled_from([0.0, 60.0, 400.0])), size=(17, 3))
+        collapse = draw(st.sampled_from([0.0, 0.3]))
+        for parent, child in SPEC.bones():
+            if rng.random() < collapse:
+                pose[child] = pose[parent]
+        poses.append(pose)
+    occluders = [
+        Occluder(center=rng.uniform([-2000.0, -2000.0, -500.0], [2000.0, 2000.0, 5000.0]),
+                 half_width=rng.uniform(1.0, 800.0), half_height=rng.uniform(1.0, 800.0))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    config = SceneConfig(image_width=width, image_height=height,
+                         background_depth=draw(st.sampled_from([None, 9000.0])))
+    return poses, occluders, cam, config
+
+
+C4_SCENE = SceneConfig(  # tests/test_acceptance.py, criterion 4
+    fx_range=(240.0, 320.0), root_depth_range=(2500.0, 5500.0), persons_range=(1, 3),
+    occluder_range=(1, 2), occluder_size_range=(300.0, 600.0), yaw_range_deg=(-60.0, 60.0),
+    standing_probability=0.7,
+)
+C5_SCENE = SceneConfig(  # tests/test_acceptance.py, criterion 5
+    fx_range=(240.0, 320.0), root_depth_range=(3000.0, 5500.0), persons_range=(1, 1),
+    occluder_range=(1, 2), occluder_size_range=(300.0, 600.0), occluder_depth_fraction=(0.12, 0.35),
+    yaw_range_deg=(-30.0, 30.0), standing_probability=1.0, joint_jitter_deg=5.0,
+)
+
+# Computed with the full-frame renderer, before culling.
+C4_DIGEST = "3698996e26d30d43e805dcf34cab5e4aa2f364dad011f275e92272beb225b778"
+C5_DIGEST = "9ca324db7ad6449b8db02eb34754f6bfa98590ee28a655271f1ec00a6e6b628f"
+
+
+def _dataset_digest(dataset) -> str:
+    """sha256 over every sample's frame id, camera, joints, readouts,
+    visibility and depth map bytes."""
+    h = hashlib.sha256()
+    for s in dataset.all_samples():
+        cam = s.camera
+        h.update(f"{s.frame_id} {cam.fx!r} {cam.fy!r} {cam.cx!r} {cam.cy!r} {s.joints_3d is None}".encode())
+        for array in (s.joints_2d, s.eval_joints_3d, s.depth_readouts, s.depth_valid, s.eval_visibility,
+                      s.depth.values):
+            h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
 
 
 class TestSceneConfig:
@@ -185,6 +279,33 @@ class TestRenderCleanDepth:
         config = self._config()
         clean = render_clean_depth([], [], CAM, config, SPEC)
         np.testing.assert_array_equal(clean, np.full((120, 160), config.background_depth))
+
+
+class TestCulledRenderer:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scenes())
+    def test_matches_the_full_frame_renderer_bit_for_bit(self, scene):
+        poses, occluders, cam, config = scene
+        culled = render_clean_depth(poses, occluders, cam, config, SPEC)
+        assert culled.tobytes() == ref_render_clean_depth(poses, occluders, cam, config, SPEC).tobytes()
+
+    def test_a_bone_is_solved_over_a_small_window(self):
+        dx = (np.arange(160.0) - CAM.cx) / CAM.fx
+        dy = (np.arange(120.0) - CAM.cy) / CAM.fy
+        a, b = np.array([0.0, 0.0, 4000.0]), np.array([0.0, 400.0, 4000.0])
+        rows, cols = _pixel_window(np.minimum(a, b) - 40.0, np.maximum(a, b) + 40.0, dx, dy)
+        # The box spans x / z in +-40 / 3960 and y / z in [-40 / 3960, 440 / 3960]:
+        # columns 78-82 and rows 58-88 at fx = fy = 260, plus one pixel each side.
+        assert (rows.start, rows.stop, cols.start, cols.stop) == (57, 90, 77, 84)
+        full = _capsule_depth(dx[None, :], dy[:, None], a, b, 40.0)
+        hits = np.argwhere(np.isfinite(full))
+        assert hits[:, 0].min() > rows.start and hits[:, 0].max() < rows.stop - 1
+        assert hits[:, 1].min() > cols.start and hits[:, 1].max() < cols.stop - 1
+
+    def test_a_box_reaching_behind_the_camera_gets_the_whole_frame(self):
+        dx, dy = np.arange(4.0), np.arange(3.0)
+        window = _pixel_window(np.array([0.0, 0.0, -10.0]), np.array([1.0, 1.0, 50.0]), dx, dy)
+        assert window == (slice(None), slice(None))
 
 
 class TestGeneratePose:
@@ -363,6 +484,19 @@ class TestGenerateDataset:
         a = generate_dataset(_rng(14), SceneConfig(), 2, 0, SPEC)
         b = generate_dataset(_rng(15), SceneConfig(), 2, 0, SPEC)
         assert not np.array_equal(a.annotated[0].joints_2d, b.annotated[0].joints_2d)
+
+
+class TestPinnedDatasets:
+    """The first scenes of the seed-0 criterion-4 and criterion-5
+    training sets keep their bytes."""
+
+    def test_criterion_4_scenes(self):
+        dataset = generate_dataset(_rng([0, 100]), C4_SCENE, 12, 24, SPEC)
+        assert _dataset_digest(dataset) == C4_DIGEST
+
+    def test_criterion_5_scenes(self):
+        dataset = generate_dataset(_rng([0, 100]), C5_SCENE, 10, 20, SPEC)
+        assert _dataset_digest(dataset) == C5_DIGEST
 
 
 class TestStatisticalProperties:
