@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,30 +20,35 @@ from .synth import SceneConfig, generate_dataset
 
 
 def _load_config_section(path: str | None, section: str) -> dict:
-    """Read a JSON config; a file may be flat or hold per-command sections."""
+    """Read a JSON config object; a file may be flat or hold per-command sections."""
     if path is None:
         return {}
-    blob = json.loads(Path(path).read_text())
-    if section in blob:
-        return dict(blob[section])
+    try:
+        blob = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON config: {exc}") from exc
+    if isinstance(blob, dict) and section in blob:
+        blob = blob[section]
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: expected a JSON object of config fields, got {type(blob).__name__}")
     return dict(blob)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     section = _load_config_section(args.config, "scene")
-    n_annotated = int(section.pop("n_annotated", 200))
-    n_weak = int(section.pop("n_weak", 400))
-    if args.n_annotated is not None:
-        n_annotated = args.n_annotated
-    if args.n_weak is not None:
-        n_weak = args.n_weak
+    counts = {}
+    for name, default in (("n_annotated", 200), ("n_weak", 400)):
+        value = section.pop(name, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{args.config}: config field {name!r} must be int, got {value!r}")
+        counts[name] = value if getattr(args, name) is None else getattr(args, name)
     config = SceneConfig.from_dict(section)
 
     out = Path(args.out)
     depth_dir = out / "depth"
     depth_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.Generator(np.random.Philox(args.seed))
-    dataset = generate_dataset(rng, config, n_annotated, n_weak)
+    dataset = generate_dataset(rng, config, counts["n_annotated"], counts["n_weak"])
 
     written: dict[str, str] = {}
     for sample in dataset.all_samples():
@@ -62,10 +68,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     section = _load_config_section(args.config, "train")
-    for f in TrainConfig.__dataclass_fields__:
-        value = getattr(args, f, None)
-        if value is not None:
-            section[f] = value
+    for f in fields(TrainConfig):
+        if getattr(args, f.name) is not None:
+            section[f.name] = getattr(args, f.name)
     config = TrainConfig.from_dict(section)
 
     dataset = split_dataset(read_pose_file(Path(args.data) / "samples.jsonl"))
@@ -170,23 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--skeleton", help="skeleton spec JSON (defaults to the built-in layout)")
     p.add_argument("--log-file", dest="log_file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--base-lr", type=float, dest="base_lr")
-    p.add_argument("--lr-decay", type=float, dest="lr_decay")
-    p.add_argument("--lr-decay-every", type=int, dest="lr_decay_every")
-    p.add_argument("--lambda-weight", type=float, dest="lambda_weight")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    p.add_argument("--num-blocks", type=int, dest="num_blocks")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--depth-hidden-dim", type=int, dest="depth_hidden_dim")
-    p.add_argument("--depth-num-blocks", type=int, dest="depth_num_blocks")
-    p.add_argument("--zoom-min", type=float, dest="zoom_min")
-    p.add_argument("--zoom-max", type=float, dest="zoom_max")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stop-weak-pose-gradient", action="store_const", const=True, dest="stop_weak_pose_gradient")
-    p.add_argument("--track-weak-grad-stats", action="store_const", const=True, dest="track_weak_grad_stats")
+    for f in fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action="store_const", const=True, dest=f.name)
+        else:
+            p.add_argument(flag, type={"int": int, "float": float}[f.type], dest=f.name)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict 3D poses for a dataset")

@@ -10,8 +10,8 @@ One record per person instance per frame:
 Records without ``joints_3d`` are depth-only (weak) samples.  Floats are
 written with ``repr`` precision so files round trip bit-exact.  A
 :class:`SampleBatch` holds a sample list as arrays for training and
-prediction.  The module also checks JSON config values against
-dataclass field types.
+prediction.  :func:`fields_from_json` builds a config dataclass from
+JSON, checking each field by name and type.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ class Sample:
 
     def gt_pose(self) -> np.ndarray | None:
         return self.joints_3d if self.joints_3d is not None else self.eval_joints_3d
-
-    def load_depth_map(self) -> DepthMap:
-        if self.depth is None:
-            if self.depth_path is None:
-                raise ValueError(f"sample {self.frame_id} has no depth source")
-            self.depth = load_depth(self.depth_path)
-        return self.depth
 
     def readouts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-joint depth readouts at the 2D joints and their validity: the
@@ -286,7 +279,7 @@ def group_frames(samples: list[Sample]) -> dict[str, list[Sample]]:
     return frames
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool}
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def _fits(value, annotation: str) -> bool:
@@ -294,18 +287,30 @@ def _fits(value, annotation: str) -> bool:
         return value is None or _fits(value, annotation[: -len(" | None")])
     if annotation.startswith("tuple["):
         parts = annotation[len("tuple[") : -1].split(", ")
-        return isinstance(value, (list, tuple)) and len(value) == len(parts) and all(map(_fits, value, parts))
+        if not isinstance(value, (list, tuple)):
+            return False
+        if parts[-1] == "...":
+            return all(_fits(v, parts[0]) for v in value)
+        return len(value) == len(parts) and all(map(_fits, value, parts))
     # JSON true/false parse as bool, which Python also counts as an int.
     return isinstance(value, _JSON_TYPES[annotation]) and (annotation == "bool" or not isinstance(value, bool))
 
 
-def check_field_types(cls, values: dict, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming the keys of ``values`` (parsed JSON) that are
-    not fields of dataclass ``cls``, or else the first field whose value
-    does not fit the field's annotation."""
-    unknown = set(values) - {f.name for f in fields(cls)}
+def fields_from_json(cls, values, error: type[ValueError] = ValueError):
+    """``cls(**values)`` for dataclass ``cls`` from parsed JSON holding every
+    field; write one back with ``dataclasses.asdict``.  Raise ``error``
+    naming unknown or missing fields, or else the first field whose value
+    does not fit its annotation.  Lists become tuples for tuple fields."""
+    if not isinstance(values, dict):
+        raise error(f"expected a JSON object of {cls.__name__} fields, got {type(values).__name__}")
+    names = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(values) - names), sorted(names - set(values))
     if unknown:
-        raise error(f"unknown config fields: {sorted(unknown)}")
+        raise error(f"unknown config fields: {unknown}")
+    if missing:
+        raise error(f"missing config fields: {missing}")
     for f in fields(cls):
-        if f.name in values and not _fits(values[f.name], f.type):
+        if not _fits(values[f.name], f.type):
             raise error(f"config field {f.name!r} must be {f.type}, got {values[f.name]!r}")
+    return cls(**{f.name: tuple(values[f.name]) if f.type.startswith("tuple[") else values[f.name]
+                  for f in fields(cls)})

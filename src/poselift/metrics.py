@@ -114,21 +114,13 @@ def _pck(
     threshold: float,
     detected_only: bool,
 ) -> float:
-    hits = 0
-    total = 0
-    for gt_poses, pred_poses, assigned in zip(gt_frames, pred_frames, matching):
-        for g, p in enumerate(assigned):
-            gt_pose = np.asarray(gt_poses[g], dtype=np.float64)
-            if p < 0:
-                if not detected_only:
-                    total += gt_pose.shape[0]  # every joint of an undetected pose misses
-                continue
-            pred_pose = np.asarray(pred_poses[p], dtype=np.float64)
-            if root_align:
-                pred_pose = pred_pose - pred_pose[root_index] + gt_pose[root_index]
-            err = np.sqrt(((gt_pose - pred_pose) ** 2).sum(axis=1))
-            hits += int((err < threshold).sum())  # strictly below the threshold
-            total += gt_pose.shape[0]
+    matched = _matched_errors(gt_frames, pred_frames, matching, root_index, root_align)
+    errors = np.concatenate([np.empty(0), *matched])
+    hits = int((errors < threshold).sum())  # strictly below the threshold
+    total = errors.size
+    if not detected_only:  # every joint of an undetected pose misses
+        total += sum(len(gt_poses[g]) for gt_poses, _, assigned in zip(gt_frames, pred_frames, matching)
+                     for g, p in enumerate(assigned) if p < 0)
     if total == 0:
         return math.nan
     return 100.0 * hits / total

@@ -40,25 +40,6 @@ class MlpConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "hidden_dim": self.hidden_dim,
-            "num_blocks": self.num_blocks,
-            "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpConfig":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            output_dim=int(d["output_dim"]),
-            hidden_dim=int(d["hidden_dim"]),
-            num_blocks=int(d["num_blocks"]),
-            dropout=float(d["dropout"]),
-        )
-
 
 def param_shapes(config: MlpConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in storage and initialization order."""

@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .data import Dataset, Sample, SampleBatch, check_field_types
+from .data import Dataset, Sample, SampleBatch, fields_from_json
 from .geometry import zoom_augment
 from .losses import RobustLossConfig, l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_to_pose
@@ -261,13 +261,10 @@ class TrainConfig:
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        check_field_types(cls, d, ConfigError)
-        return cls(**d)
+        """The config with the fields in ``d`` (parsed JSON) over the defaults."""
+        return fields_from_json(cls, {**asdict(cls()), **d}, ConfigError)
 
 
 @dataclass
@@ -286,10 +283,10 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
     a JSON ``meta`` entry.  Equal bundles give byte-identical files."""
     meta = {
         "version": bundle.version,
-        "skeleton": bundle.skeleton.to_dict(),
+        "skeleton": asdict(bundle.skeleton),
         "stats": bundle.stats.to_dict(),
-        "posenet": bundle.pose_config.to_dict(),
-        "jointdepthnet": bundle.depth_config.to_dict(),
+        "posenet": asdict(bundle.pose_config),
+        "jointdepthnet": asdict(bundle.depth_config),
     }
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), posenet=bundle.pose_params.flat,
@@ -313,15 +310,15 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 pose_flat, depth_flat = npz["posenet"], npz["jointdepthnet"]
         if meta["version"] != BUNDLE_VERSION:
             raise ValueError(f"unsupported model version {meta['version']!r}")
-        skeleton = SkeletonSpec.from_dict(meta["skeleton"])
+        skeleton = fields_from_json(SkeletonSpec, meta["skeleton"])
         stats = StandardizerStats.from_dict(meta["stats"])
         dim, k = 3 * skeleton.num_joints, len(skeleton.depth_subset)
         for name, value in vars(stats).items():
             size = k if name.startswith("depth_offset") else dim
             if value.shape != (size,):
                 raise ValueError(f"stats {name} has shape {value.shape}, the skeleton needs ({size},)")
-        pose_config = nn.MlpConfig.from_dict(meta["posenet"])
-        depth_config = nn.MlpConfig.from_dict(meta["jointdepthnet"])
+        pose_config = fields_from_json(nn.MlpConfig, meta["posenet"])
+        depth_config = fields_from_json(nn.MlpConfig, meta["jointdepthnet"])
         return ModelBundle(
             skeleton=skeleton,
             pose_config=pose_config,

@@ -8,10 +8,12 @@ default layout has 17 joints, rooted at the hip (pelvis), with a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .data import fields_from_json
 
 DEFAULT_JOINT_NAMES = (
     "head_top",
@@ -85,38 +87,22 @@ class SkeletonSpec:
         """(parent, child) pairs of the kinematic tree, excluding the root."""
         return [(p, c) for c, p in enumerate(self.parents) if p >= 0]
 
-    def to_dict(self) -> dict:
-        return {
-            "joint_names": list(self.joint_names),
-            "root": self.root,
-            "neck": self.neck,
-            "knees": list(self.knees),
-            "depth_subset": list(self.depth_subset),
-            "parents": list(self.parents),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SkeletonSpec":
-        return cls(
-            joint_names=tuple(d["joint_names"]),
-            root=int(d["root"]),
-            neck=int(d["neck"]),
-            knees=(int(d["knees"][0]), int(d["knees"][1])),
-            depth_subset=tuple(int(i) for i in d["depth_subset"]),
-            parents=tuple(int(i) for i in d["parents"]),
-        )
-
 
 def default_skeleton() -> SkeletonSpec:
     return SkeletonSpec()
 
 
 def save_skeleton(path: str | Path, spec: SkeletonSpec) -> None:
-    Path(path).write_text(json.dumps(spec.to_dict(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n")
 
 
 def load_skeleton(path: str | Path) -> SkeletonSpec:
-    return SkeletonSpec.from_dict(json.loads(Path(path).read_text()))
+    """Read a file written by :func:`save_skeleton`; invalid JSON or a bad,
+    missing or unknown field raises ValueError naming ``path``."""
+    try:
+        return fields_from_json(SkeletonSpec, json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _check_pose(pose: np.ndarray, spec: SkeletonSpec) -> np.ndarray:

@@ -17,11 +17,11 @@ could be generated in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, Sample, check_field_types
+from .data import Dataset, Sample, fields_from_json
 from .depth import DepthMap, read_depth_at
 from .geometry import CameraIntrinsics, project
 from .skeleton import DEFAULT_JOINT_NAMES, SkeletonSpec, default_skeleton, knee_neck_distance
@@ -76,48 +76,10 @@ class SceneConfig:
         if self.visibility_margin_mm <= 0:
             raise ValueError("visibility_margin_mm must be > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "fx_range": list(self.fx_range),
-            "fy_jitter": self.fy_jitter,
-            "principal_jitter": self.principal_jitter,
-            "persons_range": list(self.persons_range),
-            "root_depth_range": list(self.root_depth_range),
-            "root_margin": self.root_margin,
-            "standing_probability": self.standing_probability,
-            "bone_scale_range": list(self.bone_scale_range),
-            "joint_jitter_deg": self.joint_jitter_deg,
-            "yaw_range_deg": list(self.yaw_range_deg),
-            "occluder_range": list(self.occluder_range),
-            "occluder_size_range": list(self.occluder_size_range),
-            "occluder_depth_fraction": list(self.occluder_depth_fraction),
-            "background_depth": self.background_depth,
-            "sensor_noise_mm": self.sensor_noise_mm,
-            "hole_probability": self.hole_probability,
-            "detector_noise_px": self.detector_noise_px,
-            "visibility_margin_mm": self.visibility_margin_mm,
-            "min_scene_depth_mm": self.min_scene_depth_mm,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
-        check_field_types(cls, d)
-        kwargs = dict(d)
-        for name in (
-            "fx_range",
-            "persons_range",
-            "root_depth_range",
-            "bone_scale_range",
-            "yaw_range_deg",
-            "occluder_range",
-            "occluder_size_range",
-            "occluder_depth_fraction",
-        ):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        """The config with the fields in ``d`` (parsed JSON) over the defaults."""
+        return fields_from_json(cls, {**asdict(cls()), **d})
 
 
 # Rest poses with the hip at the origin; x right, y down, z toward the

@@ -6,12 +6,14 @@ precedence of flags over config values.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from poselift.cli import main
+from poselift import cli
+from poselift.cli import build_parser, main
 from poselift.data import read_pose_file
-from poselift.pipeline import ConfigError, load_bundle
+from poselift.pipeline import ConfigError, TrainConfig, load_bundle
 from poselift.skeleton import default_skeleton
 
 
@@ -68,8 +70,49 @@ class TestGenerate:
                      "--n-annotated", "2", "--n-weak", "1"]) == 0
         assert "wrote 2 annotated + 1 weak" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"n_annotated": 2', "bad.json: invalid JSON config"),
+        ('[["n_weak", 1]]', "bad.json: expected a JSON object of config fields, got list"),
+        ('{"scene": [1, 2]}', "bad.json: expected a JSON object of config fields, got list"),
+        ('{"n_annotated": 2.7}', "bad.json: config field 'n_annotated' must be int, got 2.7"),
+        ('{"n_weak": true}', "bad.json: config field 'n_weak' must be int, got True"),
+    ])
+    def test_bad_config_file_is_named(self, tmp_path, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            main(["generate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+
+class _TrainCalled(Exception):
+    pass
+
 
 class TestTrain:
+    def test_flags_are_the_train_config_fields(self):
+        train_parser = build_parser()._subparsers._group_actions[0].choices["train"]
+        flags = {opt for action in train_parser._actions for opt in action.option_strings}
+        own = {"-h", "--help", "--config", "--data", "--out", "--skeleton", "--log-file"}
+        assert flags - own == {"--" + f.name.replace("_", "-") for f in fields(TrainConfig)}
+
+    def test_absent_bool_flag_keeps_the_config_value(self, workspace, tmp_path, monkeypatch):
+        seen = []
+
+        def record(config, dataset, spec):
+            seen.append(config)
+            raise _TrainCalled
+
+        monkeypatch.setattr(cli, "train", record)
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"stop_weak_pose_gradient": True, "epochs": 2, "alpha": 50}))
+        argv = ["train", "--config", str(config), "--data", str(workspace["data"]), "--out", str(tmp_path / "m")]
+        for extra in ([], ["--track-weak-grad-stats", "--epochs", "3", "--alpha", "7.5"]):
+            with pytest.raises(_TrainCalled):
+                main(argv + extra)
+        assert [(c.stop_weak_pose_gradient, c.track_weak_grad_stats, c.epochs, c.alpha) for c in seen] == [
+            (True, False, 2, 50), (True, True, 3, 7.5)]
+
     def test_epoch_flag_overrides_the_config(self, workspace):
         lines = workspace["log"].read_text().splitlines()
         assert len(lines) == 2  # config says 1 epoch, flag says 2

@@ -21,7 +21,7 @@ from poselift.data import (
     split_dataset,
     write_pose_file,
 )
-from poselift.depth import DepthMap, read_depth_at, save_depth
+from poselift.depth import DepthMap, load_depth, read_depth_at, save_depth
 from poselift.geometry import CameraIntrinsics
 
 CAM = CameraIntrinsics(fx=270.0, fy=265.3, cx=80.7, cy=59.2)
@@ -121,7 +121,7 @@ class TestPoseFile:
         path = tmp_path / "samples.jsonl"
         write_pose_file(path, [sample])
         back = read_pose_file(path)[0]
-        loaded = back.load_depth_map()
+        loaded = load_depth(back.depth_path)
         assert loaded.values.tobytes() == values.tobytes()
         back.ensure_readouts()
         ref = read_depth_at(loaded, back.joints_2d)

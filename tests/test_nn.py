@@ -7,12 +7,15 @@ update rule against an independent scalar implementation and against
 the whole-array formula, and the learning-rate schedule values.
 """
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from poselift import nn
+from poselift.data import fields_from_json
 
 
 def _tiny_config(dropout=0.0):
@@ -32,7 +35,7 @@ class TestMlpConfig:
 
     def test_dict_round_trip(self):
         config = _tiny_config(dropout=0.25)
-        assert nn.MlpConfig.from_dict(config.to_dict()) == config
+        assert fields_from_json(nn.MlpConfig, json.loads(json.dumps(asdict(config)))) == config
 
 
 class TestInitParams:

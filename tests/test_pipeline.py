@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from poselift import nn
-from poselift.data import Dataset, Sample, SampleBatch
+from poselift.data import Dataset, Sample, SampleBatch, fields_from_json
 from poselift.depth import DepthMap, save_depth
 from poselift.geometry import CameraIntrinsics
 from poselift.pipeline import (
@@ -38,7 +38,7 @@ from poselift.pipeline import (
     standardize_output,
     train,
 )
-from poselift.skeleton import SkeletonSpec, default_skeleton
+from poselift.skeleton import default_skeleton
 from poselift.synth import SceneConfig, generate_dataset
 
 SPEC = default_skeleton()
@@ -198,9 +198,7 @@ class TestWeakHead:
         np.testing.assert_array_equal(_head_z_dims(SPEC), np.arange(5, 45, 3))
 
     def test_head_z_dims_with_root_in_subset(self):
-        d = SPEC.to_dict()
-        d["depth_subset"] = list(d["depth_subset"]) + [SPEC.root]
-        spec = SkeletonSpec.from_dict(d)
+        spec = dataclasses.replace(SPEC, depth_subset=SPEC.depth_subset + (SPEC.root,))
         dims = _head_z_dims(spec)
         np.testing.assert_array_equal(dims[:-1], np.arange(5, 45, 3))
         assert dims[-1] == 2
@@ -270,10 +268,12 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         config = _tiny_config(seed=3, stop_weak_pose_gradient=True)
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        blob = json.loads(json.dumps(dataclasses.asdict(config)))
+        assert TrainConfig.from_dict(blob) == config
+        assert fields_from_json(TrainConfig, blob) == config
 
     def test_unknown_field_is_rejected(self):
-        d = _tiny_config().to_dict()
+        d = dataclasses.asdict(_tiny_config())
         d["learning_rate"] = 0.1
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig.from_dict(d)
@@ -467,6 +467,20 @@ class TestBundleFormat:
         save_bundle(tmp_path / "a.npz", tiny_bundle)
         _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", lambda meta, arrays: meta.update(version=99))
         with pytest.raises(ValueError, match="b.npz.*unsupported model version 99"):
+            load_bundle(tmp_path / "b.npz")
+
+    @pytest.mark.parametrize("section, edit, field", [
+        ("posenet", lambda d: d.update(hidden_dim="64"), "hidden_dim"),
+        ("jointdepthnet", lambda d: d.pop("dropout"), "dropout"),
+        ("posenet", lambda d: d.update(width=64), "width"),
+        ("skeleton", lambda d: d["parents"].__setitem__(0, "16"), "parents"),
+        ("skeleton", lambda d: d.pop("root"), "root"),
+        ("skeleton", lambda d: d.update(pelvis=14), "pelvis"),
+    ])
+    def test_bad_config_field_is_named(self, tiny_bundle, tmp_path, section, edit, field):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", lambda meta, arrays: edit(meta[section]))
+        with pytest.raises(ValueError, match=f"b.npz.*{field}"):
             load_bundle(tmp_path / "b.npz")
 
     def test_version_1_json_checkpoint_is_rejected(self, tmp_path):

@@ -6,9 +6,13 @@ knee-to-neck distance lands on the requested length) and its anchor
 property (the hip does not move at all).
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from poselift.data import fields_from_json
 from poselift.skeleton import (
     DEFAULT_JOINT_NAMES,
     DegeneratePoseError,
@@ -73,10 +77,25 @@ class TestSpecLayout:
             SkeletonSpec(parents=(-1,) * 16)  # wrong length
 
     def test_dict_and_file_round_trip(self, tmp_path):
-        assert SkeletonSpec.from_dict(SPEC.to_dict()) == SPEC
+        assert fields_from_json(SkeletonSpec, json.loads(json.dumps(asdict(SPEC)))) == SPEC
         path = tmp_path / "skeleton.json"
         save_skeleton(path, SPEC)
         assert load_skeleton(path) == SPEC
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.update(joint_names=["a", "b"], root=0, neck=1, knees=[0, 1],
+                            depth_subset=[0, 1], parents=[-1, "0"]), "parents"),
+        (lambda d: d.pop("root"), "root"),
+        (lambda d: d.update(knees=[9, 12.0]), "knees"),
+        (lambda d: d.update(pelvis=14), "pelvis"),
+    ])
+    def test_bad_file_field_is_named(self, tmp_path, edit, field):
+        d = asdict(SPEC)
+        edit(d)
+        path = tmp_path / "skeleton.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=f"skeleton.json: .*{field}"):
+            load_skeleton(path)
 
 
 class TestDecomposeCompose:

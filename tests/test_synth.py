@@ -17,6 +17,8 @@ criterion-5 scene configs end to end.
 """
 
 import hashlib
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -165,7 +167,7 @@ class TestSceneConfig:
     def test_dict_round_trip(self):
         config = SceneConfig(fx_range=(240.0, 320.0), occluder_range=(1, 2),
                              background_depth=None, standing_probability=1.0)
-        assert SceneConfig.from_dict(config.to_dict()) == config
+        assert SceneConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
 
     @pytest.mark.parametrize("field, value", [
         ("persons_range", "13"), ("persons_range", [1.5, 3]), ("persons_range", [1, 2, 3]),
