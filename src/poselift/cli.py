@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,15 @@ def _load_config_section(path: str | None, section: str) -> dict:
     return dict(blob)
 
 
+def _config_from_file(cls, path: str | None, values: dict):
+    """``cls.from_dict(values)``, the fields read from the file at ``path``;
+    an error names the file."""
+    try:
+        return cls.from_dict(values)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     section = _load_config_section(args.config, "scene")
     counts = {}
@@ -42,7 +51,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{args.config}: config field {name!r} must be int, got {value!r}")
         counts[name] = value if getattr(args, name) is None else getattr(args, name)
-    config = SceneConfig.from_dict(section)
+    config = _config_from_file(SceneConfig, args.config, section)
 
     out = Path(args.out)
     depth_dir = out / "depth"
@@ -67,11 +76,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    section = _load_config_section(args.config, "train")
-    for f in fields(TrainConfig):
-        if getattr(args, f.name) is not None:
-            section[f.name] = getattr(args, f.name)
-    config = TrainConfig.from_dict(section)
+    config = _config_from_file(TrainConfig, args.config, _load_config_section(args.config, "train"))
+    flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if getattr(args, f.name) is not None}
+    config = replace(config, **flags)
 
     dataset = split_dataset(read_pose_file(Path(args.data) / "samples.jsonl"))
     spec = load_skeleton(args.skeleton) if args.skeleton else default_skeleton()

@@ -149,7 +149,8 @@ def check_mlp(seed: int, train: bool) -> CheckResult:
         return float((y * c).sum())
 
     _, cache = nn.forward(params, config, x, train=train, rng=forward_rng())
-    grads, dx = nn.backward(params, config, cache, c)
+    grads = nn.ParamVector(config)
+    dx = nn.backward(params, config, cache, c, grads)
     results = [_check_array(f"mlp-{mode}/dx", dx, loss, x, PRIMITIVE_TOL)]
     for name in params:
         results.append(_check_array(f"mlp-{mode}/{name}", grads[name], loss, params[name], PRIMITIVE_TOL))
@@ -244,8 +245,9 @@ def check_weak_path(seed: int) -> CheckResult:
         )
         if not compute_grads:
             return value
-        depth_grads, d_o = joint_depth_backward(d_depths, head_cache, depth_params, depth_config, stats)
-        pose_grads, _ = nn.backward(pose_params, pose_config, pose_cache, d_o)
+        pose_grads, depth_grads = nn.ParamVector(pose_config), nn.ParamVector(depth_config)
+        d_o = joint_depth_backward(d_depths, head_cache, depth_params, depth_config, stats, depth_grads)
+        nn.backward(pose_params, pose_config, pose_cache, d_o, pose_grads)
         return value, pose_grads, depth_grads
 
     _, pose_grads, depth_grads = run(True)
@@ -275,7 +277,8 @@ def check_annotated_path(seed: int) -> CheckResult:
         value, d_o = l1_pose_loss(o, targets)
         if not compute_grads:
             return value
-        grads, _ = nn.backward(pose_params, pose_config, cache, d_o)
+        grads = nn.ParamVector(pose_config)
+        nn.backward(pose_params, pose_config, cache, d_o, grads)
         return value, grads
 
     _, grads = run(True)

@@ -61,27 +61,42 @@ def match_poses(
     return matching
 
 
-def _matched_errors(
+def _errors(
     gt_frames: Frames,
     pred_frames: Frames,
     matching: list[np.ndarray],
     root_index: int,
-    root_align: bool,
-) -> list[np.ndarray]:
-    """Per matched pose, the (J,) per-joint Euclidean errors in mm."""
-    errors = []
+) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+    """One walk over the matching: per matched pose the (J,) per-joint
+    Euclidean errors in mm, absolute and after translating the predicted
+    root onto the ground truth's, plus the joint count of unmatched poses."""
+    absolute, aligned, missed_joints = [], [], 0
     for gt_poses, pred_poses, assigned in zip(gt_frames, pred_frames, matching):
         for g, p in enumerate(assigned):
             if p < 0:
+                missed_joints += len(gt_poses[g])
                 continue
             gt_pose = np.asarray(gt_poses[g], dtype=np.float64)
             pred_pose = np.asarray(pred_poses[p], dtype=np.float64)
             if gt_pose.shape != pred_pose.shape:
                 raise ValueError(f"pose shape mismatch: {gt_pose.shape} vs {pred_pose.shape}")
-            if root_align:
-                pred_pose = pred_pose - pred_pose[root_index] + gt_pose[root_index]
-            errors.append(np.sqrt(((gt_pose - pred_pose) ** 2).sum(axis=1)))
-    return errors
+            absolute.append(np.sqrt(((gt_pose - pred_pose) ** 2).sum(axis=1)))
+            moved = pred_pose - pred_pose[root_index] + gt_pose[root_index]
+            aligned.append(np.sqrt(((gt_pose - moved) ** 2).sum(axis=1)))
+    return absolute, aligned, missed_joints
+
+
+def _mpjpe(errors: list[np.ndarray]) -> float:
+    return float(np.concatenate(errors).mean()) if errors else math.nan
+
+
+def _pck(errors: list[np.ndarray], missed_joints: int, threshold: float, detected_only: bool) -> float:
+    joined = np.concatenate([np.empty(0), *errors])
+    hits = int((joined < threshold).sum())  # strictly below the threshold
+    total = joined.size if detected_only else joined.size + missed_joints  # an undetected pose misses every joint
+    if total == 0:
+        return math.nan
+    return 100.0 * hits / total
 
 
 def a_mpjpe(gt_frames, pred_frames, matching, root_index: int = 14) -> float:
@@ -91,39 +106,12 @@ def a_mpjpe(gt_frames, pred_frames, matching, root_index: int = 14) -> float:
     unbounded, so it is excluded here and accounted for by the
     detection rate and the PCK metrics instead.
     """
-    errors = _matched_errors(gt_frames, pred_frames, matching, root_index, root_align=False)
-    if not errors:
-        return math.nan
-    return float(np.concatenate(errors).mean())
+    return _mpjpe(_errors(gt_frames, pred_frames, matching, root_index)[0])
 
 
 def r_mpjpe(gt_frames, pred_frames, matching, root_index: int = 14) -> float:
     """MPJPE after translating each prediction's root onto the ground truth."""
-    errors = _matched_errors(gt_frames, pred_frames, matching, root_index, root_align=True)
-    if not errors:
-        return math.nan
-    return float(np.concatenate(errors).mean())
-
-
-def _pck(
-    gt_frames,
-    pred_frames,
-    matching,
-    root_index: int,
-    root_align: bool,
-    threshold: float,
-    detected_only: bool,
-) -> float:
-    matched = _matched_errors(gt_frames, pred_frames, matching, root_index, root_align)
-    errors = np.concatenate([np.empty(0), *matched])
-    hits = int((errors < threshold).sum())  # strictly below the threshold
-    total = errors.size
-    if not detected_only:  # every joint of an undetected pose misses
-        total += sum(len(gt_poses[g]) for gt_poses, _, assigned in zip(gt_frames, pred_frames, matching)
-                     for g, p in enumerate(assigned) if p < 0)
-    if total == 0:
-        return math.nan
-    return 100.0 * hits / total
+    return _mpjpe(_errors(gt_frames, pred_frames, matching, root_index)[1])
 
 
 def a_3dpck(
@@ -135,7 +123,8 @@ def a_3dpck(
     detected_only: bool = False,
 ) -> float:
     """Percentage of joints with absolute error strictly below ``threshold``."""
-    return _pck(gt_frames, pred_frames, matching, root_index, False, threshold, detected_only)
+    absolute, _, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
+    return _pck(absolute, missed_joints, threshold, detected_only)
 
 
 def r_3dpck(
@@ -147,7 +136,8 @@ def r_3dpck(
     detected_only: bool = False,
 ) -> float:
     """PCK after root alignment, measuring pose quality without localization."""
-    return _pck(gt_frames, pred_frames, matching, root_index, True, threshold, detected_only)
+    _, aligned, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
+    return _pck(aligned, missed_joints, threshold, detected_only)
 
 
 def detection_rate(matching: list[np.ndarray]) -> float:
@@ -219,11 +209,12 @@ def evaluate(
     undetected pose has no finite error.
     """
     matching = match_poses(gt_frames, pred_frames, match_threshold, root_index)
+    absolute, aligned, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
     return MetricReport(
-        a_mpjpe=a_mpjpe(gt_frames, pred_frames, matching, root_index),
-        r_mpjpe=r_mpjpe(gt_frames, pred_frames, matching, root_index),
-        a_3dpck=a_3dpck(gt_frames, pred_frames, matching, root_index, pck_threshold, detected_only),
-        r_3dpck=r_3dpck(gt_frames, pred_frames, matching, root_index, pck_threshold, detected_only),
+        a_mpjpe=_mpjpe(absolute),
+        r_mpjpe=_mpjpe(aligned),
+        a_3dpck=_pck(absolute, missed_joints, pck_threshold, detected_only),
+        r_3dpck=_pck(aligned, missed_joints, pck_threshold, detected_only),
         detection_rate=detection_rate(matching),
         matched_poses=sum(int((a >= 0).sum()) for a in matching),
         gt_poses=sum(len(a) for a in matching),

@@ -8,6 +8,8 @@ analytic gradients can be checked against central finite differences.
 Inputs are batched row vectors of shape (B, d).  A network's parameters,
 its gradients and each Adam moment are one float64 vector apiece, laid
 out by :func:`param_shapes`; :class:`ParamVector` names the views into it.
+The caller owns the gradient buffer: :func:`backward` writes into it, so
+a trainer allocates one per network and reuses it on every step.
 """
 
 from __future__ import annotations
@@ -177,17 +179,38 @@ def backward(
     config: MlpConfig,
     cache: dict,
     dy: np.ndarray,
-):
-    """Exact gradients of the cached forward pass; returns (grads, dx)."""
+    grads: ParamVector,
+    accumulate: bool = False,
+) -> np.ndarray:
+    """Exact gradients of the cached forward pass, written into ``grads``;
+    returns the gradient with respect to the input.
+
+    The caller owns ``grads``.  Every element is overwritten, so it needs
+    no zeroing between calls.  With ``accumulate`` each layer's gradient
+    is computed into one scratch array the size of the largest layer and
+    then added to what ``grads`` holds.
+    """
     dy = np.asarray(dy, dtype=np.float64)
     h_out = cache["h_out"]
     if dy.shape != (h_out.shape[0], config.output_dim):
         raise ValueError(f"dy must have shape ({h_out.shape[0]}, {config.output_dim}), got {dy.shape}")
 
     keep = 1.0 - config.dropout
-    grads = ParamVector(config)
+    scratch = None
+    if accumulate:  # a layer is a weight (or LayerNorm gain) and its bias
+        sizes = [g.size + grads[name[:-1] + "b"].size for name, g in grads.items() if not name.endswith(".b")]
+        scratch = np.empty(max(sizes))
 
-    dh, _, _ = _linear_backward(dy, h_out, params["fc_out.w"], grads["fc_out.w"], grads["fc_out.b"])
+    def layer(layer_backward, d, saved, prefix, weight):
+        w, b = grads[f"{prefix}.{weight}"], grads[f"{prefix}.b"]
+        dw, db = (w, b) if scratch is None else (scratch[: w.size].reshape(w.shape), scratch[w.size : w.size + b.size])
+        dx, _, _ = layer_backward(d, saved, params[f"{prefix}.{weight}"], dw, db)
+        if scratch is not None:
+            w += dw
+            b += db
+        return dx
+
+    dh = layer(_linear_backward, dy, h_out, "fc_out", "w")
     for i in reversed(range(config.num_blocks)):
         block = cache["blocks"][i]
         du = dh  # gradient entering the block's top, skip handled below
@@ -197,12 +220,10 @@ def backward(
             mask = block[f"mask{half}"]
             if mask is not None:
                 du = du * mask / keep
-            ln, fc = f"block{i}.ln{half}", f"block{i}.fc{half}"
-            du, _, _ = _layernorm_backward(du, block[f"ln{half}"], params[f"{ln}.g"], grads[f"{ln}.g"], grads[f"{ln}.b"])
-            du, _, _ = _linear_backward(du, block[f"lin_in{half}"], params[f"{fc}.w"], grads[f"{fc}.w"], grads[f"{fc}.b"])
+            du = layer(_layernorm_backward, du, block[f"ln{half}"], f"block{i}.ln{half}", "g")
+            du = layer(_linear_backward, du, block[f"lin_in{half}"], f"block{i}.fc{half}", "w")
         dh = dh + du  # identity skip
-    dx, _, _ = _linear_backward(dh, cache["x"], params["fc_in.w"], grads["fc_in.w"], grads["fc_in.b"])
-    return grads, dx
+    return layer(_linear_backward, dh, cache["x"], "fc_in", "w")
 
 
 @dataclass

@@ -217,16 +217,18 @@ def joint_depth_backward(
     depth_params: dict,
     depth_config: nn.MlpConfig,
     stats: StandardizerStats,
+    grads: nn.ParamVector,
 ):
-    """Gradients of the weak head: returns (depth-net grads, grad wrt o_std)."""
+    """Backward pass of the weak head: writes the depth-net gradients into
+    ``grads`` and returns the gradient with respect to o_std."""
     d_jdn = d_depths * stats.depth_offset_std
-    jdn_grads, d_o = nn.backward(depth_params, depth_config, cache["jdn_cache"], d_jdn)
+    d_o = nn.backward(depth_params, depth_config, cache["jdn_cache"], d_jdn, grads)
     z_dims = cache["z_dims"]
     root_is_subset = cache["root_is_subset"]
     d_o = d_o.copy()
     np.add.at(d_o, (slice(None), z_dims), d_depths * stats.output_std[z_dims])
     d_o[:, 2] += (d_depths * stats.output_std[2] * (~root_is_subset)).sum(axis=1)
-    return jdn_grads, d_o
+    return d_o
 
 
 @dataclass(frozen=True)
@@ -293,6 +295,16 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
                  jointdepthnet=bundle.depth_params.flat)
 
 
+def _stored_network(meta: dict, net: str, flat: np.ndarray) -> tuple[nn.MlpConfig, nn.ParamVector]:
+    """A network's config from a bundle's ``meta`` and its parameters over
+    ``flat``; a ValueError names the network."""
+    try:
+        config = fields_from_json(nn.MlpConfig, meta[net])
+        return config, nn.ParamVector(config, flat)
+    except ValueError as exc:
+        raise ValueError(f"{net}: {exc}") from exc
+
+
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read a file written by :func:`save_bundle`.  A version-1 JSON
     checkpoint, a truncated file, or sizes that do not match the stored
@@ -317,14 +329,14 @@ def load_bundle(path: str | Path) -> ModelBundle:
             size = k if name.startswith("depth_offset") else dim
             if value.shape != (size,):
                 raise ValueError(f"stats {name} has shape {value.shape}, the skeleton needs ({size},)")
-        pose_config = fields_from_json(nn.MlpConfig, meta["posenet"])
-        depth_config = fields_from_json(nn.MlpConfig, meta["jointdepthnet"])
+        pose_config, pose_params = _stored_network(meta, "posenet", pose_flat)
+        depth_config, depth_params = _stored_network(meta, "jointdepthnet", depth_flat)
         return ModelBundle(
             skeleton=skeleton,
             pose_config=pose_config,
-            pose_params=nn.ParamVector(pose_config, pose_flat),
+            pose_params=pose_params,
             depth_config=depth_config,
-            depth_params=nn.ParamVector(depth_config, depth_flat),
+            depth_params=depth_params,
             stats=stats,
             version=meta["version"],
         )
@@ -401,6 +413,9 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     depth_params = nn.init_params(depth_config, init_rng)
     pose_adam = nn.init_adam(pose_params)
     depth_adam = nn.init_adam(depth_params)
+    # Written whole by every step's first backward pass, so never zeroed.
+    pose_grads = nn.ParamVector(pose_config)
+    depth_grads = nn.ParamVector(depth_config)
     nets = {"posenet": pose_params, "jointdepthnet": depth_params}
 
     order_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 1])))
@@ -437,7 +452,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                     pose_params, pose_config, x_ann, train=True, rng=_step_rng(config.seed, epoch, step, 2)
                 )
                 l1_value, d_o_ann = l1_pose_loss(o_ann, t_std)
-                pose_grads, _ = nn.backward(pose_params, pose_config, cache_ann, d_o_ann)
+                nn.backward(pose_params, pose_config, cache_ann, d_o_ann, pose_grads)
                 epoch_l1 += l1_value
 
                 if use_weak:
@@ -463,14 +478,13 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                     )
                     epoch_weak += weak_value
 
-                    depth_grads, d_o_weak = joint_depth_backward(
-                        d_depths, head_cache, depth_params, depth_config, stats
+                    d_o_weak = joint_depth_backward(
+                        d_depths, head_cache, depth_params, depth_config, stats, depth_grads
                     )
                     nn.adam_step(depth_params, depth_grads, depth_adam, lr)
                     net = "posenet"
                     if not config.stop_weak_pose_gradient:
-                        weak_pose_grads, _ = nn.backward(pose_params, pose_config, cache_weak, d_o_weak)
-                        pose_grads.flat += weak_pose_grads.flat
+                        nn.backward(pose_params, pose_config, cache_weak, d_o_weak, pose_grads, accumulate=True)
 
                     if config.track_weak_grad_stats:
                         vis = weak.visibility[:, subset]

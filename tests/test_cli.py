@@ -84,6 +84,14 @@ class TestGenerate:
             main(["generate", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    def test_bad_scene_field_names_the_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scene": {"image_width": "160", "n_weak": 1}}))
+        with pytest.raises(ValueError) as info:
+            main(["generate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert str(info.value) == f"{bad}: config field 'image_width' must be int, got '160'"
+        assert not (tmp_path / "out").exists()
+
 
 class _TrainCalled(Exception):
     pass
@@ -135,6 +143,16 @@ class TestTrain:
         assert main(["train", "--config", str(flat), "--data", str(workspace["data"]),
                      "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_bad_config_field_names_the_file_whatever_the_flags(self, workspace, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {"epochs": "3"}}))
+        for flags in ([], ["--epochs", "1"]):
+            with pytest.raises(ConfigError) as info:
+                main(["train", "--config", str(bad), "--data", str(workspace["data"]),
+                      "--out", str(tmp_path / "model.npz"), *flags])
+            assert str(info.value) == f"{bad}: config field 'epochs' must be int, got '3'"
+        assert not (tmp_path / "model.npz").exists()
 
     def test_unknown_config_field_is_rejected(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"

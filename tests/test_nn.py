@@ -138,17 +138,49 @@ class TestBackwardInterface:
         params = nn.init_params(config, np.random.default_rng(14))
         _, cache = nn.forward(params, config, np.zeros((2, 6)))
         with pytest.raises(ValueError):
-            nn.backward(params, config, cache, np.zeros((3, 4)))
+            nn.backward(params, config, cache, np.zeros((3, 4)), nn.ParamVector(config))
 
     def test_gradients_cover_every_parameter(self):
         config = _tiny_config()
         params = nn.init_params(config, np.random.default_rng(15))
         y, cache = nn.forward(params, config, np.random.default_rng(16).normal(size=(2, 6)))
-        grads, dx = nn.backward(params, config, cache, np.ones_like(y))
+        grads = nn.ParamVector(config)
+        dx = nn.backward(params, config, cache, np.ones_like(y), grads)
         assert sorted(grads) == sorted(params)
         assert dx.shape == (2, 6)
         for k, g in grads.items():
             assert g.shape == params[k].shape, k
+
+
+class TestGradientBuffer:
+    """``backward`` writes into a buffer its caller owns and reuses."""
+
+    def _pass(self, seed):
+        config = nn.MlpConfig(input_dim=6, output_dim=4, hidden_dim=8, num_blocks=2, dropout=0.5)
+        params = nn.init_params(config, np.random.default_rng(30))
+        x = np.random.default_rng(seed).normal(size=(3, 6))
+        y, cache = nn.forward(params, config, x, train=True, rng=np.random.default_rng(seed + 1))
+        return config, params, cache, np.random.default_rng(seed + 2).normal(size=y.shape)
+
+    def test_every_element_is_overwritten(self):
+        config, params, cache, dy = self._pass(31)
+        zeros = nn.ParamVector(config)
+        nans = nn.ParamVector(config, np.full(zeros.flat.size, np.nan))
+        dx_zeros = nn.backward(params, config, cache, dy, zeros)
+        dx_nans = nn.backward(params, config, cache, dy, nans)
+        assert nans.flat.tobytes() == zeros.flat.tobytes()
+        assert dx_nans.tobytes() == dx_zeros.tobytes()
+
+    def test_accumulate_adds_each_element(self):
+        config, params, cache_a, dy_a = self._pass(32)
+        _, _, cache_b, dy_b = self._pass(35)
+        a, b = nn.ParamVector(config), nn.ParamVector(config)
+        nn.backward(params, config, cache_a, dy_a, a)
+        dx_b = nn.backward(params, config, cache_b, dy_b, b)
+        summed = nn.ParamVector(config, a.flat.copy())
+        dx = nn.backward(params, config, cache_b, dy_b, summed, accumulate=True)
+        assert summed.flat.tobytes() == (a.flat + b.flat).tobytes()
+        assert dx.tobytes() == dx_b.tobytes()
 
 
 def _reference_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

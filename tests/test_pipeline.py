@@ -235,7 +235,7 @@ class TestWeakHead:
         o_std = rng.normal(size=(2, 51))
         depths, cache = predicted_joint_depths(o_std, params, config, stats, SPEC)
         d_depths = rng.normal(size=depths.shape)
-        _, d_o = joint_depth_backward(d_depths, cache, params, config, stats)
+        d_o = joint_depth_backward(d_depths, cache, params, config, stats, nn.ParamVector(config))
 
         def value(o):
             d, _ = predicted_joint_depths(o, params, config, stats, SPEC)
@@ -355,6 +355,34 @@ class TestTrain:
             not np.array_equal(coupled.pose_params[name], plain.pose_params[name])
             for name in coupled.pose_params
         )
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_one_gradient_buffer_per_network_per_call(self, tiny_dataset, monkeypatch, epochs):
+        """Every backward pass writes into one of two buffers, made once:
+        train constructs four ParamVectors (parameters and gradients of
+        each network) however many steps it runs."""
+        made = []
+
+        class Counted(nn.ParamVector):
+            def __init__(self, config, flat=None):
+                super().__init__(config, flat)
+                made.append(self)
+
+        written = []
+        backward = nn.backward
+
+        def spy(params, config, cache, dy, grads, accumulate=False):
+            written.append(grads)
+            return backward(params, config, cache, dy, grads, accumulate)
+
+        monkeypatch.setattr(nn, "ParamVector", Counted)
+        monkeypatch.setattr(nn, "backward", spy)
+        bundle, logs = train(_tiny_config(epochs=epochs), tiny_dataset, SPEC)
+        buffers = {id(grads) for grads in written}
+        assert len(written) == 3 * epochs * logs[0]["steps"]
+        assert len(buffers) == 2
+        assert len(made) == 4
+        assert {id(v) for v in made} == buffers | {id(bundle.pose_params), id(bundle.depth_params)}
 
     def test_weak_grad_stats_are_logged(self, tiny_dataset):
         _, logs = train(_tiny_config(track_weak_grad_stats=True), tiny_dataset, SPEC)
@@ -482,6 +510,15 @@ class TestBundleFormat:
         _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", lambda meta, arrays: edit(meta[section]))
         with pytest.raises(ValueError, match=f"b.npz.*{field}"):
             load_bundle(tmp_path / "b.npz")
+
+    @pytest.mark.parametrize("net", ["posenet", "jointdepthnet"])
+    def test_bad_network_config_names_the_network(self, tiny_bundle, tmp_path, net):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", lambda meta, arrays: meta[net].update(hidden_dim="8"))
+        with pytest.raises(ValueError) as info:
+            load_bundle(tmp_path / "b.npz")
+        assert str(info.value).endswith(
+            f"b.npz: cannot load model bundle: {net}: config field 'hidden_dim' must be int, got '8'")
 
     def test_version_1_json_checkpoint_is_rejected(self, tmp_path):
         path = tmp_path / "model.json"
