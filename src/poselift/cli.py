@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Sample, group_frames, read_pose_file, split_dataset, write_pose_file
+from .data import Sample, group_frames, load_dataset, read_pose_file, write_pose_file
 from .depth import save_depth
 from .gradcheck import run_all
 from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, evaluate
@@ -80,7 +80,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     flags = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if getattr(args, f.name) is not None}
     config = replace(config, **flags)
 
-    dataset = split_dataset(read_pose_file(Path(args.data) / "samples.jsonl"))
+    dataset = load_dataset(args.data)
     spec = load_skeleton(args.skeleton) if args.skeleton else default_skeleton()
     bundle, logs = train(config, dataset, spec)
     save_bundle(args.out, bundle)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .data import SampleBatch
 from .losses import RobustLossConfig, gm_grad, gm_loss, l1_pose_loss, total_loss
-from .pipeline import StandardizerStats, joint_depth_backward, predicted_joint_depths
+from .pipeline import TrainConfig, annotated_step, fit_standardizer, init_bundle, weak_step
 from .skeleton import default_skeleton
 
 H = 1e-5
@@ -202,93 +203,63 @@ def check_total_loss(seed: int) -> CheckResult:
 
 
 def _pipeline_setup(seed: int):
+    """A small bundle with its stats fit on a four-row annotated batch, the
+    config that trains it, and the batch.  A fifth of the readouts are
+    invalid, none in the first two rows, so each dimension can be fit."""
     rng = np.random.default_rng(seed)
     spec = default_skeleton()
-    dim = 3 * spec.num_joints
-    k = len(spec.depth_subset)
-    stats = StandardizerStats(
-        input_mean=rng.normal(size=dim),
-        input_std=rng.uniform(0.5, 2.0, size=dim),
-        output_mean=rng.normal(scale=100.0, size=dim),
-        output_std=rng.uniform(50.0, 300.0, size=dim),
-        depth_offset_mean=rng.normal(scale=10.0, size=k),
-        depth_offset_std=rng.uniform(10.0, 50.0, size=k),
+    j = spec.num_joints
+    joints_3d = rng.normal(scale=300.0, size=(4, j, 3)) + [0.0, 0.0, 3500.0]
+    valid = rng.random(size=(4, j)) > 0.2
+    valid[:2] = True
+    batch = SampleBatch(
+        frame_ids=np.array([f"frame{i}" for i in range(4)], dtype=object),
+        intrinsics=np.tile([500.0, 500.0, 320.0, 240.0], (4, 1)),
+        joints_2d=rng.uniform(0.0, 480.0, size=(4, j, 2)),
+        readouts=np.where(valid, joints_3d[..., 2] + rng.normal(-40.0, 60.0, size=(4, j)), np.nan),
+        valid=valid,
+        joints_3d=joints_3d,
     )
-    pose_config = nn.MlpConfig(input_dim=dim, output_dim=dim, hidden_dim=24, num_blocks=2, dropout=0.5)
-    depth_config = nn.MlpConfig(input_dim=dim, output_dim=k, hidden_dim=24, num_blocks=2, dropout=0.5)
-    pose_params = nn.init_params(pose_config, np.random.default_rng(seed + 1))
-    depth_params = nn.init_params(depth_config, np.random.default_rng(seed + 2))
-    x = rng.normal(size=(4, dim))
-    return spec, stats, pose_config, pose_params, depth_config, depth_params, x, rng
+    config = TrainConfig(hidden_dim=24, num_blocks=2, depth_hidden_dim=24, depth_num_blocks=2, dropout=0.5,
+                         alpha=1e4, lambda_weight=1.0, seed=seed)
+    return init_bundle(config, fit_standardizer(batch, spec), spec), config, batch
+
+
+def _check_step(name: str, run, nets, seed: int) -> CheckResult:
+    """Twelve sampled entries of every parameter of each (label, params,
+    grads) network against central differences of ``run()[0]``."""
+    sample_rng = np.random.default_rng(seed)
+    results = [
+        _check_array(f"{name}/{label}.{param}", grads[param], lambda: run()[0], params[param],
+                     END_TO_END_TOL, max_entries=12, rng=sample_rng)
+        for label, params, grads in nets
+        for param in params
+    ]
+    return _merge(name, results, tol=END_TO_END_TOL)
 
 
 def check_weak_path(seed: int) -> CheckResult:
-    """End-to-end: inputs -> pose net -> depth head -> robust loss."""
-    spec, stats, pose_config, pose_params, depth_config, depth_params, x, rng = _pipeline_setup(seed)
-    k = len(spec.depth_subset)
-    config = RobustLossConfig(alpha=1e4, lambda_weight=1.0)
-    valid = rng.random(size=(4, k)) > 0.2
+    """End-to-end through :func:`weak_step`: inputs -> pose net -> depth head -> robust loss."""
+    bundle, config, batch = _pipeline_setup(seed)
 
-    o0, _ = nn.forward(pose_params, pose_config, x, train=True, rng=np.random.default_rng(seed + 3))
-    d0, _ = predicted_joint_depths(
-        o0, depth_params, depth_config, stats, spec, train=True, rng=np.random.default_rng(seed + 4)
-    )
-    targets = d0 + rng.normal(scale=60.0, size=d0.shape)
+    def run():
+        pose_grads, depth_grads = nn.ParamVector(bundle.pose_config), nn.ParamVector(bundle.depth_config)
+        return weak_step(bundle, config, batch, 0, 0, pose_grads, depth_grads)[0], pose_grads, depth_grads
 
-    def run(compute_grads: bool):
-        o, pose_cache = nn.forward(pose_params, pose_config, x, train=True, rng=np.random.default_rng(seed + 3))
-        depths, head_cache = predicted_joint_depths(
-            o, depth_params, depth_config, stats, spec, train=True, rng=np.random.default_rng(seed + 4)
-        )
-        value, _, d_depths = total_loss(
-            np.zeros((0, 1)), np.zeros((0, 1)), depths, targets, valid, config
-        )
-        if not compute_grads:
-            return value
-        pose_grads, depth_grads = nn.ParamVector(pose_config), nn.ParamVector(depth_config)
-        d_o = joint_depth_backward(d_depths, head_cache, depth_params, depth_config, stats, depth_grads)
-        nn.backward(pose_params, pose_config, pose_cache, d_o, pose_grads)
-        return value, pose_grads, depth_grads
-
-    _, pose_grads, depth_grads = run(True)
-    sample_rng = np.random.default_rng(seed + 5)
-    results = []
-    for name in pose_params:
-        results.append(
-            _check_array(f"weak/pose.{name}", pose_grads[name], lambda: run(False), pose_params[name],
-                         END_TO_END_TOL, max_entries=12, rng=sample_rng)
-        )
-    for name in depth_params:
-        results.append(
-            _check_array(f"weak/depth.{name}", depth_grads[name], lambda: run(False), depth_params[name],
-                         END_TO_END_TOL, max_entries=12, rng=sample_rng)
-        )
-    return _merge("weak-path", results, tol=END_TO_END_TOL)
+    _, pose_grads, depth_grads = run()
+    nets = (("pose", bundle.pose_params, pose_grads), ("depth", bundle.depth_params, depth_grads))
+    return _check_step("weak-path", run, nets, seed + 5)
 
 
 def check_annotated_path(seed: int) -> CheckResult:
-    """End-to-end: inputs -> pose net -> standardized L1."""
-    spec, stats, pose_config, pose_params, _, _, x, rng = _pipeline_setup(seed)
-    dim = 3 * spec.num_joints
-    targets = rng.normal(size=(4, dim))
+    """End-to-end through :func:`annotated_step`: inputs -> pose net -> standardized L1."""
+    bundle, config, batch = _pipeline_setup(seed)
 
-    def run(compute_grads: bool):
-        o, cache = nn.forward(pose_params, pose_config, x, train=True, rng=np.random.default_rng(seed + 3))
-        value, d_o = l1_pose_loss(o, targets)
-        if not compute_grads:
-            return value
-        grads = nn.ParamVector(pose_config)
-        nn.backward(pose_params, pose_config, cache, d_o, grads)
-        return value, grads
+    def run():
+        grads = nn.ParamVector(bundle.pose_config)
+        return annotated_step(bundle, config, batch, 0, 0, grads), grads
 
-    _, grads = run(True)
-    sample_rng = np.random.default_rng(seed + 6)
-    results = [
-        _check_array(f"annotated/{name}", grads[name], lambda: run(False), pose_params[name],
-                     END_TO_END_TOL, max_entries=12, rng=sample_rng)
-        for name in pose_params
-    ]
-    return _merge("annotated-path", results, tol=END_TO_END_TOL)
+    return _check_step("annotated-path", run, [("pose", bundle.pose_params, run()[1])], seed + 6)
 
 
 def _merge(name: str, results: list[CheckResult], tol: float = PRIMITIVE_TOL) -> CheckResult:

@@ -50,14 +50,7 @@ class StandardizerStats:
     depth_offset_std: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "input_mean": self.input_mean.tolist(),
-            "input_std": self.input_std.tolist(),
-            "output_mean": self.output_mean.tolist(),
-            "output_std": self.output_std.tolist(),
-            "depth_offset_mean": self.depth_offset_mean.tolist(),
-            "depth_offset_std": self.depth_offset_std.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StandardizerStats":
@@ -252,16 +245,26 @@ class TrainConfig:
     track_weak_grad_stats: bool = False
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 2 or self.batch_size % 2 != 0:
-            raise ConfigError("batch_size must be an even number >= 2")
-        if not 0.0 < self.zoom_min <= self.zoom_max:
-            raise ConfigError(f"zoom range must satisfy 0 < min <= max, got [{self.zoom_min}, {self.zoom_max}]")
-        if self.lambda_weight < 0:
-            raise ConfigError("lambda_weight must be >= 0")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be > 0")
+        # Comparisons with NaN are false, so each range also rejects NaN.
+        rules = (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0, "an even number >= 2"),
+            ("base_lr", 0.0 < self.base_lr < math.inf, "finite and > 0"),
+            ("lr_decay", 0.0 < self.lr_decay <= 1.0, "in (0, 1]"),
+            ("lr_decay_every", self.lr_decay_every >= 1, ">= 1"),
+            ("lambda_weight", 0.0 <= self.lambda_weight < math.inf, "finite and >= 0"),
+            ("alpha", 0.0 < self.alpha < math.inf, "finite and > 0"),
+            ("hidden_dim", self.hidden_dim >= 1, ">= 1"),
+            ("num_blocks", self.num_blocks >= 0, ">= 0"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("depth_hidden_dim", self.depth_hidden_dim >= 1, ">= 1"),
+            ("depth_num_blocks", self.depth_num_blocks >= 0, ">= 0"),
+        )
+        for name, ok, need in rules:
+            if not ok:
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        if not 0.0 < self.zoom_min <= self.zoom_max < math.inf:
+            raise ConfigError(f"zoom range must be finite with 0 < min <= max, got [{self.zoom_min}, {self.zoom_max}]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -296,19 +299,23 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
 
 
 def _stored_network(meta: dict, net: str, flat: np.ndarray) -> tuple[nn.MlpConfig, nn.ParamVector]:
-    """A network's config from a bundle's ``meta`` and its parameters over
-    ``flat``; a ValueError names the network."""
+    """A network's config from a bundle's ``meta`` and its finite parameters
+    over ``flat``; a ValueError names the network."""
     try:
         config = fields_from_json(nn.MlpConfig, meta[net])
-        return config, nn.ParamVector(config, flat)
+        params = nn.ParamVector(config, flat)
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite parameters")
+        return config, params
     except ValueError as exc:
         raise ValueError(f"{net}: {exc}") from exc
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read a file written by :func:`save_bundle`.  A version-1 JSON
-    checkpoint, a truncated file, or sizes that do not match the stored
-    configs and skeleton raise ValueError naming ``path``."""
+    checkpoint, a truncated file, sizes that do not match the stored
+    configs and skeleton, non-finite parameters or stats, or a stats std
+    that is not positive raise ValueError naming ``path``."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(4)
@@ -329,6 +336,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
             size = k if name.startswith("depth_offset") else dim
             if value.shape != (size,):
                 raise ValueError(f"stats {name} has shape {value.shape}, the skeleton needs ({size},)")
+            if not np.isfinite(value).all():
+                raise ValueError(f"stats {name} has non-finite values")
+            if name.endswith("_std") and not (value > 0.0).all():
+                raise ValueError(f"stats {name} must be positive")
         pose_config, pose_params = _stored_network(meta, "posenet", pose_flat)
         depth_config, depth_params = _stored_network(meta, "jointdepthnet", depth_flat)
         return ModelBundle(
@@ -363,6 +374,22 @@ def predict_pose(bundle: ModelBundle, sample: Sample) -> np.ndarray:
     return predict_frames(bundle, [sample])[1][0][0]
 
 
+def init_bundle(config: TrainConfig, stats: StandardizerStats, spec: SkeletonSpec) -> ModelBundle:
+    """Both networks at the widths in ``config``, initialized from ``config.seed``."""
+    dim = 3 * spec.num_joints
+    pose_config = nn.MlpConfig(dim, dim, config.hidden_dim, config.num_blocks, config.dropout)
+    depth_config = nn.MlpConfig(dim, len(spec.depth_subset), config.depth_hidden_dim, config.depth_num_blocks,
+                                config.dropout)
+    init_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 0])))
+    pose_params = nn.init_params(pose_config, init_rng)
+    depth_params = nn.init_params(depth_config, init_rng)
+    return ModelBundle(spec, pose_config, pose_params, depth_config, depth_params, stats)
+
+
+# The roles of a step's random streams, see _step_rng.
+_ANN_ZOOM, _WEAK_ZOOM, _ANN_DROPOUT, _WEAK_DROPOUT, _HEAD_DROPOUT = range(5)
+
+
 def _step_rng(seed: int, epoch: int, step: int, role: int) -> np.random.Generator:
     """A fresh stream per (epoch, step, role).
 
@@ -371,6 +398,60 @@ def _step_rng(seed: int, epoch: int, step: int, role: int) -> np.random.Generato
     network's trajectory untouched.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 3, epoch, step, role])))
+
+
+def _zoomed(batch: SampleBatch, config: TrainConfig, epoch: int, step: int, role: int) -> SampleBatch:
+    """``batch`` zoomed by factors drawn from the step's ``role`` stream."""
+    factors = _step_rng(config.seed, epoch, step, role).uniform(config.zoom_min, config.zoom_max, size=len(batch))
+    return zoom_augment(batch, factors)
+
+
+def annotated_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoch: int, step: int,
+                   grads: nn.ParamVector) -> float:
+    """The annotated half of training step ``step`` of ``epoch``: zoom,
+    pose forward pass and L1 against the standardized 3D poses.  Writes
+    the pose-net gradient into ``grads`` and returns the loss."""
+    ann = _zoomed(batch, config, epoch, step, _ANN_ZOOM)
+    x, _ = build_inputs(ann, bundle.stats)
+    targets = standardize_output(pose_to_vector(ann.joints_3d, bundle.skeleton), bundle.stats)
+    rng = _step_rng(config.seed, epoch, step, _ANN_DROPOUT)
+    o, cache = nn.forward(bundle.pose_params, bundle.pose_config, x, train=True, rng=rng)
+    value, d_o = l1_pose_loss(o, targets)
+    nn.backward(bundle.pose_params, bundle.pose_config, cache, d_o, grads)
+    return value
+
+
+def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoch: int, step: int,
+              pose_grads: nn.ParamVector, depth_grads: nn.ParamVector) -> tuple[float, np.ndarray]:
+    """The weak half of training step ``step`` of ``epoch``: zoom, pose
+    forward pass, weak head, and the robust loss against the readouts at
+    the stable joints.  Writes the depth-net gradient into ``depth_grads``
+    and, unless ``stop_weak_pose_gradient`` is set, adds the pose-net
+    gradient onto ``pose_grads``.  Returns (loss, gradient with respect to
+    the head's depths).  A FloatingPointError from the head's forward
+    pass carries ``network = "jointdepthnet"``."""
+    weak = _zoomed(batch, config, epoch, step, _WEAK_ZOOM)
+    x, valid_all = build_inputs(weak, bundle.stats)
+    subset = np.asarray(bundle.skeleton.depth_subset, dtype=int)
+    valid = valid_all[:, subset]
+    targets = np.where(valid, weak.readouts[:, subset], 0.0)
+    rng = _step_rng(config.seed, epoch, step, _WEAK_DROPOUT)
+    o, pose_cache = nn.forward(bundle.pose_params, bundle.pose_config, x, train=True, rng=rng)
+    head_rng = _step_rng(config.seed, epoch, step, _HEAD_DROPOUT)
+    try:
+        depths, head_cache = predicted_joint_depths(o, bundle.depth_params, bundle.depth_config, bundle.stats,
+                                                    bundle.skeleton, train=True, rng=head_rng)
+    except FloatingPointError as exc:
+        exc.network = "jointdepthnet"
+        raise
+    no_poses = np.zeros((0, o.shape[1]))
+    loss_config = RobustLossConfig(alpha=config.alpha, lambda_weight=config.lambda_weight)
+    value, _, d_depths = total_loss(no_poses, no_poses, depths, targets, valid, loss_config)
+    d_o = joint_depth_backward(d_depths, head_cache, bundle.depth_params, bundle.depth_config, bundle.stats,
+                               depth_grads)
+    if not config.stop_weak_pose_gradient:
+        nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, pose_grads, accumulate=True)
+    return value, d_depths
 
 
 def _diverged(exc: FloatingPointError, epoch: int, step: int, net: str, params: nn.ParamVector):
@@ -385,9 +466,8 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
 
     Mini-batches take half their samples from the annotated pool and
     half from the weak pool (all annotated when there is no weak data).
-    The weak half flows through both networks and contributes the robust
-    depth term; gradient flows back into the pose network unless
-    ``stop_weak_pose_gradient`` is set.  Runs with equal seeds are
+    Each step runs :func:`annotated_step`, :func:`weak_step` on the weak
+    half, and one Adam update of each network.  Runs with equal seeds are
     bit-reproducible.  The dataset's samples are not modified.
     """
     spec = spec or default_skeleton()
@@ -398,29 +478,16 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     if config.track_weak_grad_stats and weak_all.visibility is None:
         raise ConfigError("track_weak_grad_stats needs eval_visibility on every weak sample")
 
-    stats = fit_standardizer(ann_all, spec)
-    dim = 3 * spec.num_joints
-    pose_config = nn.MlpConfig(
-        input_dim=dim, output_dim=dim,
-        hidden_dim=config.hidden_dim, num_blocks=config.num_blocks, dropout=config.dropout,
-    )
-    depth_config = nn.MlpConfig(
-        input_dim=dim, output_dim=len(spec.depth_subset),
-        hidden_dim=config.depth_hidden_dim, num_blocks=config.depth_num_blocks, dropout=config.dropout,
-    )
-    init_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 0])))
-    pose_params = nn.init_params(pose_config, init_rng)
-    depth_params = nn.init_params(depth_config, init_rng)
-    pose_adam = nn.init_adam(pose_params)
-    depth_adam = nn.init_adam(depth_params)
+    bundle = init_bundle(config, fit_standardizer(ann_all, spec), spec)
+    pose_adam = nn.init_adam(bundle.pose_params)
+    depth_adam = nn.init_adam(bundle.depth_params)
     # Written whole by every step's first backward pass, so never zeroed.
-    pose_grads = nn.ParamVector(pose_config)
-    depth_grads = nn.ParamVector(depth_config)
-    nets = {"posenet": pose_params, "jointdepthnet": depth_params}
+    pose_grads = nn.ParamVector(bundle.pose_config)
+    depth_grads = nn.ParamVector(bundle.depth_config)
+    nets = {"posenet": bundle.pose_params, "jointdepthnet": bundle.depth_params}
 
     order_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 1])))
     weak_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 2])))
-    loss_config = RobustLossConfig(alpha=config.alpha, lambda_weight=config.lambda_weight)
     subset = np.asarray(spec.depth_subset, dtype=int)
 
     n_ann = len(ann_all)
@@ -442,59 +509,25 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
             net = "posenet"  # the network of the running call, for the divergence error
             try:
                 idx = order[step * ann_per_step : (step + 1) * ann_per_step]
-                zoom_rng = _step_rng(config.seed, epoch, step, 0)
-                factors = zoom_rng.uniform(config.zoom_min, config.zoom_max, size=len(idx))
-                ann = zoom_augment(ann_all.take(idx), factors)
-                x_ann, _ = build_inputs(ann, stats)
-                t_std = standardize_output(pose_to_vector(ann.joints_3d, spec), stats)
-
-                o_ann, cache_ann = nn.forward(
-                    pose_params, pose_config, x_ann, train=True, rng=_step_rng(config.seed, epoch, step, 2)
-                )
-                l1_value, d_o_ann = l1_pose_loss(o_ann, t_std)
-                nn.backward(pose_params, pose_config, cache_ann, d_o_ann, pose_grads)
-                epoch_l1 += l1_value
-
+                epoch_l1 += annotated_step(bundle, config, ann_all.take(idx), epoch, step, pose_grads)
                 if use_weak:
-                    widx = weak_rng.integers(n_weak, size=len(idx))
-                    wz_rng = _step_rng(config.seed, epoch, step, 1)
-                    wfactors = wz_rng.uniform(config.zoom_min, config.zoom_max, size=len(widx))
-                    weak = zoom_augment(weak_all.take(widx), wfactors)
-                    x_weak, valid_all = build_inputs(weak, stats)
-                    target_depths = weak.readouts[:, subset]
-                    valid = valid_all[:, subset]
-
-                    o_weak, cache_weak = nn.forward(
-                        pose_params, pose_config, x_weak, train=True, rng=_step_rng(config.seed, epoch, step, 3)
-                    )
-                    net = "jointdepthnet"
-                    depths, head_cache = predicted_joint_depths(
-                        o_weak, depth_params, depth_config, stats, spec,
-                        train=True, rng=_step_rng(config.seed, epoch, step, 4),
-                    )
-                    target_depths = np.where(valid, target_depths, 0.0)
-                    weak_value, _, d_depths = total_loss(
-                        np.zeros((0, dim)), np.zeros((0, dim)), depths, target_depths, valid, loss_config
-                    )
+                    weak = weak_all.take(weak_rng.integers(n_weak, size=len(idx)))
+                    weak_value, d_depths = weak_step(bundle, config, weak, epoch, step, pose_grads, depth_grads)
                     epoch_weak += weak_value
-
-                    d_o_weak = joint_depth_backward(
-                        d_depths, head_cache, depth_params, depth_config, stats, depth_grads
-                    )
-                    nn.adam_step(depth_params, depth_grads, depth_adam, lr)
+                    net = "jointdepthnet"
+                    nn.adam_step(bundle.depth_params, depth_grads, depth_adam, lr)
                     net = "posenet"
-                    if not config.stop_weak_pose_gradient:
-                        nn.backward(pose_params, pose_config, cache_weak, d_o_weak, pose_grads, accumulate=True)
 
                     if config.track_weak_grad_stats:
-                        vis = weak.visibility[:, subset]
+                        valid, vis = weak.valid[:, subset], weak.visibility[:, subset]
                         mags = np.abs(d_depths)
                         for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
                             grad_abs[label] += float(mags[mask].sum())
                             grad_n[label] += int(mask.sum())
 
-                nn.adam_step(pose_params, pose_grads, pose_adam, lr)
+                nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
             except FloatingPointError as exc:
+                net = getattr(exc, "network", net)
                 raise _diverged(exc, epoch, step, net, nets[net]) from exc
 
         entry = {
@@ -512,12 +545,4 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
             entry["weak_grad_occluded_n"] = grad_n["occluded"]
         logs.append(entry)
 
-    bundle = ModelBundle(
-        skeleton=spec,
-        pose_config=pose_config,
-        pose_params=pose_params,
-        depth_config=depth_config,
-        depth_params=depth_params,
-        stats=stats,
-    )
     return bundle, logs

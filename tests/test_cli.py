@@ -154,6 +154,20 @@ class TestTrain:
             assert str(info.value) == f"{bad}: config field 'epochs' must be int, got '3'"
         assert not (tmp_path / "model.npz").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"train": {"lr_decay": -0.5}}', "lr_decay must be in (0, 1], got -0.5"),
+        ('{"train": {"alpha": NaN}}', "alpha must be finite and > 0, got nan"),
+        ('{"train": {"hidden_dim": 0}}', "hidden_dim must be >= 1, got 0"),
+    ])
+    def test_out_of_range_config_value_names_the_file_and_field(self, workspace, tmp_path, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            main(["train", "--config", str(bad), "--data", str(workspace["data"]),
+                  "--out", str(tmp_path / "model.npz")])
+        assert str(info.value) == f"{bad}: {message}"
+        assert not (tmp_path / "model.npz").exists()
+
     def test_unknown_config_field_is_rejected(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"epochs": 1, "momentum": 0.9}}))

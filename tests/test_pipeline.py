@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from poselift import nn
+from poselift import gradcheck, nn, pipeline
 from poselift.data import Dataset, Sample, SampleBatch, fields_from_json
 from poselift.depth import DepthMap, save_depth
 from poselift.geometry import CameraIntrinsics
@@ -265,6 +265,18 @@ class TestTrainConfig:
             TrainConfig(lambda_weight=-0.1)
         with pytest.raises(ConfigError):
             TrainConfig(alpha=0.0)
+        nan, inf = float("nan"), float("inf")
+        for field, value in [
+            ("base_lr", 0.0), ("base_lr", -1.0), ("base_lr", nan), ("base_lr", inf),
+            ("lr_decay", -0.5), ("lr_decay", 0.0), ("lr_decay", 1.5), ("lr_decay", nan),
+            ("lr_decay_every", 0), ("dropout", 1.0), ("dropout", -0.1), ("dropout", nan),
+            ("hidden_dim", 0), ("depth_hidden_dim", 0), ("num_blocks", -1), ("depth_num_blocks", -1),
+            ("alpha", nan), ("alpha", inf), ("lambda_weight", nan), ("lambda_weight", inf),
+        ]:
+            with pytest.raises(ConfigError, match=f"^{field} must be .*, got {value!r}$"):
+                TrainConfig(**{field: value})
+        with pytest.raises(ConfigError, match="zoom range"):
+            TrainConfig(zoom_max=inf)
 
     def test_dict_round_trip(self):
         config = _tiny_config(seed=3, stop_weak_pose_gradient=True)
@@ -410,6 +422,29 @@ class TestTrain:
             f"training diverged at epoch 0, step 1, in posenet: non-finite activations in forward pass; {found}"
         )
 
+    @pytest.mark.parametrize("target", ["predicted_joint_depths", "joint_depth_backward"])
+    def test_divergence_in_the_weak_head_names_jointdepthnet(self, tiny_dataset, monkeypatch, target):
+        """A failure in the head's forward pass, and a non-finite head
+        gradient caught by the depth net's Adam step, both name it."""
+        if target == "predicted_joint_depths":
+            def broken(*args, **kwargs):
+                raise FloatingPointError("non-finite activations in forward pass")
+            message = "non-finite activations in forward pass"
+        else:
+            original = pipeline.joint_depth_backward
+
+            def broken(d_depths, cache, params, config, stats, grads):
+                d_o = original(d_depths, cache, params, config, stats, grads)
+                grads["fc_out.b"][0] = np.nan
+                return d_o
+            message = "non-finite gradient for fc_out.b"
+        monkeypatch.setattr(pipeline, target, broken)
+        with pytest.raises(FloatingPointError) as info:
+            train(_tiny_config(), tiny_dataset, SPEC)
+        assert str(info.value) == (
+            f"training diverged at epoch 0, step 0, in jointdepthnet: {message}; all parameters finite"
+        )
+
     def test_leaves_the_dataset_samples_unchanged(self, tiny_dataset, tmp_path):
         """Training reads readouts it lacks from the maps and DMAP files
         but writes nothing onto the caller's samples."""
@@ -540,6 +575,24 @@ class TestBundleFormat:
         with pytest.raises(ValueError, match="b.npz.*depth_offset_std"):
             load_bundle(tmp_path / "b.npz")
 
+    @pytest.mark.parametrize("where, index, value, message", [
+        ("output_std", 3, np.nan, "stats output_std has non-finite values"),
+        ("depth_offset_mean", 0, np.inf, "stats depth_offset_mean has non-finite values"),
+        ("input_std", 5, 0.0, "stats input_std must be positive"),
+        ("depth_offset_std", 1, -2.0, "stats depth_offset_std must be positive"),
+        ("posenet", 0, np.nan, "posenet: non-finite parameters"),
+        ("jointdepthnet", -1, -np.inf, "jointdepthnet: non-finite parameters"),
+    ])
+    def test_non_finite_or_non_positive_values_are_rejected(self, tiny_bundle, tmp_path, where, index, value, message):
+        def edit(meta, arrays):
+            (arrays if where in arrays else meta["stats"])[where][index] = value
+
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", edit)
+        with pytest.raises(ValueError) as info:
+            load_bundle(tmp_path / "b.npz")
+        assert str(info.value) == f"{tmp_path / 'b.npz'}: cannot load model bundle: {message}"
+
     def test_truncated_or_foreign_file_is_rejected(self, tiny_bundle, tmp_path):
         save_bundle(tmp_path / "a.npz", tiny_bundle)
         data = (tmp_path / "a.npz").read_bytes()
@@ -548,3 +601,23 @@ class TestBundleFormat:
             (tmp_path / name).write_bytes(content)
             with pytest.raises(ValueError, match=name):
                 load_bundle(tmp_path / name)
+
+
+class TestGradientSuiteChecksTheTrainingStep:
+    """The end-to-end checks run the step functions that ``train`` runs,
+    so a 1% error in a gradient ``train`` uses fails them."""
+
+    def test_weak_path_fails_on_a_scaled_head_gradient(self, monkeypatch):
+        original = pipeline.joint_depth_backward
+        monkeypatch.setattr(pipeline, "joint_depth_backward", lambda d_depths, *args: original(1.01 * d_depths, *args))
+        assert not gradcheck.check_weak_path(100).passed
+
+    def test_annotated_path_fails_on_a_scaled_l1_gradient(self, monkeypatch):
+        original = pipeline.l1_pose_loss
+
+        def scaled(pred, gt):
+            value, grad = original(pred, gt)
+            return value, 1.01 * grad
+
+        monkeypatch.setattr(pipeline, "l1_pose_loss", scaled)
+        assert not gradcheck.check_annotated_path(90).passed
