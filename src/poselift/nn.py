@@ -261,7 +261,11 @@ def adam_step(
     """
     if grads.keys() != params.keys() or grads.flat.shape != params.flat.shape:
         raise ValueError("grads must have the parameter layout")
-    if not np.isfinite(grads.flat).all():
+    # A non-finite element makes the sum of squares non-finite; only then,
+    # or when the sum overflows, is the element-wise scan run.
+    with np.errstate(over="ignore"):
+        sum_sq = grads.flat @ grads.flat
+    if not np.isfinite(sum_sq) and not np.isfinite(grads.flat).all():
         bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient for {bad}")
     state.t += 1
@@ -283,8 +287,11 @@ def adam_step(
 
 def lr_schedule(base_lr: float, epoch: int, decay: float = 0.96, every: int = 4) -> float:
     """Step decay: base_lr * decay ** floor(epoch / every)."""
-    if base_lr <= 0:
-        raise ValueError(f"base_lr must be > 0, got {base_lr}")
+    # Comparisons with NaN are false, so each range also rejects NaN.
+    if not 0.0 < base_lr < math.inf:
+        raise ValueError(f"base_lr must be finite and > 0, got {base_lr}")
+    if not 0.0 < decay <= 1.0:
+        raise ValueError(f"decay must be in (0, 1], got {decay}")
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     if every <= 0:

@@ -8,16 +8,20 @@ then corrupted with Gaussian noise and NaN holes.  Each primitive is
 solved only over the pixels whose rays can meet its axis-aligned 3D
 bounding box: in front of the camera, perspective projection maps the
 box into the convex hull of its projected corners, so the window is
-conservative and the map is the one a full-frame solve gives, byte for
-byte.  Every random draw
-comes from a per-scene stream, so datasets are reproducible and scenes
-could be generated in parallel.
+conservative.  A person's 16 capsules are solved in one array pass over
+all their (pixel, capsule) pairs, and the occluders in one more.  Each
+pair runs the per-element float64 formulas of a one-capsule solve, with
+the per-capsule scalars still taken one capsule at a time, and the
+pairs are folded into the frame by minimum, so the map is the one a
+full-frame solve of one primitive after another gives, byte for byte.
+Every random draw comes from a per-scene stream, so datasets are
+reproducible and scenes could be generated in parallel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -52,6 +56,11 @@ class SceneConfig:
     min_scene_depth_mm: float = 300.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.image_width <= 1 or self.image_height <= 1:
             raise ValueError("image must be at least 2x2 pixels")
         for name in ("fx_range", "root_depth_range", "bone_scale_range", "occluder_size_range"):
@@ -73,6 +82,8 @@ class SceneConfig:
             raise ValueError("noise levels must be >= 0")
         if not 0.0 <= self.hole_probability < 1.0:
             raise ValueError("hole_probability must be in [0, 1)")
+        if not 0.0 <= self.standing_probability <= 1.0:
+            raise ValueError(f"standing_probability must be in [0, 1], got {self.standing_probability!r}")
         if self.visibility_margin_mm <= 0:
             raise ValueError("visibility_margin_mm must be > 0")
 
@@ -215,11 +226,11 @@ def generate_pose(rng: np.random.Generator, config: SceneConfig, spec: SkeletonS
         for child in order:
             parent = spec.parents[child]
             bone = template[child] - template[parent]
-            length = float(np.linalg.norm(bone))
+            length = math.sqrt(bone.dot(bone))  # np.linalg.norm's arithmetic, without its overhead
             direction = bone / length
             axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = float(np.clip(rng.normal(0.0, sigma), -2.5 * sigma, 2.5 * sigma))
+            axis /= math.sqrt(axis.dot(axis))
+            angle = min(max(rng.normal(0.0, sigma), -2.5 * sigma), 2.5 * sigma)
             direction = _rotate(direction, axis, angle)
             scale = rng.uniform(*config.bone_scale_range)
             pose[child] = pose[parent] + direction * (length * scale)
@@ -227,76 +238,103 @@ def generate_pose(rng: np.random.Generator, config: SceneConfig, spec: SkeletonS
             return pose
 
 
-def _sphere_depth(dx, dy, center, radius):
-    dd = dx * dx + dy * dy + 1.0
-    da = dx * center[0] + dy * center[1] + center[2]
-    disc = da * da - dd * (float(center @ center) - radius * radius)
+def _pixel_windows(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row bounds [r0, r1) and column bounds [c0, c1) of the pixels whose
+    rays can meet each box [lo[k], hi[k]]: the sorted ray slopes between
+    the box's extreme corner slopes, padded by one pixel each side, or
+    the whole frame when the box reaches z <= 0 (see render_clean_depth)."""
+    front = lo[:, 2] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.stack([lo[:, :2] / lo[:, 2:], lo[:, :2] / hi[:, 2:], hi[:, :2] / lo[:, 2:], hi[:, :2] / hi[:, 2:]])
+    first, last = slopes.min(axis=0), slopes.max(axis=0)  # (box, x or y)
+
+    def span(rays, i):
+        start = np.maximum(np.searchsorted(rays, first[:, i]) - 1, 0)
+        stop = np.minimum(np.searchsorted(rays, last[:, i], side="right") + 1, rays.size)
+        return np.where(front, start, 0), np.where(front, stop, rays.size)
+
+    return (*span(dy, 1), *span(dx, 0))
+
+
+def _window_pairs(windows: tuple[np.ndarray, ...], dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every (pixel, box) pair of the windows, box by box and row-major
+    within a box: the flat pixel index and the ray slopes dx and dy of
+    each pair, and the number of pairs of each box."""
+    r0, r1, c0, c1 = windows
+    n_rows = r1 - r0
+    box = np.repeat(np.arange(r0.size), n_rows)  # one segment per window row
+    row = np.arange(box.size) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows) + r0[box]
+    seg = (c1 - c0)[box]
+    col = np.arange(seg.sum()) + np.repeat(c0[box] - (np.cumsum(seg) - seg), seg)
+    pixel = np.repeat(row * dx.size, seg) + col
+    return pixel, dx[col], np.repeat(dy[row], seg), n_rows * (c1 - c0)
+
+
+def _sphere_entry(dc: np.ndarray, dd: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Entry depth of rays d into spheres, inf where missed, from d.center
+    (dc), d.d (dd) and |center|^2 - radius^2 (c)."""
+    disc = dc * dc - dd * c
     with np.errstate(invalid="ignore"):
-        t = (da - np.sqrt(disc)) / dd
+        t = (dc - np.sqrt(disc)) / dd
     return np.where((disc >= 0.0) & (t > 0.0), t, np.inf)
 
 
-def _capsule_depth(dx, dy, a, b, radius):
-    """Smallest positive z at which the pixel rays hit a capsule, inf if missed.
+def _fold_capsules(best, dx, dy, a, b, radii) -> None:
+    """Lower ``best`` (flat, row-major) to the nearest entry depth of rays
+    (dx, dy, 1) into the capsules a[k]-b[k] of radius radii[k].
 
-    Rays are (dx, dy, 1) so the ray parameter equals the hit's z
-    coordinate.  The cylindrical body and the two sphere caps are solved
-    as quadratics; only entry points count (the camera sits outside).
+    The cylindrical body and the two sphere caps are solved as
+    quadratics; only entry points count (the camera sits outside), and a
+    capsule shorter than 1e-9 mm is the sphere at its ``a`` end alone.
+    Rays are (dx, dy, 1), so the ray parameter equals the hit's z.  The
+    per-capsule dot products are taken one capsule at a time, as
+    ``x.dot(y)`` calls, since a batched sum may round differently.
     """
     m = b - a
-    length = float(np.linalg.norm(m))
-    if length < 1e-9:
-        return _sphere_depth(dx, dy, a, radius)
-    axis = m / length
+    length, a_sq, b_sq = np.array([(math.sqrt(v.dot(v)), p.dot(p), q.dot(q)) for v, p, q in zip(m, a, b)]).T
+    solid = length >= 1e-9
+    axis = np.zeros_like(m)
+    axis[solid] = m[solid] / length[solid, None]
+    a_par = np.array([p.dot(q) for p, q in zip(a, axis)])
+    rr = radii * radii
+    pixel, x, y, counts = _window_pairs(
+        _pixel_windows(np.minimum(a, b) - radii[:, None], np.maximum(a, b) + radii[:, None], dx, dy), dx, dy)
+    # Each capsule's scalars, repeated over its pairs; a_par and length
+    # are per pair from here on.
+    ax0, ax1, ax2, a0, a1, a2, b0, b1, b2, a_par, c_cyl, c_a, c_b, length = np.repeat(np.vstack([
+        axis.T, a.T, b.T, a_par, (a_sq - a_par * a_par) - rr, a_sq - rr, b_sq - rr, length,
+    ]), counts, axis=1)
 
-    d_par = dx * axis[0] + dy * axis[1] + axis[2]
-    dd = dx * dx + dy * dy + 1.0
+    dd = x * x + y * y + 1.0
+    da = x * a0 + y * a1 + a2
+    depth = _sphere_entry(da, dd, c_a)
+    cap_b = _sphere_entry(x * b0 + y * b1 + b2, dd, c_b)
+    d_par = x * ax0 + y * ax1 + ax2
     d_perp_sq = np.maximum(dd - d_par * d_par, 0.0)
-    a_par = float(a @ axis)
-    da = dx * a[0] + dy * a[1] + a[2]
     cross = da - d_par * a_par  # d_perp . a_perp
-    a_perp_sq = float(a @ a) - a_par * a_par
-
-    disc = cross * cross - d_perp_sq * (a_perp_sq - radius * radius)
+    disc = cross * cross - d_perp_sq * c_cyl
     with np.errstate(invalid="ignore", divide="ignore"):
         t_cyl = (cross - np.sqrt(disc)) / d_perp_sq
         along = t_cyl * d_par - a_par
     cyl_ok = (disc >= 0.0) & (d_perp_sq > 1e-12) & (t_cyl > 0.0) & (along >= 0.0) & (along <= length)
-    best = np.where(cyl_ok, t_cyl, np.inf)
-    best = np.minimum(best, _sphere_depth(dx, dy, a, radius))
-    best = np.minimum(best, _sphere_depth(dx, dy, b, radius))
-    return best
+    if not solid.all():
+        live = np.repeat(solid, counts)
+        cyl_ok &= live
+        cap_b[~live] = np.inf
+    np.minimum(depth, np.where(cyl_ok, t_cyl, np.inf), out=depth)
+    np.minimum(depth, cap_b, out=depth)
+    np.minimum.at(best, pixel, depth)
 
 
-def _occluder_depth(dx, dy, occ: Occluder):
-    z = float(occ.center[2])
-    hit = (np.abs(dx * z - occ.center[0]) <= occ.half_width) & (
-        np.abs(dy * z - occ.center[1]) <= occ.half_height
-    )
-    return np.where(hit, z, np.inf)
-
-
-def _body_capsules(pose: np.ndarray, spec: SkeletonSpec) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    return [
-        (pose[parent], pose[child], _BONE_RADII[spec.joint_names[child]])
-        for parent, child in spec.bones()
-    ]
-
-
-def _ray_span(rays: np.ndarray, lo: float, hi: float) -> slice:
-    """Indices of the sorted ray slopes in [lo, hi], padded by one each side."""
-    start = max(int(np.searchsorted(rays, lo)) - 1, 0)
-    return slice(start, int(np.searchsorted(rays, hi, side="right")) + 1)
-
-
-def _pixel_window(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> tuple[slice, slice]:
-    """Rows and columns of the pixels whose rays can meet the box [lo, hi]:
-    the whole frame when the box reaches z <= 0 (see render_clean_depth)."""
-    if lo[2] <= 0.0:
-        return slice(None), slice(None)
-    xs = (lo[0] / lo[2], lo[0] / hi[2], hi[0] / lo[2], hi[0] / hi[2])
-    ys = (lo[1] / lo[2], lo[1] / hi[2], hi[1] / lo[2], hi[1] / hi[2])
-    return _ray_span(dy, min(ys), max(ys)), _ray_span(dx, min(xs), max(xs))
+def _fold_occluders(best, dx, dy, occluders: list[Occluder]) -> None:
+    """Lower ``best`` (flat, row-major) to the depth of the camera-facing
+    rectangles that the rays (dx, dy, 1) meet."""
+    center = np.array([occ.center for occ in occluders], dtype=np.float64)
+    half = np.array([(occ.half_width, occ.half_height, 0.0) for occ in occluders])
+    pixel, x, y, counts = _window_pairs(_pixel_windows(center - half, center + half, dx, dy), dx, dy)
+    cx, cy, z, half_w, half_h = np.repeat(np.vstack([center.T, half[:, :2].T]), counts, axis=1)
+    hit = (np.abs(x * z - cx) <= half_w) & (np.abs(y * z - cy) <= half_h)
+    np.minimum.at(best, pixel, np.where(hit, z, np.inf))
 
 
 def render_clean_depth(
@@ -308,31 +346,33 @@ def render_clean_depth(
 ) -> np.ndarray:
     """Noise-free z-depth per pixel, NaN where no surface returns.
 
-    Each capsule and occluder is solved only over the pixel window of its
-    axis-aligned 3D bounding box, padded by one pixel against rounding.
-    The window is conservative: a ray (dx, dy, 1) meets a point p only
-    where dx = p_x / p_z and dy = p_y / p_z, and for a box in front of the
-    camera p_x / p_z is monotone in p_x and in p_z, so over the box it
-    spans the range of its corner values (likewise y).  A box reaching
-    z <= 0 gets the whole frame.  Every per-pixel quantity is elementwise,
-    so each pixel gets the bytes a whole-frame solve gives it.
+    Each person's 16 capsules are solved in one array pass, and the
+    occluders in one more.  A primitive is solved only over the pixel
+    window of its axis-aligned 3D bounding box, padded by one pixel
+    against rounding.  The window is conservative: a ray (dx, dy, 1)
+    meets a point p only where dx = p_x / p_z and dy = p_y / p_z, and for
+    a box in front of the camera p_x / p_z is monotone in p_x and in p_z,
+    so over the box it spans the range of its corner values (likewise y).
+    A box reaching z <= 0 gets the whole frame.  Each pass lays out its
+    windows as flat (pixel, primitive) pairs, solves every pair with
+    elementwise float64 arithmetic, and folds the pairs into the frame
+    with ``np.minimum.at``.  A pair's value depends only on its pixel's
+    ray and its primitive's scalars, which are computed one primitive at
+    a time, and no depth is NaN, so the fold order does not matter: each
+    pixel gets the bytes that a whole-frame solve of one primitive after
+    another gives it.
     """
     _require_default_skeleton(spec)
     dx = (np.arange(config.image_width, dtype=np.float64) - cam.cx) / cam.fx
     dy = (np.arange(config.image_height, dtype=np.float64) - cam.cy) / cam.fy
-    best = np.full((config.image_height, config.image_width), np.inf)
-
-    def solve(lo, hi, depth_fn, *args):
-        rows, cols = _pixel_window(lo, hi, dx, dy)
-        window = best[rows, cols]
-        np.minimum(window, depth_fn(dx[None, cols], dy[rows, None], *args), out=window)
-
+    best = np.full(config.image_height * config.image_width, np.inf)
+    parents, children = np.array(spec.bones()).T
+    radii = np.array([_BONE_RADII[spec.joint_names[child]] for child in children])
     for pose in poses:
-        for a, b, radius in _body_capsules(pose, spec):
-            solve(np.minimum(a, b) - radius, np.maximum(a, b) + radius, _capsule_depth, a, b, radius)
-    for occ in occluders:
-        half = np.array([occ.half_width, occ.half_height, 0.0])
-        solve(occ.center - half, occ.center + half, _occluder_depth, occ)
+        _fold_capsules(best, dx, dy, pose[parents], pose[children], radii)
+    if occluders:
+        _fold_occluders(best, dx, dy, occluders)
+    best = best.reshape(config.image_height, config.image_width)
     if config.background_depth is not None:
         best = np.minimum(best, config.background_depth)
     return np.where(np.isfinite(best), best, np.nan)
@@ -347,15 +387,12 @@ def _joint_visibility(
     """A joint is visible when the surface in front of it is no more than
     the visibility margin nearer than the joint itself (its own body
     shell is thinner than the margin) and it projects inside the image."""
+    if not poses:
+        return []
     height, width = clean.shape
-    clean_map = DepthMap(width, height, clean)
-    flags = []
-    for pose in poses:
-        pix = project(pose, cam)
-        readout = read_depth_at(clean_map, pix)
-        visible = readout.valid & (readout.values > pose[:, 2] - config.visibility_margin_mm)
-        flags.append(visible)
-    return flags
+    joints = np.stack(poses)
+    readout = read_depth_at(DepthMap(width, height, clean), project(joints, cam))
+    return list(readout.valid & (readout.values > joints[..., 2] - config.visibility_margin_mm))
 
 
 def render_depth(
@@ -461,22 +498,25 @@ def scene_to_samples(scene: Scene, config: SceneConfig, rng: np.random.Generator
     bounded by sensor noise plus the interpolation footprint; only the
     2D keypoints carry the simulated detector error.
     """
+    if not scene.poses:
+        return []
+    joints_2d = project(np.stack(scene.poses), scene.camera)
+    readout = read_depth_at(scene.depth, joints_2d)  # one call per frame
     samples = []
-    for pose, visible in zip(scene.poses, scene.visibility):
-        joints_2d = project(pose, scene.camera)
-        readout = read_depth_at(scene.depth, joints_2d)
+    for i, (pose, visible) in enumerate(zip(scene.poses, scene.visibility)):
+        detections = joints_2d[i].copy()
         if config.detector_noise_px > 0.0:
-            joints_2d = joints_2d + rng.normal(0.0, config.detector_noise_px, size=joints_2d.shape)
+            detections += rng.normal(0.0, config.detector_noise_px, size=detections.shape)
         sample = Sample(
             frame_id=frame_id,
             camera=scene.camera,
             width=scene.width,
             height=scene.height,
-            joints_2d=joints_2d,
+            joints_2d=detections,
             joints_3d=pose.copy(),
             depth=scene.depth,
-            depth_readouts=readout.values.copy(),
-            depth_valid=readout.valid.copy(),
+            depth_readouts=readout.values[i].copy(),
+            depth_valid=readout.valid[i].copy(),
             eval_joints_3d=pose.copy(),
             eval_visibility=visible.copy(),
         )

@@ -92,6 +92,14 @@ class TestGenerate:
         assert str(info.value) == f"{bad}: config field 'image_width' must be int, got '160'"
         assert not (tmp_path / "out").exists()
 
+    def test_nan_scene_field_names_the_file_and_field(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"scene": {"sensor_noise_mm": NaN}}')
+        with pytest.raises(ValueError) as info:
+            main(["generate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert str(info.value) == f"{bad}: sensor_noise_mm must be finite, got nan"
+        assert not (tmp_path / "out").exists()
+
 
 class _TrainCalled(Exception):
     pass

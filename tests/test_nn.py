@@ -260,6 +260,29 @@ class TestAdam:
             nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
         assert params.flat.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_element_raises(self, value):
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        grads["fc_in.w"][2, 5] = value
+        before = params.flat.copy()
+        with pytest.raises(FloatingPointError, match="non-finite gradient for fc_in.w"):
+            nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
+        assert params.flat.tobytes() == before.tobytes()
+
+    def test_finite_gradient_whose_sum_of_squares_overflows_steps(self):
+        """The sum of squares is inf here, so the guard falls through to
+        the element-wise check, which passes."""
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        grads.flat[[4, 40]] = 1.2e154
+        with np.errstate(over="ignore"):
+            assert np.isinf(grads.flat @ grads.flat)
+        p, g = params.flat.copy(), grads.flat.copy()
+        nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
+        m = (1.0 - 0.9) * g
+        v = (1.0 - 0.999) * g * g
+        p = p - 0.1 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+        assert params.flat.tobytes() == p.tobytes()
+
     def test_updates_params_and_moments_in_place(self):
         params, grads = _vectors(_tiny_config(), 1, 2)
         flat, view, g = params.flat, params["fc_out.b"], grads.flat.copy()
@@ -291,3 +314,19 @@ class TestLrSchedule:
             nn.lr_schedule(0.1, -1)
         with pytest.raises(ValueError):
             nn.lr_schedule(0.1, 1, every=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"decay": -0.5}, r"decay must be in \(0, 1\], got -0.5"),
+        ({"decay": 0.0}, r"decay must be in \(0, 1\], got 0.0"),
+        ({"decay": 1.5}, r"decay must be in \(0, 1\], got 1.5"),
+        ({"decay": np.nan}, r"decay must be in \(0, 1\], got nan"),
+        ({"decay": np.inf}, r"decay must be in \(0, 1\], got inf"),
+        ({"base_lr": np.inf}, r"base_lr must be finite and > 0, got inf"),
+        ({"base_lr": np.nan}, r"base_lr must be finite and > 0, got nan"),
+    ])
+    def test_bad_decay_or_base_lr_names_the_parameter(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            nn.lr_schedule(**{"base_lr": 0.001, "epoch": 4, **kwargs})
+
+    def test_decay_of_one_keeps_the_base_rate(self):
+        assert nn.lr_schedule(0.001, 40, decay=1.0) == 0.001

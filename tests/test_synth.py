@@ -9,10 +9,12 @@ a hand-built occluded scene, and two statistical properties: visible
 joints read their own depth to within noise plus interpolation error,
 and the occluded fraction grows with the number of occluders.
 
-The renderer solves each primitive only over its pixel window; the
-full-frame loop it replaced is kept here as the reference, and a
-property test requires the two to agree to the bit.  Dataset digests
-pinned from the full-frame renderer guard the criterion-4 and
+The renderer solves each person's capsules, and then the occluders, as
+one array of (pixel, primitive) pairs over their pixel windows.  The
+per-primitive solvers and the full-frame loop it replaced are kept here
+as the reference, and property tests require the two to agree to the
+bit, on small random scenes and on full-size generated frames.  Dataset
+digests pinned from the full-frame renderer guard the criterion-4 and
 criterion-5 scene configs end to end.
 """
 
@@ -34,11 +36,8 @@ from poselift.synth import (
     _STANDING,
     Occluder,
     SceneConfig,
-    _body_capsules,
-    _capsule_depth,
-    _occluder_depth,
-    _pixel_window,
-    _sphere_depth,
+    _fold_capsules,
+    _pixel_windows,
     generate_dataset,
     generate_pose,
     generate_scene,
@@ -62,6 +61,75 @@ def _incident_radius(joint: int) -> float:
         if joint in (parent, child):
             radii.append(_BONE_RADII[SPEC.joint_names[child]])
     return max(radii)
+
+
+def _sphere_depth(dx, dy, center, radius):
+    dd = dx * dx + dy * dy + 1.0
+    da = dx * center[0] + dy * center[1] + center[2]
+    disc = da * da - dd * (float(center @ center) - radius * radius)
+    with np.errstate(invalid="ignore"):
+        t = (da - np.sqrt(disc)) / dd
+    return np.where((disc >= 0.0) & (t > 0.0), t, np.inf)
+
+
+def _capsule_depth(dx, dy, a, b, radius):
+    """Smallest positive z at which the pixel rays hit a capsule, inf if missed.
+
+    Rays are (dx, dy, 1) so the ray parameter equals the hit's z
+    coordinate.  The cylindrical body and the two sphere caps are solved
+    as quadratics; only entry points count (the camera sits outside).
+    """
+    m = b - a
+    length = float(np.linalg.norm(m))
+    if length < 1e-9:
+        return _sphere_depth(dx, dy, a, radius)
+    axis = m / length
+
+    d_par = dx * axis[0] + dy * axis[1] + axis[2]
+    dd = dx * dx + dy * dy + 1.0
+    d_perp_sq = np.maximum(dd - d_par * d_par, 0.0)
+    a_par = float(a @ axis)
+    da = dx * a[0] + dy * a[1] + a[2]
+    cross = da - d_par * a_par  # d_perp . a_perp
+    a_perp_sq = float(a @ a) - a_par * a_par
+
+    disc = cross * cross - d_perp_sq * (a_perp_sq - radius * radius)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t_cyl = (cross - np.sqrt(disc)) / d_perp_sq
+        along = t_cyl * d_par - a_par
+    cyl_ok = (disc >= 0.0) & (d_perp_sq > 1e-12) & (t_cyl > 0.0) & (along >= 0.0) & (along <= length)
+    best = np.where(cyl_ok, t_cyl, np.inf)
+    best = np.minimum(best, _sphere_depth(dx, dy, a, radius))
+    best = np.minimum(best, _sphere_depth(dx, dy, b, radius))
+    return best
+
+
+def _occluder_depth(dx, dy, occ: Occluder):
+    z = float(occ.center[2])
+    hit = (np.abs(dx * z - occ.center[0]) <= occ.half_width) & (
+        np.abs(dy * z - occ.center[1]) <= occ.half_height
+    )
+    return np.where(hit, z, np.inf)
+
+
+def _body_capsules(pose, spec):
+    return [(pose[parent], pose[child], _BONE_RADII[spec.joint_names[child]]) for parent, child in spec.bones()]
+
+
+def _ray_span(rays, lo, hi):
+    """Indices of the sorted ray slopes in [lo, hi], padded by one each side."""
+    start = max(int(np.searchsorted(rays, lo)) - 1, 0)
+    return slice(start, int(np.searchsorted(rays, hi, side="right")) + 1)
+
+
+def _pixel_window(lo, hi, dx, dy):
+    """Rows and columns of the pixels whose rays can meet the box [lo, hi]:
+    the whole frame when the box reaches z <= 0."""
+    if lo[2] <= 0.0:
+        return slice(None), slice(None)
+    xs = (lo[0] / lo[2], lo[0] / hi[2], hi[0] / lo[2], hi[0] / hi[2])
+    ys = (lo[1] / lo[2], lo[1] / hi[2], hi[1] / lo[2], hi[1] / hi[2])
+    return _ray_span(dy, min(ys), max(ys)), _ray_span(dx, min(xs), max(xs))
 
 
 def ref_render_clean_depth(poses, occluders, cam, config, spec):
@@ -116,6 +184,22 @@ def scenes(draw):
     return poses, occluders, cam, config
 
 
+@st.composite
+def generated_scenes(draw):
+    """Full-size 160x120 frames from generate_scene: 1-4 persons, 0-3 occluders."""
+    config = SceneConfig(persons_range=(1, 4), occluder_range=(0, 3))
+    return generate_scene(_rng(draw(st.integers(0, 2**32 - 1))), config, SPEC), config
+
+
+@st.composite
+def boxes(draw):
+    """(lo, hi) boxes in front of, reaching behind and wholly behind the camera."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = rng.uniform([-3000.0, -3000.0, -800.0], [3000.0, 3000.0, 6000.0])
+    half = rng.uniform(0.0, draw(st.sampled_from([1.0, 50.0, 700.0])), size=3)
+    return center - half, center + half
+
+
 C4_SCENE = SceneConfig(  # tests/test_acceptance.py, criterion 4
     fx_range=(240.0, 320.0), root_depth_range=(2500.0, 5500.0), persons_range=(1, 3),
     occluder_range=(1, 2), occluder_size_range=(300.0, 600.0), yaw_range_deg=(-60.0, 60.0),
@@ -163,6 +247,26 @@ class TestSceneConfig:
             SceneConfig(sensor_noise_mm=-1.0)
         with pytest.raises(ValueError):
             SceneConfig(visibility_margin_mm=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sensor_noise_mm", float("nan")), ("standing_probability", float("nan")),
+        ("fx_range", (220.0, float("inf"))), ("root_depth_range", (float("nan"), 7000.0)),
+        ("yaw_range_deg", (float("-inf"), 0.0)), ("background_depth", float("inf")),
+        ("hole_probability", float("nan")), ("visibility_margin_mm", float("inf")),
+        ("fy_jitter", float("nan")), ("min_scene_depth_mm", float("-inf")),
+    ])
+    def test_non_finite_value_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+            SceneConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    def test_standing_probability_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match=r"standing_probability must be in \[0, 1\]"):
+            SceneConfig(standing_probability=value)
+
+    def test_standing_probability_bounds_are_allowed(self):
+        assert SceneConfig(standing_probability=0.0).standing_probability == 0.0
+        assert SceneConfig(standing_probability=1.0).standing_probability == 1.0
 
     def test_dict_round_trip(self):
         config = SceneConfig(fx_range=(240.0, 320.0), occluder_range=(1, 2),
@@ -277,6 +381,13 @@ class TestRenderCleanDepth:
         clean = render_clean_depth([], [], CAM, config, SPEC)
         assert np.isnan(clean).all()
 
+    def test_a_scene_without_persons_has_no_visibility_flags(self):
+        config = self._config()
+        occ = Occluder(center=np.array([0.0, 0.0, 1500.0]), half_width=400.0, half_height=300.0)
+        depth, visibility = render_depth([], [occ], CAM, config, SPEC, _rng(0))
+        assert visibility == []
+        assert depth.values[60, 80] == 1500.0
+
     def test_background_fills_misses(self):
         config = self._config()
         clean = render_clean_depth([], [], CAM, config, SPEC)
@@ -291,14 +402,47 @@ class TestCulledRenderer:
         culled = render_clean_depth(poses, occluders, cam, config, SPEC)
         assert culled.tobytes() == ref_render_clean_depth(poses, occluders, cam, config, SPEC).tobytes()
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(generated_scenes())
+    def test_matches_the_full_frame_renderer_on_generated_frames(self, scene_config):
+        scene, config = scene_config
+        args = (scene.poses, scene.occluders, scene.camera, config, SPEC)
+        assert render_clean_depth(*args).tobytes() == ref_render_clean_depth(*args).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(boxes(), min_size=1, max_size=8), st.sampled_from([3.0, 40.0, 260.0]))
+    def test_windows_equal_the_per_box_windows(self, box_list, focal):
+        dx = (np.arange(160.0) - 80.0) / focal
+        dy = (np.arange(120.0) - 60.0) / (0.9 * focal)
+        lo, hi = np.array([b[0] for b in box_list]), np.array([b[1] for b in box_list])
+        for k, window in enumerate(zip(*_pixel_windows(lo, hi, dx, dy))):
+            rows, cols = _pixel_window(lo[k], hi[k], dx, dy)
+            assert window == (*rows.indices(120)[:2], *cols.indices(160)[:2])
+
+    def test_near_degenerate_capsule_is_the_sphere_at_a(self):
+        """0 < |b - a| < 1e-9 mm: only the sphere at a, although the sphere
+        at b, 9e-10 mm nearer the camera, would read nearer."""
+        dx = (np.arange(160.0) - CAM.cx) / CAM.fx
+        dy = (np.arange(120.0) - CAM.cy) / CAM.fy
+        a = np.array([120.0, -80.0, 2500.0])
+        b = a - np.array([0.0, 0.0, 9e-10])
+        assert 0.0 < np.linalg.norm(b - a) < 1e-9
+        best = np.full(120 * 160, np.inf)
+        _fold_capsules(best, dx, dy, a[None], b[None], np.array([150.0]))
+        sphere_a = _sphere_depth(dx[None, :], dy[:, None], a, 150.0)
+        assert best.reshape(120, 160).tobytes() == sphere_a.tobytes()
+        assert (_sphere_depth(dx[None, :], dy[:, None], b, 150.0) < sphere_a).any()
+
     def test_a_bone_is_solved_over_a_small_window(self):
         dx = (np.arange(160.0) - CAM.cx) / CAM.fx
         dy = (np.arange(120.0) - CAM.cy) / CAM.fy
         a, b = np.array([0.0, 0.0, 4000.0]), np.array([0.0, 400.0, 4000.0])
-        rows, cols = _pixel_window(np.minimum(a, b) - 40.0, np.maximum(a, b) + 40.0, dx, dy)
+        lo, hi = np.minimum(a, b) - 40.0, np.maximum(a, b) + 40.0
+        rows, cols = _pixel_window(lo, hi, dx, dy)
         # The box spans x / z in +-40 / 3960 and y / z in [-40 / 3960, 440 / 3960]:
         # columns 78-82 and rows 58-88 at fx = fy = 260, plus one pixel each side.
         assert (rows.start, rows.stop, cols.start, cols.stop) == (57, 90, 77, 84)
+        assert [int(w[0]) for w in _pixel_windows(lo[None], hi[None], dx, dy)] == [57, 90, 77, 84]
         full = _capsule_depth(dx[None, :], dy[:, None], a, b, 40.0)
         hits = np.argwhere(np.isfinite(full))
         assert hits[:, 0].min() > rows.start and hits[:, 0].max() < rows.stop - 1
@@ -306,8 +450,9 @@ class TestCulledRenderer:
 
     def test_a_box_reaching_behind_the_camera_gets_the_whole_frame(self):
         dx, dy = np.arange(4.0), np.arange(3.0)
-        window = _pixel_window(np.array([0.0, 0.0, -10.0]), np.array([1.0, 1.0, 50.0]), dx, dy)
-        assert window == (slice(None), slice(None))
+        lo, hi = np.array([0.0, 0.0, -10.0]), np.array([1.0, 1.0, 50.0])
+        assert _pixel_window(lo, hi, dx, dy) == (slice(None), slice(None))
+        assert [int(w[0]) for w in _pixel_windows(lo[None], hi[None], dx, dy)] == [0, 3, 0, 4]
 
 
 class TestGeneratePose:
