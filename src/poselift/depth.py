@@ -9,8 +9,8 @@ marks pixels without a sensor return.  The file layout is:
     height  u32
     values  width * height float32, row-major
 
-All integers and floats are little-endian.  Values round trip bit-exact,
-including NaN payloads.
+All integers and floats are little-endian, and nothing follows the
+values.  Values round trip bit-exact, including NaN payloads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ _HEADER = struct.Struct("<4sIII")
 
 
 class DepthFormatError(ValueError):
-    """Raised for a malformed DMAP header (magic, version or shape)."""
+    """Raised for a malformed DMAP file: its magic, version, shape, length
+    or values."""
 
 
 @dataclass
@@ -131,20 +132,33 @@ def save_depth(path: str | Path, depth: DepthMap) -> None:
 
 
 def load_depth(path: str | Path) -> DepthMap:
-    """Read a DMAP file; bit-exact inverse of :func:`save_depth`."""
+    """Read a DMAP file; bit-exact inverse of :func:`save_depth`.
+
+    Every rejection names the file: a short header or payload raises
+    OSError, and a bad magic, version or shape, bytes after the payload
+    (a wrong width or height) or values a DepthMap refuses raise
+    DepthFormatError.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise OSError(f"truncated depth file header: {path}")
+            raise OSError(f"{path}: truncated depth file header")
         magic, version, width, height = _HEADER.unpack(header)
         if magic != MAGIC:
-            raise DepthFormatError(f"bad magic {magic!r} in {path}")
+            raise DepthFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
-            raise DepthFormatError(f"unsupported depth format version {version}")
+            raise DepthFormatError(f"{path}: unsupported depth format version {version}")
         if width == 0 or height == 0:
-            raise DepthFormatError(f"bad shape {width}x{height} in {path}")
+            raise DepthFormatError(f"{path}: bad shape {width}x{height}")
         payload = fh.read(4 * width * height)
         if len(payload) < 4 * width * height:
-            raise OSError(f"truncated depth payload in {path}")
+            raise OSError(f"{path}: truncated depth payload")
+        end_of_payload = fh.tell()
+        trailing = fh.seek(0, 2) - end_of_payload
+        if trailing:
+            raise DepthFormatError(f"{path}: {trailing} bytes after the {width}x{height} payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(height, width).copy()
-    return DepthMap(width=int(width), height=int(height), values=values)
+    try:
+        return DepthMap(width=int(width), height=int(height), values=values)
+    except ValueError as err:
+        raise DepthFormatError(f"{path}: {err}") from err

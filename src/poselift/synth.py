@@ -4,18 +4,19 @@ Bodies are unions of capsules around the bones of the built-in skeleton;
 occluders are camera-facing rectangles placed between the camera and a
 person.  Depth is ray-cast analytically per pixel (the stored value is
 the z coordinate of the nearest hit, matching a time-of-flight sensor),
-then corrupted with Gaussian noise and NaN holes.  Each primitive is
+then corrupted with Gaussian noise and NaN holes.  Each capsule is
 solved only over the pixels whose rays can meet its axis-aligned 3D
 bounding box: in front of the camera, perspective projection maps the
 box into the convex hull of its projected corners, so the window is
-conservative.  A person's 16 capsules are solved in one array pass over
-all their (pixel, capsule) pairs, and the occluders in one more.  Each
-pair runs the per-element float64 formulas of a one-capsule solve, with
-the per-capsule scalars still taken one capsule at a time, and the
-pairs are folded into the frame by minimum, so the map is the one a
-full-frame solve of one primitive after another gives, byte for byte.
-Every random draw comes from a per-scene stream, so datasets are
-reproducible and scenes could be generated in parallel.
+conservative.  All capsules of a frame are solved in one array pass
+over their (pixel, capsule) pairs, each pair running the per-element
+float64 formulas of a one-capsule solve, and folded into the frame by
+minimum; each occluder is a row mask times a column mask.  The map is
+the one a full-frame solve of one primitive after another gives, byte
+for byte.  A pose is likewise built for all 16 bones at once, with the
+bits of a bone-by-bone build.  Every random draw comes from a per-scene
+stream, so datasets are reproducible and scenes could be generated in
+parallel.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .data import Dataset, Sample, fields_from_json
 from .depth import DepthMap, read_depth_at
 from .geometry import CameraIntrinsics, project
-from .skeleton import DEFAULT_JOINT_NAMES, SkeletonSpec, default_skeleton, knee_neck_distance
+from .skeleton import DEFAULT_JOINT_NAMES, DEFAULT_PARENTS, SkeletonSpec, default_skeleton, knee_neck_distance
 
 
 @dataclass(frozen=True)
@@ -183,16 +184,6 @@ def _require_default_skeleton(spec: SkeletonSpec) -> None:
         raise ValueError("the synthetic generator only knows the built-in 17-joint skeleton")
 
 
-def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation of v around a unit axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    (a0, a1, a2), (v0, v1, v2) = axis.tolist(), v.tolist()
-    # np.cross's arithmetic on Python floats: the same bits, without its
-    # per-call overhead on 3-vectors.
-    cross = np.array([a1 * v2 - a2 * v1, a2 * v0 - a0 * v2, a0 * v1 - a1 * v0])
-    return v * c + cross * s + axis * np.dot(axis, v) * (1.0 - c)
-
-
 def _tree_order(spec: SkeletonSpec) -> list[int]:
     order = [spec.root]
     seen = {spec.root}
@@ -204,36 +195,60 @@ def _tree_order(spec: SkeletonSpec) -> list[int]:
     return order
 
 
+# The built-in skeleton's bones, one per child joint, in the order
+# generate_pose draws them (every parent before its children), with the
+# capsule radius of each.
+_CHILDREN = np.array(_tree_order(default_skeleton())[1:])
+_PARENTS = np.array(DEFAULT_PARENTS)[_CHILDREN]
+_RADII = np.array([_BONE_RADII[DEFAULT_JOINT_NAMES[child]] for child in _CHILDREN])
+
+
 def generate_pose(rng: np.random.Generator, config: SceneConfig, spec: SkeletonSpec) -> np.ndarray:
     """A random body pose with the hip at the origin.
 
     Starts from a standing or sitting rest pose rotated by a random yaw,
-    then rebuilds the kinematic tree bone by bone with jittered
-    directions and bone lengths scaled inside ``bone_scale_range``, so
-    every generated bone stays within its anthropometric bounds.
+    then rebuilds the kinematic tree with jittered bone directions and
+    bone lengths scaled inside ``bone_scale_range``, so every generated
+    bone stays within its anthropometric bounds.
+
+    The draws are taken bone by bone in tree order: four standard
+    normals (the jitter axis, then the angle's normal; the stream of
+    ``normal(size=3)`` followed by ``normal(0, sigma)``) and the scale.
+    Everything else is (16, 3) array arithmetic with the per-element
+    formulas of a one-bone-at-a-time Rodrigues rotation: 3-vector dot
+    products as ``np.vecdot`` (the bits of per-row ``.dot``), ``math.cos``
+    and ``math.sin`` per bone, and ``(axis * dot) * (1 - c)`` in that
+    order, so each pose has the bits of the per-bone loop.
     """
     _require_default_skeleton(spec)
     sigma = math.radians(config.joint_jitter_deg)
-    order = _tree_order(spec)[1:]
+    normals = np.empty((_CHILDREN.size, 4))
+    scale = np.empty(_CHILDREN.size)
     while True:
         template = _STANDING if rng.random() < config.standing_probability else _SITTING
         yaw = math.radians(rng.uniform(*config.yaw_range_deg))
         c, s = math.cos(yaw), math.sin(yaw)
         rot_y = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
         template = template @ rot_y.T
+        for i in range(_CHILDREN.size):
+            rng.standard_normal(out=normals[i])
+            scale[i] = rng.uniform(*config.bone_scale_range)
+
+        bone = template[_CHILDREN] - template[_PARENTS]
+        length = np.sqrt(np.vecdot(bone, bone))
+        v = bone / length[:, None]
+        axis = normals[:, :3] / np.sqrt(np.vecdot(normals[:, :3], normals[:, :3]))[:, None]
+        angle = np.clip(normals[:, 3] * sigma, -2.5 * sigma, 2.5 * sigma).tolist()
+        cos = np.array([math.cos(a) for a in angle])[:, None]
+        sin = np.array([math.sin(a) for a in angle])[:, None]
+        (a0, a1, a2), (v0, v1, v2) = axis.T, v.T
+        cross = np.stack([a1 * v2 - a2 * v1, a2 * v0 - a0 * v2, a0 * v1 - a1 * v0], axis=1)
+        direction = v * cos + cross * sin + axis * np.vecdot(axis, v)[:, None] * (1.0 - cos)
+        step = direction * (length * scale)[:, None]
 
         pose = np.zeros_like(template)
-        for child in order:
-            parent = spec.parents[child]
-            bone = template[child] - template[parent]
-            length = math.sqrt(bone.dot(bone))  # np.linalg.norm's arithmetic, without its overhead
-            direction = bone / length
-            axis = rng.normal(size=3)
-            axis /= math.sqrt(axis.dot(axis))
-            angle = min(max(rng.normal(0.0, sigma), -2.5 * sigma), 2.5 * sigma)
-            direction = _rotate(direction, axis, angle)
-            scale = rng.uniform(*config.bone_scale_range)
-            pose[child] = pose[parent] + direction * (length * scale)
+        for child, parent, bone_step in zip(_CHILDREN.tolist(), _PARENTS.tolist(), step):
+            pose[child] = pose[parent] + bone_step
         if knee_neck_distance(pose, spec) > 1.0:  # reject collapsed draws
             return pose
 
@@ -270,13 +285,30 @@ def _window_pairs(windows: tuple[np.ndarray, ...], dx: np.ndarray, dy: np.ndarra
     return pixel, dx[col], np.repeat(dy[row], seg), n_rows * (c1 - c0)
 
 
+def _ray_dot(x: np.ndarray, y: np.ndarray, c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """(x c0 + y c1) + c2 per pair: the dot product of the rays (x, y, 1)
+    with the vectors (c0, c1, c2), computed in c0 (c1 is overwritten)."""
+    c0 *= x
+    c1 *= y
+    c0 += c1
+    c0 += c2
+    return c0
+
+
 def _sphere_entry(dc: np.ndarray, dd: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Entry depth of rays d into spheres, inf where missed, from d.center
-    (dc), d.d (dd) and |center|^2 - radius^2 (c)."""
-    disc = dc * dc - dd * c
+    (dc), d.d (dd) and |center|^2 - radius^2 (c), computed in c.  A ray
+    that misses has a negative discriminant, so a NaN depth, which fails
+    the test t > 0."""
+    disc = dc * dc
+    c *= dd
+    disc -= c
     with np.errstate(invalid="ignore"):
-        t = (dc - np.sqrt(disc)) / dd
-    return np.where((disc >= 0.0) & (t > 0.0), t, np.inf)
+        np.sqrt(disc, out=disc)
+    np.subtract(dc, disc, out=c)
+    c /= dd
+    np.copyto(c, np.inf, where=~(c > 0.0))
+    return c
 
 
 def _fold_capsules(best, dx, dy, a, b, radii) -> None:
@@ -287,15 +319,19 @@ def _fold_capsules(best, dx, dy, a, b, radii) -> None:
     quadratics; only entry points count (the camera sits outside), and a
     capsule shorter than 1e-9 mm is the sphere at its ``a`` end alone.
     Rays are (dx, dy, 1), so the ray parameter equals the hit's z.  The
-    per-capsule dot products are taken one capsule at a time, as
-    ``x.dot(y)`` calls, since a batched sum may round differently.
+    per-capsule dot products are ``np.vecdot``, which rounds as a
+    one-capsule ``x.dot(y)`` does; an elementwise sum may round differently.
+    The per-pair formulas run in place, in the rows of the repeated
+    scalars: at a frame's 10^4 pairs a fresh temporary per operation
+    costs about as much as the arithmetic.
     """
     m = b - a
-    length, a_sq, b_sq = np.array([(math.sqrt(v.dot(v)), p.dot(p), q.dot(q)) for v, p, q in zip(m, a, b)]).T
+    length = np.sqrt(np.vecdot(m, m))
+    a_sq, b_sq = np.vecdot(a, a), np.vecdot(b, b)
     solid = length >= 1e-9
     axis = np.zeros_like(m)
     axis[solid] = m[solid] / length[solid, None]
-    a_par = np.array([p.dot(q) for p, q in zip(a, axis)])
+    a_par = np.vecdot(a, axis)
     rr = radii * radii
     pixel, x, y, counts = _window_pairs(
         _pixel_windows(np.minimum(a, b) - radii[:, None], np.maximum(a, b) + radii[:, None], dx, dy), dx, dy)
@@ -305,36 +341,50 @@ def _fold_capsules(best, dx, dy, a, b, radii) -> None:
         axis.T, a.T, b.T, a_par, (a_sq - a_par * a_par) - rr, a_sq - rr, b_sq - rr, length,
     ]), counts, axis=1)
 
-    dd = x * x + y * y + 1.0
-    da = x * a0 + y * a1 + a2
+    dd = x * x
+    dd += y * y
+    dd += 1.0
+    da = _ray_dot(x, y, a0, a1, a2)
     depth = _sphere_entry(da, dd, c_a)
-    cap_b = _sphere_entry(x * b0 + y * b1 + b2, dd, c_b)
-    d_par = x * ax0 + y * ax1 + ax2
-    d_perp_sq = np.maximum(dd - d_par * d_par, 0.0)
-    cross = da - d_par * a_par  # d_perp . a_perp
-    disc = cross * cross - d_perp_sq * c_cyl
+    cap_b = _sphere_entry(_ray_dot(x, y, b0, b1, b2), dd, c_b)
+    d_par = _ray_dot(x, y, ax0, ax1, ax2)
+    d_perp_sq = np.subtract(dd, d_par * d_par, out=dd)
+    np.maximum(d_perp_sq, 0.0, out=d_perp_sq)
+    cross = np.subtract(da, d_par * a_par, out=da)  # d_perp . a_perp
+    disc = cross * cross
+    c_cyl *= d_perp_sq
+    disc -= c_cyl
     with np.errstate(invalid="ignore", divide="ignore"):
-        t_cyl = (cross - np.sqrt(disc)) / d_perp_sq
-        along = t_cyl * d_par - a_par
-    cyl_ok = (disc >= 0.0) & (d_perp_sq > 1e-12) & (t_cyl > 0.0) & (along >= 0.0) & (along <= length)
+        np.sqrt(disc, out=disc)  # NaN where the ray misses the cylinder, failing t_cyl > 0
+        t_cyl = np.subtract(cross, disc, out=cross)
+        t_cyl /= d_perp_sq
+        along = np.multiply(t_cyl, d_par, out=d_par)
+        along -= a_par
+    cyl_ok = (d_perp_sq > 1e-12) & (t_cyl > 0.0) & (along >= 0.0) & (along <= length)
     if not solid.all():
         live = np.repeat(solid, counts)
         cyl_ok &= live
         cap_b[~live] = np.inf
-    np.minimum(depth, np.where(cyl_ok, t_cyl, np.inf), out=depth)
+    np.copyto(t_cyl, np.inf, where=~cyl_ok)
+    np.minimum(depth, t_cyl, out=depth)
     np.minimum(depth, cap_b, out=depth)
     np.minimum.at(best, pixel, depth)
 
 
 def _fold_occluders(best, dx, dy, occluders: list[Occluder]) -> None:
-    """Lower ``best`` (flat, row-major) to the depth of the camera-facing
-    rectangles that the rays (dx, dy, 1) meet."""
-    center = np.array([occ.center for occ in occluders], dtype=np.float64)
-    half = np.array([(occ.half_width, occ.half_height, 0.0) for occ in occluders])
-    pixel, x, y, counts = _window_pairs(_pixel_windows(center - half, center + half, dx, dy), dx, dy)
-    cx, cy, z, half_w, half_h = np.repeat(np.vstack([center.T, half[:, :2].T]), counts, axis=1)
-    hit = (np.abs(x * z - cx) <= half_w) & (np.abs(y * z - cy) <= half_h)
-    np.minimum.at(best, pixel, np.where(hit, z, np.inf))
+    """Lower ``best`` (height x width) to the depth of the camera-facing
+    rectangles that the rays (dx, dy, 1) meet.
+
+    A ray meets a rectangle when |dx z - cx| <= w and |dy z - cy| <= h;
+    the first test depends on the column alone and the second on the row
+    alone, so each rectangle is one column mask times one row mask.
+    """
+    cx, cy, z, half_w, half_h = np.array(
+        [(*occ.center, occ.half_width, occ.half_height) for occ in occluders], dtype=np.float64).T[:, :, None]
+    cols = np.abs(dx * z - cx) <= half_w  # (occluder, column)
+    rows = np.abs(dy * z - cy) <= half_h  # (occluder, row)
+    hits = np.where(rows[:, :, None] & cols[:, None, :], z[:, :, None], np.inf)
+    np.minimum(best, hits.min(axis=0), out=best)
 
 
 def render_clean_depth(
@@ -346,36 +396,38 @@ def render_clean_depth(
 ) -> np.ndarray:
     """Noise-free z-depth per pixel, NaN where no surface returns.
 
-    Each person's 16 capsules are solved in one array pass, and the
-    occluders in one more.  A primitive is solved only over the pixel
-    window of its axis-aligned 3D bounding box, padded by one pixel
-    against rounding.  The window is conservative: a ray (dx, dy, 1)
-    meets a point p only where dx = p_x / p_z and dy = p_y / p_z, and for
-    a box in front of the camera p_x / p_z is monotone in p_x and in p_z,
-    so over the box it spans the range of its corner values (likewise y).
-    A box reaching z <= 0 gets the whole frame.  Each pass lays out its
-    windows as flat (pixel, primitive) pairs, solves every pair with
-    elementwise float64 arithmetic, and folds the pairs into the frame
-    with ``np.minimum.at``.  A pair's value depends only on its pixel's
-    ray and its primitive's scalars, which are computed one primitive at
-    a time, and no depth is NaN, so the fold order does not matter: each
+    The capsules of every person are solved in one array pass.  A
+    capsule is solved only over the pixel window of its axis-aligned 3D
+    bounding box, padded by one pixel against rounding.  The window is
+    conservative: a ray (dx, dy, 1) meets a point p only where
+    dx = p_x / p_z and dy = p_y / p_z, and for a box in front of the
+    camera p_x / p_z is monotone in p_x and in p_z, so over the box it
+    spans the range of its corner values (likewise y).  A box reaching
+    z <= 0 gets the whole frame.  The pass lays out the windows as flat
+    (pixel, capsule) pairs, solves every pair with elementwise float64
+    arithmetic, and folds the pairs into the frame with
+    ``np.minimum.at``.  A pair's value depends only on its pixel's ray
+    and its capsule's scalars, which round as one-capsule ``.dot`` calls
+    do, and no depth is NaN, so the fold order does not matter: each
     pixel gets the bytes that a whole-frame solve of one primitive after
-    another gives it.
+    another gives it.  The occluders are then folded in over the whole
+    frame as row-times-column masks (see ``_fold_occluders``).
     """
     _require_default_skeleton(spec)
     dx = (np.arange(config.image_width, dtype=np.float64) - cam.cx) / cam.fx
     dy = (np.arange(config.image_height, dtype=np.float64) - cam.cy) / cam.fy
     best = np.full(config.image_height * config.image_width, np.inf)
-    parents, children = np.array(spec.bones()).T
-    radii = np.array([_BONE_RADII[spec.joint_names[child]] for child in children])
-    for pose in poses:
-        _fold_capsules(best, dx, dy, pose[parents], pose[children], radii)
+    if poses:
+        joints = np.stack(poses)
+        radii = np.tile(_RADII, len(poses))
+        _fold_capsules(best, dx, dy, joints[:, _PARENTS].reshape(-1, 3), joints[:, _CHILDREN].reshape(-1, 3), radii)
+    best = best.reshape(config.image_height, config.image_width)
     if occluders:
         _fold_occluders(best, dx, dy, occluders)
-    best = best.reshape(config.image_height, config.image_width)
     if config.background_depth is not None:
-        best = np.minimum(best, config.background_depth)
-    return np.where(np.isfinite(best), best, np.nan)
+        np.minimum(best, config.background_depth, out=best)
+    np.copyto(best, np.nan, where=np.isinf(best))
+    return best
 
 
 def _joint_visibility(
@@ -410,13 +462,13 @@ def render_depth(
     """
     clean = render_clean_depth(poses, occluders, cam, config, spec)
     visibility = _joint_visibility(poses, clean, cam, config)
-    noisy = clean
+    noisy = clean  # rendered for this call alone, so written in place below
     if config.sensor_noise_mm > 0.0:
-        noise = rng.normal(0.0, config.sensor_noise_mm, size=clean.shape)
-        noisy = np.where(np.isfinite(clean), np.maximum(clean + noise, 1.0), np.nan)
+        noisy = rng.standard_normal(clean.shape) * config.sensor_noise_mm
+        noisy += clean  # NaN where no surface returns
+        np.maximum(noisy, 1.0, out=noisy)
     if config.hole_probability > 0.0:
-        holes = rng.random(clean.shape) < config.hole_probability
-        noisy = np.where(holes, np.nan, noisy)
+        np.copyto(noisy, np.nan, where=rng.random(clean.shape) < config.hole_probability)
     return DepthMap(config.image_width, config.image_height, noisy), visibility
 
 

@@ -3,9 +3,11 @@
 The bilinear interpolation is compared entry by entry against an
 independent double-loop implementation, including the invalidity rules
 (out-of-range queries, NaN neighbours).  File round trips must be
-bit-exact, and malformed files must raise the right error types.
+bit-exact, and malformed files must raise the right error types with
+messages that name the file.
 """
 
+import re
 import struct
 from types import SimpleNamespace
 
@@ -28,6 +30,13 @@ def _random_map(rng, width, height, hole_prob=0.1) -> DepthMap:
     values = rng.uniform(500.0, 9000.0, size=(height, width)).astype(np.float32)
     values[rng.random(values.shape) < hole_prob] = np.nan
     return DepthMap(width, height, values)
+
+
+def _write_dmap(path, values, version=VERSION, trailing=b""):
+    """A DMAP file written byte by byte, bypassing DepthMap's checks."""
+    height, width = values.shape
+    header = struct.pack("<4sIII", MAGIC, version, width, height)
+    path.write_bytes(header + np.asarray(values, dtype="<f4").tobytes() + trailing)
 
 
 def _reference_bilinear(depth: DepthMap, x: float, y: float):
@@ -220,4 +229,36 @@ class TestDmapFormat:
         path = tmp_path / "zero.dmap"
         path.write_bytes(struct.pack("<4sIII", MAGIC, VERSION, 0, 5))
         with pytest.raises(DepthFormatError):
+            load_depth(path)
+
+    def test_bad_version_names_the_file(self, tmp_path):
+        path = tmp_path / "v2.dmap"
+        _write_dmap(path, np.full((2, 3), 1000.0), version=2)
+        with pytest.raises(DepthFormatError, match=rf"^{re.escape(str(path))}: unsupported depth format version 2$"):
+            load_depth(path)
+
+    def test_infinite_value_names_the_file(self, tmp_path):
+        path = tmp_path / "inf.dmap"
+        values = np.full((2, 3), 1000.0)
+        values[1, 2] = np.inf
+        _write_dmap(path, values)
+        with pytest.raises(DepthFormatError, match=rf"^{re.escape(str(path))}: depth values must be finite or NaN$"):
+            load_depth(path)
+
+    def test_non_positive_value_names_the_file(self, tmp_path):
+        path = tmp_path / "zero.dmap"
+        values = np.full((2, 3), 1000.0)
+        values[0, 1] = 0.0
+        _write_dmap(path, values)
+        with pytest.raises(DepthFormatError, match=rf"^{re.escape(str(path))}: valid depth values must be positive$"):
+            load_depth(path)
+
+    def test_bytes_after_the_payload_name_the_file(self, tmp_path):
+        """A 4x4 map stored under a 3x4 header leaves 16 bytes over."""
+        path = tmp_path / "long.dmap"
+        save_depth(path, DepthMap(4, 4, np.full((4, 4), 1000.0, dtype=np.float32)))
+        data = bytearray(path.read_bytes())
+        data[12:16] = struct.pack("<I", 3)  # height
+        path.write_bytes(bytes(data))
+        with pytest.raises(DepthFormatError, match=rf"^{re.escape(str(path))}: 16 bytes after the 4x3 payload$"):
             load_depth(path)

@@ -9,17 +9,22 @@ a hand-built occluded scene, and two statistical properties: visible
 joints read their own depth to within noise plus interpolation error,
 and the occluded fraction grows with the number of occluders.
 
-The renderer solves each person's capsules, and then the occluders, as
-one array of (pixel, primitive) pairs over their pixel windows.  The
-per-primitive solvers and the full-frame loop it replaced are kept here
-as the reference, and property tests require the two to agree to the
-bit, on small random scenes and on full-size generated frames.  Dataset
-digests pinned from the full-frame renderer guard the criterion-4 and
-criterion-5 scene configs end to end.
+The renderer solves all capsules of a frame as one array of (pixel,
+capsule) pairs over their pixel windows, and each occluder as a row mask
+times a column mask.  The per-primitive solvers and the full-frame loop
+it replaced are kept here as the reference, and property tests require
+the two to agree to the bit, on small random scenes and on full-size
+generated frames.  The per-pair occluder fold and the per-bone pose
+generator are kept here too, and the array versions must match them
+byte for byte; a guard test pins the one numpy property the array
+versions rely on, that ``np.vecdot`` rounds as per-row ``.dot`` does.
+Dataset digests pinned from the full-frame renderer guard the
+criterion-4 and criterion-5 scene configs end to end.
 """
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -37,7 +42,10 @@ from poselift.synth import (
     Occluder,
     SceneConfig,
     _fold_capsules,
+    _fold_occluders,
     _pixel_windows,
+    _tree_order,
+    _window_pairs,
     generate_dataset,
     generate_pose,
     generate_scene,
@@ -132,6 +140,54 @@ def _pixel_window(lo, hi, dx, dy):
     return _ray_span(dy, min(ys), max(ys)), _ray_span(dx, min(xs), max(xs))
 
 
+def ref_fold_occluders(best, dx, dy, occluders):
+    """The per-pair occluder fold: every (pixel, occluder) pair of the
+    occluders' pixel windows, folded into the flat frame ``best``."""
+    center = np.array([occ.center for occ in occluders], dtype=np.float64)
+    half = np.array([(occ.half_width, occ.half_height, 0.0) for occ in occluders])
+    pixel, x, y, counts = _window_pairs(_pixel_windows(center - half, center + half, dx, dy), dx, dy)
+    cx, cy, z, half_w, half_h = np.repeat(np.vstack([center.T, half[:, :2].T]), counts, axis=1)
+    hit = (np.abs(x * z - cx) <= half_w) & (np.abs(y * z - cy) <= half_h)
+    np.minimum.at(best, pixel, np.where(hit, z, np.inf))
+
+
+def _rotate(v, axis, angle):
+    """Rodrigues rotation of v around a unit axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    (a0, a1, a2), (v0, v1, v2) = axis.tolist(), v.tolist()
+    cross = np.array([a1 * v2 - a2 * v1, a2 * v0 - a0 * v2, a0 * v1 - a1 * v0])
+    return v * c + cross * s + axis * np.dot(axis, v) * (1.0 - c)
+
+
+def ref_pose_draw(rng, config, spec):
+    """One draw of the per-bone pose generator, before the knee-neck check."""
+    sigma = math.radians(config.joint_jitter_deg)
+    template = _STANDING if rng.random() < config.standing_probability else _SITTING
+    yaw = math.radians(rng.uniform(*config.yaw_range_deg))
+    c, s = math.cos(yaw), math.sin(yaw)
+    template = template @ np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]).T
+    pose = np.zeros_like(template)
+    for child in _tree_order(spec)[1:]:
+        parent = spec.parents[child]
+        bone = template[child] - template[parent]
+        length = math.sqrt(bone.dot(bone))
+        axis = rng.normal(size=3)
+        axis /= math.sqrt(axis.dot(axis))
+        angle = min(max(rng.normal(0.0, sigma), -2.5 * sigma), 2.5 * sigma)
+        direction = _rotate(bone / length, axis, angle)
+        scale = rng.uniform(*config.bone_scale_range)
+        pose[child] = pose[parent] + direction * (length * scale)
+    return pose
+
+
+def ref_generate_pose(rng, config, spec):
+    """The per-bone pose generator: draws until the knee-neck check passes."""
+    while True:
+        pose = ref_pose_draw(rng, config, spec)
+        if knee_neck_distance(pose, spec) > 1.0:
+            return pose
+
+
 def ref_render_clean_depth(poses, occluders, cam, config, spec):
     """The full-frame renderer: every primitive solved over every pixel."""
     dx = (np.arange(config.image_width, dtype=np.float64) - cam.cx) / cam.fx
@@ -198,6 +254,36 @@ def boxes(draw):
     center = rng.uniform([-3000.0, -3000.0, -800.0], [3000.0, 3000.0, 6000.0])
     half = rng.uniform(0.0, draw(st.sampled_from([1.0, 50.0, 700.0])), size=3)
     return center - half, center + half
+
+
+@st.composite
+def occluder_frames(draw):
+    """(best, dx, dy, occluders): a frame partly filled with depths and
+    1-5 rectangles on it, across its edge, wholly off it, or with the
+    centre at z <= 0 (z = 0 among them)."""
+    width, height = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    focal = draw(st.sampled_from([3.0, 40.0, 260.0]))
+    dx = (np.arange(width, dtype=np.float64) - rng.uniform(-0.2, 1.2) * width) / focal
+    dy = (np.arange(height, dtype=np.float64) - rng.uniform(-0.2, 1.2) * height) / (focal * rng.uniform(0.8, 1.2))
+    best = np.where(rng.random(width * height) < 0.5, rng.uniform(300.0, 9000.0, width * height), np.inf)
+    occluders = []
+    for kind in draw(st.lists(st.sampled_from(["on", "edge", "off", "behind"]), min_size=1, max_size=5)):
+        half_w, half_h = rng.uniform(1.0, 800.0, size=2)
+        if kind == "behind":
+            z = draw(st.sampled_from([0.0, -rng.uniform(1.0, 3000.0)]))
+            center = [rng.uniform(-2000.0, 2000.0), rng.uniform(-2000.0, 2000.0), z]
+        else:
+            z = rng.uniform(300.0, 6000.0)
+            if kind == "on":
+                sx, sy = rng.uniform(dx[0], dx[-1]), rng.uniform(dy[0], dy[-1])
+                center = [sx * z, sy * z, z]
+            elif kind == "edge":
+                center = [dx[-1] * z + rng.uniform(-0.9, 0.9) * half_w, rng.uniform(dy[0], dy[-1]) * z, z]
+            else:  # beyond the last column by more than the half width
+                center = [dx[-1] * z + half_w * rng.uniform(1.01, 3.0), rng.uniform(dy[0], dy[-1]) * z, z]
+        occluders.append(Occluder(center=np.array(center), half_width=half_w, half_height=half_h))
+    return best, dx, dy, occluders
 
 
 C4_SCENE = SceneConfig(  # tests/test_acceptance.py, criterion 4
@@ -453,6 +539,72 @@ class TestCulledRenderer:
         lo, hi = np.array([0.0, 0.0, -10.0]), np.array([1.0, 1.0, 50.0])
         assert _pixel_window(lo, hi, dx, dy) == (slice(None), slice(None))
         assert [int(w[0]) for w in _pixel_windows(lo[None], hi[None], dx, dy)] == [0, 3, 0, 4]
+
+
+class TestArrayPassReferences:
+    """The array passes against the per-bone and per-pair code they replaced."""
+
+    def test_vecdot_rounds_as_per_row_dot(self):
+        """np.vecdot on (n, 3) rows gives the bytes of one ``p.dot(q)`` per
+        row, where an elementwise sum of products may round differently;
+        the generator's bit-identity with the per-bone code rests on this."""
+        rng = np.random.default_rng(20240)
+        magnitude = 10.0 ** rng.uniform(-3.0, 4.0, size=(2, 20000, 1))
+        a, b = rng.uniform(-1.0, 1.0, size=(2, 20000, 3)) * magnitude
+        per_row = np.array([p.dot(q) for p, q in zip(a, b)])
+        assert np.vecdot(a, b).tobytes() == per_row.tobytes()
+        assert np.vecdot(a, a).tobytes() == np.array([p.dot(p) for p in a]).tobytes()
+
+    @pytest.mark.parametrize("standing", [0.0, 1.0, 0.6])
+    @pytest.mark.parametrize("jitter", [0.0, 8.0])
+    def test_poses_equal_the_per_bone_generator(self, standing, jitter):
+        """100 seeds per config (600 in all), yaw over the full circle."""
+        config = SceneConfig(standing_probability=standing, joint_jitter_deg=jitter)
+        assert config.yaw_range_deg == (-180.0, 180.0)
+        for seed in range(100):
+            rng, ref_rng = _rng([seed, 31]), _rng([seed, 31])
+            for _ in range(2):
+                assert generate_pose(rng, config, SPEC).tobytes() == ref_generate_pose(ref_rng, config, SPEC).tobytes()
+            assert rng.random() == ref_rng.random()  # both took the same draws
+
+    def test_a_rejected_draw_is_redrawn_as_the_per_bone_generator_does(self):
+        """At 1/1000 scale the knee-neck extent sits near the 1 mm floor,
+        so the first draw from seed 0 is rejected."""
+        config = SceneConfig(bone_scale_range=(0.0008, 0.0012))
+        assert knee_neck_distance(ref_pose_draw(_rng(0), config, SPEC), SPEC) <= 1.0
+        rng, ref_rng = _rng(0), _rng(0)
+        assert generate_pose(rng, config, SPEC).tobytes() == ref_generate_pose(ref_rng, config, SPEC).tobytes()
+        assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(occluder_frames())
+    def test_occluder_masks_equal_the_per_pair_fold(self, frame):
+        best, dx, dy, occluders = frame
+        expected = best.copy()
+        ref_fold_occluders(expected, dx, dy, occluders)
+        folded = best.reshape(dy.size, dx.size).copy()
+        _fold_occluders(folded, dx, dy, occluders)
+        assert folded.tobytes() == expected.tobytes()
+
+    def test_rectangle_edges_on_pixel_rays_are_hits(self):
+        """Ray slopes k/4 meet z = 1000 at x = 250 k exactly, so the edges
+        |x - cx| = 250 and |y - cy| = 250 fall on pixel rays."""
+        dx = dy = np.arange(-4.0, 5.0) / 4.0
+        occ = Occluder(center=np.array([0.0, 250.0, 1000.0]), half_width=250.0, half_height=250.0)
+        expected = np.full(81, np.inf)
+        ref_fold_occluders(expected, dx, dy, [occ])
+        folded = np.full((9, 9), np.inf)
+        _fold_occluders(folded, dx, dy, [occ])
+        assert folded.tobytes() == expected.tobytes()
+        assert np.array_equal(np.argwhere(folded == 1000.0), [[r, c] for r in (4, 5, 6) for c in (3, 4, 5)])
+
+    def test_an_occluder_off_the_frame_leaves_it_unchanged(self):
+        dx = (np.arange(160.0) - CAM.cx) / CAM.fx
+        dy = (np.arange(120.0) - CAM.cy) / CAM.fy
+        off = Occluder(center=np.array([dx[-1] * 2000.0 + 401.0, 0.0, 2000.0]), half_width=400.0, half_height=300.0)
+        best = np.full((120, 160), np.inf)
+        _fold_occluders(best, dx, dy, [off])
+        assert np.isinf(best).all()
 
 
 class TestGeneratePose:
