@@ -10,7 +10,7 @@ from .data import (
     split_dataset,
     write_pose_file,
 )
-from .depth import DepthMap, DepthFormatError, JointDepthVector, load_depth, read_depth_at, save_depth
+from .depth import DepthMap, DepthFormatError, load_depth, read_depth_at, save_depth
 from .geometry import (
     BehindCameraError,
     CameraIntrinsics,
@@ -20,16 +20,7 @@ from .geometry import (
     zoom_augment,
 )
 from .losses import RobustLossConfig, gm_grad, gm_loss, l1_pose_loss, total_loss
-from .metrics import (
-    MetricReport,
-    a_3dpck,
-    a_mpjpe,
-    detection_rate,
-    evaluate,
-    match_poses,
-    r_3dpck,
-    r_mpjpe,
-)
+from .metrics import MetricReport, evaluate, match_poses
 from .nn import AdamState, MlpConfig, ParamVector, adam_step, backward, forward, init_adam, init_params, lr_schedule
 from .pipeline import (
     ConfigError,

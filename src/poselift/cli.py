@@ -117,19 +117,22 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frames_from_file(path: str) -> dict[str, list[np.ndarray]]:
+def _frames_from_file(path: str, num_joints: int) -> dict[str, list[np.ndarray]]:
     frames: dict[str, list[np.ndarray]] = {}
     for sample in read_pose_file(path):
         if sample.joints_3d is None:
             raise ValueError(f"{path}: record for frame {sample.frame_id} has no joints_3d")
+        if len(sample.joints_3d) != num_joints:
+            raise ValueError(f"{path}: a pose in frame {sample.frame_id} has {len(sample.joints_3d)} joints, "
+                             f"the skeleton has {num_joints}")
         frames.setdefault(sample.frame_id, []).append(sample.joints_3d)
     return frames
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     spec = load_skeleton(args.skeleton) if args.skeleton else default_skeleton()
-    gt = _frames_from_file(args.gt)
-    pred = _frames_from_file(args.pred)
+    gt = _frames_from_file(args.gt, spec.num_joints)
+    pred = _frames_from_file(args.pred, spec.num_joints)
     if args.normalized_skeletons:
         gt = {k: [height_normalize(p, spec) for p in v] for k, v in gt.items()}
         pred = {k: [height_normalize(p, spec) for p in v] for k, v in pred.items()}

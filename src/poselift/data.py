@@ -61,8 +61,7 @@ class Sample:
             return values, valid
         if self.depth is None and self.depth_path is None:
             raise ValueError(f"sample {self.frame_id} has no depth source")
-        readout = read_depth_at(self.depth if self.depth is not None else load_depth(self.depth_path), self.joints_2d)
-        return readout.values, readout.valid
+        return read_depth_at(self.depth if self.depth is not None else load_depth(self.depth_path), self.joints_2d)
 
     def ensure_readouts(self) -> None:
         """Cache per-joint depth readouts at the 2D joints (not the map), once."""
@@ -124,8 +123,7 @@ class SampleBatch:
             if s.depth_readouts is None and s.depth is None and s.depth_path is not None:
                 if s.depth_path != last_path:
                     last_path, last_map = s.depth_path, load_depth(s.depth_path)
-                readout = read_depth_at(last_map, s.joints_2d)
-                values, ok = readout.values, readout.valid
+                values, ok = read_depth_at(last_map, s.joints_2d)
             else:
                 values, ok = s.readouts()
             values = _checked(s, "depth_readouts", values, (j,), finite=False)
@@ -189,8 +187,10 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
 
 def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
     """A record's sample; a missing field raises KeyError naming it, and
-    per-joint arrays that disagree on the joint count or joints that are
-    not finite raise ValueError.  A null readout marks an invalid one."""
+    per-joint arrays that disagree on the joint count, joints that are
+    not finite, a readout that is not finite and > 0, or a camera width
+    or height below 1 raise ValueError.  Only a null readout marks an
+    invalid one."""
     cam_rec = record["camera"]
     depth_path = record.get("depth_path")
     if depth_path is not None and base_dir is not None:
@@ -219,7 +219,13 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
             raise ValueError(
                 f"depth_readouts has shape {depth_readouts.shape}, expected ({num_joints},) like joints_2d"
             )
-        depth_valid = np.isfinite(depth_readouts)
+        depth_valid = np.array([v is not None for v in readouts], dtype=bool)
+        bad = [v for v in depth_readouts[depth_valid] if not 0.0 < v < np.inf]  # NaN compares false
+        if bad:
+            raise ValueError(f"depth_readouts must be finite and > 0 (null marks an invalid one), got {bad[0]}")
+    for name in ("width", "height"):
+        if int(cam_rec[name]) < 1:
+            raise ValueError(f"camera {name} must be >= 1, got {cam_rec[name]!r}")
     return Sample(
         frame_id=str(record["frame_id"]),
         camera=CameraIntrinsics.from_dict(cam_rec),

@@ -16,8 +16,9 @@ values.  Values round trip bit-exact, including NaN payloads.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,31 +50,21 @@ class DepthMap:
                     f"expected {self.width * self.height} values, got {vals.size}"
                 )
             vals = vals.reshape(self.height, self.width)
-        finite = vals[np.isfinite(vals)]
         if np.any(np.isinf(vals)):
             raise ValueError("depth values must be finite or NaN")
-        if finite.size and finite.min() <= 0.0:
+        if (vals <= 0.0).any():  # NaN compares false
             raise ValueError("valid depth values must be positive")
         self.values = vals
 
 
-@dataclass
-class JointDepthVector:
-    """Per-joint depth readouts (mm) plus a validity mask."""
+class Readouts(NamedTuple):
+    """Depth readouts (mm, NaN where invalid) and their validity mask."""
 
     values: np.ndarray
-    valid: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.valid is None:
-            self.valid = np.isfinite(self.values)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != self.values.shape:
-            raise ValueError("values and valid must have the same shape")
+    valid: np.ndarray
 
 
-def read_depth_at(depth: DepthMap, points: np.ndarray) -> JointDepthVector:
+def read_depth_at(depth: DepthMap, points: np.ndarray) -> Readouts:
     """Bilinearly interpolate the map at continuous pixel coordinates.
 
     Pixel (i, j) holds the depth of the ray through pixel coordinates
@@ -120,7 +111,7 @@ def read_depth_at(depth: DepthMap, points: np.ndarray) -> JointDepthVector:
     bottom = q10 * (1.0 - wx) + q11 * wx
     out = top * (1.0 - wy) + bottom * wy
     out = np.where(valid, out, np.nan)
-    return JointDepthVector(values=out, valid=valid)
+    return Readouts(out, valid)
 
 
 def save_depth(path: str | Path, depth: DepthMap) -> None:

@@ -44,11 +44,12 @@ def match_poses(
     matching = []
     for gt_poses, pred_poses in zip(gt_frames, pred_frames):
         assigned = np.full(len(gt_poses), -1, dtype=int)
+        gt_roots = [_root_of(pose, root_index) for pose in gt_poses]
+        pred_roots = [_root_of(pose, root_index) for pose in pred_poses]
         candidates = []
-        for g, gt_pose in enumerate(gt_poses):
-            g_root = _root_of(gt_pose, root_index)
-            for p, pred_pose in enumerate(pred_poses):
-                dist = float(np.linalg.norm(g_root - _root_of(pred_pose, root_index)))
+        for g, g_root in enumerate(gt_roots):
+            for p, p_root in enumerate(pred_roots):
+                dist = float(np.linalg.norm(g_root - p_root))
                 if dist <= threshold:
                     candidates.append((dist, g, p))
         candidates.sort()
@@ -97,56 +98,6 @@ def _pck(errors: list[np.ndarray], missed_joints: int, threshold: float, detecte
     if total == 0:
         return math.nan
     return 100.0 * hits / total
-
-
-def a_mpjpe(gt_frames, pred_frames, matching, root_index: int = 14) -> float:
-    """Mean per-joint position error over matched poses, absolute coordinates.
-
-    NaN when nothing matched: the error of an undetected pose is
-    unbounded, so it is excluded here and accounted for by the
-    detection rate and the PCK metrics instead.
-    """
-    return _mpjpe(_errors(gt_frames, pred_frames, matching, root_index)[0])
-
-
-def r_mpjpe(gt_frames, pred_frames, matching, root_index: int = 14) -> float:
-    """MPJPE after translating each prediction's root onto the ground truth."""
-    return _mpjpe(_errors(gt_frames, pred_frames, matching, root_index)[1])
-
-
-def a_3dpck(
-    gt_frames,
-    pred_frames,
-    matching,
-    root_index: int = 14,
-    threshold: float = PCK_THRESHOLD_MM,
-    detected_only: bool = False,
-) -> float:
-    """Percentage of joints with absolute error strictly below ``threshold``."""
-    absolute, _, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
-    return _pck(absolute, missed_joints, threshold, detected_only)
-
-
-def r_3dpck(
-    gt_frames,
-    pred_frames,
-    matching,
-    root_index: int = 14,
-    threshold: float = PCK_THRESHOLD_MM,
-    detected_only: bool = False,
-) -> float:
-    """PCK after root alignment, measuring pose quality without localization."""
-    _, aligned, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
-    return _pck(aligned, missed_joints, threshold, detected_only)
-
-
-def detection_rate(matching: list[np.ndarray]) -> float:
-    """Percentage of ground-truth poses that received a match."""
-    total = sum(len(assigned) for assigned in matching)
-    if total == 0:
-        return math.nan
-    matched = sum(int((assigned >= 0).sum()) for assigned in matching)
-    return 100.0 * matched / total
 
 
 @dataclass
@@ -204,19 +155,25 @@ def evaluate(
 ) -> MetricReport:
     """Match then compute the full metric suite in one report.
 
-    ``detected_only`` restricts the PCK denominators to matched poses;
-    the MPJPE metrics are always over matched poses because an
-    undetected pose has no finite error.
+    A-MPJPE and R-MPJPE (after translating each predicted root onto the
+    ground truth's) average over matched poses, because an undetected
+    pose has no finite error; they are NaN when nothing matched.  The
+    3DPCKs count joints strictly below ``pck_threshold``, and an
+    undetected pose misses every joint unless ``detected_only`` restricts
+    the denominators to matched poses.  The detection rate is the
+    percentage of ground-truth poses matched, NaN when there are none.
     """
     matching = match_poses(gt_frames, pred_frames, match_threshold, root_index)
     absolute, aligned, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
+    matched = sum(int((a >= 0).sum()) for a in matching)
+    gt_poses = sum(len(a) for a in matching)
     return MetricReport(
         a_mpjpe=_mpjpe(absolute),
         r_mpjpe=_mpjpe(aligned),
         a_3dpck=_pck(absolute, missed_joints, pck_threshold, detected_only),
         r_3dpck=_pck(aligned, missed_joints, pck_threshold, detected_only),
-        detection_rate=detection_rate(matching),
-        matched_poses=sum(int((a >= 0).sum()) for a in matching),
-        gt_poses=sum(len(a) for a in matching),
+        detection_rate=100.0 * matched / gt_poses if gt_poses else math.nan,
+        matched_poses=matched,
+        gt_poses=gt_poses,
         detected_only=detected_only,
     )

@@ -241,7 +241,6 @@ class TrainConfig:
     zoom_min: float = 1.0
     zoom_max: float = 1.5
     seed: int = 0
-    stop_weak_pose_gradient: bool = False
     track_weak_grad_stats: bool = False
 
     def __post_init__(self) -> None:
@@ -426,10 +425,9 @@ def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoc
     """The weak half of training step ``step`` of ``epoch``: zoom, pose
     forward pass, weak head, and the robust loss against the readouts at
     the stable joints.  Writes the depth-net gradient into ``depth_grads``
-    and, unless ``stop_weak_pose_gradient`` is set, adds the pose-net
-    gradient onto ``pose_grads``.  Returns (loss, gradient with respect to
-    the head's depths).  A FloatingPointError from the head's forward
-    pass carries ``network = "jointdepthnet"``."""
+    and adds the pose-net gradient onto ``pose_grads``.  Returns (loss,
+    gradient with respect to the head's depths).  A FloatingPointError
+    from the head's forward pass carries ``network = "jointdepthnet"``."""
     weak = _zoomed(batch, config, epoch, step, _WEAK_ZOOM)
     x, valid_all = build_inputs(weak, bundle.stats)
     subset = np.asarray(bundle.skeleton.depth_subset, dtype=int)
@@ -449,8 +447,7 @@ def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoc
     value, _, d_depths = total_loss(no_poses, no_poses, depths, targets, valid, loss_config)
     d_o = joint_depth_backward(d_depths, head_cache, bundle.depth_params, bundle.depth_config, bundle.stats,
                                depth_grads)
-    if not config.stop_weak_pose_gradient:
-        nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, pose_grads, accumulate=True)
+    nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, pose_grads, accumulate=True)
     return value, d_depths
 
 

@@ -121,23 +121,22 @@ class PoseDecomposition:
 
 
 def decompose(pose: np.ndarray, spec: SkeletonSpec) -> PoseDecomposition:
-    """Split a pose into the root joint and J-1 root-relative offsets."""
-    arr = _check_pose(pose, spec)
-    root = arr[spec.root].copy()
-    rest = np.delete(arr, spec.root, axis=0)
-    return PoseDecomposition(root=root, relative=rest - root)
+    """Split a pose into the root joint and J-1 root-relative offsets: the
+    two parts of :func:`pose_to_vector`."""
+    vec = pose_to_vector(_check_pose(pose, spec), spec)
+    return PoseDecomposition(root=vec[:3], relative=vec[3:].reshape(-1, 3))
 
 
 def compose(parts: PoseDecomposition, spec: SkeletonSpec) -> np.ndarray:
-    """Inverse of :func:`decompose`; round trips agree to rounding error."""
+    """Inverse of :func:`decompose` through :func:`vector_to_pose`; round
+    trips agree to rounding error."""
     relative = np.asarray(parts.relative, dtype=np.float64)
     if relative.shape != (spec.num_joints - 1, 3):
         raise ValueError(
             f"relative part must have shape ({spec.num_joints - 1}, 3), got {relative.shape}"
         )
     root = np.asarray(parts.root, dtype=np.float64).reshape(3)
-    joints = relative + root
-    return np.insert(joints, spec.root, root, axis=0)
+    return vector_to_pose(np.concatenate([root, relative.ravel()]), spec)
 
 
 def pose_to_vector(pose: np.ndarray, spec: SkeletonSpec) -> np.ndarray:

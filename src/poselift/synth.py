@@ -443,8 +443,8 @@ def _joint_visibility(
         return []
     height, width = clean.shape
     joints = np.stack(poses)
-    readout = read_depth_at(DepthMap(width, height, clean), project(joints, cam))
-    return list(readout.valid & (readout.values > joints[..., 2] - config.visibility_margin_mm))
+    values, valid = read_depth_at(DepthMap(width, height, clean), project(joints, cam))
+    return list(valid & (values > joints[..., 2] - config.visibility_margin_mm))
 
 
 def render_depth(
@@ -553,7 +553,7 @@ def scene_to_samples(scene: Scene, config: SceneConfig, rng: np.random.Generator
     if not scene.poses:
         return []
     joints_2d = project(np.stack(scene.poses), scene.camera)
-    readout = read_depth_at(scene.depth, joints_2d)  # one call per frame
+    readouts, valid = read_depth_at(scene.depth, joints_2d)  # one call per frame
     samples = []
     for i, (pose, visible) in enumerate(zip(scene.poses, scene.visibility)):
         detections = joints_2d[i].copy()
@@ -567,8 +567,8 @@ def scene_to_samples(scene: Scene, config: SceneConfig, rng: np.random.Generator
             joints_2d=detections,
             joints_3d=pose.copy(),
             depth=scene.depth,
-            depth_readouts=readout.values[i].copy(),
-            depth_valid=readout.valid[i].copy(),
+            depth_readouts=readouts[i].copy(),
+            depth_valid=valid[i].copy(),
             eval_joints_3d=pose.copy(),
             eval_visibility=visible.copy(),
         )

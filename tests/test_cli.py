@@ -6,13 +6,14 @@ precedence of flags over config values.
 """
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
 
 from poselift import cli
 from poselift.cli import build_parser, main
-from poselift.data import read_pose_file
+from poselift.data import read_pose_file, write_pose_file
 from poselift.pipeline import ConfigError, TrainConfig, load_bundle
 from poselift.skeleton import default_skeleton
 
@@ -121,13 +122,17 @@ class TestTrain:
 
         monkeypatch.setattr(cli, "train", record)
         config = tmp_path / "train.json"
-        config.write_text(json.dumps({"stop_weak_pose_gradient": True, "epochs": 2, "alpha": 50}))
-        argv = ["train", "--config", str(config), "--data", str(workspace["data"]), "--out", str(tmp_path / "m")]
-        for extra in ([], ["--track-weak-grad-stats", "--epochs", "3", "--alpha", "7.5"]):
+        config.write_text(json.dumps({"track_weak_grad_stats": True, "epochs": 2, "alpha": 50}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"epochs": 2, "alpha": 50}))
+        runs = [(config, []), (config, ["--epochs", "3", "--alpha", "7.5"]),
+                (plain, []), (plain, ["--track-weak-grad-stats"])]
+        for path, extra in runs:
             with pytest.raises(_TrainCalled):
-                main(argv + extra)
-        assert [(c.stop_weak_pose_gradient, c.track_weak_grad_stats, c.epochs, c.alpha) for c in seen] == [
-            (True, False, 2, 50), (True, True, 3, 7.5)]
+                main(["train", "--config", str(path), "--data", str(workspace["data"]),
+                      "--out", str(tmp_path / "m")] + extra)
+        assert [(c.track_weak_grad_stats, c.epochs, c.alpha) for c in seen] == [
+            (True, 2, 50), (True, 3, 7.5), (False, 2, 50), (True, 2, 50)]
 
     def test_epoch_flag_overrides_the_config(self, workspace):
         lines = workspace["log"].read_text().splitlines()
@@ -211,6 +216,17 @@ class TestEval:
         assert main(["eval", "--gt", str(workspace["data"] / "gt_poses.jsonl"),
                      "--pred", str(workspace["pred"]), "--detected-only",
                      "--normalized-skeletons", "--match-threshold", "400"]) == 0
+
+    @pytest.mark.parametrize("joints", [16, 10])
+    def test_pose_with_the_wrong_joint_count_names_file_and_frame(self, workspace, tmp_path, joints):
+        preds = read_pose_file(workspace["pred"])
+        preds[-1].joints_2d = preds[-1].joints_2d[:joints]
+        preds[-1].joints_3d = preds[-1].joints_3d[:joints]
+        path = tmp_path / "pred.jsonl"
+        write_pose_file(path, preds)
+        message = f"{path}: a pose in frame {preds[-1].frame_id} has {joints} joints, the skeleton has 17"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            main(["eval", "--gt", str(workspace["data"] / "gt_poses.jsonl"), "--pred", str(path)])
 
     def test_records_without_poses_are_rejected(self, workspace):
         with pytest.raises(ValueError, match="no joints_3d"):

@@ -185,6 +185,27 @@ class TestPoseFile:
         assert np.isnan(sample.depth_readouts[5])
         assert sample.depth_valid.sum() == 16 and not sample.depth_valid[5]
 
+    @pytest.mark.parametrize("bad, text", [(float("nan"), "NaN"), (float("inf"), "Infinity"), (-5.0, "-5.0")])
+    def test_readout_other_than_null_must_be_finite_and_positive(self, tmp_path, bad, text):
+        path = tmp_path / "samples.jsonl"
+        record = sample_to_record(_sample(readouts=[1000.0] * 17))
+        record["depth_readouts"][5] = bad
+        line = json.dumps(record)
+        assert f", {text}, " in line  # the literal json.loads accepts
+        path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"samples\.jsonl:2: depth_readouts must be finite and > 0 "
+                                             rf"\(null marks an invalid one\), got {bad}$"):
+            read_pose_file(path)
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    def test_camera_size_must_be_positive(self, tmp_path, field):
+        path = tmp_path / "samples.jsonl"
+        record = sample_to_record(_sample())
+        record["camera"][field] = -5
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=rf"samples\.jsonl:1: camera {field} must be >= 1, got -5$"):
+            read_pose_file(path)
+
 
 class TestDatasetHelpers:
     def test_split_partitions_on_pose_presence(self):

@@ -19,7 +19,6 @@ from poselift.depth import (
     VERSION,
     DepthFormatError,
     DepthMap,
-    JointDepthVector,
     load_depth,
     read_depth_at,
     save_depth,
@@ -65,10 +64,14 @@ class TestDepthMapValidation:
             DepthMap(2, 2, np.array([[1.0, 2.0], [0.0, 4.0]]))
         with pytest.raises(ValueError):
             DepthMap(2, 2, np.array([[1.0, 2.0], [-3.0, 4.0]]))
+        with pytest.raises(ValueError):  # -0.0 <= 0, and NaN beside it hides nothing
+            DepthMap(2, 2, np.array([[np.nan, 2.0], [-0.0, np.nan]]))
 
     def test_rejects_infinities(self):
         with pytest.raises(ValueError):
             DepthMap(2, 2, np.array([[1.0, np.inf], [3.0, 4.0]]))
+        with pytest.raises(ValueError):
+            DepthMap(2, 2, np.array([[np.nan, -np.inf], [3.0, np.nan]]))
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
@@ -167,15 +170,12 @@ class TestBilinearReadout:
         out = read_depth_at(dm, np.array([[np.nan, 0.5], [0.5, np.inf]]))
         assert not out.valid.any()
 
-
-class TestJointDepthVector:
-    def test_valid_mask_defaults_to_finiteness(self):
-        v = JointDepthVector(values=np.array([1.0, np.nan, 3.0]))
-        assert list(v.valid) == [True, False, True]
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            JointDepthVector(values=np.zeros(3), valid=np.zeros(2, dtype=bool))
+    def test_readout_unpacks_to_values_and_valid(self):
+        dm = DepthMap(3, 2, np.array([[1.0, 2.0, np.nan], [3.0, 4.0, np.nan]], dtype=np.float32))
+        values, valid = read_depth_at(dm, np.array([[0.0, 0.0], [1.5, 0.5]]))
+        assert values.dtype == np.float64 and valid.dtype == bool
+        assert values[0] == 1.0 and np.isnan(values[1])
+        assert list(valid) == [True, False]
 
 
 class TestDmapFormat:

@@ -12,17 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from poselift.metrics import (
-    MATCH_THRESHOLD_MM,
-    PCK_THRESHOLD_MM,
-    a_3dpck,
-    a_mpjpe,
-    detection_rate,
-    evaluate,
-    match_poses,
-    r_3dpck,
-    r_mpjpe,
-)
+from poselift.metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, evaluate, match_poses
 
 
 def _pose(root, J=17, root_index=14, spread=100.0, rng=None):
@@ -101,52 +91,52 @@ class TestErrorMetrics:
         """A pure translation shows up 1:1 in A-MPJPE and vanishes in R-MPJPE."""
         gt_pose = _pose([0.0, 0.0, 3000.0])
         pred_pose = gt_pose + np.array([30.0, 40.0, 0.0])  # 50 mm shift
-        matching = match_poses([[gt_pose]], [[pred_pose]])
-        assert a_mpjpe([[gt_pose]], [[pred_pose]], matching) == pytest.approx(50.0, abs=1e-9)
-        assert r_mpjpe([[gt_pose]], [[pred_pose]], matching) == pytest.approx(0.0, abs=1e-9)
+        report = evaluate([[gt_pose]], [[pred_pose]])
+        assert report.a_mpjpe == pytest.approx(50.0, abs=1e-9)
+        assert report.r_mpjpe == pytest.approx(0.0, abs=1e-9)
 
     def test_pck_boundary_is_strict(self):
         """A joint error of exactly the threshold counts as a miss."""
         gt_pose = _pose([0.0, 0.0, 3000.0])
         exactly = gt_pose + np.array([PCK_THRESHOLD_MM, 0.0, 0.0])
         just_under = gt_pose + np.array([PCK_THRESHOLD_MM - 1e-9, 0.0, 0.0])
-        matching = match_poses([[gt_pose]], [[exactly]])
-        assert a_3dpck([[gt_pose]], [[exactly]], matching) == 0.0
-        assert a_3dpck([[gt_pose]], [[just_under]], matching) == 100.0
+        assert evaluate([[gt_pose]], [[exactly]]).a_3dpck == 0.0
+        assert evaluate([[gt_pose]], [[just_under]]).a_3dpck == 100.0
         # Root alignment removes the constant shift, so R-PCK is perfect.
-        assert r_3dpck([[gt_pose]], [[exactly]], matching) == 100.0
+        assert evaluate([[gt_pose]], [[exactly]]).r_3dpck == 100.0
 
     def test_undetected_pose_joints_count_as_misses(self):
         gt_pose = _pose([0.0, 0.0, 3000.0])
         far = _pose([5000.0, 0.0, 3000.0])
-        matching = match_poses([[gt_pose, far]], [[gt_pose.copy()]])
-        assert list(matching[0]) == [0, -1]
+        assert list(match_poses([[gt_pose, far]], [[gt_pose.copy()]])[0]) == [0, -1]
         # 17 perfect joints out of 34 total.
-        assert a_3dpck([[gt_pose, far]], [[gt_pose.copy()]], matching) == pytest.approx(50.0)
-        assert a_3dpck(
-            [[gt_pose, far]], [[gt_pose.copy()]], matching, detected_only=True
-        ) == pytest.approx(100.0)
+        assert evaluate([[gt_pose, far]], [[gt_pose.copy()]]).a_3dpck == pytest.approx(50.0)
+        assert evaluate(
+            [[gt_pose, far]], [[gt_pose.copy()]], detected_only=True
+        ).a_3dpck == pytest.approx(100.0)
 
     def test_no_matches_yield_nan_errors(self):
         gt_pose = _pose([0.0, 0.0, 3000.0])
-        matching = match_poses([[gt_pose]], [[]])
-        assert math.isnan(a_mpjpe([[gt_pose]], [[]], matching))
-        assert math.isnan(r_mpjpe([[gt_pose]], [[]], matching))
-        assert a_3dpck([[gt_pose]], [[]], matching) == 0.0
+        report = evaluate([[gt_pose]], [[]])
+        assert math.isnan(report.a_mpjpe)
+        assert math.isnan(report.r_mpjpe)
+        assert report.a_3dpck == 0.0
 
     def test_detection_rate(self):
         gt_pose = _pose([0.0, 0.0, 3000.0])
         far = _pose([5000.0, 0.0, 3000.0])
-        matching = match_poses([[gt_pose, far]], [[gt_pose.copy()]])
-        assert detection_rate(matching) == pytest.approx(50.0)
-        assert math.isnan(detection_rate(match_poses([[]], [[]])))
+        report = evaluate([[gt_pose, far]], [[gt_pose.copy()]])
+        assert report.detection_rate == pytest.approx(50.0)
+        assert (report.matched_poses, report.gt_poses) == (1, 2)
+        empty = evaluate([[]], [[]])
+        assert math.isnan(empty.detection_rate)
+        assert (empty.matched_poses, empty.gt_poses) == (0, 0)
 
     def test_pose_shape_mismatch_raises(self):
         gt_pose = _pose([0.0, 0.0, 3000.0])
         pred_pose = _pose([0.0, 0.0, 3000.0], J=16)
-        with pytest.raises(ValueError):
-            matching = match_poses([[gt_pose]], [[pred_pose]])
-            a_mpjpe([[gt_pose]], [[pred_pose]], matching)
+        with pytest.raises(ValueError, match=r"pose shape mismatch: \(17, 3\) vs \(16, 3\)"):
+            evaluate([[gt_pose]], [[pred_pose]])
 
 
 def _reference_report(gt_frames, pred_frames, root_index, match_t, pck_t, detected_only):

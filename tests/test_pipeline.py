@@ -279,7 +279,7 @@ class TestTrainConfig:
             TrainConfig(zoom_max=inf)
 
     def test_dict_round_trip(self):
-        config = _tiny_config(seed=3, stop_weak_pose_gradient=True)
+        config = _tiny_config(seed=3, track_weak_grad_stats=True)
         blob = json.loads(json.dumps(dataclasses.asdict(config)))
         assert TrainConfig.from_dict(blob) == config
         assert fields_from_json(TrainConfig, blob) == config
@@ -292,7 +292,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", "40"), ("epochs", 2.0), ("epochs", True), ("base_lr", "0.1"),
-        ("stop_weak_pose_gradient", 1),
+        ("track_weak_grad_stats", 1),
     ])
     def test_wrongly_typed_value_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -350,19 +350,11 @@ class TestTrain:
         for name in bundle_a.pose_params:
             np.testing.assert_array_equal(bundle_a.pose_params[name], bundle_b.pose_params[name])
 
-    def test_stop_weak_pose_gradient_freezes_the_pose_path(self, tiny_dataset):
-        """Stopping the weak gradient at the pose network reproduces the
-        lambda-zero pose parameters exactly, while the depth network
-        still trains on the weak term."""
-        stopped, _ = train(_tiny_config(stop_weak_pose_gradient=True), tiny_dataset, SPEC)
+    def test_weak_term_moves_the_pose_network(self, tiny_dataset):
+        """With lambda above zero the weak gradient reaches the pose
+        network, which then leaves the lambda-zero trajectory."""
         plain, _ = train(_tiny_config(lambda_weight=0.0), tiny_dataset, SPEC)
         coupled, _ = train(_tiny_config(), tiny_dataset, SPEC)
-        for name in stopped.pose_params:
-            np.testing.assert_array_equal(stopped.pose_params[name], plain.pose_params[name])
-        assert any(
-            not np.array_equal(stopped.depth_params[name], plain.depth_params[name])
-            for name in stopped.depth_params
-        )
         assert any(
             not np.array_equal(coupled.pose_params[name], plain.pose_params[name])
             for name in coupled.pose_params
