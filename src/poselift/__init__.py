@@ -19,7 +19,7 @@ from .geometry import (
     project,
     zoom_augment,
 )
-from .losses import RobustLossConfig, gm_grad, gm_loss, l1_pose_loss, total_loss
+from .losses import gm_grad, gm_loss, l1_pose_loss, total_loss
 from .metrics import MetricReport, evaluate, match_poses
 from .nn import AdamState, MlpConfig, ParamVector, adam_step, backward, forward, init_adam, init_params, lr_schedule
 from .pipeline import (

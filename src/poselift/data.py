@@ -185,14 +185,24 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
     return record
 
 
+_CAMERA_TYPES = {"fx": "float", "fy": "float", "cx": "float", "cy": "float", "width": "int", "height": "int"}
+
+
 def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
     """A record's sample; a missing field raises KeyError naming it, and
-    per-joint arrays that disagree on the joint count, joints that are
-    not finite, a readout that is not finite and > 0, or a camera width
-    or height below 1 raise ValueError.  Only a null readout marks an
-    invalid one."""
+    a field whose JSON type does not fit (see :func:`_fits`), per-joint
+    arrays that disagree on the joint count, joints that are not finite,
+    a readout that is not finite and > 0, or a camera width or height
+    below 1 raise ValueError.  Only a null readout marks an invalid one."""
     cam_rec = record["camera"]
+    if not isinstance(cam_rec, dict):
+        raise ValueError(f"field 'camera' must be an object, got {cam_rec!r}")
     depth_path = record.get("depth_path")
+    typed = [("frame_id", record["frame_id"], "str"), ("depth_path", depth_path, "str | None")]
+    typed += [(f"camera.{name}", cam_rec[name], annotation) for name, annotation in _CAMERA_TYPES.items()]
+    for name, value, annotation in typed:
+        if not _fits(value, annotation):
+            raise ValueError(f"field {name!r} must be {annotation}, got {value!r}")
     if depth_path is not None and base_dir is not None:
         depth_path = str(base_dir / depth_path)
     joints_2d = np.asarray(record["joints_2d"], dtype=np.float64)
@@ -224,13 +234,13 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
         if bad:
             raise ValueError(f"depth_readouts must be finite and > 0 (null marks an invalid one), got {bad[0]}")
     for name in ("width", "height"):
-        if int(cam_rec[name]) < 1:
+        if cam_rec[name] < 1:
             raise ValueError(f"camera {name} must be >= 1, got {cam_rec[name]!r}")
     return Sample(
-        frame_id=str(record["frame_id"]),
+        frame_id=record["frame_id"],
         camera=CameraIntrinsics.from_dict(cam_rec),
-        width=int(cam_rec["width"]),
-        height=int(cam_rec["height"]),
+        width=cam_rec["width"],
+        height=cam_rec["height"],
         joints_2d=joints_2d,
         joints_3d=joints_3d,
         depth_path=depth_path,

@@ -38,12 +38,9 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy}
-
     @classmethod
     def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]), cy=float(d["cy"]))
+        return cls(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"])
 
 
 def _as_points(points: np.ndarray, last_dim: int, what: str) -> np.ndarray:

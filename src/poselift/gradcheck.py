@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .data import SampleBatch
-from .losses import RobustLossConfig, gm_grad, gm_loss, l1_pose_loss, total_loss
+from .losses import gm_grad, gm_loss, l1_pose_loss, total_loss
 from .pipeline import TrainConfig, annotated_step, fit_standardizer, init_bundle, weak_step
 from .skeleton import default_skeleton
 
@@ -184,22 +184,15 @@ def check_l1(seed: int) -> CheckResult:
 
 def check_total_loss(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    config = RobustLossConfig(alpha=100.0, lambda_weight=0.7)
-    pred_poses = rng.normal(size=(3, 12))
-    gt_poses = pred_poses + np.where(rng.normal(size=pred_poses.shape) > 0, 1.0, -1.0) * rng.uniform(0.05, 1.5, size=pred_poses.shape)
     pred_d = rng.normal(scale=20.0, size=(3, 14))
     target_d = rng.normal(scale=20.0, size=(3, 14))
     valid = rng.random(size=(3, 14)) > 0.3
+    _, grad = total_loss(pred_d, target_d, valid, 100.0, 0.7)
 
     def loss() -> float:
-        return total_loss(pred_poses, gt_poses, pred_d, target_d, valid, config)[0]
+        return total_loss(pred_d, target_d, valid, 100.0, 0.7)[0]
 
-    _, grad_poses, grad_depths = total_loss(pred_poses, gt_poses, pred_d, target_d, valid, config)
-    results = [
-        _check_array("total-loss/dposes", grad_poses, loss, pred_poses, PRIMITIVE_TOL),
-        _check_array("total-loss/ddepths", grad_depths, loss, pred_d, PRIMITIVE_TOL),
-    ]
-    return _merge("total-loss", results)
+    return _check_array("total-loss", grad, loss, pred_d, PRIMITIVE_TOL)
 
 
 def _pipeline_setup(seed: int):

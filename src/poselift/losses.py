@@ -8,23 +8,7 @@ contributing gradient instead of dragging the pose toward the occluder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RobustLossConfig:
-    """alpha is in squared millimeters; lambda_weight balances the two terms."""
-
-    alpha: float = 100.0
-    lambda_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.lambda_weight < 0:
-            raise ValueError(f"lambda_weight must be >= 0, got {self.lambda_weight}")
 
 
 def gm_loss(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -84,21 +68,19 @@ def l1_pose_loss(pred: np.ndarray, gt: np.ndarray):
     return value, grad
 
 
-def total_loss(
-    pred_poses: np.ndarray,
-    gt_poses: np.ndarray,
-    pred_depths: np.ndarray,
-    target_depths: np.ndarray,
-    valid: np.ndarray,
-    config: RobustLossConfig,
-):
-    """Mixed objective over an annotated half-batch and a weak half-batch.
+def total_loss(pred_depths: np.ndarray, target_depths: np.ndarray, valid: np.ndarray, alpha: float,
+               lambda_weight: float):
+    """The weak depth term over a weak half-batch.
 
-    value = sum-of-per-pose-mean L1 + lambda * sum over samples and valid
-    joints of rho(pred_depth - target_depth).  Invalid depth entries
-    (failed readouts) contribute exactly zero loss and zero gradient.
-    Returns (value, grad wrt pred_poses, grad wrt pred_depths).
+    value = lambda * sum over samples and valid joints of
+    rho(pred_depth - target_depth), with alpha in squared millimeters.
+    Invalid depth entries (failed readouts) contribute exactly zero loss
+    and zero gradient.  Returns (value, grad wrt pred_depths).
     """
+    if not alpha > 0.0:  # NaN fails every comparison
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (lambda_weight >= 0.0 and np.isfinite(lambda_weight)):
+        raise ValueError(f"lambda_weight must be finite and >= 0, got {lambda_weight}")
     pred_depths = np.asarray(pred_depths, dtype=np.float64)
     target_depths = np.asarray(target_depths, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -107,12 +89,8 @@ def total_loss(
             f"depth shapes must agree: pred {pred_depths.shape}, "
             f"target {target_depths.shape}, valid {valid.shape}"
         )
-
-    value, grad_poses = l1_pose_loss(pred_poses, gt_poses)
-
-    grad_depths = np.zeros_like(pred_depths)
-    if pred_depths.size and config.lambda_weight > 0.0:
-        residual = np.where(valid, pred_depths - target_depths, 0.0)
-        value += config.lambda_weight * float(gm_loss(residual[valid], config.alpha).sum())
-        grad_depths = np.where(valid, config.lambda_weight * gm_grad(residual, config.alpha), 0.0)
-    return value, grad_poses, grad_depths
+    if not pred_depths.size or lambda_weight == 0.0:
+        return 0.0, np.zeros_like(pred_depths)
+    residual = np.where(valid, pred_depths - target_depths, 0.0)
+    value = lambda_weight * float(gm_loss(residual[valid], alpha).sum())
+    return value, np.where(valid, lambda_weight * gm_grad(residual, alpha), 0.0)

@@ -244,18 +244,11 @@ def init_adam(params: ParamVector) -> AdamState:
 _ADAM_BLOCK = 1 << 14
 
 
-def adam_step(
-    params: ParamVector,
-    grads: ParamVector,
-    state: AdamState,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> None:
+def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
-    Per element this is exactly, and in this order,
+    With beta1, beta2 and eps the ``ADAM_*`` constants, per element this
+    is exactly, and in this order,
     m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;
     p = p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps).
     """
@@ -268,6 +261,7 @@ def adam_step(
     if not np.isfinite(sum_sq) and not np.isfinite(grads.flat).all():
         bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient for {bad}")
+    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
@@ -281,11 +275,11 @@ def adam_step(
         v *= beta2
         v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
         np.sqrt(np.divide(v, c2, out=d), out=d)
-        d += eps
+        d += ADAM_EPS
         p -= np.divide(np.multiply(np.divide(m, c1, out=a), lr, out=a), d, out=a)
 
 
-def lr_schedule(base_lr: float, epoch: int, decay: float = 0.96, every: int = 4) -> float:
+def lr_schedule(base_lr: float, epoch: int, decay: float, every: int) -> float:
     """Step decay: base_lr * decay ** floor(epoch / every)."""
     # Comparisons with NaN are false, so each range also rejects NaN.
     if not 0.0 < base_lr < math.inf:

@@ -22,8 +22,8 @@ import numpy as np
 from . import nn
 from .data import Dataset, Sample, SampleBatch, fields_from_json
 from .geometry import zoom_augment
-from .losses import RobustLossConfig, l1_pose_loss, total_loss
-from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_to_pose
+from .losses import l1_pose_loss, total_loss
+from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_index, vector_to_pose
 
 BUNDLE_VERSION = 2
 
@@ -141,15 +141,15 @@ def fit_standardizer(batch: SampleBatch, spec: SkeletonSpec) -> StandardizerStat
     )
 
 
-def build_inputs(batch: SampleBatch, stats: StandardizerStats):
-    """Standardized network inputs (N, 3J) and the readout validity (N, J).
+def build_inputs(batch: SampleBatch, stats: StandardizerStats) -> np.ndarray:
+    """Standardized network inputs (N, 3J).
 
     Invalid depth readouts are imputed with the standardized mean (zero)
     so they carry no signal.
     """
     x = (_raw_inputs(batch) - stats.input_mean) / stats.input_std
     x[np.isnan(x)] = 0.0
-    return x, batch.valid
+    return x
 
 
 def standardize_output(pose_vecs: np.ndarray, stats: StandardizerStats) -> np.ndarray:
@@ -158,22 +158,6 @@ def standardize_output(pose_vecs: np.ndarray, stats: StandardizerStats) -> np.nd
 
 def destandardize_output(o_std: np.ndarray, stats: StandardizerStats) -> np.ndarray:
     return o_std * stats.output_std + stats.output_mean
-
-
-def _head_z_dims(spec: SkeletonSpec) -> np.ndarray:
-    """Output-vector z dimension of each depth-supervised joint.
-
-    The output layout is [root xyz, relative offsets]; a joint's
-    absolute z is root z plus (for non-root joints) its relative z.
-    """
-    dims = []
-    for j in spec.depth_subset:
-        if j == spec.root:
-            dims.append(2)
-        else:
-            rel = j if j < spec.root else j - 1
-            dims.append(3 + 3 * rel + 2)
-    return np.asarray(dims, dtype=int)
 
 
 def predicted_joint_depths(
@@ -194,7 +178,7 @@ def predicted_joint_depths(
     Returns (depths (B, K), cache for the backward pass).
     """
     jdn_out, jdn_cache = nn.forward(depth_params, depth_config, o_std, train=train, rng=rng)
-    z_dims = _head_z_dims(spec)
+    z_dims = vector_index(spec, spec.depth_subset, 2)
     root_is_subset = np.asarray(spec.depth_subset) == spec.root
     z_hat = stats.output_mean[z_dims] + stats.output_std[z_dims] * o_std[:, z_dims]
     root_z = stats.output_mean[2] + stats.output_std[2] * o_std[:, 2]
@@ -359,7 +343,7 @@ def predict_frames(bundle: ModelBundle, samples: list[Sample]):
     grouped per frame in first-appearance order: (frame_ids, list of pose
     lists).  The depth net plays no part."""
     batch = SampleBatch.from_samples(samples, bundle.skeleton.num_joints)
-    x, _ = build_inputs(batch, bundle.stats)
+    x = build_inputs(batch, bundle.stats)
     o, _ = nn.forward(bundle.pose_params, bundle.pose_config, x, train=False)
     poses = vector_to_pose(destandardize_output(o, bundle.stats), bundle.skeleton)
     frames: dict[str, list[np.ndarray]] = {}
@@ -411,7 +395,7 @@ def annotated_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch,
     pose forward pass and L1 against the standardized 3D poses.  Writes
     the pose-net gradient into ``grads`` and returns the loss."""
     ann = _zoomed(batch, config, epoch, step, _ANN_ZOOM)
-    x, _ = build_inputs(ann, bundle.stats)
+    x = build_inputs(ann, bundle.stats)
     targets = standardize_output(pose_to_vector(ann.joints_3d, bundle.skeleton), bundle.stats)
     rng = _step_rng(config.seed, epoch, step, _ANN_DROPOUT)
     o, cache = nn.forward(bundle.pose_params, bundle.pose_config, x, train=True, rng=rng)
@@ -429,9 +413,9 @@ def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoc
     gradient with respect to the head's depths).  A FloatingPointError
     from the head's forward pass carries ``network = "jointdepthnet"``."""
     weak = _zoomed(batch, config, epoch, step, _WEAK_ZOOM)
-    x, valid_all = build_inputs(weak, bundle.stats)
+    x = build_inputs(weak, bundle.stats)
     subset = np.asarray(bundle.skeleton.depth_subset, dtype=int)
-    valid = valid_all[:, subset]
+    valid = weak.valid[:, subset]
     targets = np.where(valid, weak.readouts[:, subset], 0.0)
     rng = _step_rng(config.seed, epoch, step, _WEAK_DROPOUT)
     o, pose_cache = nn.forward(bundle.pose_params, bundle.pose_config, x, train=True, rng=rng)
@@ -442,9 +426,7 @@ def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoc
     except FloatingPointError as exc:
         exc.network = "jointdepthnet"
         raise
-    no_poses = np.zeros((0, o.shape[1]))
-    loss_config = RobustLossConfig(alpha=config.alpha, lambda_weight=config.lambda_weight)
-    value, _, d_depths = total_loss(no_poses, no_poses, depths, targets, valid, loss_config)
+    value, d_depths = total_loss(depths, targets, valid, config.alpha, config.lambda_weight)
     d_o = joint_depth_backward(d_depths, head_cache, bundle.depth_params, bundle.depth_config, bundle.stats,
                                depth_grads)
     nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, pose_grads, accumulate=True)

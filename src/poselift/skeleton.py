@@ -160,6 +160,17 @@ def vector_to_pose(vec: np.ndarray, spec: SkeletonSpec) -> np.ndarray:
     return np.insert(joints, spec.root, root, axis=-2)
 
 
+def vector_index(spec: SkeletonSpec, joints, axis: int) -> np.ndarray:
+    """Index of coordinate ``axis`` of each of ``joints`` in the
+    :func:`pose_to_vector` layout: the root's own slot for the root, its
+    root-relative offset's slot for any other joint."""
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+    joints = np.asarray(joints, dtype=int)
+    slot = np.where(joints == spec.root, 0, np.where(joints < spec.root, joints + 1, joints))
+    return 3 * slot + axis
+
+
 def knee_neck_distance(pose: np.ndarray, spec: SkeletonSpec) -> float:
     """Distance from the neck to the midpoint of the two knees, in mm."""
     arr = _check_pose(pose, spec)

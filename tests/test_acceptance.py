@@ -276,9 +276,10 @@ def test_criterion_6_determinism_and_formats(tmp_path):
     write_pose_file(tmp_path / "two.jsonl", back)
     assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "two.jsonl").read_bytes()
 
-    assert lr_schedule(0.001, 0) == 0.001
-    assert lr_schedule(0.001, 4) == 0.00096
-    assert lr_schedule(0.001, 8) == 0.0009216
+    schedule = (config.lr_decay, config.lr_decay_every)
+    assert lr_schedule(0.001, 0, *schedule) == 0.001
+    assert lr_schedule(0.001, 4, *schedule) == 0.00096
+    assert lr_schedule(0.001, 8, *schedule) == 0.0009216
     print("PASS criterion 6: bit-identical logs and checkpoints across equal "
           "seeds; depth map and pose file round trips are byte-exact; "
           "lr at epochs 0/4/8 is exactly 0.001/0.00096/0.0009216")

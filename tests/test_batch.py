@@ -134,10 +134,10 @@ class TestAgainstPerSampleReference:
         refs = [ref_zoom(s, float(f)) for s, f in zip(samples, factors)]
         raw = np.stack([ref_raw_input(r)[0] for r in refs])
         assert _same_with_nans(_raw_inputs(zoomed), raw)
-        x, valid = build_inputs(zoomed, stats)
+        x = build_inputs(zoomed, stats)
         pairs = [ref_build_input(r, stats) for r in refs]
         assert x.tobytes() == np.stack([p[0] for p in pairs]).tobytes()
-        np.testing.assert_array_equal(valid, np.stack([p[1] for p in pairs]))
+        np.testing.assert_array_equal(zoomed.valid, np.stack([p[1] for p in pairs]))
 
     @PROPERTY
     @given(batches(annotated_only=True), st.integers(0, 2**32 - 1))

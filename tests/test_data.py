@@ -206,6 +206,29 @@ class TestPoseFile:
         with pytest.raises(ValueError, match=rf"samples\.jsonl:1: camera {field} must be >= 1, got -5$"):
             read_pose_file(path)
 
+    @pytest.mark.parametrize("keys, value, message", [
+        (("camera", "width"), None, "field 'camera.width' must be int, got None"),
+        (("camera", "fx"), None, "field 'camera.fx' must be float, got None"),
+        (("camera",), [1, 2], "field 'camera' must be an object, got [1, 2]"),
+        (("depth_path",), 5, "field 'depth_path' must be str | None, got 5"),
+        (("camera", "width"), 160.7, "field 'camera.width' must be int, got 160.7"),
+        (("camera", "width"), True, "field 'camera.width' must be int, got True"),
+        (("camera", "fx"), True, "field 'camera.fx' must be float, got True"),
+        (("camera", "fx"), "250", "field 'camera.fx' must be float, got '250'"),
+        (("frame_id",), 7, "field 'frame_id' must be str, got 7"),
+        (("frame_id",), None, "field 'frame_id' must be str, got None"),
+    ], ids=["width-null", "fx-null", "camera-list", "depth_path-int", "width-float", "width-bool", "fx-bool",
+            "fx-string", "frame_id-int", "frame_id-null"])
+    def test_field_of_the_wrong_type_names_file_line_and_field(self, tmp_path, keys, value, message):
+        """No field is coerced: a value whose JSON type does not fit raises."""
+        path = tmp_path / "samples.jsonl"
+        record = sample_to_record(_sample())
+        (record if len(keys) == 1 else record["camera"])[keys[-1]] = value
+        path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_pose_file(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
 
 class TestDatasetHelpers:
     def test_split_partitions_on_pose_presence(self):

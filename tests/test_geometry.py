@@ -41,9 +41,6 @@ class TestCameraIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=100.0, fy=100.0, cx=math.inf, cy=0.0)
 
-    def test_dict_round_trip(self):
-        assert CameraIntrinsics.from_dict(CAM.to_dict()) == CAM
-
 
 class TestNormalize2d:
     def test_hand_computed_values(self):

@@ -3,7 +3,7 @@
 The robust penalty is checked against its closed forms: value 1/2 at the
 scale parameter's square root, gradient peak at sqrt(alpha/3) with height
 3*sqrt(3)/(8*sqrt(alpha)), and a vanishing tail.  The L1 term and the
-mixed objective are checked against hand-computed values and against
+weak depth term are checked against hand-computed values and against
 finite differences on a few entries.
 """
 
@@ -13,18 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from poselift.losses import RobustLossConfig, gm_grad, gm_loss, l1_pose_loss, total_loss
-
-
-class TestRobustLossConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RobustLossConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            RobustLossConfig(alpha=-5.0)
-        with pytest.raises(ValueError):
-            RobustLossConfig(lambda_weight=-0.1)
-        assert RobustLossConfig(lambda_weight=0.0).lambda_weight == 0.0
+from poselift.losses import gm_grad, gm_loss, l1_pose_loss, total_loss
 
 
 class TestGmLoss:
@@ -175,75 +164,72 @@ class TestL1PoseLoss:
 class TestTotalLoss:
     def _setup(self, seed=4):
         rng = np.random.default_rng(seed)
-        pred_poses = rng.normal(size=(3, 12))
-        gt_poses = rng.normal(size=(3, 12))
         pred_d = rng.normal(scale=30.0, size=(2, 14))
         target_d = rng.normal(scale=30.0, size=(2, 14))
         valid = rng.random(size=(2, 14)) > 0.3
-        return pred_poses, gt_poses, pred_d, target_d, valid
+        return pred_d, target_d, valid
+
+    def test_parameter_validation(self):
+        pred_d, target_d, valid = self._setup()
+        for alpha in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError, match="alpha must be > 0"):
+                total_loss(pred_d, target_d, valid, alpha, 1.0)
+        for lam in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lambda_weight must be finite and >= 0"):
+                total_loss(pred_d, target_d, valid, 100.0, lam)
+        assert total_loss(pred_d, target_d, valid, 100.0, 0.0)[0] == 0.0
 
     def test_lambda_zero_reduces_to_l1(self):
-        pred_poses, gt_poses, pred_d, target_d, valid = self._setup()
-        config = RobustLossConfig(alpha=100.0, lambda_weight=0.0)
-        value, grad_poses, grad_depths = total_loss(
-            pred_poses, gt_poses, pred_d, target_d, valid, config
-        )
-        l1_value, l1_grad = l1_pose_loss(pred_poses, gt_poses)
-        assert value == l1_value
-        np.testing.assert_array_equal(grad_poses, l1_grad)
+        """With lambda = 0 the weak term adds nothing to the L1 objective:
+        zero value and an all-zero gradient."""
+        pred_d, target_d, valid = self._setup()
+        value, grad_depths = total_loss(pred_d, target_d, valid, 100.0, 0.0)
+        assert value == 0.0
+        assert grad_depths.shape == pred_d.shape
         assert not grad_depths.any()
 
-    def test_value_is_l1_plus_weighted_robust_sum(self):
-        pred_poses, gt_poses, pred_d, target_d, valid = self._setup()
-        config = RobustLossConfig(alpha=400.0, lambda_weight=0.7)
-        value, _, _ = total_loss(pred_poses, gt_poses, pred_d, target_d, valid, config)
-        l1_value, _ = l1_pose_loss(pred_poses, gt_poses)
+    def test_value_is_weighted_robust_sum(self):
+        pred_d, target_d, valid = self._setup()
+        value, _ = total_loss(pred_d, target_d, valid, 400.0, 0.7)
         residual = (pred_d - target_d)[valid]
-        expected = l1_value + 0.7 * gm_loss(residual, 400.0).sum()
+        expected = 0.7 * gm_loss(residual, 400.0).sum()
         assert value == pytest.approx(expected, rel=1e-14)
 
     def test_invalid_entries_contribute_nothing(self):
         """Garbage behind the validity mask changes neither value nor gradient."""
-        pred_poses, gt_poses, pred_d, target_d, valid = self._setup()
-        config = RobustLossConfig(alpha=100.0, lambda_weight=1.0)
-        ref = total_loss(pred_poses, gt_poses, pred_d, target_d, valid, config)
+        pred_d, target_d, valid = self._setup()
+        ref = total_loss(pred_d, target_d, valid, 100.0, 1.0)
         corrupted = np.where(valid, target_d, 1e12)
-        out = total_loss(pred_poses, gt_poses, pred_d, corrupted, valid, config)
+        out = total_loss(pred_d, corrupted, valid, 100.0, 1.0)
         assert out[0] == ref[0]
         np.testing.assert_array_equal(out[1], ref[1])
-        np.testing.assert_array_equal(out[2], ref[2])
-        assert not out[2][~valid].any()
+        assert not out[1][~valid].any()
 
     def test_depth_gradient_matches_finite_differences(self):
-        pred_poses, gt_poses, pred_d, target_d, valid = self._setup(seed=5)
-        config = RobustLossConfig(alpha=900.0, lambda_weight=0.3)
-        _, _, grad_depths = total_loss(pred_poses, gt_poses, pred_d, target_d, valid, config)
+        pred_d, target_d, valid = self._setup(seed=5)
+        _, grad_depths = total_loss(pred_d, target_d, valid, 900.0, 0.3)
         h = 1e-5
         rng = np.random.default_rng(6)
         for _ in range(10):
             i, j = rng.integers(pred_d.shape[0]), rng.integers(pred_d.shape[1])
             bumped = pred_d.copy()
             bumped[i, j] += h
-            up = total_loss(pred_poses, gt_poses, bumped, target_d, valid, config)[0]
+            up = total_loss(bumped, target_d, valid, 900.0, 0.3)[0]
             bumped[i, j] -= 2 * h
-            down = total_loss(pred_poses, gt_poses, bumped, target_d, valid, config)[0]
+            down = total_loss(bumped, target_d, valid, 900.0, 0.3)[0]
             numeric = (up - down) / (2 * h)
             assert grad_depths[i, j] == pytest.approx(numeric, abs=1e-8)
 
     def test_shape_mismatch_raises(self):
-        pred_poses, gt_poses, pred_d, target_d, valid = self._setup()
-        config = RobustLossConfig()
+        pred_d, target_d, valid = self._setup()
         with pytest.raises(ValueError):
-            total_loss(pred_poses, gt_poses, pred_d, target_d[:, :5], valid, config)
+            total_loss(pred_d, target_d[:, :5], valid, 100.0, 1.0)
         with pytest.raises(ValueError):
-            total_loss(pred_poses, gt_poses, pred_d, target_d, valid[:1], config)
+            total_loss(pred_d, target_d, valid[:1], 100.0, 1.0)
 
     def test_empty_depth_batch(self):
-        """Two poses with unit residual everywhere sum to 2; no depth term."""
-        config = RobustLossConfig(alpha=100.0, lambda_weight=1.0)
-        value, _, grad_depths = total_loss(
-            np.zeros((2, 6)), np.ones((2, 6)),
-            np.zeros((0, 14)), np.zeros((0, 14)), np.zeros((0, 14), dtype=bool), config,
-        )
-        assert value == 2.0
+        """No weak samples: zero loss and an empty gradient."""
+        value, grad_depths = total_loss(np.zeros((0, 14)), np.zeros((0, 14)), np.zeros((0, 14), dtype=bool),
+                                        100.0, 1.0)
+        assert value == 0.0
         assert grad_depths.shape == (0, 14)

@@ -297,11 +297,11 @@ class TestAdam:
 
 class TestLrSchedule:
     def test_exact_decay_values(self):
-        assert nn.lr_schedule(0.001, 0) == 0.001
-        assert nn.lr_schedule(0.001, 3) == 0.001
-        assert nn.lr_schedule(0.001, 4) == 0.00096
-        assert nn.lr_schedule(0.001, 7) == 0.00096
-        assert nn.lr_schedule(0.001, 8) == 0.0009216
+        assert nn.lr_schedule(0.001, 0, 0.96, 4) == 0.001
+        assert nn.lr_schedule(0.001, 3, 0.96, 4) == 0.001
+        assert nn.lr_schedule(0.001, 4, 0.96, 4) == 0.00096
+        assert nn.lr_schedule(0.001, 7, 0.96, 4) == 0.00096
+        assert nn.lr_schedule(0.001, 8, 0.96, 4) == 0.0009216
 
     def test_floor_division_boundaries(self):
         for epoch in range(12):
@@ -309,11 +309,11 @@ class TestLrSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            nn.lr_schedule(0.0, 1)
+            nn.lr_schedule(0.0, 1, 0.96, 4)
         with pytest.raises(ValueError):
-            nn.lr_schedule(0.1, -1)
+            nn.lr_schedule(0.1, -1, 0.96, 4)
         with pytest.raises(ValueError):
-            nn.lr_schedule(0.1, 1, every=0)
+            nn.lr_schedule(0.1, 1, 0.96, every=0)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"decay": -0.5}, r"decay must be in \(0, 1\], got -0.5"),
@@ -326,7 +326,7 @@ class TestLrSchedule:
     ])
     def test_bad_decay_or_base_lr_names_the_parameter(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            nn.lr_schedule(**{"base_lr": 0.001, "epoch": 4, **kwargs})
+            nn.lr_schedule(**{"base_lr": 0.001, "epoch": 4, "decay": 0.96, "every": 4, **kwargs})
 
     def test_decay_of_one_keeps_the_base_rate(self):
-        assert nn.lr_schedule(0.001, 40, decay=1.0) == 0.001
+        assert nn.lr_schedule(0.001, 40, decay=1.0, every=4) == 0.001

@@ -24,7 +24,6 @@ from poselift.pipeline import (
     ConfigError,
     StandardizerStats,
     TrainConfig,
-    _head_z_dims,
     _robust_offset,
     build_inputs,
     destandardize_output,
@@ -177,13 +176,14 @@ class TestBuildInput:
         probe = samples[0]
         probe.depth_readouts[(2, 9),] = np.nan
         probe.depth_valid = np.isfinite(probe.depth_readouts)
-        x, valid = build_inputs(SampleBatch.from_samples([samples[1], probe], 17), stats)
-        assert x.shape == (2, 51) and valid.shape == (2, 17)
+        batch = SampleBatch.from_samples([samples[1], probe], 17)
+        x = build_inputs(batch, stats)
+        assert x.shape == (2, 51)
         assert np.isfinite(x).all()
         assert x[1, 34 + 2] == 0.0 and x[1, 34 + 9] == 0.0
-        assert not valid[1, 2] and not valid[1, 9]
+        assert not batch.valid[1, 2] and not batch.valid[1, 9]
         assert x[1, 34 + 3] != 0.0
-        assert valid[0].all() and (x[0, 34:] != 0.0).all()
+        assert batch.valid[0].all() and (x[0, 34:] != 0.0).all()
 
     def test_standardize_round_trip(self):
         stats = _fit(_training_set(8))
@@ -194,15 +194,6 @@ class TestBuildInput:
 
 
 class TestWeakHead:
-    def test_head_z_dims_layout(self):
-        np.testing.assert_array_equal(_head_z_dims(SPEC), np.arange(5, 45, 3))
-
-    def test_head_z_dims_with_root_in_subset(self):
-        spec = dataclasses.replace(SPEC, depth_subset=SPEC.depth_subset + (SPEC.root,))
-        dims = _head_z_dims(spec)
-        np.testing.assert_array_equal(dims[:-1], np.arange(5, 45, 3))
-        assert dims[-1] == 2
-
     def _zeroed_head(self, stats, spec):
         config = nn.MlpConfig(input_dim=51, output_dim=len(spec.depth_subset),
                               hidden_dim=16, num_blocks=1, dropout=0.0)

@@ -6,6 +6,7 @@ knee-to-neck distance lands on the requested length) and its anchor
 property (the hip does not move at all).
 """
 
+import dataclasses
 import json
 from dataclasses import asdict
 
@@ -26,6 +27,7 @@ from poselift.skeleton import (
     load_skeleton,
     pose_to_vector,
     save_skeleton,
+    vector_index,
     vector_to_pose,
 )
 
@@ -129,6 +131,32 @@ class TestDecomposeCompose:
             compose(PoseDecomposition(root=np.zeros(3), relative=np.zeros((15, 3))), SPEC)
         with pytest.raises(ValueError):
             vector_to_pose(np.zeros(50), SPEC)
+
+
+class TestVectorIndex:
+    def test_head_z_dims_layout(self):
+        np.testing.assert_array_equal(vector_index(SPEC, SPEC.depth_subset, 2), np.arange(5, 45, 3))
+
+    def test_head_z_dims_with_root_in_subset(self):
+        spec = dataclasses.replace(SPEC, depth_subset=SPEC.depth_subset + (SPEC.root,))
+        dims = vector_index(spec, spec.depth_subset, 2)
+        np.testing.assert_array_equal(dims[:-1], np.arange(5, 45, 3))
+        assert dims[-1] == 2
+
+    def test_matches_pose_to_vector(self):
+        """Each coordinate sits where pose_to_vector puts it: the root's
+        own value for the root, the root-relative offset for the others;
+        together the indices cover the vector once."""
+        pose = _random_pose(np.random.default_rng(14))
+        vec = pose_to_vector(pose, SPEC)
+        expected = pose - np.where(np.arange(SPEC.num_joints)[:, None] == SPEC.root, 0.0, pose[SPEC.root])
+        idx = np.stack([vector_index(SPEC, range(SPEC.num_joints), axis) for axis in range(3)], axis=1)
+        np.testing.assert_array_equal(vec[idx], expected)
+        np.testing.assert_array_equal(np.sort(idx.ravel()), np.arange(3 * SPEC.num_joints))
+
+    def test_bad_axis_raises(self):
+        with pytest.raises(ValueError, match="axis must be 0, 1 or 2, got 3"):
+            vector_index(SPEC, SPEC.depth_subset, 3)
 
 
 class TestKneeNeck:
