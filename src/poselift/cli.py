@@ -106,8 +106,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 Sample(
                     frame_id=fid,
                     camera=src.camera,
-                    width=src.width,
-                    height=src.height,
                     joints_2d=src.joints_2d,
                     joints_3d=pose,
                 )

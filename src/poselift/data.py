@@ -11,7 +11,8 @@ Records without ``joints_3d`` are depth-only (weak) samples.  Floats are
 written with ``repr`` precision so files round trip bit-exact.  A
 :class:`SampleBatch` holds a sample list as arrays for training and
 prediction.  :func:`fields_from_json` builds a config dataclass from
-JSON, checking each field by name and type.
+JSON, checking each field by name and type, and :func:`numbers_from_json`
+reads an array whose every element must be a JSON number.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ class Sample:
 
     frame_id: str
     camera: CameraIntrinsics
-    width: int
-    height: int
     joints_2d: np.ndarray
     joints_3d: np.ndarray | None = None
     depth_path: str | None = None
@@ -52,20 +51,12 @@ class Sample:
     def gt_pose(self) -> np.ndarray | None:
         return self.joints_3d if self.joints_3d is not None else self.eval_joints_3d
 
-    def readouts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-joint depth readouts at the 2D joints and their validity: the
-        cached ones, else read from the map or the DMAP file.  Stores nothing."""
-        if self.depth_readouts is not None:
-            values = np.asarray(self.depth_readouts, dtype=np.float64)
-            valid = np.isfinite(values) if self.depth_valid is None else np.asarray(self.depth_valid, dtype=bool)
-            return values, valid
-        if self.depth is None and self.depth_path is None:
-            raise ValueError(f"sample {self.frame_id} has no depth source")
-        return read_depth_at(self.depth if self.depth is not None else load_depth(self.depth_path), self.joints_2d)
-
     def ensure_readouts(self) -> None:
-        """Cache per-joint depth readouts at the 2D joints (not the map), once."""
-        self.depth_readouts, self.depth_valid = self.readouts()
+        """Cache per-joint depth readouts at the 2D joints (not the map), once,
+        as :meth:`SampleBatch.from_samples` resolves them."""
+        if self.depth_readouts is None or self.depth_valid is None:
+            batch = SampleBatch.from_samples([self], len(self.joints_2d))
+            self.depth_readouts, self.depth_valid = batch.readouts[0], batch.valid[0]
 
 
 def _checked(sample: Sample, name: str, value, shape: tuple, dtype=np.float64, finite: bool = True) -> np.ndarray:
@@ -104,9 +95,10 @@ class SampleBatch:
 
         This is where sample arrays are validated: a wrong shape, a
         non-finite joint or a non-finite readout marked valid raises
-        ValueError naming the frame id and the field.  A missing readout
-        is read from the sample's map or DMAP file without storing it; a
-        run of samples that share a DMAP file loads it once.
+        ValueError naming the frame id and the field.  A readout is the
+        sample's cached one, else read from its map, else from its DMAP
+        file; nothing is stored, and a run of samples that share a DMAP
+        file loads it once.
         """
         n, j = len(samples), num_joints
         joints_2d = np.empty((n, j, 2))
@@ -120,12 +112,17 @@ class SampleBatch:
         last_path, last_map = None, None
         for i, s in enumerate(samples):
             joints_2d[i] = _checked(s, "joints_2d", s.joints_2d, (j, 2))
-            if s.depth_readouts is None and s.depth is None and s.depth_path is not None:
+            if s.depth_readouts is not None:
+                values = s.depth_readouts
+                ok = np.isfinite(values) if s.depth_valid is None else s.depth_valid
+            elif s.depth is not None:
+                values, ok = read_depth_at(s.depth, joints_2d[i])
+            elif s.depth_path is not None:
                 if s.depth_path != last_path:
                     last_path, last_map = s.depth_path, load_depth(s.depth_path)
-                values, ok = read_depth_at(last_map, s.joints_2d)
+                values, ok = read_depth_at(last_map, joints_2d[i])
             else:
-                values, ok = s.readouts()
+                raise ValueError(f"sample {s.frame_id} has no depth source")
             values = _checked(s, "depth_readouts", values, (j,), finite=False)
             valid[i] = _checked(s, "depth_valid", ok, (j,), dtype=bool, finite=False)
             if not np.isfinite(values[valid[i]]).all():
@@ -160,14 +157,7 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
     cam = sample.camera
     record: dict = {
         "frame_id": sample.frame_id,
-        "camera": {
-            "fx": float(cam.fx),
-            "fy": float(cam.fy),
-            "cx": float(cam.cx),
-            "cy": float(cam.cy),
-            "width": int(sample.width),
-            "height": int(sample.height),
-        },
+        "camera": {f.name: (float if f.type == "float" else int)(getattr(cam, f.name)) for f in fields(cam)},
         "joints_2d": np.asarray(sample.joints_2d, dtype=np.float64).tolist(),
     }
     pose = sample.gt_pose() if use_eval_pose else sample.joints_3d
@@ -185,27 +175,46 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
     return record
 
 
-_CAMERA_TYPES = {"fx": "float", "fy": "float", "cx": "float", "cy": "float", "width": "int", "height": "int"}
+_NUMBER_TYPES = {int, float}  # exact types, so a JSON true or false (a bool) is none
+
+
+def numbers_from_json(name: str, value, null_ok: bool = False) -> np.ndarray:
+    """A JSON array of numbers (nested lists) as float64.  Any other
+    element, or an integer beyond float range, raises ValueError naming
+    the field; where ``null_ok``, a null element reads as NaN."""
+    allowed = _NUMBER_TYPES | {type(None)} if null_ok else _NUMBER_TYPES
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if type(v) is list:
+            stack.extend(v)
+        elif type(v) not in allowed:
+            raise ValueError(f"field {name!r} must hold numbers{' or null' if null_ok else ''}, got {v!r}")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"field {name!r} holds an integer beyond float range") from None
 
 
 def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
     """A record's sample; a missing field raises KeyError naming it, and
-    a field whose JSON type does not fit (see :func:`_fits`), per-joint
-    arrays that disagree on the joint count, joints that are not finite,
-    a readout that is not finite and > 0, or a camera width or height
-    below 1 raise ValueError.  Only a null readout marks an invalid one."""
+    a field whose JSON type does not fit (see :func:`_fits`), a joint or
+    readout that is not a JSON number, per-joint arrays that disagree on
+    the joint count, joints that are not finite, a readout that is not
+    finite and > 0, or a camera :class:`CameraIntrinsics` refuses raise
+    ValueError.  Only a null readout marks an invalid one."""
     cam_rec = record["camera"]
     if not isinstance(cam_rec, dict):
         raise ValueError(f"field 'camera' must be an object, got {cam_rec!r}")
     depth_path = record.get("depth_path")
     typed = [("frame_id", record["frame_id"], "str"), ("depth_path", depth_path, "str | None")]
-    typed += [(f"camera.{name}", cam_rec[name], annotation) for name, annotation in _CAMERA_TYPES.items()]
+    typed += [(f"camera.{f.name}", cam_rec[f.name], f.type) for f in fields(CameraIntrinsics)]
     for name, value, annotation in typed:
         if not _fits(value, annotation):
             raise ValueError(f"field {name!r} must be {annotation}, got {value!r}")
     if depth_path is not None and base_dir is not None:
         depth_path = str(base_dir / depth_path)
-    joints_2d = np.asarray(record["joints_2d"], dtype=np.float64)
+    joints_2d = numbers_from_json("joints_2d", record["joints_2d"])
     if joints_2d.ndim != 2 or joints_2d.shape[1] != 2:
         raise ValueError(f"joints_2d has shape {joints_2d.shape}, expected (J, 2)")
     if not np.isfinite(joints_2d).all():
@@ -213,7 +222,7 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
     num_joints = joints_2d.shape[0]
     joints_3d = record.get("joints_3d")
     if joints_3d is not None:
-        joints_3d = np.asarray(joints_3d, dtype=np.float64)
+        joints_3d = numbers_from_json("joints_3d", joints_3d)
         if joints_3d.shape != (num_joints, 3):
             raise ValueError(f"joints_3d has shape {joints_3d.shape}, expected ({num_joints}, 3) like joints_2d")
         if not np.isfinite(joints_3d).all():
@@ -222,9 +231,7 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
     depth_readouts = None
     depth_valid = None
     if readouts is not None:
-        depth_readouts = np.array(
-            [np.nan if v is None else float(v) for v in readouts], dtype=np.float64
-        )
+        depth_readouts = numbers_from_json("depth_readouts", readouts, null_ok=True)
         if depth_readouts.shape != (num_joints,):
             raise ValueError(
                 f"depth_readouts has shape {depth_readouts.shape}, expected ({num_joints},) like joints_2d"
@@ -233,14 +240,9 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
         bad = [v for v in depth_readouts[depth_valid] if not 0.0 < v < np.inf]  # NaN compares false
         if bad:
             raise ValueError(f"depth_readouts must be finite and > 0 (null marks an invalid one), got {bad[0]}")
-    for name in ("width", "height"):
-        if cam_rec[name] < 1:
-            raise ValueError(f"camera {name} must be >= 1, got {cam_rec[name]!r}")
     return Sample(
         frame_id=record["frame_id"],
-        camera=CameraIntrinsics.from_dict(cam_rec),
-        width=cam_rec["width"],
-        height=cam_rec["height"],
+        camera=CameraIntrinsics(**{f.name: cam_rec[f.name] for f in fields(CameraIntrinsics)}),
         joints_2d=joints_2d,
         joints_3d=joints_3d,
         depth_path=depth_path,

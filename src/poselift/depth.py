@@ -34,27 +34,28 @@ class DepthFormatError(ValueError):
 
 @dataclass
 class DepthMap:
-    """A width x height grid of z-depths in mm, NaN where invalid."""
+    """A height x width grid of z-depths in mm, NaN where invalid; its
+    size is the shape of ``values``."""
 
-    width: int
-    height: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"depth map shape must be positive, got {self.width}x{self.height}")
         vals = np.asarray(self.values, dtype=np.float32)
-        if vals.shape != (self.height, self.width):
-            if vals.size != self.width * self.height:
-                raise ValueError(
-                    f"expected {self.width * self.height} values, got {vals.size}"
-                )
-            vals = vals.reshape(self.height, self.width)
+        if vals.ndim != 2 or vals.size == 0:
+            raise ValueError(f"depth values must be a non-empty 2-D grid, got shape {vals.shape}")
         if np.any(np.isinf(vals)):
             raise ValueError("depth values must be finite or NaN")
         if (vals <= 0.0).any():  # NaN compares false
             raise ValueError("valid depth values must be positive")
         self.values = vals
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
 
 
 class Readouts(NamedTuple):
@@ -125,15 +126,15 @@ def save_depth(path: str | Path, depth: DepthMap) -> None:
 def load_depth(path: str | Path) -> DepthMap:
     """Read a DMAP file; bit-exact inverse of :func:`save_depth`.
 
-    Every rejection names the file: a short header or payload raises
-    OSError, and a bad magic, version or shape, bytes after the payload
-    (a wrong width or height) or values a DepthMap refuses raise
-    DepthFormatError.
+    Every rejection is a DepthFormatError naming the file: a short
+    header, a bad magic, version or shape, a payload shorter or longer
+    than the header's width x height (a truncated file, or a wrong width
+    or height), or values a DepthMap refuses.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise OSError(f"{path}: truncated depth file header")
+            raise DepthFormatError(f"{path}: truncated header of {len(header)} bytes, expected {_HEADER.size}")
         magic, version, width, height = _HEADER.unpack(header)
         if magic != MAGIC:
             raise DepthFormatError(f"{path}: bad magic {magic!r}")
@@ -141,15 +142,17 @@ def load_depth(path: str | Path) -> DepthMap:
             raise DepthFormatError(f"{path}: unsupported depth format version {version}")
         if width == 0 or height == 0:
             raise DepthFormatError(f"{path}: bad shape {width}x{height}")
-        payload = fh.read(4 * width * height)
-        if len(payload) < 4 * width * height:
-            raise OSError(f"{path}: truncated depth payload")
-        end_of_payload = fh.tell()
-        trailing = fh.seek(0, 2) - end_of_payload
-        if trailing:
-            raise DepthFormatError(f"{path}: {trailing} bytes after the {width}x{height} payload")
+        # Sized before it is read, so a corrupt width or height never
+        # asks for a buffer of its size.
+        need, have = 4 * width * height, fh.seek(0, 2) - _HEADER.size
+        if have < need:
+            raise DepthFormatError(f"{path}: the {width}x{height} payload needs {need} bytes, the file has {have}")
+        if have > need:
+            raise DepthFormatError(f"{path}: {have - need} bytes after the {width}x{height} payload")
+        fh.seek(_HEADER.size)
+        payload = fh.read(need)
     values = np.frombuffer(payload, dtype="<f4").reshape(height, width).copy()
     try:
-        return DepthMap(width=int(width), height=int(height), values=values)
+        return DepthMap(values)
     except ValueError as err:
         raise DepthFormatError(f"{path}: {err}") from err

@@ -23,24 +23,30 @@ class BehindCameraError(ValueError):
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole calibration: focal lengths and principal point, in pixels."""
+    """Pinhole calibration: focal lengths and principal point, in pixels,
+    and the image size in pixels, in the order of a pose file's camera."""
 
     fx: float
     fy: float
     cx: float
     cy: float
+    width: int
+    height: int
 
     def __post_init__(self) -> None:
         for name in ("fx", "fy", "cx", "cy"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"])
+        for name in ("width", "height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"camera {name} must be >= 1, got {getattr(self, name)!r}")
 
 
 def _as_points(points: np.ndarray, last_dim: int, what: str) -> np.ndarray:

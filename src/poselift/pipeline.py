@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, Sample, SampleBatch, fields_from_json
+from .data import Dataset, Sample, SampleBatch, fields_from_json, numbers_from_json
 from .geometry import zoom_augment
 from .losses import l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_index, vector_to_pose
@@ -54,7 +54,9 @@ class StandardizerStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StandardizerStats":
-        return cls(**{f.name: np.asarray(d[f.name], dtype=np.float64) for f in fields(cls)})
+        if not isinstance(d, dict):
+            raise ValueError(f"stats must be a JSON object, got {type(d).__name__}")
+        return cls(**{f.name: numbers_from_json(f"stats.{f.name}", d[f.name]) for f in fields(cls)})
 
 
 def _raw_inputs(batch: SampleBatch) -> np.ndarray:
@@ -296,9 +298,10 @@ def _stored_network(meta: dict, net: str, flat: np.ndarray) -> tuple[nn.MlpConfi
 
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read a file written by :func:`save_bundle`.  A version-1 JSON
-    checkpoint, a truncated file, sizes that do not match the stored
-    configs and skeleton, non-finite parameters or stats, or a stats std
-    that is not positive raise ValueError naming ``path``."""
+    checkpoint, a truncated file, a ``meta`` or stats that is not a JSON
+    object, sizes that do not match the stored configs and skeleton,
+    non-finite parameters or stats, or a stats std that is not positive
+    raise ValueError naming ``path``."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(4)
@@ -310,6 +313,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             with np.load(fh, allow_pickle=False) as npz:
                 meta = json.loads(str(npz["meta"]))
                 pose_flat, depth_flat = npz["posenet"], npz["jointdepthnet"]
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
         if meta["version"] != BUNDLE_VERSION:
             raise ValueError(f"unsupported model version {meta['version']!r}")
         skeleton = fields_from_json(SkeletonSpec, meta["skeleton"])

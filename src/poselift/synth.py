@@ -171,8 +171,6 @@ class Occluder:
 @dataclass
 class Scene:
     camera: CameraIntrinsics
-    width: int
-    height: int
     poses: list[np.ndarray]
     visibility: list[np.ndarray]
     occluders: list[Occluder]
@@ -441,9 +439,8 @@ def _joint_visibility(
     shell is thinner than the margin) and it projects inside the image."""
     if not poses:
         return []
-    height, width = clean.shape
     joints = np.stack(poses)
-    values, valid = read_depth_at(DepthMap(width, height, clean), project(joints, cam))
+    values, valid = read_depth_at(DepthMap(clean), project(joints, cam))
     return list(valid & (values > joints[..., 2] - config.visibility_margin_mm))
 
 
@@ -469,7 +466,7 @@ def render_depth(
         np.maximum(noisy, 1.0, out=noisy)
     if config.hole_probability > 0.0:
         np.copyto(noisy, np.nan, where=rng.random(clean.shape) < config.hole_probability)
-    return DepthMap(config.image_width, config.image_height, noisy), visibility
+    return DepthMap(noisy), visibility
 
 
 def _sample_camera(rng: np.random.Generator, config: SceneConfig) -> CameraIntrinsics:
@@ -477,7 +474,7 @@ def _sample_camera(rng: np.random.Generator, config: SceneConfig) -> CameraIntri
     fy = fx * rng.uniform(1.0 - config.fy_jitter, 1.0 + config.fy_jitter)
     cx = config.image_width / 2.0 + rng.uniform(-1.0, 1.0) * config.principal_jitter * config.image_width
     cy = config.image_height / 2.0 + rng.uniform(-1.0, 1.0) * config.principal_jitter * config.image_height
-    return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
+    return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=config.image_width, height=config.image_height)
 
 
 def _place_pose(
@@ -534,8 +531,6 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig, spec: Skeleton
     depth, visibility = render_depth(poses, occluders, cam, config, spec, rng)
     return Scene(
         camera=cam,
-        width=config.image_width,
-        height=config.image_height,
         poses=poses,
         visibility=visibility,
         occluders=occluders,
@@ -562,8 +557,6 @@ def scene_to_samples(scene: Scene, config: SceneConfig, rng: np.random.Generator
         sample = Sample(
             frame_id=frame_id,
             camera=scene.camera,
-            width=scene.width,
-            height=scene.height,
             joints_2d=detections,
             joints_3d=pose.copy(),
             depth=scene.depth,

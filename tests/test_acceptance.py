@@ -268,7 +268,7 @@ def test_criterion_6_determinism_and_formats(tmp_path):
     rng = _rng(61)
     values = rng.uniform(500.0, 9000.0, size=(32, 40)).astype(np.float32)
     values[rng.random((32, 40)) < 0.05] = np.nan
-    save_depth(tmp_path / "m.dmap", DepthMap(40, 32, values))
+    save_depth(tmp_path / "m.dmap", DepthMap(values))
     assert load_depth(tmp_path / "m.dmap").values.tobytes() == values.tobytes()
 
     write_pose_file(tmp_path / "one.jsonl", ds.all_samples())
@@ -291,7 +291,7 @@ def test_criterion_7_geometry_and_skeleton_invariants():
     for _ in range(50):
         cam = CameraIntrinsics(
             fx=float(rng.uniform(200, 400)), fy=float(rng.uniform(200, 400)),
-            cx=float(rng.uniform(60, 100)), cy=float(rng.uniform(40, 80)),
+            cx=float(rng.uniform(60, 100)), cy=float(rng.uniform(40, 80)), width=160, height=120,
         )
         pts = rng.uniform(-50.0, 250.0, size=(17, 2))
         back = denormalize_2d(normalize_2d(pts, cam), cam)

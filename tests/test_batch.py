@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from poselift import data
 from poselift.data import Sample, SampleBatch
-from poselift.depth import DepthMap, save_depth
+from poselift.depth import DepthMap, load_depth, read_depth_at, save_depth
 from poselift.geometry import CameraIntrinsics, normalize_2d, zoom_augment, zoom_points_2d, zoom_pose_3d
 from poselift.pipeline import StandardizerStats, _raw_inputs, build_inputs, fit_standardizer, standardize_output
 from poselift.skeleton import decompose, default_skeleton, pose_to_vector, vector_to_pose
@@ -63,7 +63,7 @@ def ref_pose_to_vector(pose: np.ndarray) -> np.ndarray:
 
 def _random_sample(rng, weak: bool, invalid_share: float, junk_invalid: bool, mask_given: bool) -> Sample:
     cam = CameraIntrinsics(fx=float(rng.uniform(200, 320)), fy=float(rng.uniform(200, 320)),
-                           cx=float(rng.uniform(60, 100)), cy=float(rng.uniform(40, 80)))
+                           cx=float(rng.uniform(60, 100)), cy=float(rng.uniform(40, 80)), width=160, height=120)
     pose = rng.normal(0.0, 300.0, size=(J, 3)) + [0.0, 0.0, rng.uniform(2000.0, 7000.0)]
     readouts = pose[:, 2] + rng.normal(-40.0, 20.0, J)
     invalid = rng.random(J) < invalid_share
@@ -72,8 +72,6 @@ def _random_sample(rng, weak: bool, invalid_share: float, junk_invalid: bool, ma
     return Sample(
         frame_id=f"f{rng.integers(1000)}",
         camera=cam,
-        width=160,
-        height=120,
         joints_2d=rng.uniform(-20.0, 180.0, size=(J, 2)),
         joints_3d=None if weak else pose,
         depth_readouts=readouts,
@@ -229,9 +227,9 @@ class TestFromSamples:
     def test_missing_readouts_come_from_the_map_or_file_and_are_not_stored(self, tmp_path):
         values = np.random.default_rng(9).uniform(1000.0, 5000.0, (120, 160)).astype(np.float32)
         values[50:60, :] = np.nan
-        save_depth(tmp_path / "f.dmap", DepthMap(160, 120, values))
+        save_depth(tmp_path / "f.dmap", DepthMap(values))
         from_file = _sample("a", depth_readouts=None, depth_valid=None, depth_path=str(tmp_path / "f.dmap"))
-        from_map = _sample("b", depth_readouts=None, depth_valid=None, depth=DepthMap(160, 120, values))
+        from_map = _sample("b", depth_readouts=None, depth_valid=None, depth=DepthMap(values))
         batch = SampleBatch.from_samples([from_file, from_map], J)
         assert from_file.depth is None and from_file.depth_readouts is None and from_map.depth_readouts is None
         from_map.ensure_readouts()
@@ -245,12 +243,13 @@ class TestFromSamples:
         for name in "abc":
             values = rng.uniform(1000.0, 5000.0, (120, 160)).astype(np.float32)
             values[rng.random(values.shape) < 0.2] = np.nan
-            save_depth(tmp_path / f"{name}.dmap", DepthMap(160, 120, values))
+            save_depth(tmp_path / f"{name}.dmap", DepthMap(values))
             paths.append(str(tmp_path / f"{name}.dmap"))
         samples = [_sample(f"f{i}", depth_readouts=None, depth_valid=None, depth_path=paths[k])
                    for i, k in enumerate([0, 0, 1, 1, 1, 2])]
         samples.append(_sample("cached", depth_path=paths[2]))
-        expected = [s.readouts() for s in samples]
+        expected = [read_depth_at(load_depth(s.depth_path), s.joints_2d) for s in samples[:-1]]
+        expected.append((samples[-1].depth_readouts, samples[-1].depth_valid))
         loads = []
         real_load = data.load_depth
         monkeypatch.setattr(data, "load_depth", lambda path: loads.append(path) or real_load(path))

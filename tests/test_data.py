@@ -24,7 +24,7 @@ from poselift.data import (
 from poselift.depth import DepthMap, load_depth, read_depth_at, save_depth
 from poselift.geometry import CameraIntrinsics
 
-CAM = CameraIntrinsics(fx=270.0, fy=265.3, cx=80.7, cy=59.2)
+CAM = CameraIntrinsics(fx=270.0, fy=265.3, cx=80.7, cy=59.2, width=160, height=120)
 
 
 def _sample(frame_id="f0", annotated=True, readouts=None, rng=None, **kwargs):
@@ -36,8 +36,6 @@ def _sample(frame_id="f0", annotated=True, readouts=None, rng=None, **kwargs):
     return Sample(
         frame_id=frame_id,
         camera=CAM,
-        width=160,
-        height=120,
         joints_2d=joints_2d,
         joints_3d=joints_3d,
         depth_readouts=readouts,
@@ -53,7 +51,7 @@ class TestRecordRoundTrip:
         back = record_to_sample(record)
         assert back.frame_id == sample.frame_id
         assert back.camera == sample.camera
-        assert (back.width, back.height) == (160, 120)
+        assert (back.camera.width, back.camera.height) == (160, 120)
         np.testing.assert_array_equal(back.joints_2d, sample.joints_2d)
         np.testing.assert_array_equal(back.joints_3d, sample.joints_3d)
         np.testing.assert_array_equal(back.depth_readouts, sample.depth_readouts)
@@ -115,7 +113,7 @@ class TestPoseFile:
         (tmp_path / "depth").mkdir()
         values = np.random.Generator(np.random.Philox(2)).uniform(500, 9000, (4, 6))
         values = values.astype(np.float32)
-        save_depth(tmp_path / "depth" / "f0.dmap", DepthMap(6, 4, values))
+        save_depth(tmp_path / "depth" / "f0.dmap", DepthMap(values))
         sample = _sample(depth_path="depth/f0.dmap")
         sample.joints_2d = np.array([[1.0, 1.0], [4.5, 2.5]] + [[0.0, 0.0]] * 15)
         path = tmp_path / "samples.jsonl"
@@ -147,6 +145,14 @@ class TestPoseFile:
         del record["camera"]
         path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ValueError, match=r"samples\.jsonl:2: record has no field 'camera'"):
+            read_pose_file(path)
+
+    def test_camera_without_a_size_field_names_it(self, tmp_path):
+        path = tmp_path / "samples.jsonl"
+        record = sample_to_record(_sample())
+        del record["camera"]["width"]
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=r"samples\.jsonl:1: record has no field 'width'$"):
             read_pose_file(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -217,13 +223,27 @@ class TestPoseFile:
         (("camera", "fx"), "250", "field 'camera.fx' must be float, got '250'"),
         (("frame_id",), 7, "field 'frame_id' must be str, got 7"),
         (("frame_id",), None, "field 'frame_id' must be str, got None"),
+        (("joints_2d", 3, 0), "1.5", "field 'joints_2d' must hold numbers, got '1.5'"),
+        (("joints_2d", 3, 1), True, "field 'joints_2d' must hold numbers, got True"),
+        (("joints_3d", 0, 2), "4000", "field 'joints_3d' must hold numbers, got '4000'"),
+        (("depth_readouts", 5), "3000.5", "field 'depth_readouts' must hold numbers or null, got '3000.5'"),
+        (("depth_readouts", 5), True, "field 'depth_readouts' must hold numbers or null, got True"),
+        (("camera", "fx"), 10**400, f"fx must be finite, got {10**400}"),
+        (("joints_3d", 2, 0), 10**400, "field 'joints_3d' holds an integer beyond float range"),
+        (("depth_readouts", 0), 10**400, "field 'depth_readouts' holds an integer beyond float range"),
     ], ids=["width-null", "fx-null", "camera-list", "depth_path-int", "width-float", "width-bool", "fx-bool",
-            "fx-string", "frame_id-int", "frame_id-null"])
+            "fx-string", "frame_id-int", "frame_id-null", "joint2d-string", "joint2d-bool", "joint3d-string",
+            "readout-string", "readout-bool", "fx-huge-int", "joint3d-huge-int", "readout-huge-int"])
     def test_field_of_the_wrong_type_names_file_line_and_field(self, tmp_path, keys, value, message):
-        """No field is coerced: a value whose JSON type does not fit raises."""
+        """No field is coerced: a value whose JSON type does not fit raises,
+        and so does a joint or readout that is not a JSON number (a readout
+        may be null) or an integer beyond float range."""
         path = tmp_path / "samples.jsonl"
-        record = sample_to_record(_sample())
-        (record if len(keys) == 1 else record["camera"])[keys[-1]] = value
+        record = sample_to_record(_sample(readouts=[1000.0] * 17))
+        target = record
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
         path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ValueError) as info:
             read_pose_file(path)

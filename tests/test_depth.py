@@ -28,7 +28,7 @@ from poselift.depth import (
 def _random_map(rng, width, height, hole_prob=0.1) -> DepthMap:
     values = rng.uniform(500.0, 9000.0, size=(height, width)).astype(np.float32)
     values[rng.random(values.shape) < hole_prob] = np.nan
-    return DepthMap(width, height, values)
+    return DepthMap(values)
 
 
 def _write_dmap(path, values, version=VERSION, trailing=b""):
@@ -61,37 +61,42 @@ def _reference_bilinear(depth: DepthMap, x: float, y: float):
 class TestDepthMapValidation:
     def test_rejects_non_positive_valid_values(self):
         with pytest.raises(ValueError):
-            DepthMap(2, 2, np.array([[1.0, 2.0], [0.0, 4.0]]))
+            DepthMap(np.array([[1.0, 2.0], [0.0, 4.0]]))
         with pytest.raises(ValueError):
-            DepthMap(2, 2, np.array([[1.0, 2.0], [-3.0, 4.0]]))
+            DepthMap(np.array([[1.0, 2.0], [-3.0, 4.0]]))
         with pytest.raises(ValueError):  # -0.0 <= 0, and NaN beside it hides nothing
-            DepthMap(2, 2, np.array([[np.nan, 2.0], [-0.0, np.nan]]))
+            DepthMap(np.array([[np.nan, 2.0], [-0.0, np.nan]]))
 
     def test_rejects_infinities(self):
         with pytest.raises(ValueError):
-            DepthMap(2, 2, np.array([[1.0, np.inf], [3.0, 4.0]]))
+            DepthMap(np.array([[1.0, np.inf], [3.0, 4.0]]))
         with pytest.raises(ValueError):
-            DepthMap(2, 2, np.array([[np.nan, -np.inf], [3.0, np.nan]]))
+            DepthMap(np.array([[np.nan, -np.inf], [3.0, np.nan]]))
 
     def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            DepthMap(3, 2, np.ones((2, 2)))
+        """A grid that is not 2-D, or is empty, is no map."""
+        for shape in [(6,), (1, 2, 3), (0, 3), (3, 0), ()]:
+            with pytest.raises(ValueError, match=re.escape(f"non-empty 2-D grid, got shape {shape}")):
+                DepthMap(np.ones(shape))
 
-    def test_accepts_flat_values_and_reshapes(self):
-        dm = DepthMap(3, 2, np.arange(1, 7, dtype=np.float32))
-        assert dm.values.shape == (2, 3)
-        assert dm.values[1, 2] == 6.0
+    def test_width_and_height_follow_the_shape(self):
+        dm = DepthMap(np.arange(1, 7, dtype=np.float32).reshape(2, 3))
+        assert (dm.width, dm.height) == (3, 2)
+        dm.values = np.ones((5, 4), dtype=np.float32)
+        assert (dm.width, dm.height) == (4, 5)
+        with pytest.raises(AttributeError):
+            dm.width = 7
 
     def test_all_nan_map_is_allowed(self):
         """A frame where the sensor returned nothing is still a valid map."""
-        dm = DepthMap(4, 3, np.full((3, 4), np.nan))
+        dm = DepthMap(np.full((3, 4), np.nan))
         assert np.isnan(dm.values).all()
 
 
 class TestBilinearReadout:
     def test_two_by_two_hand_case(self):
         """Centre of a 2x2 grid [[1,2],[3,4]] reads the mean, 2.5."""
-        dm = DepthMap(2, 2, np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
+        dm = DepthMap(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
         out = read_depth_at(dm, np.array([[0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(out.values, [2.5, 1.0, 4.0, 2.0], rtol=0, atol=0)
         assert out.valid.all()
@@ -143,7 +148,7 @@ class TestBilinearReadout:
             np.testing.assert_array_equal(out.valid, ref.valid)
 
     def test_edge_of_image_is_inside(self):
-        dm = DepthMap(3, 3, np.full((3, 3), 1000.0, dtype=np.float32))
+        dm = DepthMap(np.full((3, 3), 1000.0, dtype=np.float32))
         out = read_depth_at(dm, np.array([[2.0, 2.0], [0.0, 2.0], [2.0, 0.0]]))
         assert out.valid.all()
         out = read_depth_at(dm, np.array([[2.0001, 2.0], [-0.0001, 0.0]]))
@@ -152,26 +157,26 @@ class TestBilinearReadout:
     def test_nan_neighbour_invalidates_without_mixing(self):
         values = np.full((3, 3), 1000.0, dtype=np.float32)
         values[0, 0] = np.nan
-        dm = DepthMap(3, 3, values)
+        dm = DepthMap(values)
         out = read_depth_at(dm, np.array([[0.5, 0.5], [1.5, 1.5], [2.0, 2.0]]))
         assert list(out.valid) == [False, True, True]
         assert np.isnan(out.values[0])
         np.testing.assert_allclose(out.values[1:], 1000.0, rtol=0, atol=0)
 
     def test_single_point_and_shape_checks(self):
-        dm = DepthMap(2, 2, np.full((2, 2), 700.0, dtype=np.float32))
+        dm = DepthMap(np.full((2, 2), 700.0, dtype=np.float32))
         out = read_depth_at(dm, np.array([1.0, 1.0]))
         assert out.values.shape == (1,)
         with pytest.raises(ValueError):
             read_depth_at(dm, np.zeros((4, 3)))
 
     def test_non_finite_query_is_invalid(self):
-        dm = DepthMap(2, 2, np.full((2, 2), 700.0, dtype=np.float32))
+        dm = DepthMap(np.full((2, 2), 700.0, dtype=np.float32))
         out = read_depth_at(dm, np.array([[np.nan, 0.5], [0.5, np.inf]]))
         assert not out.valid.any()
 
     def test_readout_unpacks_to_values_and_valid(self):
-        dm = DepthMap(3, 2, np.array([[1.0, 2.0, np.nan], [3.0, 4.0, np.nan]], dtype=np.float32))
+        dm = DepthMap(np.array([[1.0, 2.0, np.nan], [3.0, 4.0, np.nan]], dtype=np.float32))
         values, valid = read_depth_at(dm, np.array([[0.0, 0.0], [1.5, 0.5]]))
         assert values.dtype == np.float64 and valid.dtype == bool
         assert values[0] == 1.0 and np.isnan(values[1])
@@ -195,22 +200,36 @@ class TestDmapFormat:
         values_bits[0, 1] = 0x7FC00ABC  # a quiet NaN with a nonzero payload
         values_bits[1, 0] = 0x7FC00000
         path = tmp_path / "nan.dmap"
-        save_depth(path, DepthMap(2, 2, values))
+        save_depth(path, DepthMap(values))
         back = load_depth(path)
         assert back.values.tobytes() == values.tobytes()
 
-    def test_truncated_header_raises_oserror(self, tmp_path):
+    def test_truncated_header_raises_format_error(self, tmp_path):
         path = tmp_path / "short.dmap"
         path.write_bytes(b"DMA")
-        with pytest.raises(OSError):
+        with pytest.raises(DepthFormatError, match=rf"^{re.escape(str(path))}: truncated header of 3 bytes, expected 16$"):
             load_depth(path)
 
-    def test_truncated_payload_raises_oserror(self, tmp_path):
+    def test_truncated_payload_raises_format_error(self, tmp_path):
         path = tmp_path / "cut.dmap"
-        save_depth(path, DepthMap(4, 4, np.full((4, 4), 1.0, dtype=np.float32)))
+        save_depth(path, DepthMap(np.full((4, 4), 1.0, dtype=np.float32)))
         data = path.read_bytes()
         path.write_bytes(data[:-5])
-        with pytest.raises(OSError):
+        with pytest.raises(DepthFormatError,
+                           match=rf"^{re.escape(str(path))}: the 4x4 payload needs 64 bytes, the file has 59$"):
+            load_depth(path)
+
+    @pytest.mark.parametrize("byte, width", [(0, 5), (3, 4 + 2**24)])
+    def test_raised_width_byte_gives_both_payload_sizes(self, tmp_path, byte, width):
+        """The low or the high byte of the width raised by one leaves the
+        file shorter than its header says."""
+        path = tmp_path / "wide.dmap"
+        save_depth(path, DepthMap(np.full((3, 4), 1000.0, dtype=np.float32)))
+        data = bytearray(path.read_bytes())
+        data[8 + byte] += 1  # the little-endian width is bytes 8 to 11
+        path.write_bytes(bytes(data))
+        with pytest.raises(DepthFormatError, match=rf"^{re.escape(str(path))}: the {width}x3 payload needs "
+                                                   rf"{4 * width * 3} bytes, the file has 48$"):
             load_depth(path)
 
     def test_bad_magic_raises_format_error(self, tmp_path):
@@ -256,7 +275,7 @@ class TestDmapFormat:
     def test_bytes_after_the_payload_name_the_file(self, tmp_path):
         """A 4x4 map stored under a 3x4 header leaves 16 bytes over."""
         path = tmp_path / "long.dmap"
-        save_depth(path, DepthMap(4, 4, np.full((4, 4), 1000.0, dtype=np.float32)))
+        save_depth(path, DepthMap(np.full((4, 4), 1000.0, dtype=np.float32)))
         data = bytearray(path.read_bytes())
         data[12:16] = struct.pack("<I", 3)  # height
         path.write_bytes(bytes(data))

@@ -25,27 +25,35 @@ from poselift.geometry import (
     zoom_pose_3d,
 )
 
-CAM = CameraIntrinsics(fx=270.0, fy=265.3, cx=80.7, cy=59.2)
+CAM = CameraIntrinsics(fx=270.0, fy=265.3, cx=80.7, cy=59.2, width=160, height=120)
 
 
 class TestCameraIntrinsics:
     def test_rejects_nonpositive_focal_lengths(self):
         with pytest.raises(ValueError):
-            CameraIntrinsics(fx=0.0, fy=100.0, cx=0.0, cy=0.0)
+            CameraIntrinsics(fx=0.0, fy=100.0, cx=0.0, cy=0.0, width=160, height=120)
         with pytest.raises(ValueError):
-            CameraIntrinsics(fx=100.0, fy=-1.0, cx=0.0, cy=0.0)
+            CameraIntrinsics(fx=100.0, fy=-1.0, cx=0.0, cy=0.0, width=160, height=120)
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError):
-            CameraIntrinsics(fx=math.nan, fy=100.0, cx=0.0, cy=0.0)
+            CameraIntrinsics(fx=math.nan, fy=100.0, cx=0.0, cy=0.0, width=160, height=120)
         with pytest.raises(ValueError):
-            CameraIntrinsics(fx=100.0, fy=100.0, cx=math.inf, cy=0.0)
+            CameraIntrinsics(fx=100.0, fy=100.0, cx=math.inf, cy=0.0, width=160, height=120)
+        with pytest.raises(ValueError, match=r"^fy must be finite, got 1000"):  # an int beyond float range
+            CameraIntrinsics(fx=100.0, fy=10**400, cx=0.0, cy=0.0, width=160, height=120)
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    def test_rejects_image_size_below_one(self, field):
+        size = {"width": 160, "height": 120, field: 0}
+        with pytest.raises(ValueError, match=rf"^camera {field} must be >= 1, got 0$"):
+            CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0, **size)
 
 
 class TestNormalize2d:
     def test_hand_computed_values(self):
         """((u - cx) / fx, (v - cy) / fy) on a case small enough to do by hand."""
-        cam = CameraIntrinsics(fx=2.0, fy=4.0, cx=10.0, cy=20.0)
+        cam = CameraIntrinsics(fx=2.0, fy=4.0, cx=10.0, cy=20.0, width=160, height=120)
         out = normalize_2d(np.array([12.0, 28.0]), cam)
         np.testing.assert_allclose(out, [1.0, 2.0], rtol=0, atol=0)
 
@@ -71,7 +79,7 @@ class TestNormalize2d:
 
 class TestProject:
     def test_hand_computed_values(self):
-        cam = CameraIntrinsics(fx=500.0, fy=400.0, cx=80.0, cy=60.0)
+        cam = CameraIntrinsics(fx=500.0, fy=400.0, cx=80.0, cy=60.0, width=160, height=120)
         out = project(np.array([100.0, -50.0, 1000.0]), cam)
         np.testing.assert_allclose(out, [130.0, 40.0], rtol=0, atol=1e-12)
 
@@ -134,8 +142,6 @@ def _make_sample(rng) -> Sample:
     return Sample(
         frame_id="f0",
         camera=CAM,
-        width=160,
-        height=120,
         joints_2d=project(pose, CAM),
         joints_3d=pose,
         depth_path="depth/f0.dmap",

@@ -41,7 +41,7 @@ from poselift.skeleton import default_skeleton
 from poselift.synth import SceneConfig, generate_dataset
 
 SPEC = default_skeleton()
-CAM = CameraIntrinsics(fx=270.0, fy=265.0, cx=80.0, cy=60.0)
+CAM = CameraIntrinsics(fx=270.0, fy=265.0, cx=80.0, cy=60.0, width=160, height=120)
 SUBSET = np.asarray(SPEC.depth_subset, dtype=int)
 
 
@@ -54,8 +54,6 @@ def _annotated(rng, offset=-50.0, offset_noise=0.0, readouts=None):
     return Sample(
         frame_id=f"f{rng.integers(1 << 30)}",
         camera=CAM,
-        width=160,
-        height=120,
         joints_2d=joints_2d,
         joints_3d=joints_3d,
         depth_readouts=readouts,
@@ -575,6 +573,32 @@ class TestBundleFormat:
         with pytest.raises(ValueError) as info:
             load_bundle(tmp_path / "b.npz")
         assert str(info.value) == f"{tmp_path / 'b.npz'}: cannot load model bundle: {message}"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.update(stats=None), "stats must be a JSON object, got NoneType"),
+        (lambda meta: meta.update(stats=[1.0, 2.0]), "stats must be a JSON object, got list"),
+        (lambda meta: meta["stats"].update(input_mean={}), "field 'stats.input_mean' must hold numbers, got {}"),
+        (lambda meta: meta["stats"]["output_std"].__setitem__(2, "1.5"),
+         "field 'stats.output_std' must hold numbers, got '1.5'"),
+    ], ids=["stats-null", "stats-list", "stats-field-object", "stats-element-string"])
+    def test_stats_that_are_not_json_numbers_are_rejected(self, tiny_bundle, tmp_path, edit, message):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", lambda meta, arrays: edit(meta))
+        with pytest.raises(ValueError) as info:
+            load_bundle(tmp_path / "b.npz")
+        assert str(info.value) == f"{tmp_path / 'b.npz'}: cannot load model bundle: {message}"
+
+    @pytest.mark.parametrize("meta", [[1, 2], "v2", None])
+    def test_meta_that_is_not_an_object_is_rejected(self, tiny_bundle, tmp_path, meta):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        with np.load(tmp_path / "a.npz") as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        with open(tmp_path / "b.npz", "wb") as fh:
+            np.savez(fh, **{**arrays, "meta": np.array(json.dumps(meta))})
+        with pytest.raises(ValueError) as info:
+            load_bundle(tmp_path / "b.npz")
+        assert str(info.value) == (f"{tmp_path / 'b.npz'}: cannot load model bundle: "
+                                   f"meta must be a JSON object, got {type(meta).__name__}")
 
     def test_truncated_or_foreign_file_is_rejected(self, tiny_bundle, tmp_path):
         save_bundle(tmp_path / "a.npz", tiny_bundle)

@@ -55,7 +55,7 @@ from poselift.synth import (
 )
 
 SPEC = default_skeleton()
-CAM = CameraIntrinsics(fx=260.0, fy=260.0, cx=80.0, cy=60.0)
+CAM = CameraIntrinsics(fx=260.0, fy=260.0, cx=80.0, cy=60.0, width=160, height=120)
 
 
 def _rng(seed):
@@ -218,7 +218,8 @@ def scenes(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     focal = draw(st.sampled_from([3.0, 40.0, 260.0]))
     cam = CameraIntrinsics(fx=focal * rng.uniform(0.8, 1.2), fy=focal * rng.uniform(0.8, 1.2),
-                           cx=rng.uniform(-0.2, 1.2) * width, cy=rng.uniform(-0.2, 1.2) * height)
+                           cx=rng.uniform(-0.2, 1.2) * width, cy=rng.uniform(-0.2, 1.2) * height,
+                           width=width, height=height)
     poses = []
     for _ in range(draw(st.integers(0, 2))):
         u, v = rng.uniform(-0.5, 1.5) * width, rng.uniform(-0.5, 1.5) * height
@@ -656,8 +657,8 @@ class TestGenerateScene:
             for pose, visible in zip(scene.poses, scene.visibility):
                 pix = project(pose, scene.camera)
                 outside = (
-                    (pix[:, 0] < 0.0) | (pix[:, 0] > scene.width - 1)
-                    | (pix[:, 1] < 0.0) | (pix[:, 1] > scene.height - 1)
+                    (pix[:, 0] < 0.0) | (pix[:, 0] > scene.camera.width - 1)
+                    | (pix[:, 1] < 0.0) | (pix[:, 1] > scene.camera.height - 1)
                 )
                 assert not visible[outside].any()
                 hit += int(outside.sum())
@@ -816,8 +817,8 @@ class TestStatisticalProperties:
                 for j in range(17):
                     if not (visible[j] and sample.depth_valid[j]):
                         continue
-                    x0 = min(int(np.floor(pix[j, 0])), scene.width - 2)
-                    y0 = min(int(np.floor(pix[j, 1])), scene.height - 2)
+                    x0 = min(int(np.floor(pix[j, 0])), scene.camera.width - 2)
+                    y0 = min(int(np.floor(pix[j, 1])), scene.camera.height - 2)
                     corners = clean[y0 : y0 + 2, x0 : x0 + 2]
                     spread = float(np.nanmax(corners) - np.nanmin(corners))
                     bound = 3.0 * config.sensor_noise_mm + _incident_radius(j) + spread
