@@ -37,10 +37,7 @@ from .pipeline import (
 )
 from .skeleton import (
     DegeneratePoseError,
-    PoseDecomposition,
     SkeletonSpec,
-    compose,
-    decompose,
     default_skeleton,
     height_normalize,
     knee_neck_distance,

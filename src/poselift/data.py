@@ -18,6 +18,7 @@ reads an array whose every element must be a JSON number.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -252,13 +253,23 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
 
 
 def write_pose_file(path: str | Path, samples: list[Sample], use_eval_pose: bool = False) -> None:
+    """One record per sample.  An absolute ``depth_path``, as
+    :func:`read_pose_file` stores it, is written relative to ``path``'s
+    directory; a relative one is written as it is."""
+    base_dir = Path(path).parent.absolute()
     with open(path, "w") as fh:
         for sample in samples:
-            fh.write(json.dumps(sample_to_record(sample, use_eval_pose)) + "\n")
+            record = sample_to_record(sample, use_eval_pose)
+            if os.path.isabs(record.get("depth_path", "")):
+                record["depth_path"] = os.path.relpath(record["depth_path"], base_dir)
+            fh.write(json.dumps(record) + "\n")
 
 
 def read_pose_file(path: str | Path) -> list[Sample]:
+    """The file's samples; a relative ``depth_path`` is stored joined to
+    the file's absolute directory, so it resolves from anywhere."""
     path = Path(path)
+    base_dir = path.parent.absolute()
     samples = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -270,7 +281,7 @@ def read_pose_file(path: str | Path) -> list[Sample]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON record: {exc}") from exc
             try:
-                samples.append(record_to_sample(record, base_dir=path.parent))
+                samples.append(record_to_sample(record, base_dir=base_dir))
             except KeyError as exc:
                 raise ValueError(f"{path}:{line_no}: record has no field {exc.args[0]!r}") from exc
             except ValueError as exc:

@@ -144,7 +144,7 @@ def forward(
 
     keep = 1.0 - config.dropout
     use_dropout = train and config.dropout > 0.0
-    cache: dict = {"x": x, "train": train, "blocks": []}
+    cache: dict = {"x": x, "blocks": []}
 
     h = _linear_forward(x, params["fc_in.w"], params["fc_in.b"])
     for i in range(config.num_blocks):

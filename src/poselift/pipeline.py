@@ -180,14 +180,9 @@ def predicted_joint_depths(
     Returns (depths (B, K), cache for the backward pass).
     """
     jdn_out, jdn_cache = nn.forward(depth_params, depth_config, o_std, train=train, rng=rng)
-    z_dims = vector_index(spec, spec.depth_subset, 2)
-    root_is_subset = np.asarray(spec.depth_subset) == spec.root
-    z_hat = stats.output_mean[z_dims] + stats.output_std[z_dims] * o_std[:, z_dims]
-    root_z = stats.output_mean[2] + stats.output_std[2] * o_std[:, 2]
-    z_abs = np.where(root_is_subset, z_hat, z_hat + root_z[:, None])
+    z_abs = vector_to_pose(destandardize_output(o_std, stats), spec)[:, spec.depth_subset, 2]
     depths = z_abs + stats.depth_offset_mean + stats.depth_offset_std * jdn_out
-    cache = {"jdn_cache": jdn_cache, "z_dims": z_dims, "root_is_subset": root_is_subset}
-    return depths, cache
+    return depths, {"jdn_cache": jdn_cache, "spec": spec}
 
 
 def joint_depth_backward(
@@ -200,13 +195,13 @@ def joint_depth_backward(
 ):
     """Backward pass of the weak head: writes the depth-net gradients into
     ``grads`` and returns the gradient with respect to o_std."""
-    d_jdn = d_depths * stats.depth_offset_std
-    d_o = nn.backward(depth_params, depth_config, cache["jdn_cache"], d_jdn, grads)
-    z_dims = cache["z_dims"]
-    root_is_subset = cache["root_is_subset"]
-    d_o = d_o.copy()
-    np.add.at(d_o, (slice(None), z_dims), d_depths * stats.output_std[z_dims])
-    d_o[:, 2] += (d_depths * stats.output_std[2] * (~root_is_subset)).sum(axis=1)
+    d_o = nn.backward(depth_params, depth_config, cache["jdn_cache"], d_depths * stats.depth_offset_std, grads)
+    spec = cache["spec"]
+    z_dims = vector_index(spec, spec.depth_subset, 2)  # distinct, so += adds each once
+    root_z = vector_index(spec, spec.root, 2)
+    not_root = np.asarray(spec.depth_subset) != spec.root
+    d_o[:, z_dims] += d_depths * stats.output_std[z_dims]
+    d_o[:, root_z] += (d_depths * stats.output_std[root_z] * not_root).sum(axis=1)
     return d_o
 
 
@@ -265,14 +260,13 @@ class ModelBundle:
     depth_config: nn.MlpConfig
     depth_params: nn.ParamVector
     stats: StandardizerStats
-    version: int = BUNDLE_VERSION
 
 
 def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
     """Write one ``.npz`` file at exactly ``path``: both parameter vectors and
     a JSON ``meta`` entry.  Equal bundles give byte-identical files."""
     meta = {
-        "version": bundle.version,
+        "version": BUNDLE_VERSION,
         "skeleton": asdict(bundle.skeleton),
         "stats": bundle.stats.to_dict(),
         "posenet": asdict(bundle.pose_config),
@@ -337,7 +331,6 @@ def load_bundle(path: str | Path) -> ModelBundle:
             depth_config=depth_config,
             depth_params=depth_params,
             stats=stats,
-            version=meta["version"],
         )
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
         raise ValueError(f"{path}: cannot load model bundle: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Skeleton layout, root/relative decomposition and height normalization.
+"""Skeleton layout, the root/relative pose vector and height normalization.
 
 Poses are (J, 3) arrays of camera-frame millimeter coordinates.  The
 default layout has 17 joints, rooted at the hip (pelvis), with a
@@ -110,33 +110,6 @@ def _check_pose(pose: np.ndarray, spec: SkeletonSpec) -> np.ndarray:
     if arr.shape != (spec.num_joints, 3):
         raise ValueError(f"pose must have shape ({spec.num_joints}, 3), got {arr.shape}")
     return arr
-
-
-@dataclass
-class PoseDecomposition:
-    """Absolute root position plus root-relative offsets of the other joints."""
-
-    root: np.ndarray
-    relative: np.ndarray
-
-
-def decompose(pose: np.ndarray, spec: SkeletonSpec) -> PoseDecomposition:
-    """Split a pose into the root joint and J-1 root-relative offsets: the
-    two parts of :func:`pose_to_vector`."""
-    vec = pose_to_vector(_check_pose(pose, spec), spec)
-    return PoseDecomposition(root=vec[:3], relative=vec[3:].reshape(-1, 3))
-
-
-def compose(parts: PoseDecomposition, spec: SkeletonSpec) -> np.ndarray:
-    """Inverse of :func:`decompose` through :func:`vector_to_pose`; round
-    trips agree to rounding error."""
-    relative = np.asarray(parts.relative, dtype=np.float64)
-    if relative.shape != (spec.num_joints - 1, 3):
-        raise ValueError(
-            f"relative part must have shape ({spec.num_joints - 1}, 3), got {relative.shape}"
-        )
-    root = np.asarray(parts.root, dtype=np.float64).reshape(3)
-    return vector_to_pose(np.concatenate([root, relative.ravel()]), spec)
 
 
 def pose_to_vector(pose: np.ndarray, spec: SkeletonSpec) -> np.ndarray:

@@ -83,8 +83,15 @@ class SceneConfig:
             raise ValueError("noise levels must be >= 0")
         if not 0.0 <= self.hole_probability < 1.0:
             raise ValueError("hole_probability must be in [0, 1)")
-        if not 0.0 <= self.standing_probability <= 1.0:
-            raise ValueError(f"standing_probability must be in [0, 1], got {self.standing_probability!r}")
+        rules = (
+            ("standing_probability", 0.0 <= self.standing_probability <= 1.0, "in [0, 1]"),
+            ("fy_jitter", 0.0 <= self.fy_jitter < 1.0, "in [0, 1)"),
+            ("root_margin", 0.0 <= self.root_margin <= 0.5, "in [0, 0.5]"),
+            ("background_depth", self.background_depth is None or self.background_depth > 0.0, "null or > 0"),
+        )
+        for name, ok, need in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
         if self.visibility_margin_mm <= 0:
             raise ValueError("visibility_margin_mm must be > 0")
 

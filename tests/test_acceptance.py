@@ -39,11 +39,11 @@ from poselift.metrics import evaluate
 from poselift.nn import lr_schedule
 from poselift.pipeline import TrainConfig, predict_frames, save_bundle, train
 from poselift.skeleton import (
-    compose,
-    decompose,
     default_skeleton,
     height_normalize,
     knee_neck_distance,
+    pose_to_vector,
+    vector_to_pose,
 )
 from poselift.synth import SceneConfig, generate_dataset
 
@@ -298,7 +298,7 @@ def test_criterion_7_geometry_and_skeleton_invariants():
         worst_norm = max(worst_norm, float(np.abs(back - pts).max()))
 
         pose = rng.normal(0.0, 400.0, size=(17, 3)) + [0.0, 0.0, 4000.0]
-        again = compose(decompose(pose, SPEC), SPEC)
+        again = vector_to_pose(pose_to_vector(pose, SPEC), SPEC)
         worst_comp = max(worst_comp, float(np.abs(again - pose).max()))
 
         factor = float(rng.uniform(1.0, 1.5))

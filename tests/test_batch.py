@@ -20,7 +20,7 @@ from poselift.data import Sample, SampleBatch
 from poselift.depth import DepthMap, load_depth, read_depth_at, save_depth
 from poselift.geometry import CameraIntrinsics, normalize_2d, zoom_augment, zoom_points_2d, zoom_pose_3d
 from poselift.pipeline import StandardizerStats, _raw_inputs, build_inputs, fit_standardizer, standardize_output
-from poselift.skeleton import decompose, default_skeleton, pose_to_vector, vector_to_pose
+from poselift.skeleton import default_skeleton, pose_to_vector, vector_to_pose
 
 SPEC = default_skeleton()
 J = SPEC.num_joints
@@ -55,8 +55,8 @@ def ref_build_input(sample: Sample, stats: StandardizerStats):
 
 
 def ref_pose_to_vector(pose: np.ndarray) -> np.ndarray:
-    parts = decompose(pose, SPEC)
-    return np.concatenate([parts.root, parts.relative.ravel()])
+    root = pose[SPEC.root]
+    return np.concatenate([root, (np.delete(pose, SPEC.root, 0) - root).ravel()])
 
 
 # ---------------------------------------------------------------- random batches

@@ -2,10 +2,12 @@
 
 Round trips are checked bit-exact (reprs of float64 survive JSON), the
 weak/annotated split hinges on the presence of a 3D pose, and depth map
-paths stored relative to the pose file resolve against its directory.
+paths stored relative to the pose file resolve against its directory,
+also after the file is rewritten elsewhere.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from poselift.data import (
     Dataset,
     Sample,
+    SampleBatch,
     group_frames,
     load_dataset,
     read_pose_file,
@@ -125,6 +128,26 @@ class TestPoseFile:
         ref = read_depth_at(loaded, back.joints_2d)
         np.testing.assert_array_equal(back.depth_readouts, ref.values)
         np.testing.assert_array_equal(back.depth_valid, ref.valid)
+
+    def test_depth_path_survives_a_rewrite_into_another_directory(self, tmp_path, monkeypatch):
+        """Paths given relative to the working directory: a file read from
+        gen/ and written to other/ still points at gen/'s maps, and one
+        rewritten beside its source keeps the source's bytes."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gen" / "depth").mkdir(parents=True)
+        (tmp_path / "other").mkdir()
+        values = np.random.Generator(np.random.Philox(3)).uniform(500, 9000, (120, 160)).astype(np.float32)
+        save_depth(tmp_path / "gen" / "depth" / "f0.dmap", DepthMap(values))
+        write_pose_file("gen/samples.jsonl", [_sample(depth_path="depth/f0.dmap")])
+        samples = read_pose_file("gen/samples.jsonl")
+        write_pose_file("other/samples.jsonl", samples)
+        write_pose_file("gen/again.jsonl", samples)
+        assert json.loads(Path("other/samples.jsonl").read_text())["depth_path"] == "../gen/depth/f0.dmap"
+        assert Path("gen/again.jsonl").read_bytes() == Path("gen/samples.jsonl").read_bytes()
+        moved = SampleBatch.from_samples(read_pose_file("other/samples.jsonl"), 17)
+        expected = read_depth_at(DepthMap(values), samples[0].joints_2d)
+        np.testing.assert_array_equal(moved.readouts[0], np.where(expected.valid, expected.values, np.nan))
+        np.testing.assert_array_equal(moved.valid[0], expected.valid)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "samples.jsonl"

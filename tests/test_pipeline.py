@@ -215,6 +215,20 @@ class TestWeakHead:
         expected = z_hat + root_z[:, None] + stats.depth_offset_mean
         np.testing.assert_allclose(depths, expected, rtol=1e-12)
 
+    def test_zeroed_network_with_the_root_in_the_subset(self):
+        """The root's own z is absolute, so the head reads it without
+        adding the root to it as it does for the offsets."""
+        spec = dataclasses.replace(SPEC, depth_subset=SPEC.depth_subset + (SPEC.root,))
+        stats = fit_standardizer(SampleBatch.from_samples(_training_set(8), 17), spec)
+        params, config = self._zeroed_head(stats, spec)
+        o_std = np.random.Generator(np.random.Philox(8)).normal(size=(3, 51))
+        depths, _ = predicted_joint_depths(o_std, params, config, stats, spec)
+        z_dims = np.arange(5, 45, 3)
+        z_hat = stats.output_mean[z_dims] + stats.output_std[z_dims] * o_std[:, z_dims]
+        root_z = stats.output_mean[2] + stats.output_std[2] * o_std[:, 2]
+        expected = np.column_stack([z_hat + root_z[:, None], root_z]) + stats.depth_offset_mean
+        np.testing.assert_allclose(depths, expected, rtol=1e-12)
+
     def test_backward_matches_finite_differences(self):
         stats = _fit(_training_set(8))
         config = nn.MlpConfig(input_dim=51, output_dim=14, hidden_dim=16,

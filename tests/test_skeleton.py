@@ -1,6 +1,6 @@
-"""Skeleton tests: layout validation, decomposition, height normalization.
+"""Skeleton tests: layout validation, the pose vector, height normalization.
 
-Decompose/compose and the vector layout are checked as round trips; the
+The [root, root-relative offsets] vector is checked as a round trip; the
 height normalization is checked for both its target property (the
 knee-to-neck distance lands on the requested length) and its anchor
 property (the hip does not move at all).
@@ -17,10 +17,7 @@ from poselift.data import fields_from_json
 from poselift.skeleton import (
     DEFAULT_JOINT_NAMES,
     DegeneratePoseError,
-    PoseDecomposition,
     SkeletonSpec,
-    compose,
-    decompose,
     default_skeleton,
     height_normalize,
     knee_neck_distance,
@@ -101,19 +98,14 @@ class TestSpecLayout:
 
 
 class TestDecomposeCompose:
-    def test_round_trip(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            pose = _random_pose(rng)
-            back = compose(decompose(pose, SPEC), SPEC)
-            np.testing.assert_allclose(back, pose, rtol=0, atol=1e-9)
+    """pose_to_vector splits a pose into its root and root-relative
+    offsets; vector_to_pose composes it back."""
 
     def test_relative_offsets_are_root_relative(self):
         pose = np.arange(51, dtype=np.float64).reshape(17, 3) + [0.0, 0.0, 2000.0]
-        parts = decompose(pose, SPEC)
-        np.testing.assert_allclose(parts.root, pose[14], rtol=0, atol=0)
-        np.testing.assert_allclose(parts.relative[0], pose[0] - pose[14], rtol=0, atol=0)
-        assert parts.relative.shape == (16, 3)
+        vec = pose_to_vector(pose, SPEC)
+        np.testing.assert_array_equal(vec[:3], pose[14])
+        np.testing.assert_array_equal(vec[3:].reshape(16, 3), np.delete(pose, 14, axis=0) - pose[14])
 
     def test_vector_layout_round_trip(self):
         rng = np.random.default_rng(13)
@@ -125,11 +117,9 @@ class TestDecomposeCompose:
             np.testing.assert_allclose(vector_to_pose(vec, SPEC), pose, rtol=0, atol=1e-9)
 
     def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            decompose(np.zeros((16, 3)), SPEC)
-        with pytest.raises(ValueError):
-            compose(PoseDecomposition(root=np.zeros(3), relative=np.zeros((15, 3))), SPEC)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pose must have shape \(\.\.\., 17, 3\), got \(16, 3\)"):
+            pose_to_vector(np.zeros((16, 3)), SPEC)
+        with pytest.raises(ValueError, match=r"expected 51 values on the last axis, got shape \(50,\)"):
             vector_to_pose(np.zeros(50), SPEC)
 
 

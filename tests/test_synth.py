@@ -25,6 +25,7 @@ criterion-4 and criterion-5 scene configs end to end.
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -350,6 +351,18 @@ class TestSceneConfig:
     def test_standing_probability_outside_unit_interval(self, value):
         with pytest.raises(ValueError, match=r"standing_probability must be in \[0, 1\]"):
             SceneConfig(standing_probability=value)
+
+    @pytest.mark.parametrize("field, value, need", [
+        ("fy_jitter", 1.5, r"in \[0, 1\)"), ("fy_jitter", 1.0, r"in \[0, 1\)"), ("fy_jitter", -0.1, r"in \[0, 1\)"),
+        ("root_margin", 0.8, r"in \[0, 0\.5\]"), ("root_margin", -0.1, r"in \[0, 0\.5\]"),
+        ("background_depth", -1, "null or > 0"), ("background_depth", 0.0, "null or > 0"),
+    ])
+    def test_value_that_would_fail_generation_names_the_field(self, field, value, need):
+        """Values outside the ranges generation can use are rejected by
+        name, not left to fail while drawing a scene with numpy's or the
+        camera's message."""
+        with pytest.raises(ValueError, match=rf"^{field} must be {need}, got {re.escape(repr(value))}$"):
+            SceneConfig(**{field: value})
 
     def test_standing_probability_bounds_are_allowed(self):
         assert SceneConfig(standing_probability=0.0).standing_probability == 0.0
