@@ -75,7 +75,7 @@ class SampleBatch:
     and prediction work on.  Build it with :meth:`from_samples`."""
 
     frame_ids: np.ndarray  # (N,) str objects
-    intrinsics: np.ndarray  # (N, 4) fx, fy, cx, cy in pixels
+    intrinsics: np.ndarray  # (N, 4) each sample's CameraIntrinsics.row, in pixels
     joints_2d: np.ndarray  # (N, J, 2) pixels
     readouts: np.ndarray  # (N, J) mm, NaN where invalid
     valid: np.ndarray  # (N, J) bool
@@ -135,8 +135,7 @@ class SampleBatch:
                 visibility[i] = _checked(s, "eval_visibility", s.eval_visibility, (j,), dtype=bool, finite=False)
         return cls(
             frame_ids=np.array([s.frame_id for s in samples], dtype=object),
-            intrinsics=np.array([[s.camera.fx, s.camera.fy, s.camera.cx, s.camera.cy] for s in samples],
-                                dtype=np.float64).reshape(n, 4),
+            intrinsics=np.array([s.camera.row for s in samples], dtype=np.float64).reshape(n, 4),
             joints_2d=joints_2d,
             readouts=readouts,
             valid=valid,

@@ -2,6 +2,11 @@
 
 All 2D quantities are pixels, all 3D quantities are millimeters in the
 camera frame (x right, y down, z along the optical axis).
+
+Intrinsics are rows ``[fx, fy, cx, cy]`` (``np.asarray(cam)`` of a
+:class:`CameraIntrinsics`) of shape ``(..., 4)`` that broadcast against
+the points: one camera serves a pose, a batch's ``(N, 1, 4)`` rows its
+``(N, J, 2)`` joints, with the same arithmetic element by element.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        for name in ("fx", "fy", "cx", "cy"):
-            value = getattr(self, name)
+        for name, value in zip(("fx", "fy", "cx", "cy"), self.row):
             try:
                 finite = math.isfinite(value)
             except OverflowError:  # an int beyond float range
@@ -48,59 +52,62 @@ class CameraIntrinsics:
             if getattr(self, name) < 1:
                 raise ValueError(f"camera {name} must be >= 1, got {getattr(self, name)!r}")
 
+    @property
+    def row(self) -> tuple[float, float, float, float]:
+        """The intrinsics row (fx, fy, cx, cy); ``np.asarray(cam)`` is its array."""
+        return (self.fx, self.fy, self.cx, self.cy)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.row, dtype=dtype)
+
 
 def _as_points(points: np.ndarray, last_dim: int, what: str) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 0 or arr.shape[-1] != last_dim:
         raise ValueError(f"{what} must have shape (..., {last_dim}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite values in {what}")
     return arr
 
 
-def normalize_2d(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+def normalize_2d(points: np.ndarray, cam: CameraIntrinsics | np.ndarray) -> np.ndarray:
     """Map pixel coordinates to calibration-free image coordinates.
 
     Returns ((x - cx) / fx, (y - cy) / fy), the tangent of the viewing
     angle, so that poses seen through different cameras become comparable.
     """
-    arr = _as_points(points, 2, "points")
-    if not np.isfinite(arr).all():
-        raise ValueError("points contain non-finite values")
-    return (arr - np.array([cam.cx, cam.cy])) / np.array([cam.fx, cam.fy])
+    arr, k = _as_points(points, 2, "points"), _as_points(cam, 4, "intrinsics")
+    return (arr - k[..., 2:]) / k[..., :2]
 
 
-def denormalize_2d(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+def denormalize_2d(points: np.ndarray, cam: CameraIntrinsics | np.ndarray) -> np.ndarray:
     """Inverse of :func:`normalize_2d`: normalized coordinates back to pixels."""
-    arr = _as_points(points, 2, "points")
-    if not np.isfinite(arr).all():
-        raise ValueError("points contain non-finite values")
-    return arr * np.array([cam.fx, cam.fy]) + np.array([cam.cx, cam.cy])
+    arr, k = _as_points(points, 2, "points"), _as_points(cam, 4, "intrinsics")
+    return arr * k[..., :2] + k[..., 2:]
 
 
-def project(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+def project(points: np.ndarray, cam: CameraIntrinsics | np.ndarray) -> np.ndarray:
     """Project camera-frame 3D points (mm) to pixel coordinates.
 
     u = fx * x / z + cx, v = fy * y / z + cy.  Every point must lie in
     front of the camera; z <= 0 raises :class:`BehindCameraError`.
     """
-    arr = _as_points(points, 3, "points")
-    if not np.isfinite(arr).all():
-        raise ValueError("points contain non-finite values")
+    arr, k = _as_points(points, 3, "points"), _as_points(cam, 4, "intrinsics")
     z = arr[..., 2]
     if np.any(z <= 0.0):
         raise BehindCameraError(f"cannot project points with z <= 0 (min z = {z.min()})")
-    u = cam.fx * arr[..., 0] / z + cam.cx
-    v = cam.fy * arr[..., 1] / z + cam.cy
+    u = k[..., 0] * arr[..., 0] / z + k[..., 2]
+    v = k[..., 1] * arr[..., 1] / z + k[..., 3]
     return np.stack([u, v], axis=-1)
 
 
-def zoom_points_2d(points: np.ndarray, cam: CameraIntrinsics, factor: float) -> np.ndarray:
+def zoom_points_2d(points: np.ndarray, cam: CameraIntrinsics | np.ndarray, factor: float | np.ndarray) -> np.ndarray:
     """Scale pixel coordinates about the principal point by ``factor``."""
-    arr = _as_points(points, 2, "points")
-    center = np.array([cam.cx, cam.cy])
+    arr, center = _as_points(points, 2, "points"), _as_points(cam, 4, "intrinsics")[..., 2:]
     return center + factor * (arr - center)
 
 
-def zoom_pose_3d(pose: np.ndarray, factor: float) -> np.ndarray:
+def zoom_pose_3d(pose: np.ndarray, factor: float | np.ndarray) -> np.ndarray:
     """Divide the z coordinates of a 3D pose by ``factor``.
 
     With x and y unchanged this is the unique map for which projection
@@ -120,9 +127,9 @@ def zoom_augment(batch: "SampleBatch", factors: np.ndarray) -> "SampleBatch":
     ``factors[i]``; its 3D pose z coordinates and depth readouts are
     divided by ``factors[i]``, which keeps reprojection exact and amounts
     to moving the person closer to (factor > 1) or further from
-    (factor < 1) the camera.  Each element gets the arithmetic of
-    :func:`zoom_points_2d` and :func:`zoom_pose_3d`; rows with factor 1.0
-    come back unchanged, bit for bit.  The input batch is not modified.
+    (factor < 1) the camera.  The rows whose factor is not 1.0 go through
+    :func:`zoom_points_2d` and :func:`zoom_pose_3d`; the others come back
+    unchanged, bit for bit.  The input batch is not modified.
     """
     f = np.asarray(factors, dtype=np.float64)
     if f.shape != (len(batch),):
@@ -132,13 +139,11 @@ def zoom_augment(batch: "SampleBatch", factors: np.ndarray) -> "SampleBatch":
         raise ValueError(f"zoom factors must be finite and > 0, got {f[bad][0]!r}")
     rows = np.flatnonzero(f != 1.0)
     scale = f[rows, None]
-    center = batch.intrinsics[rows, None, 2:]
     joints_2d = batch.joints_2d.copy()
-    joints_2d[rows] = center + scale[..., None] * (joints_2d[rows] - center)
+    joints_2d[rows] = zoom_points_2d(joints_2d[rows], batch.intrinsics[rows, None], scale[..., None])
     readouts = batch.readouts.copy()
     readouts[rows] /= scale
-    joints_3d = batch.joints_3d
+    joints_3d = None if batch.joints_3d is None else batch.joints_3d.copy()
     if joints_3d is not None:
-        joints_3d = joints_3d.copy()
-        joints_3d[rows, :, 2] /= scale
+        joints_3d[rows] = zoom_pose_3d(joints_3d[rows], scale)
     return dataclasses.replace(batch, joints_2d=joints_2d, joints_3d=joints_3d, readouts=readouts)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import nn
 from .data import SampleBatch
+from .geometry import CameraIntrinsics
 from .losses import gm_grad, gm_loss, l1_pose_loss, total_loss
 from .pipeline import TrainConfig, annotated_step, fit_standardizer, init_bundle, weak_step
 from .skeleton import default_skeleton
@@ -207,7 +208,7 @@ def _pipeline_setup(seed: int):
     valid[:2] = True
     batch = SampleBatch(
         frame_ids=np.array([f"frame{i}" for i in range(4)], dtype=object),
-        intrinsics=np.tile([500.0, 500.0, 320.0, 240.0], (4, 1)),
+        intrinsics=np.tile(CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480), (4, 1)),
         joints_2d=rng.uniform(0.0, 480.0, size=(4, j, 2)),
         readouts=np.where(valid, joints_3d[..., 2] + rng.normal(-40.0, 60.0, size=(4, j)), np.nan),
         valid=valid,

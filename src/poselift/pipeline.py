@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, Sample, SampleBatch, fields_from_json, numbers_from_json
-from .geometry import zoom_augment
+from .geometry import normalize_2d, zoom_augment
 from .losses import l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_index, vector_to_pose
 
@@ -61,9 +61,8 @@ class StandardizerStats:
 
 def _raw_inputs(batch: SampleBatch) -> np.ndarray:
     """Un-standardized features (N, 3J): normalized 2D joints, then readouts
-    (NaN where invalid).  Normalization is that of ``normalize_2d``."""
-    intrinsics = batch.intrinsics[:, None, :]
-    normalized = (batch.joints_2d - intrinsics[..., 2:]) / intrinsics[..., :2]
+    (NaN where invalid)."""
+    normalized = normalize_2d(batch.joints_2d, batch.intrinsics[:, None])
     return np.concatenate([normalized.reshape(len(batch), 2 * normalized.shape[1]), batch.readouts], axis=1)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset, Sample, fields_from_json
 from .depth import DepthMap, read_depth_at
-from .geometry import CameraIntrinsics, project
+from .geometry import CameraIntrinsics, normalize_2d, project
 from .skeleton import DEFAULT_JOINT_NAMES, DEFAULT_PARENTS, SkeletonSpec, default_skeleton, knee_neck_distance
 
 
@@ -62,38 +62,33 @@ class SceneConfig:
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.image_width <= 1 or self.image_height <= 1:
-            raise ValueError("image must be at least 2x2 pixels")
         for name in ("fx_range", "root_depth_range", "bone_scale_range", "occluder_size_range"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):
                 raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-        for name in ("persons_range", "occluder_range"):
-            lo, hi = getattr(self, name)
-            if not (0 <= lo <= hi):
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
-        if self.yaw_range_deg[0] > self.yaw_range_deg[1]:
-            raise ValueError("yaw_range_deg must satisfy lo <= hi")
         lo, hi = self.occluder_depth_fraction
-        if not (0.0 < lo <= hi < 1.0):
-            raise ValueError("occluder_depth_fraction must satisfy 0 < lo <= hi < 1")
-        if self.persons_range[0] < 1:
-            raise ValueError("persons_range must allow at least one person")
-        if self.sensor_noise_mm < 0 or self.detector_noise_px < 0:
-            raise ValueError("noise levels must be >= 0")
-        if not 0.0 <= self.hole_probability < 1.0:
-            raise ValueError("hole_probability must be in [0, 1)")
         rules = (
+            ("image_width", self.image_width >= 2, ">= 2"),
+            ("image_height", self.image_height >= 2, ">= 2"),
+            ("yaw_range_deg", self.yaw_range_deg[0] <= self.yaw_range_deg[1], "(lo, hi) with lo <= hi"),
+            ("occluder_depth_fraction", 0.0 < lo <= hi < 1.0, "(lo, hi) with 0 < lo <= hi < 1"),
+            ("persons_range", 1 <= self.persons_range[0] <= self.persons_range[1], "(lo, hi) with 1 <= lo <= hi"),
+            ("occluder_range", 0 <= self.occluder_range[0] <= self.occluder_range[1], "(lo, hi) with 0 <= lo <= hi"),
+            ("sensor_noise_mm", self.sensor_noise_mm >= 0.0, ">= 0"),
+            ("detector_noise_px", self.detector_noise_px >= 0.0, ">= 0"),
+            ("hole_probability", 0.0 <= self.hole_probability < 1.0, "in [0, 1)"),
+            ("visibility_margin_mm", self.visibility_margin_mm > 0.0, "> 0"),
             ("standing_probability", 0.0 <= self.standing_probability <= 1.0, "in [0, 1]"),
             ("fy_jitter", 0.0 <= self.fy_jitter < 1.0, "in [0, 1)"),
             ("root_margin", 0.0 <= self.root_margin <= 0.5, "in [0, 0.5]"),
             ("background_depth", self.background_depth is None or self.background_depth > 0.0, "null or > 0"),
+            ("principal_jitter", 0.0 <= self.principal_jitter <= 0.5, "in [0, 0.5]"),
+            ("min_scene_depth_mm", 0.0 < self.min_scene_depth_mm < self.root_depth_range[1],
+             f"> 0 and below root_depth_range[1] = {self.root_depth_range[1]!r}"),
         )
         for name, ok, need in rules:
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
-        if self.visibility_margin_mm <= 0:
-            raise ValueError("visibility_margin_mm must be > 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
@@ -399,7 +394,7 @@ def render_clean_depth(
     config: SceneConfig,
     spec: SkeletonSpec,
 ) -> np.ndarray:
-    """Noise-free z-depth per pixel, NaN where no surface returns.
+    """Noise-free z-depth per camera pixel, NaN where no surface returns.
 
     The capsules of every person are solved in one array pass.  A
     capsule is solved only over the pixel window of its axis-aligned 3D
@@ -419,14 +414,14 @@ def render_clean_depth(
     frame as row-times-column masks (see ``_fold_occluders``).
     """
     _require_default_skeleton(spec)
-    dx = (np.arange(config.image_width, dtype=np.float64) - cam.cx) / cam.fx
-    dy = (np.arange(config.image_height, dtype=np.float64) - cam.cy) / cam.fy
-    best = np.full(config.image_height * config.image_width, np.inf)
+    # Pixel (i, i) normalizes to the ray slopes of column i and of row i.
+    dx, dy = normalize_2d(np.arange(max(cam.width, cam.height), dtype=np.float64)[:, None].repeat(2, 1), cam).T
+    dx, dy, best = dx[: cam.width], dy[: cam.height], np.full(cam.height * cam.width, np.inf)
     if poses:
         joints = np.stack(poses)
         radii = np.tile(_RADII, len(poses))
         _fold_capsules(best, dx, dy, joints[:, _PARENTS].reshape(-1, 3), joints[:, _CHILDREN].reshape(-1, 3), radii)
-    best = best.reshape(config.image_height, config.image_width)
+    best = best.reshape(cam.height, cam.width)
     if occluders:
         _fold_occluders(best, dx, dy, occluders)
     if config.background_depth is not None:
@@ -490,14 +485,14 @@ def _place_pose(
     cam: CameraIntrinsics,
     pose: np.ndarray,
 ) -> np.ndarray | None:
-    """Translate a hip-centered pose so its root projects inside the image.
-
-    Returns None when the placement leaves geometry too close to the
-    camera, in which case the caller retries with a fresh draw.
+    """Translate a hip-centered pose so its root projects inside the image,
+    back-projected in scalar arithmetic (a numpy call per attempt measured
+    slower).  Returns None when the placement leaves geometry too close to
+    the camera, in which case the caller retries with a fresh draw.
     """
     z = rng.uniform(*config.root_depth_range)
-    u = rng.uniform(config.root_margin * config.image_width, (1.0 - config.root_margin) * config.image_width)
-    v = rng.uniform(config.root_margin * config.image_height, (1.0 - config.root_margin) * config.image_height)
+    u = rng.uniform(config.root_margin * cam.width, (1.0 - config.root_margin) * cam.width)
+    v = rng.uniform(config.root_margin * cam.height, (1.0 - config.root_margin) * cam.height)
     root = np.array([(u - cam.cx) / cam.fx * z, (v - cam.cy) / cam.fy * z, z])
     placed = pose + root
     if placed[:, 2].min() <= config.min_scene_depth_mm:
@@ -517,7 +512,8 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig, spec: Skeleton
             if placed is not None:
                 break
         if placed is None:
-            raise RuntimeError("could not place a person in front of the camera")
+            raise ValueError(f"could not place a person: no root depth in root_depth_range={config.root_depth_range!r} "
+                             f"kept the body beyond min_scene_depth_mm={config.min_scene_depth_mm!r}")
         poses.append(placed)
 
     occluders = []

@@ -1,8 +1,10 @@
 """SampleBatch and the vectorized helpers built on it.
 
 The per-sample code that the batch helpers replaced is kept here as the
-reference: a Sample-level zoom, the per-sample raw input, its
-standardization and the single-pose vector layout.  Property tests
+reference, written out with its own arithmetic rather than through the
+camera functions the batch code calls: a Sample-level zoom, the
+per-sample raw input, its standardization and the single-pose vector
+layout.  Property tests
 compare the batch helpers with it to the bit on random batches that mix
 factor-1 rows, invalid readouts and weak rows.  The builder tests pin
 its validation messages and that it stores nothing on the samples.
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from poselift import data
 from poselift.data import Sample, SampleBatch
 from poselift.depth import DepthMap, load_depth, read_depth_at, save_depth
-from poselift.geometry import CameraIntrinsics, normalize_2d, zoom_augment, zoom_points_2d, zoom_pose_3d
+from poselift.geometry import CameraIntrinsics, zoom_augment
 from poselift.pipeline import StandardizerStats, _raw_inputs, build_inputs, fit_standardizer, standardize_output
 from poselift.skeleton import default_skeleton, pose_to_vector, vector_to_pose
 
@@ -32,17 +34,22 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 def ref_zoom(sample: Sample, factor: float) -> Sample:
     if factor == 1.0:
         return sample
+    center = np.array([sample.camera.cx, sample.camera.cy])
+    joints_3d = None if sample.joints_3d is None else sample.joints_3d.copy()
+    if joints_3d is not None:
+        joints_3d[:, 2] /= factor
     return dataclasses.replace(
         sample,
-        joints_2d=zoom_points_2d(sample.joints_2d, sample.camera, factor),
-        joints_3d=None if sample.joints_3d is None else zoom_pose_3d(sample.joints_3d, factor),
+        joints_2d=center + factor * (sample.joints_2d - center),
+        joints_3d=joints_3d,
         depth_readouts=sample.depth_readouts / factor,
     )
 
 
 def ref_raw_input(sample: Sample):
     valid = np.isfinite(sample.depth_readouts) if sample.depth_valid is None else sample.depth_valid
-    normalized = normalize_2d(sample.joints_2d, sample.camera)
+    cam = sample.camera
+    normalized = (sample.joints_2d - [cam.cx, cam.cy]) / [cam.fx, cam.fy]
     readouts = np.where(valid, sample.depth_readouts, np.nan)
     return np.concatenate([normalized.ravel(), readouts]), np.asarray(valid, dtype=bool)
 

@@ -5,6 +5,7 @@ dataset, checking the files each stage leaves behind and the override
 precedence of flags over config values.
 """
 
+import hashlib
 import json
 import re
 from dataclasses import fields
@@ -17,6 +18,10 @@ from poselift.cli import build_parser, main
 from poselift.data import read_pose_file, write_pose_file
 from poselift.pipeline import ConfigError, TrainConfig, load_bundle
 from poselift.skeleton import default_skeleton
+
+
+# Computed with the code before the camera functions took per-row intrinsics.
+GENERATE_DIGEST = "79c7f1bde173c5c5c93e3104ccd1ff7c772defa51a15ead98fc1a4c9926b3a13"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +68,17 @@ class TestGenerate:
         gt = read_pose_file(workspace["data"] / "gt_poses.jsonl")
         assert len(gt) == 18
         assert all(s.joints_3d is not None for s in gt)
+
+    def test_output_keeps_its_bytes(self, tmp_path):
+        """sha256 over both pose files and every DMAP of a small seeded run,
+        pinned when the camera arithmetic moved into ``geometry``."""
+        out = tmp_path / "gen"
+        assert main(["generate", "--out", str(out), "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]) == 0
+        h = hashlib.sha256()
+        for path in [out / "samples.jsonl", out / "gt_poses.jsonl", *sorted((out / "depth").glob("*.dmap"))]:
+            h.update(path.relative_to(out).as_posix().encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == GENERATE_DIGEST
 
     def test_progress_message(self, tmp_path, capsys):
         config = tmp_path / "scene.json"

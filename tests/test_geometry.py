@@ -2,7 +2,8 @@
 
 Projection and normalization are checked against hand-computed values
 and against each other (normalized coordinates of a projected point must
-equal x/z, y/z).  The batch zoom augmentation is checked for its
+equal x/z, y/z).  A batch's per-row intrinsics must give each row the
+bits of its own camera.  The batch zoom augmentation is checked for its
 defining property: reprojecting the zoomed 3D pose with unchanged
 intrinsics reproduces the zoomed 2D points.
 """
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poselift.data import Sample, SampleBatch
 from poselift.geometry import (
@@ -49,6 +52,54 @@ class TestCameraIntrinsics:
         with pytest.raises(ValueError, match=rf"^camera {field} must be >= 1, got 0$"):
             CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0, **size)
 
+    def test_array_is_the_intrinsics_row(self):
+        assert CAM.row == (CAM.fx, CAM.fy, CAM.cx, CAM.cy)
+        row = np.asarray(CAM)
+        assert row.dtype == np.float64
+        assert row.tolist() == [CAM.fx, CAM.fy, CAM.cx, CAM.cy]
+        assert np.array([CAM, CAM], dtype=np.float64).shape == (2, 4)
+
+
+@st.composite
+def per_row_cases(draw):
+    """(cameras, 2D points, 3D points, zoom factors), one camera per row."""
+    n, j = draw(st.integers(1, 5)), draw(st.integers(1, 17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cams = [CameraIntrinsics(fx=float(rng.uniform(50, 400)), fy=float(rng.uniform(50, 400)),
+                             cx=float(rng.uniform(0, 160)), cy=float(rng.uniform(0, 120)), width=160, height=120)
+            for _ in range(n)]
+    points_3d = rng.normal(scale=500.0, size=(n, j, 3)) + [0.0, 0.0, 4000.0]
+    return cams, rng.uniform(-50.0, 250.0, size=(n, j, 2)), points_3d, rng.uniform(0.5, 2.0, size=n)
+
+
+class TestPerRowIntrinsics:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(per_row_cases())
+    def test_each_row_gets_the_bits_of_its_own_camera(self, case):
+        """Intrinsics of shape (N, 1, 4) against (N, J, k) points give row i
+        the bytes of the call with row i's CameraIntrinsics."""
+        cams, points_2d, points_3d, factors = case
+        rows = np.array(cams, dtype=np.float64)[:, None]
+        batched = {
+            "normalize_2d": normalize_2d(points_2d, rows),
+            "denormalize_2d": denormalize_2d(points_2d, rows),
+            "project": project(points_3d, rows),
+            "zoom_points_2d": zoom_points_2d(points_2d, rows, factors[:, None, None]),
+        }
+        for i, cam in enumerate(cams):
+            single = {
+                "normalize_2d": normalize_2d(points_2d[i], cam),
+                "denormalize_2d": denormalize_2d(points_2d[i], cam),
+                "project": project(points_3d[i], cam),
+                "zoom_points_2d": zoom_points_2d(points_2d[i], cam, float(factors[i])),
+            }
+            for name, value in single.items():
+                assert batched[name][i].tobytes() == value.tobytes(), name
+
+    def test_intrinsics_without_four_columns_are_rejected(self):
+        with pytest.raises(ValueError, match=r"intrinsics must have shape \(\.\.\., 4\), got \(2, 3\)"):
+            normalize_2d(np.zeros((2, 2)), np.ones((2, 3)))
+
 
 class TestNormalize2d:
     def test_hand_computed_values(self):
@@ -75,6 +126,10 @@ class TestNormalize2d:
             normalize_2d(np.array([np.nan, 1.0]), CAM)
         with pytest.raises(ValueError):
             denormalize_2d(np.array([np.inf, 1.0]), CAM)
+        with pytest.raises(ValueError, match="non-finite values in points"):
+            zoom_points_2d(np.array([np.nan, 1.0]), CAM, 1.2)
+        with pytest.raises(ValueError, match="non-finite values in pose"):
+            zoom_pose_3d(np.array([0.0, 0.0, np.inf]), 1.2)
 
 
 class TestProject:
@@ -193,6 +248,5 @@ class TestZoomAugment:
         sample = dataclasses.replace(_make_sample(np.random.default_rng(4)), joints_3d=None)
         zoomed = zoom_augment(_batch([sample]), np.array([1.3]))
         assert zoomed.joints_3d is None
-        np.testing.assert_allclose(
-            zoomed.joints_2d[0], zoom_points_2d(sample.joints_2d, CAM, 1.3), atol=1e-12
-        )
+        center = np.array([CAM.cx, CAM.cy])
+        assert zoomed.joints_2d[0].tobytes() == (center + 1.3 * (sample.joints_2d - center)).tobytes()

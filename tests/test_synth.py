@@ -191,11 +191,11 @@ def ref_generate_pose(rng, config, spec):
 
 def ref_render_clean_depth(poses, occluders, cam, config, spec):
     """The full-frame renderer: every primitive solved over every pixel."""
-    dx = (np.arange(config.image_width, dtype=np.float64) - cam.cx) / cam.fx
-    dy = (np.arange(config.image_height, dtype=np.float64) - cam.cy) / cam.fy
+    dx = (np.arange(cam.width, dtype=np.float64) - cam.cx) / cam.fx
+    dy = (np.arange(cam.height, dtype=np.float64) - cam.cy) / cam.fy
     dx = dx[None, :]
     dy = dy[:, None]
-    best = np.full((config.image_height, config.image_width), np.inf)
+    best = np.full((cam.height, cam.width), np.inf)
     for pose in poses:
         for a, b, radius in _body_capsules(pose, spec):
             best = np.minimum(best, _capsule_depth(dx, dy, a, b, radius))
@@ -356,13 +356,35 @@ class TestSceneConfig:
         ("fy_jitter", 1.5, r"in \[0, 1\)"), ("fy_jitter", 1.0, r"in \[0, 1\)"), ("fy_jitter", -0.1, r"in \[0, 1\)"),
         ("root_margin", 0.8, r"in \[0, 0\.5\]"), ("root_margin", -0.1, r"in \[0, 0\.5\]"),
         ("background_depth", -1, "null or > 0"), ("background_depth", 0.0, "null or > 0"),
+        ("principal_jitter", 5.0, r"in \[0, 0\.5\]"), ("principal_jitter", -0.5, r"in \[0, 0\.5\]"),
+        ("min_scene_depth_mm", 1e6, r"> 0 and below root_depth_range\[1\] = 7000\.0"),
+        ("min_scene_depth_mm", -50.0, r"> 0 and below root_depth_range\[1\] = 7000\.0"),
+        ("min_scene_depth_mm", 0.0, r"> 0 and below root_depth_range\[1\] = 7000\.0"),
+        ("hole_probability", 1.5, r"in \[0, 1\)"), ("visibility_margin_mm", 0.0, "> 0"),
+        ("detector_noise_px", -1.0, ">= 0"), ("yaw_range_deg", (30.0, -30.0), r"\(lo, hi\) with lo <= hi"),
+        ("persons_range", (0, 2), r"\(lo, hi\) with 1 <= lo <= hi"),
+        ("occluder_range", (2, 1), r"\(lo, hi\) with 0 <= lo <= hi"), ("image_height", 1, ">= 2"),
     ])
     def test_value_that_would_fail_generation_names_the_field(self, field, value, need):
         """Values outside the ranges generation can use are rejected by
-        name, not left to fail while drawing a scene with numpy's or the
-        camera's message."""
+        name, not left to fail while drawing a scene with numpy's, the
+        camera's or the projection's message."""
         with pytest.raises(ValueError, match=rf"^{field} must be {need}, got {re.escape(repr(value))}$"):
             SceneConfig(**{field: value})
+
+    @pytest.mark.parametrize("root_depth_range, min_depth", [((10.0, 20.0), 300.0), ((200.0, 300.0), -50.0)])
+    def test_min_scene_depth_is_checked_against_the_root_depths(self, root_depth_range, min_depth):
+        need = rf"> 0 and below root_depth_range\[1\] = {re.escape(repr(root_depth_range[1]))}, got "
+        with pytest.raises(ValueError, match=rf"^min_scene_depth_mm must be {need}{re.escape(repr(min_depth))}$"):
+            SceneConfig(root_depth_range=root_depth_range, min_scene_depth_mm=min_depth)
+
+    def test_a_range_with_no_room_for_a_body_names_both_fields(self):
+        """min_scene_depth_mm below the root depths passes the rules, but a
+        body around a root at 2000 mm reaches nearer than 1999 mm."""
+        config = SceneConfig(root_depth_range=(2000.0, 2000.0), min_scene_depth_mm=1999.0)
+        message = r"root_depth_range=\(2000\.0, 2000\.0\) .* min_scene_depth_mm=1999\.0$"
+        with pytest.raises(ValueError, match=message):
+            generate_scene(_rng(0), config, SPEC)
 
     def test_standing_probability_bounds_are_allowed(self):
         assert SceneConfig(standing_probability=0.0).standing_probability == 0.0
@@ -492,6 +514,13 @@ class TestRenderCleanDepth:
         config = self._config()
         clean = render_clean_depth([], [], CAM, config, SPEC)
         np.testing.assert_array_equal(clean, np.full((120, 160), config.background_depth))
+
+    def test_frame_size_is_the_cameras(self):
+        cam = CameraIntrinsics(fx=60.0, fy=60.0, cx=20.0, cy=15.0, width=40, height=30)
+        occ = Occluder(center=np.array([0.0, 0.0, 1500.0]), half_width=400.0, half_height=300.0)
+        clean = render_clean_depth([], [occ], cam, SceneConfig(), SPEC)
+        assert clean.shape == (30, 40)
+        assert clean[15, 20] == 1500.0
 
 
 class TestCulledRenderer:
