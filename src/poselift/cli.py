@@ -15,7 +15,7 @@ from .depth import save_depth
 from .gradcheck import run_all
 from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, evaluate
 from .pipeline import TrainConfig, load_bundle, predict_frames, save_bundle, train
-from .skeleton import default_skeleton, height_normalize, load_skeleton
+from .skeleton import DegeneratePoseError, SkeletonSpec, default_skeleton, height_normalize, load_skeleton
 from .synth import SceneConfig, generate_dataset
 
 
@@ -50,6 +50,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         value = section.pop(name, default)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{args.config}: config field {name!r} must be int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{args.config}: config field {name!r} must be >= 0, got {value!r}")
         counts[name] = value if getattr(args, name) is None else getattr(args, name)
     config = _config_from_file(SceneConfig, args.config, section)
 
@@ -115,25 +117,30 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _frames_from_file(path: str, num_joints: int) -> dict[str, list[np.ndarray]]:
+def _frames_from_file(path: str, spec: SkeletonSpec, normalized: bool) -> dict[str, list[np.ndarray]]:
+    """The file's 3D poses by frame, height-normalized if ``normalized``;
+    an error names the file and the frame."""
     frames: dict[str, list[np.ndarray]] = {}
     for sample in read_pose_file(path):
-        if sample.joints_3d is None:
+        pose = sample.joints_3d
+        if pose is None:
             raise ValueError(f"{path}: record for frame {sample.frame_id} has no joints_3d")
-        if len(sample.joints_3d) != num_joints:
-            raise ValueError(f"{path}: a pose in frame {sample.frame_id} has {len(sample.joints_3d)} joints, "
-                             f"the skeleton has {num_joints}")
-        frames.setdefault(sample.frame_id, []).append(sample.joints_3d)
+        if len(pose) != spec.num_joints:
+            raise ValueError(f"{path}: a pose in frame {sample.frame_id} has {len(pose)} joints, "
+                             f"the skeleton has {spec.num_joints}")
+        if normalized:
+            try:
+                pose = height_normalize(pose, spec)
+            except DegeneratePoseError as exc:
+                raise DegeneratePoseError(f"{path}: a pose in frame {sample.frame_id}: {exc}") from exc
+        frames.setdefault(sample.frame_id, []).append(pose)
     return frames
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     spec = load_skeleton(args.skeleton) if args.skeleton else default_skeleton()
-    gt = _frames_from_file(args.gt, spec.num_joints)
-    pred = _frames_from_file(args.pred, spec.num_joints)
-    if args.normalized_skeletons:
-        gt = {k: [height_normalize(p, spec) for p in v] for k, v in gt.items()}
-        pred = {k: [height_normalize(p, spec) for p in v] for k, v in pred.items()}
+    gt = _frames_from_file(args.gt, spec, args.normalized_skeletons)
+    pred = _frames_from_file(args.pred, spec, args.normalized_skeletons)
     gt_frames = [gt[fid] for fid in gt]
     pred_frames = [pred.get(fid, []) for fid in gt]
 

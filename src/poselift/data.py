@@ -56,8 +56,8 @@ class Sample:
         """Cache per-joint depth readouts at the 2D joints (not the map), once,
         as :meth:`SampleBatch.from_samples` resolves them."""
         if self.depth_readouts is None or self.depth_valid is None:
-            batch = SampleBatch.from_samples([self], len(self.joints_2d))
-            self.depth_readouts, self.depth_valid = batch.readouts[0], batch.valid[0]
+            self.depth_readouts = SampleBatch.from_samples([self], len(self.joints_2d)).readouts[0]
+            self.depth_valid = ~np.isnan(self.depth_readouts)
 
 
 def _checked(sample: Sample, name: str, value, shape: tuple, dtype=np.float64, finite: bool = True) -> np.ndarray:
@@ -77,8 +77,7 @@ class SampleBatch:
     frame_ids: np.ndarray  # (N,) str objects
     intrinsics: np.ndarray  # (N, 4) each sample's CameraIntrinsics.row, in pixels
     joints_2d: np.ndarray  # (N, J, 2) pixels
-    readouts: np.ndarray  # (N, J) mm, NaN where invalid
-    valid: np.ndarray  # (N, J) bool
+    readouts: np.ndarray  # (N, J) mm, NaN where invalid (the one mark of an invalid readout)
     joints_3d: np.ndarray | None = None  # (N, J, 3) mm, when every sample is annotated
     visibility: np.ndarray | None = None  # (N, J) bool, when every sample has eval_visibility
 
@@ -104,7 +103,6 @@ class SampleBatch:
         n, j = len(samples), num_joints
         joints_2d = np.empty((n, j, 2))
         readouts = np.empty((n, j))
-        valid = np.empty((n, j), dtype=bool)
         joints_3d = np.empty((n, j, 3)) if all(s.joints_3d is not None for s in samples) else None
         visibility = np.empty((n, j), dtype=bool) if all(s.eval_visibility is not None for s in samples) else None
         # A pose file written frame by frame (as `poselift generate` writes
@@ -125,10 +123,10 @@ class SampleBatch:
             else:
                 raise ValueError(f"sample {s.frame_id} has no depth source")
             values = _checked(s, "depth_readouts", values, (j,), finite=False)
-            valid[i] = _checked(s, "depth_valid", ok, (j,), dtype=bool, finite=False)
-            if not np.isfinite(values[valid[i]]).all():
+            ok = _checked(s, "depth_valid", ok, (j,), dtype=bool, finite=False)
+            if not np.isfinite(values[ok]).all():
                 raise ValueError(f"sample {s.frame_id}: depth_readouts marked valid are not finite")
-            readouts[i] = np.where(valid[i], values, np.nan)
+            readouts[i] = np.where(ok, values, np.nan)
             if joints_3d is not None:
                 joints_3d[i] = _checked(s, "joints_3d", s.joints_3d, (j, 3))
             if visibility is not None:
@@ -138,7 +136,6 @@ class SampleBatch:
             intrinsics=np.array([s.camera.row for s in samples], dtype=np.float64).reshape(n, 4),
             joints_2d=joints_2d,
             readouts=readouts,
-            valid=valid,
             joints_3d=joints_3d,
             visibility=visibility,
         )

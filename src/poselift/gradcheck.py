@@ -187,11 +187,11 @@ def check_total_loss(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     pred_d = rng.normal(scale=20.0, size=(3, 14))
     target_d = rng.normal(scale=20.0, size=(3, 14))
-    valid = rng.random(size=(3, 14)) > 0.3
-    _, grad = total_loss(pred_d, target_d, valid, 100.0, 0.7)
+    target_d[rng.random(size=(3, 14)) <= 0.3] = np.nan  # invalid readouts
+    _, grad = total_loss(pred_d, target_d, 100.0, 0.7)
 
     def loss() -> float:
-        return total_loss(pred_d, target_d, valid, 100.0, 0.7)[0]
+        return total_loss(pred_d, target_d, 100.0, 0.7)[0]
 
     return _check_array("total-loss", grad, loss, pred_d, PRIMITIVE_TOL)
 
@@ -211,7 +211,6 @@ def _pipeline_setup(seed: int):
         intrinsics=np.tile(CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480), (4, 1)),
         joints_2d=rng.uniform(0.0, 480.0, size=(4, j, 2)),
         readouts=np.where(valid, joints_3d[..., 2] + rng.normal(-40.0, 60.0, size=(4, j)), np.nan),
-        valid=valid,
         joints_3d=joints_3d,
     )
     config = TrainConfig(hidden_dim=24, num_blocks=2, depth_hidden_dim=24, depth_num_blocks=2, dropout=0.5,

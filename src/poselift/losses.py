@@ -68,14 +68,14 @@ def l1_pose_loss(pred: np.ndarray, gt: np.ndarray):
     return value, grad
 
 
-def total_loss(pred_depths: np.ndarray, target_depths: np.ndarray, valid: np.ndarray, alpha: float,
-               lambda_weight: float):
+def total_loss(pred_depths: np.ndarray, target_depths: np.ndarray, alpha: float, lambda_weight: float):
     """The weak depth term over a weak half-batch.
 
     value = lambda * sum over samples and valid joints of
     rho(pred_depth - target_depth), with alpha in squared millimeters.
-    Invalid depth entries (failed readouts) contribute exactly zero loss
-    and zero gradient.  Returns (value, grad wrt pred_depths).
+    A NaN target marks an invalid entry (a failed readout), which
+    contributes exactly zero loss and zero gradient.  Returns (value,
+    grad wrt pred_depths).
     """
     if not alpha > 0.0:  # NaN fails every comparison
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -83,14 +83,11 @@ def total_loss(pred_depths: np.ndarray, target_depths: np.ndarray, valid: np.nda
         raise ValueError(f"lambda_weight must be finite and >= 0, got {lambda_weight}")
     pred_depths = np.asarray(pred_depths, dtype=np.float64)
     target_depths = np.asarray(target_depths, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
-    if pred_depths.shape != target_depths.shape or pred_depths.shape != valid.shape:
-        raise ValueError(
-            f"depth shapes must agree: pred {pred_depths.shape}, "
-            f"target {target_depths.shape}, valid {valid.shape}"
-        )
+    if pred_depths.shape != target_depths.shape:
+        raise ValueError(f"depth shapes must agree: pred {pred_depths.shape}, target {target_depths.shape}")
     if not pred_depths.size or lambda_weight == 0.0:
         return 0.0, np.zeros_like(pred_depths)
+    valid = ~np.isnan(target_depths)
     residual = np.where(valid, pred_depths - target_depths, 0.0)
     value = lambda_weight * float(gm_loss(residual[valid], alpha).sum())
     return value, np.where(valid, lambda_weight * gm_grad(residual, alpha), 0.0)

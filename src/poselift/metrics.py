@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .skeleton import default_skeleton
+
 MATCH_THRESHOLD_MM = 250.0
 PCK_THRESHOLD_MM = 150.0
 
@@ -31,7 +33,7 @@ def match_poses(
     gt_frames: Frames,
     pred_frames: Frames,
     threshold: float = MATCH_THRESHOLD_MM,
-    root_index: int = 14,
+    root_index: int = default_skeleton().root,
 ) -> list[np.ndarray]:
     """Greedy one-to-one matching by ascending root distance, per frame.
 
@@ -148,7 +150,7 @@ class MetricReport:
 def evaluate(
     gt_frames: Frames,
     pred_frames: Frames,
-    root_index: int = 14,
+    root_index: int = default_skeleton().root,
     match_threshold: float = MATCH_THRESHOLD_MM,
     pck_threshold: float = PCK_THRESHOLD_MM,
     detected_only: bool = False,

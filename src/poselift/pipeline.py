@@ -161,41 +161,29 @@ def destandardize_output(o_std: np.ndarray, stats: StandardizerStats) -> np.ndar
     return o_std * stats.output_std + stats.output_mean
 
 
-def predicted_joint_depths(
-    o_std: np.ndarray,
-    depth_params: dict,
-    depth_config: nn.MlpConfig,
-    stats: StandardizerStats,
-    spec: SkeletonSpec,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-):
+def predicted_joint_depths(bundle: ModelBundle, o_std: np.ndarray, train: bool = False,
+                           rng: np.random.Generator | None = None):
     """Expected sensor depth at the stable joints, from the predicted pose.
 
     The depth network predicts the standardized deviation of the sensor
     value from the predicted joint z, so an untrained head already puts
     the estimate on the body surface; what it learns is the
     pose-dependent part (which side faces the camera, self-occlusion).
-    Returns (depths (B, K), cache for the backward pass).
+    Returns (depths (B, K), the depth network's cache for the backward
+    pass).
     """
-    jdn_out, jdn_cache = nn.forward(depth_params, depth_config, o_std, train=train, rng=rng)
+    stats, spec = bundle.stats, bundle.skeleton
+    jdn_out, cache = nn.forward(bundle.depth_params, bundle.depth_config, o_std, train=train, rng=rng)
     z_abs = vector_to_pose(destandardize_output(o_std, stats), spec)[:, spec.depth_subset, 2]
     depths = z_abs + stats.depth_offset_mean + stats.depth_offset_std * jdn_out
-    return depths, {"jdn_cache": jdn_cache, "spec": spec}
+    return depths, cache
 
 
-def joint_depth_backward(
-    d_depths: np.ndarray,
-    cache: dict,
-    depth_params: dict,
-    depth_config: nn.MlpConfig,
-    stats: StandardizerStats,
-    grads: nn.ParamVector,
-):
+def joint_depth_backward(bundle: ModelBundle, d_depths: np.ndarray, cache: dict, grads: nn.ParamVector):
     """Backward pass of the weak head: writes the depth-net gradients into
     ``grads`` and returns the gradient with respect to o_std."""
-    d_o = nn.backward(depth_params, depth_config, cache["jdn_cache"], d_depths * stats.depth_offset_std, grads)
-    spec = cache["spec"]
+    stats, spec = bundle.stats, bundle.skeleton
+    d_o = nn.backward(bundle.depth_params, bundle.depth_config, cache, d_depths * stats.depth_offset_std, grads)
     z_dims = vector_index(spec, spec.depth_subset, 2)  # distinct, so += adds each once
     root_z = vector_index(spec, spec.root, 2)
     not_root = np.asarray(spec.depth_subset) != spec.root
@@ -380,10 +368,18 @@ def _step_rng(seed: int, epoch: int, step: int, role: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 3, epoch, step, role])))
 
 
-def _zoomed(batch: SampleBatch, config: TrainConfig, epoch: int, step: int, role: int) -> SampleBatch:
-    """``batch`` zoomed by factors drawn from the step's ``role`` stream."""
-    factors = _step_rng(config.seed, epoch, step, role).uniform(config.zoom_min, config.zoom_max, size=len(batch))
-    return zoom_augment(batch, factors)
+def _pose_forward(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoch: int, step: int,
+                  zoom_role: int, dropout_role: int):
+    """The front half of both step functions: ``batch`` zoomed by factors
+    drawn from the step's ``zoom_role`` stream, then the pose network's
+    training forward pass with dropout from ``dropout_role``.  Returns
+    (zoomed batch, standardized output, cache)."""
+    factors = _step_rng(config.seed, epoch, step, zoom_role).uniform(config.zoom_min, config.zoom_max, size=len(batch))
+    zoomed = zoom_augment(batch, factors)
+    x = build_inputs(zoomed, bundle.stats)
+    rng = _step_rng(config.seed, epoch, step, dropout_role)
+    o, cache = nn.forward(bundle.pose_params, bundle.pose_config, x, train=True, rng=rng)
+    return zoomed, o, cache
 
 
 def annotated_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoch: int, step: int,
@@ -391,11 +387,8 @@ def annotated_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch,
     """The annotated half of training step ``step`` of ``epoch``: zoom,
     pose forward pass and L1 against the standardized 3D poses.  Writes
     the pose-net gradient into ``grads`` and returns the loss."""
-    ann = _zoomed(batch, config, epoch, step, _ANN_ZOOM)
-    x = build_inputs(ann, bundle.stats)
+    ann, o, cache = _pose_forward(bundle, config, batch, epoch, step, _ANN_ZOOM, _ANN_DROPOUT)
     targets = standardize_output(pose_to_vector(ann.joints_3d, bundle.skeleton), bundle.stats)
-    rng = _step_rng(config.seed, epoch, step, _ANN_DROPOUT)
-    o, cache = nn.forward(bundle.pose_params, bundle.pose_config, x, train=True, rng=rng)
     value, d_o = l1_pose_loss(o, targets)
     nn.backward(bundle.pose_params, bundle.pose_config, cache, d_o, grads)
     return value
@@ -405,27 +398,21 @@ def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoc
               pose_grads: nn.ParamVector, depth_grads: nn.ParamVector) -> tuple[float, np.ndarray]:
     """The weak half of training step ``step`` of ``epoch``: zoom, pose
     forward pass, weak head, and the robust loss against the readouts at
-    the stable joints.  Writes the depth-net gradient into ``depth_grads``
-    and adds the pose-net gradient onto ``pose_grads``.  Returns (loss,
-    gradient with respect to the head's depths).  A FloatingPointError
-    from the head's forward pass carries ``network = "jointdepthnet"``."""
-    weak = _zoomed(batch, config, epoch, step, _WEAK_ZOOM)
-    x = build_inputs(weak, bundle.stats)
-    subset = np.asarray(bundle.skeleton.depth_subset, dtype=int)
-    valid = weak.valid[:, subset]
-    targets = np.where(valid, weak.readouts[:, subset], 0.0)
-    rng = _step_rng(config.seed, epoch, step, _WEAK_DROPOUT)
-    o, pose_cache = nn.forward(bundle.pose_params, bundle.pose_config, x, train=True, rng=rng)
+    the stable joints (a NaN readout is skipped).  Writes the depth-net
+    gradient into ``depth_grads`` and adds the pose-net gradient onto
+    ``pose_grads``.  Returns (loss, gradient with respect to the head's
+    depths).  A FloatingPointError from the head's forward pass carries
+    ``network = "jointdepthnet"``."""
+    weak, o, pose_cache = _pose_forward(bundle, config, batch, epoch, step, _WEAK_ZOOM, _WEAK_DROPOUT)
     head_rng = _step_rng(config.seed, epoch, step, _HEAD_DROPOUT)
     try:
-        depths, head_cache = predicted_joint_depths(o, bundle.depth_params, bundle.depth_config, bundle.stats,
-                                                    bundle.skeleton, train=True, rng=head_rng)
+        depths, head_cache = predicted_joint_depths(bundle, o, train=True, rng=head_rng)
     except FloatingPointError as exc:
         exc.network = "jointdepthnet"
         raise
-    value, d_depths = total_loss(depths, targets, valid, config.alpha, config.lambda_weight)
-    d_o = joint_depth_backward(d_depths, head_cache, bundle.depth_params, bundle.depth_config, bundle.stats,
-                               depth_grads)
+    targets = weak.readouts[:, bundle.skeleton.depth_subset]
+    value, d_depths = total_loss(depths, targets, config.alpha, config.lambda_weight)
+    d_o = joint_depth_backward(bundle, d_depths, head_cache, depth_grads)
     nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, pose_grads, accumulate=True)
     return value, d_depths
 
@@ -495,7 +482,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                     net = "posenet"
 
                     if config.track_weak_grad_stats:
-                        valid, vis = weak.valid[:, subset], weak.visibility[:, subset]
+                        valid, vis = ~np.isnan(weak.readouts[:, subset]), weak.visibility[:, subset]
                         mags = np.abs(d_depths)
                         for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
                             grad_abs[label] += float(mags[mask].sum())

@@ -442,8 +442,9 @@ def _joint_visibility(
     if not poses:
         return []
     joints = np.stack(poses)
-    values, valid = read_depth_at(DepthMap(clean), project(joints, cam))
-    return list(valid & (values > joints[..., 2] - config.visibility_margin_mm))
+    # An invalid readout is NaN, and NaN compares false: the joint is hidden.
+    values = read_depth_at(DepthMap(clean), project(joints, cam)).values
+    return list(values > joints[..., 2] - config.visibility_margin_mm)
 
 
 def render_depth(

@@ -142,7 +142,7 @@ class TestAgainstPerSampleReference:
         x = build_inputs(zoomed, stats)
         pairs = [ref_build_input(r, stats) for r in refs]
         assert x.tobytes() == np.stack([p[0] for p in pairs]).tobytes()
-        np.testing.assert_array_equal(zoomed.valid, np.stack([p[1] for p in pairs]))
+        np.testing.assert_array_equal(~np.isnan(zoomed.readouts), np.stack([p[1] for p in pairs]))
 
     @PROPERTY
     @given(batches(annotated_only=True), st.integers(0, 2**32 - 1))
@@ -196,8 +196,8 @@ class TestFromSamples:
         batch = SampleBatch.from_samples(samples, J)
         assert len(batch) == 4 and list(batch.frame_ids) == ["f0", "f1", "f2", "f3"]
         assert batch.intrinsics.shape == (4, 4) and batch.joints_2d.shape == (4, J, 2)
-        assert batch.readouts.shape == batch.valid.shape == (4, J)
-        np.testing.assert_array_equal(np.isnan(batch.readouts), ~batch.valid)
+        assert batch.readouts.shape == (4, J)
+        np.testing.assert_array_equal(np.isnan(batch.readouts), [~s.depth_valid for s in samples])
         assert batch.joints_3d.shape == (4, J, 3) and batch.visibility is None
         assert SampleBatch.from_samples(samples[:2], J).visibility.shape == (2, J)
         rows = batch.take(np.array([3, 1, 3]))
@@ -242,7 +242,8 @@ class TestFromSamples:
         from_map.ensure_readouts()
         assert batch.readouts[0].tobytes() == batch.readouts[1].tobytes()
         assert _same_with_nans(batch.readouts[1], from_map.depth_readouts)
-        np.testing.assert_array_equal(batch.valid[1], from_map.depth_valid)
+        np.testing.assert_array_equal(~np.isnan(batch.readouts[1]), from_map.depth_valid)
+        np.testing.assert_array_equal(from_map.depth_valid, read_depth_at(from_map.depth, from_map.joints_2d).valid)
 
     def test_adjacent_samples_of_a_dmap_file_load_it_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(10)
@@ -264,4 +265,4 @@ class TestFromSamples:
         assert loads == paths
         for i, (values, valid) in enumerate(expected):
             assert _same_with_nans(batch.readouts[i], np.where(valid, values, np.nan))
-            np.testing.assert_array_equal(batch.valid[i], valid)
+            np.testing.assert_array_equal(~np.isnan(batch.readouts[i]), valid)

@@ -17,7 +17,7 @@ from poselift import cli
 from poselift.cli import build_parser, main
 from poselift.data import read_pose_file, write_pose_file
 from poselift.pipeline import ConfigError, TrainConfig, load_bundle
-from poselift.skeleton import default_skeleton
+from poselift.skeleton import DegeneratePoseError, default_skeleton
 
 
 # Computed with the code before the camera functions took per-row intrinsics.
@@ -94,6 +94,7 @@ class TestGenerate:
         ('{"scene": [1, 2]}', "bad.json: expected a JSON object of config fields, got list"),
         ('{"n_annotated": 2.7}', "bad.json: config field 'n_annotated' must be int, got 2.7"),
         ('{"n_weak": true}', "bad.json: config field 'n_weak' must be int, got True"),
+        ('{"scene": {"n_annotated": -1}}', "bad.json: config field 'n_annotated' must be >= 0, got -1"),
     ])
     def test_bad_config_file_is_named(self, tmp_path, text, message):
         bad = tmp_path / "bad.json"
@@ -245,6 +246,15 @@ class TestEval:
         message = f"{path}: a pose in frame {preds[-1].frame_id} has {joints} joints, the skeleton has 17"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             main(["eval", "--gt", str(workspace["data"] / "gt_poses.jsonl"), "--pred", str(path)])
+
+    def test_degenerate_pose_under_normalized_skeletons_names_file_and_frame(self, workspace, tmp_path):
+        gt = read_pose_file(workspace["data"] / "gt_poses.jsonl")
+        gt[3].joints_3d = np.zeros_like(gt[3].joints_3d)
+        path = tmp_path / "gt.jsonl"
+        write_pose_file(path, gt)
+        message = f"{path}: a pose in frame {gt[3].frame_id}: knee-to-neck distance is 0.0, cannot normalize"
+        with pytest.raises(DegeneratePoseError, match=f"^{re.escape(message)}$"):
+            main(["eval", "--gt", str(path), "--pred", str(workspace["pred"]), "--normalized-skeletons"])
 
     def test_records_without_poses_are_rejected(self, workspace):
         with pytest.raises(ValueError, match="no joints_3d"):

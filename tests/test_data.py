@@ -147,7 +147,7 @@ class TestPoseFile:
         moved = SampleBatch.from_samples(read_pose_file("other/samples.jsonl"), 17)
         expected = read_depth_at(DepthMap(values), samples[0].joints_2d)
         np.testing.assert_array_equal(moved.readouts[0], np.where(expected.valid, expected.values, np.nan))
-        np.testing.assert_array_equal(moved.valid[0], expected.valid)
+        np.testing.assert_array_equal(~np.isnan(moved.readouts[0]), expected.valid)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "samples.jsonl"

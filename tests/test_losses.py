@@ -167,69 +167,73 @@ class TestTotalLoss:
         pred_d = rng.normal(scale=30.0, size=(2, 14))
         target_d = rng.normal(scale=30.0, size=(2, 14))
         valid = rng.random(size=(2, 14)) > 0.3
-        return pred_d, target_d, valid
+        return pred_d, np.where(valid, target_d, np.nan), valid
 
     def test_parameter_validation(self):
-        pred_d, target_d, valid = self._setup()
+        pred_d, target_d, _ = self._setup()
         for alpha in (0.0, -5.0, math.nan):
             with pytest.raises(ValueError, match="alpha must be > 0"):
-                total_loss(pred_d, target_d, valid, alpha, 1.0)
+                total_loss(pred_d, target_d, alpha, 1.0)
         for lam in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="lambda_weight must be finite and >= 0"):
-                total_loss(pred_d, target_d, valid, 100.0, lam)
-        assert total_loss(pred_d, target_d, valid, 100.0, 0.0)[0] == 0.0
+                total_loss(pred_d, target_d, 100.0, lam)
+        assert total_loss(pred_d, target_d, 100.0, 0.0)[0] == 0.0
 
     def test_lambda_zero_reduces_to_l1(self):
         """With lambda = 0 the weak term adds nothing to the L1 objective:
         zero value and an all-zero gradient."""
-        pred_d, target_d, valid = self._setup()
-        value, grad_depths = total_loss(pred_d, target_d, valid, 100.0, 0.0)
+        pred_d, target_d, _ = self._setup()
+        value, grad_depths = total_loss(pred_d, target_d, 100.0, 0.0)
         assert value == 0.0
         assert grad_depths.shape == pred_d.shape
         assert not grad_depths.any()
 
     def test_value_is_weighted_robust_sum(self):
         pred_d, target_d, valid = self._setup()
-        value, _ = total_loss(pred_d, target_d, valid, 400.0, 0.7)
+        value, _ = total_loss(pred_d, target_d, 400.0, 0.7)
         residual = (pred_d - target_d)[valid]
         expected = 0.7 * gm_loss(residual, 400.0).sum()
         assert value == pytest.approx(expected, rel=1e-14)
 
     def test_invalid_entries_contribute_nothing(self):
-        """Garbage behind the validity mask changes neither value nor gradient."""
+        """A NaN target is skipped: its prediction changes neither the value
+        nor the rest of the gradient, and its own gradient is zero.  A
+        finite target is always scored."""
         pred_d, target_d, valid = self._setup()
-        ref = total_loss(pred_d, target_d, valid, 100.0, 1.0)
-        corrupted = np.where(valid, target_d, 1e12)
-        out = total_loss(pred_d, corrupted, valid, 100.0, 1.0)
+        ref = total_loss(pred_d, target_d, 100.0, 1.0)
+        moved = np.where(valid, pred_d, 1e12)
+        out = total_loss(moved, target_d, 100.0, 1.0)
         assert out[0] == ref[0]
         np.testing.assert_array_equal(out[1], ref[1])
         assert not out[1][~valid].any()
+        # A finite target is scored however far off it is: 1e12 mm away,
+        # each adds the saturated penalty of 1.
+        scored = total_loss(pred_d, np.where(valid, target_d, 1e12), 100.0, 1.0)
+        assert (~valid).any() and scored[0] == pytest.approx(ref[0] + (~valid).sum(), rel=1e-12)
+        np.testing.assert_array_equal(scored[1][valid], ref[1][valid])
 
     def test_depth_gradient_matches_finite_differences(self):
         pred_d, target_d, valid = self._setup(seed=5)
-        _, grad_depths = total_loss(pred_d, target_d, valid, 900.0, 0.3)
+        _, grad_depths = total_loss(pred_d, target_d, 900.0, 0.3)
         h = 1e-5
         rng = np.random.default_rng(6)
         for _ in range(10):
             i, j = rng.integers(pred_d.shape[0]), rng.integers(pred_d.shape[1])
             bumped = pred_d.copy()
             bumped[i, j] += h
-            up = total_loss(bumped, target_d, valid, 900.0, 0.3)[0]
+            up = total_loss(bumped, target_d, 900.0, 0.3)[0]
             bumped[i, j] -= 2 * h
-            down = total_loss(bumped, target_d, valid, 900.0, 0.3)[0]
+            down = total_loss(bumped, target_d, 900.0, 0.3)[0]
             numeric = (up - down) / (2 * h)
             assert grad_depths[i, j] == pytest.approx(numeric, abs=1e-8)
 
     def test_shape_mismatch_raises(self):
-        pred_d, target_d, valid = self._setup()
+        pred_d, target_d, _ = self._setup()
         with pytest.raises(ValueError):
-            total_loss(pred_d, target_d[:, :5], valid, 100.0, 1.0)
-        with pytest.raises(ValueError):
-            total_loss(pred_d, target_d, valid[:1], 100.0, 1.0)
+            total_loss(pred_d, target_d[:, :5], 100.0, 1.0)
 
     def test_empty_depth_batch(self):
         """No weak samples: zero loss and an empty gradient."""
-        value, grad_depths = total_loss(np.zeros((0, 14)), np.zeros((0, 14)), np.zeros((0, 14), dtype=bool),
-                                        100.0, 1.0)
+        value, grad_depths = total_loss(np.zeros((0, 14)), np.zeros((0, 14)), 100.0, 1.0)
         assert value == 0.0
         assert grad_depths.shape == (0, 14)

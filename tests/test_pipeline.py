@@ -19,9 +19,11 @@ import pytest
 from poselift import gradcheck, nn, pipeline
 from poselift.data import Dataset, Sample, SampleBatch, fields_from_json
 from poselift.depth import DepthMap, save_depth
-from poselift.geometry import CameraIntrinsics
+from poselift.geometry import CameraIntrinsics, zoom_augment
+from poselift.losses import gm_grad, gm_loss
 from poselift.pipeline import (
     ConfigError,
+    ModelBundle,
     StandardizerStats,
     TrainConfig,
     _robust_offset,
@@ -179,9 +181,9 @@ class TestBuildInput:
         assert x.shape == (2, 51)
         assert np.isfinite(x).all()
         assert x[1, 34 + 2] == 0.0 and x[1, 34 + 9] == 0.0
-        assert not batch.valid[1, 2] and not batch.valid[1, 9]
+        assert np.isnan(batch.readouts[1, 2]) and np.isnan(batch.readouts[1, 9])
         assert x[1, 34 + 3] != 0.0
-        assert batch.valid[0].all() and (x[0, 34:] != 0.0).all()
+        assert not np.isnan(batch.readouts[0]).any() and (x[0, 34:] != 0.0).all()
 
     def test_standardize_round_trip(self):
         stats = _fit(_training_set(8))
@@ -189,6 +191,11 @@ class TestBuildInput:
         vecs = rng.normal(0.0, 500.0, size=(5, 51))
         back = destandardize_output(standardize_output(vecs, stats), stats)
         np.testing.assert_allclose(back, vecs, rtol=0, atol=1e-9)
+
+
+def _head_bundle(params, config, stats, spec=SPEC) -> ModelBundle:
+    """A bundle holding only what the weak head reads: no pose network."""
+    return ModelBundle(spec, None, None, config, params, stats)
 
 
 class TestWeakHead:
@@ -199,16 +206,16 @@ class TestWeakHead:
         params = nn.init_params(config, rng)
         params["fc_out.w"] = np.zeros_like(params["fc_out.w"])
         params["fc_out.b"] = np.zeros_like(params["fc_out.b"])
-        return params, config
+        return _head_bundle(params, config, stats, spec)
 
     def test_zeroed_network_reduces_to_z_plus_offset(self):
         """With the depth net silenced the head is exactly the predicted
         absolute joint z plus the calibrated sensor offset."""
         stats = _fit(_training_set(8))
-        params, config = self._zeroed_head(stats, SPEC)
+        bundle = self._zeroed_head(stats, SPEC)
         rng = np.random.Generator(np.random.Philox(8))
         o_std = rng.normal(size=(3, 51))
-        depths, _ = predicted_joint_depths(o_std, params, config, stats, SPEC)
+        depths, _ = predicted_joint_depths(bundle, o_std)
         z_dims = np.arange(5, 45, 3)
         z_hat = stats.output_mean[z_dims] + stats.output_std[z_dims] * o_std[:, z_dims]
         root_z = stats.output_mean[2] + stats.output_std[2] * o_std[:, 2]
@@ -220,9 +227,9 @@ class TestWeakHead:
         adding the root to it as it does for the offsets."""
         spec = dataclasses.replace(SPEC, depth_subset=SPEC.depth_subset + (SPEC.root,))
         stats = fit_standardizer(SampleBatch.from_samples(_training_set(8), 17), spec)
-        params, config = self._zeroed_head(stats, spec)
+        bundle = self._zeroed_head(stats, spec)
         o_std = np.random.Generator(np.random.Philox(8)).normal(size=(3, 51))
-        depths, _ = predicted_joint_depths(o_std, params, config, stats, spec)
+        depths, _ = predicted_joint_depths(bundle, o_std)
         z_dims = np.arange(5, 45, 3)
         z_hat = stats.output_mean[z_dims] + stats.output_std[z_dims] * o_std[:, z_dims]
         root_z = stats.output_mean[2] + stats.output_std[2] * o_std[:, 2]
@@ -236,12 +243,13 @@ class TestWeakHead:
         params = nn.init_params(config, np.random.Generator(np.random.Philox(9)))
         rng = np.random.Generator(np.random.Philox(10))
         o_std = rng.normal(size=(2, 51))
-        depths, cache = predicted_joint_depths(o_std, params, config, stats, SPEC)
+        bundle = _head_bundle(params, config, stats)
+        depths, cache = predicted_joint_depths(bundle, o_std)
         d_depths = rng.normal(size=depths.shape)
-        d_o = joint_depth_backward(d_depths, cache, params, config, stats, nn.ParamVector(config))
+        d_o = joint_depth_backward(bundle, d_depths, cache, nn.ParamVector(config))
 
         def value(o):
-            d, _ = predicted_joint_depths(o, params, config, stats, SPEC)
+            d, _ = predicted_joint_depths(bundle, o)
             return float((d * d_depths).sum())
 
         eps = 1e-6
@@ -428,8 +436,8 @@ class TestTrain:
         else:
             original = pipeline.joint_depth_backward
 
-            def broken(d_depths, cache, params, config, stats, grads):
-                d_o = original(d_depths, cache, params, config, stats, grads)
+            def broken(bundle, d_depths, cache, grads):
+                d_o = original(bundle, d_depths, cache, grads)
                 grads["fc_out.b"][0] = np.nan
                 return d_o
             message = "non-finite gradient for fc_out.b"
@@ -624,13 +632,53 @@ class TestBundleFormat:
                 load_bundle(tmp_path / name)
 
 
+class TestWeakStep:
+    def test_equals_an_explicit_mask_reference(self):
+        """The NaN readouts that ``weak_step`` hands the loss give the bytes
+        of the explicit-mask form: targets zeroed where invalid, the
+        penalty on the masked residual, then the head and the pose
+        backward pass, with zoom and dropout on."""
+        bundle, config, batch = gradcheck._pipeline_setup(3)
+        config = dataclasses.replace(config, alpha=2500.0, lambda_weight=0.3)
+        epoch, step = 1, 2
+        valid = ~np.isnan(batch.readouts[:, SUBSET])
+        assert (~valid).any() and valid.any() and config.dropout > 0.0 and config.zoom_max > 1.0
+        annotated = np.random.default_rng(4).normal(size=bundle.pose_params.flat.shape)
+        pose_grads, depth_grads = nn.ParamVector(bundle.pose_config), nn.ParamVector(bundle.depth_config)
+        pose_grads.flat[:] = annotated
+        value, d_depths = pipeline.weak_step(bundle, config, batch, epoch, step, pose_grads, depth_grads)
+
+        def stream(role):
+            return pipeline._step_rng(config.seed, epoch, step, role)
+
+        weak = zoom_augment(batch, stream(pipeline._WEAK_ZOOM).uniform(config.zoom_min, config.zoom_max, len(batch)))
+        x = build_inputs(weak, bundle.stats)
+        targets = np.where(valid, weak.readouts[:, SUBSET], 0.0)
+        o, pose_cache = nn.forward(bundle.pose_params, bundle.pose_config, x, train=True,
+                                   rng=stream(pipeline._WEAK_DROPOUT))
+        depths, head_cache = predicted_joint_depths(bundle, o, train=True, rng=stream(pipeline._HEAD_DROPOUT))
+        residual = np.where(valid, depths - targets, 0.0)
+        ref_value = config.lambda_weight * float(gm_loss(residual[valid], config.alpha).sum())
+        ref_d_depths = np.where(valid, config.lambda_weight * gm_grad(residual, config.alpha), 0.0)
+        ref_depth_grads, ref_pose_grads = nn.ParamVector(bundle.depth_config), nn.ParamVector(bundle.pose_config)
+        ref_pose_grads.flat[:] = annotated
+        d_o = joint_depth_backward(bundle, ref_d_depths, head_cache, ref_depth_grads)
+        nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, ref_pose_grads, accumulate=True)
+
+        assert value == ref_value
+        assert d_depths.tobytes() == ref_d_depths.tobytes()
+        assert depth_grads.flat.tobytes() == ref_depth_grads.flat.tobytes()
+        assert pose_grads.flat.tobytes() == ref_pose_grads.flat.tobytes()
+
+
 class TestGradientSuiteChecksTheTrainingStep:
     """The end-to-end checks run the step functions that ``train`` runs,
     so a 1% error in a gradient ``train`` uses fails them."""
 
     def test_weak_path_fails_on_a_scaled_head_gradient(self, monkeypatch):
         original = pipeline.joint_depth_backward
-        monkeypatch.setattr(pipeline, "joint_depth_backward", lambda d_depths, *args: original(1.01 * d_depths, *args))
+        monkeypatch.setattr(pipeline, "joint_depth_backward",
+                            lambda bundle, d_depths, *args: original(bundle, 1.01 * d_depths, *args))
         assert not gradcheck.check_weak_path(100).passed
 
     def test_annotated_path_fails_on_a_scaled_l1_gradient(self, monkeypatch):
