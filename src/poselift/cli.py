@@ -52,7 +52,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.config}: config field {name!r} must be int, got {value!r}")
         if value < 0:
             raise ValueError(f"{args.config}: config field {name!r} must be >= 0, got {value!r}")
-        counts[name] = value if getattr(args, name) is None else getattr(args, name)
+        flag = getattr(args, name)
+        if flag is not None and flag < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {flag}")
+        counts[name] = value if flag is None else flag
     config = _config_from_file(SceneConfig, args.config, section)
 
     out = Path(args.out)

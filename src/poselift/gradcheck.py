@@ -237,7 +237,9 @@ def check_weak_path(seed: int) -> CheckResult:
 
     def run():
         pose_grads, depth_grads = nn.ParamVector(bundle.pose_config), nn.ParamVector(bundle.depth_config)
-        return weak_step(bundle, config, batch, 0, 0, pose_grads, depth_grads)[0], pose_grads, depth_grads
+        value, _, pose_backward = weak_step(bundle, config, batch, 0, 0, depth_grads)
+        pose_backward(pose_grads)
+        return value, pose_grads, depth_grads
 
     _, pose_grads, depth_grads = run()
     nets = (("pose", bundle.pose_params, pose_grads), ("depth", bundle.depth_params, depth_grads))

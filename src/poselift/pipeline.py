@@ -11,9 +11,13 @@ a weak supervision signal.  The depth network is ignored at inference.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
 import zipfile
+from collections.abc import Callable
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -395,13 +399,15 @@ def annotated_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch,
 
 
 def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoch: int, step: int,
-              pose_grads: nn.ParamVector, depth_grads: nn.ParamVector) -> tuple[float, np.ndarray]:
+              depth_grads: nn.ParamVector) -> tuple[float, np.ndarray, Callable[[nn.ParamVector], None]]:
     """The weak half of training step ``step`` of ``epoch``: zoom, pose
     forward pass, weak head, and the robust loss against the readouts at
     the stable joints (a NaN readout is skipped).  Writes the depth-net
-    gradient into ``depth_grads`` and adds the pose-net gradient onto
-    ``pose_grads``.  Returns (loss, gradient with respect to the head's
-    depths).  A FloatingPointError from the head's forward pass carries
+    gradient into ``depth_grads``.  Returns (loss, gradient with respect
+    to the head's depths, the pose backward pass): calling the last with
+    the pose-net gradient buffer adds the weak half's gradient onto it,
+    so the annotated half may write that buffer in the meantime.  A
+    FloatingPointError from the head's forward pass carries
     ``network = "jointdepthnet"``."""
     weak, o, pose_cache = _pose_forward(bundle, config, batch, epoch, step, _WEAK_ZOOM, _WEAK_DROPOUT)
     head_rng = _step_rng(config.seed, epoch, step, _HEAD_DROPOUT)
@@ -413,8 +419,11 @@ def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoc
     targets = weak.readouts[:, bundle.skeleton.depth_subset]
     value, d_depths = total_loss(depths, targets, config.alpha, config.lambda_weight)
     d_o = joint_depth_backward(bundle, d_depths, head_cache, depth_grads)
-    nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, pose_grads, accumulate=True)
-    return value, d_depths
+
+    def pose_backward(pose_grads: nn.ParamVector) -> None:
+        nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, pose_grads, accumulate=True)
+
+    return value, d_depths, pose_backward
 
 
 def _diverged(exc: FloatingPointError, epoch: int, step: int, net: str, params: nn.ParamVector):
@@ -422,6 +431,37 @@ def _diverged(exc: FloatingPointError, epoch: int, step: int, net: str, params: 
     bad = next((name for name, p in params.items() if not np.isfinite(p).all()), None)
     found = f"first non-finite parameter {bad}" if bad else "all parameters finite"
     return FloatingPointError(f"training diverged at epoch {epoch}, step {step}, in {net}: {exc}; {found}")
+
+
+class _Inline(Executor):
+    """An executor that runs each call at once, in the calling thread;
+    like a worker's, its error is raised by ``result()``."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _side_by_side() -> bool:
+    """Whether :func:`train` gives a step's halves two threads: the
+    process may run on two CPUs or more, and BLAS was started
+    single-threaded (the first of ``OPENBLAS_NUM_THREADS`` and
+    ``OMP_NUM_THREADS`` that is set is ``1``).  Two threads whose matrix
+    products queue on one multi-threaded BLAS ran slower than one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blas = next((os.environ[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if name in os.environ),
+                None)
+    return cpus >= 2 and blas == "1"
+
+
+def _submit(worker: Executor, fn, *args) -> Future:
+    """``fn(*args)`` on ``worker`` in a copy of the caller's context, so
+    the call sees the caller's ``np.errstate``."""
+    return worker.submit(contextvars.copy_context().run, fn, *args)
 
 
 def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = None):
@@ -432,6 +472,18 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     Each step runs :func:`annotated_step`, :func:`weak_step` on the weak
     half, and one Adam update of each network.  Runs with equal seeds are
     bit-reproducible.  The dataset's samples are not modified.
+
+    The two halves share nothing until their pose gradients are summed,
+    so with weak data a step runs side by side on one worker thread: the
+    worker runs the annotated half while the caller runs the weak half
+    up to its pose backward pass; then the worker runs the depth net's
+    Adam update while the caller adds the weak pose gradient and runs
+    the pose net's.  Every value is computed by the same operations in
+    the same order, so the result is bit-identical to running the same
+    schedule in the caller alone, which ``train`` does unless the
+    process may use two CPUs and BLAS was started single-threaded.  If
+    both halves fail, the annotated half's error is raised; if both
+    Adam updates fail, the depth net's.
     """
     spec = spec or default_skeleton()
     if not dataset.annotated:
@@ -460,26 +512,41 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     steps_per_epoch = math.ceil(n_ann / ann_per_step)
 
     logs = []
-    for epoch in range(config.epochs):
-        lr = nn.lr_schedule(config.base_lr, epoch, config.lr_decay, config.lr_decay_every)
-        order = order_rng.permutation(n_ann)
-        epoch_l1 = 0.0
-        epoch_weak = 0.0
-        grad_abs = {"visible": 0.0, "occluded": 0.0}
-        grad_n = {"visible": 0, "occluded": 0}
+    with ThreadPoolExecutor(max_workers=1) if use_weak and _side_by_side() else _Inline() as worker:
+        for epoch in range(config.epochs):
+            lr = nn.lr_schedule(config.base_lr, epoch, config.lr_decay, config.lr_decay_every)
+            order = order_rng.permutation(n_ann)
+            epoch_l1 = 0.0
+            epoch_weak = 0.0
+            grad_abs = {"visible": 0.0, "occluded": 0.0}
+            grad_n = {"visible": 0, "occluded": 0}
 
-        for step in range(steps_per_epoch):
-            net = "posenet"  # the network of the running call, for the divergence error
-            try:
-                idx = order[step * ann_per_step : (step + 1) * ann_per_step]
-                epoch_l1 += annotated_step(bundle, config, ann_all.take(idx), epoch, step, pose_grads)
-                if use_weak:
-                    weak = weak_all.take(weak_rng.integers(n_weak, size=len(idx)))
-                    weak_value, d_depths = weak_step(bundle, config, weak, epoch, step, pose_grads, depth_grads)
+            for step in range(steps_per_epoch):
+                net = "posenet"  # the network of the awaited call, for the divergence error
+                try:
+                    idx = order[step * ann_per_step : (step + 1) * ann_per_step]
+                    annotated = _submit(worker, annotated_step, bundle, config, ann_all.take(idx), epoch, step,
+                                        pose_grads)
+                    try:
+                        if use_weak:
+                            weak = weak_all.take(weak_rng.integers(n_weak, size=len(idx)))
+                            weak_value, d_depths, pose_backward = weak_step(bundle, config, weak, epoch, step,
+                                                                            depth_grads)
+                    finally:  # also when the weak half failed: the annotated half's error wins
+                        epoch_l1 += annotated.result()
+                    if not use_weak:
+                        nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
+                        continue
+
                     epoch_weak += weak_value
-                    net = "jointdepthnet"
-                    nn.adam_step(bundle.depth_params, depth_grads, depth_adam, lr)
-                    net = "posenet"
+                    depth_update = _submit(worker, nn.adam_step, bundle.depth_params, depth_grads, depth_adam, lr)
+                    try:
+                        pose_backward(pose_grads)
+                        nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
+                    finally:  # also when the pose update failed: the depth net's error wins
+                        net = "jointdepthnet"
+                        depth_update.result()
+                        net = "posenet"
 
                     if config.track_weak_grad_stats:
                         valid, vis = ~np.isnan(weak.readouts[:, subset]), weak.visibility[:, subset]
@@ -487,25 +554,23 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                         for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
                             grad_abs[label] += float(mags[mask].sum())
                             grad_n[label] += int(mask.sum())
+                except FloatingPointError as exc:
+                    net = getattr(exc, "network", net)
+                    raise _diverged(exc, epoch, step, net, nets[net]) from exc
 
-                nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
-            except FloatingPointError as exc:
-                net = getattr(exc, "network", net)
-                raise _diverged(exc, epoch, step, net, nets[net]) from exc
-
-        entry = {
-            "epoch": epoch,
-            "lr": lr,
-            "loss": epoch_l1 + epoch_weak,
-            "loss_l1": epoch_l1,
-            "loss_weak": epoch_weak,
-            "steps": steps_per_epoch,
-        }
-        if config.track_weak_grad_stats:
-            entry["weak_grad_visible"] = grad_abs["visible"] / grad_n["visible"] if grad_n["visible"] else 0.0
-            entry["weak_grad_occluded"] = grad_abs["occluded"] / grad_n["occluded"] if grad_n["occluded"] else 0.0
-            entry["weak_grad_visible_n"] = grad_n["visible"]
-            entry["weak_grad_occluded_n"] = grad_n["occluded"]
-        logs.append(entry)
+            entry = {
+                "epoch": epoch,
+                "lr": lr,
+                "loss": epoch_l1 + epoch_weak,
+                "loss_l1": epoch_l1,
+                "loss_weak": epoch_weak,
+                "steps": steps_per_epoch,
+            }
+            if config.track_weak_grad_stats:
+                entry["weak_grad_visible"] = grad_abs["visible"] / grad_n["visible"] if grad_n["visible"] else 0.0
+                entry["weak_grad_occluded"] = grad_abs["occluded"] / grad_n["occluded"] if grad_n["occluded"] else 0.0
+                entry["weak_grad_visible_n"] = grad_n["visible"]
+                entry["weak_grad_occluded_n"] = grad_n["occluded"]
+            logs.append(entry)
 
     return bundle, logs

@@ -103,6 +103,13 @@ class TestGenerate:
             main(["generate", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--n-annotated", "--n-weak"])
+    def test_negative_count_flag_is_named(self, tmp_path, flag):
+        with pytest.raises(ValueError) as info:
+            main(["generate", "--out", str(tmp_path / "out"), flag, "-1"])
+        assert str(info.value) == f"{flag} must be >= 0, got -1"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_scene_field_names_the_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"scene": {"image_width": "160", "n_weak": 1}}))

@@ -12,6 +12,9 @@ the depth network still learns.
 
 import dataclasses
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -482,6 +485,163 @@ class TestTrain:
             train(_tiny_config(), weak_only, SPEC)
 
 
+def _force_schedule(monkeypatch, side_by_side: bool) -> None:
+    """Make ``train`` pick its worker thread (or the caller alone) through
+    what it observes: two usable CPUs and the BLAS thread variables."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1" if side_by_side else "2")
+
+
+def _in_both_schedules(monkeypatch, run):
+    """``run()`` with the caller alone, then with the worker thread."""
+    results = []
+    for side_by_side in (False, True):
+        _force_schedule(monkeypatch, side_by_side)
+        results.append(run())
+    return results
+
+
+def _trained_bits(config, dataset) -> tuple:
+    """The log text and both parameter vectors' bytes of one ``train``."""
+    bundle, logs = train(config, dataset, SPEC)
+    return json.dumps(logs), bundle.pose_params.flat.tobytes(), bundle.depth_params.flat.tobytes()
+
+
+def _divergence_in_both_schedules(monkeypatch, run) -> list[str]:
+    """The divergence message ``run()`` raises with the caller alone,
+    then with the worker thread."""
+    def message():
+        with pytest.raises(FloatingPointError) as info:
+            run()
+        return str(info.value)
+
+    return _in_both_schedules(monkeypatch, message)
+
+
+class TestTrainSchedules:
+    """``train`` runs a step's annotated half and the depth net's Adam
+    update on a worker thread when the process has two CPUs and BLAS
+    runs one thread; everything it returns or raises is the same as
+    with the caller alone."""
+
+    @pytest.mark.parametrize("openblas, omp, cpus, side_by_side", [
+        ("1", None, 2, True),
+        (None, "1", 2, True),
+        ("1", "4", 2, True),
+        ("2", "1", 2, False),
+        (None, None, 2, False),
+        ("1", None, 1, False),
+    ])
+    def test_the_rule(self, monkeypatch, openblas, omp, cpus, side_by_side):
+        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        assert pipeline._side_by_side() is side_by_side
+
+    def test_the_annotated_half_runs_on_the_worker(self, tiny_dataset, monkeypatch):
+        threads = []
+        original = pipeline.annotated_step
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "annotated_step", spy)
+        for side_by_side in (False, True):
+            threads.clear()
+            _force_schedule(monkeypatch, side_by_side)
+            train(_tiny_config(), tiny_dataset, SPEC)
+            assert len(set(threads)) == 1
+            assert (threads[0] != threading.get_ident()) is side_by_side
+
+    @pytest.mark.parametrize("kwargs, weak", [
+        ({"lambda_weight": 1.0}, True),
+        ({}, False),
+        ({"track_weak_grad_stats": True}, True),
+    ], ids=["weak", "no-weak-set", "grad-stats"])
+    def test_same_bits(self, tiny_dataset, monkeypatch, kwargs, weak):
+        dataset = tiny_dataset if weak else Dataset(tiny_dataset.annotated, [])
+        inline, side_by_side = _in_both_schedules(monkeypatch, lambda: _trained_bits(_tiny_config(**kwargs), dataset))
+        assert inline == side_by_side
+
+    def test_same_bits_when_threads_switch_often(self, tiny_dataset, monkeypatch):
+        """A thread switch every microsecond gives the worker's and the
+        caller's calls every chance to interleave."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            inline, side_by_side = _in_both_schedules(
+                monkeypatch, lambda: _trained_bits(_tiny_config(epochs=3), tiny_dataset))
+        finally:
+            sys.setswitchinterval(interval)
+        assert inline == side_by_side
+
+    @pytest.mark.parametrize("pose, depth, net, message", [
+        (True, False, "posenet", "non-finite gradient for fc_in.w"),
+        (False, True, "jointdepthnet", "non-finite gradient for fc_out.b"),
+        (True, True, "jointdepthnet", "non-finite gradient for fc_out.b"),
+    ], ids=["posenet", "jointdepthnet", "both-updates"])
+    def test_a_non_finite_gradient_is_named_alike(self, tiny_dataset, monkeypatch, pose, depth, net, message):
+        """Gradients made non-finite at epoch 1, step 2: when both Adam
+        updates fail, the depth net's error wins."""
+        annotated, weak = pipeline.annotated_step, pipeline.weak_step
+
+        def broken_annotated(bundle, config, batch, epoch, step, grads):
+            value = annotated(bundle, config, batch, epoch, step, grads)
+            if pose and (epoch, step) == (1, 2):
+                grads["fc_in.w"][0, 0] = np.nan
+            return value
+
+        def broken_weak(bundle, config, batch, epoch, step, grads):
+            result = weak(bundle, config, batch, epoch, step, grads)
+            if depth and (epoch, step) == (1, 2):
+                grads["fc_out.b"][0] = np.inf
+            return result
+
+        monkeypatch.setattr(pipeline, "annotated_step", broken_annotated)
+        monkeypatch.setattr(pipeline, "weak_step", broken_weak)
+        messages = _divergence_in_both_schedules(monkeypatch, lambda: train(_tiny_config(), tiny_dataset, SPEC))
+        assert messages == [f"training diverged at epoch 1, step 2, in {net}: {message}; all parameters finite"] * 2
+
+    def test_when_both_halves_fail_the_annotated_error_wins(self, tiny_dataset, monkeypatch):
+        def failing(name, delay):
+            def fail(bundle, config, batch, epoch, step, *grads):
+                time.sleep(delay)  # the annotated half fails after the weak one
+                raise FloatingPointError(f"{name} failed")
+            return fail
+
+        monkeypatch.setattr(pipeline, "annotated_step", failing("annotated half", 0.05))
+        monkeypatch.setattr(pipeline, "predicted_joint_depths", failing("weak head", 0.0))
+        messages = _divergence_in_both_schedules(monkeypatch, lambda: train(_tiny_config(), tiny_dataset, SPEC))
+        assert messages == ["training diverged at epoch 0, step 0, in posenet: annotated half failed; "
+                            "all parameters finite"] * 2
+
+    def test_the_callers_errstate_reaches_the_worker(self, tiny_dataset, monkeypatch):
+        """Weights of about 1e300 after the first update overflow the
+        next forward pass of both halves; under ``over="raise"`` that
+        ends training the same way in both schedules."""
+        def run():
+            with np.errstate(over="raise"):
+                train(_tiny_config(base_lr=1e300), tiny_dataset, SPEC)
+
+        messages = _divergence_in_both_schedules(monkeypatch, run)
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("training diverged at epoch 0, step 1, in posenet: overflow encountered")
+
+    def test_no_thread_outlives_train(self, tiny_dataset, monkeypatch):
+        _force_schedule(monkeypatch, True)
+        before = threading.active_count()
+        train(_tiny_config(), tiny_dataset, SPEC)
+        assert threading.active_count() == before
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            train(_tiny_config(base_lr=1e300), tiny_dataset, SPEC)
+        assert threading.active_count() == before
+
+
 class TestPredictFrames:
     def test_groups_follow_first_appearance(self, tiny_dataset):
         bundle, _ = train(_tiny_config(epochs=1), tiny_dataset, SPEC)
@@ -646,7 +806,8 @@ class TestWeakStep:
         annotated = np.random.default_rng(4).normal(size=bundle.pose_params.flat.shape)
         pose_grads, depth_grads = nn.ParamVector(bundle.pose_config), nn.ParamVector(bundle.depth_config)
         pose_grads.flat[:] = annotated
-        value, d_depths = pipeline.weak_step(bundle, config, batch, epoch, step, pose_grads, depth_grads)
+        value, d_depths, pose_backward = pipeline.weak_step(bundle, config, batch, epoch, step, depth_grads)
+        pose_backward(pose_grads)
 
         def stream(role):
             return pipeline._step_rng(config.seed, epoch, step, role)
