@@ -13,7 +13,7 @@ import numpy as np
 from .data import Sample, group_frames, load_dataset, read_pose_file, write_pose_file
 from .depth import save_depth
 from .gradcheck import run_all
-from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, evaluate
+from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, check_threshold, evaluate
 from .pipeline import TrainConfig, load_bundle, predict_frames, save_bundle, train
 from .skeleton import DegeneratePoseError, SkeletonSpec, default_skeleton, height_normalize, load_skeleton
 from .synth import SceneConfig, generate_dataset
@@ -24,7 +24,9 @@ def _load_config_section(path: str | None, section: str) -> dict:
     if path is None:
         return {}
     try:
-        blob = json.loads(Path(path).read_text())
+        blob = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON config: {exc}") from exc
     if isinstance(blob, dict) and section in blob:
@@ -141,6 +143,8 @@ def _frames_from_file(path: str, spec: SkeletonSpec, normalized: bool) -> dict[s
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    check_threshold("--match-threshold", args.match_threshold)
+    check_threshold("--pck-threshold", args.pck_threshold)
     spec = load_skeleton(args.skeleton) if args.skeleton else default_skeleton()
     gt = _frames_from_file(args.gt, spec, args.normalized_skeletons)
     pred = _frames_from_file(args.pred, spec, args.normalized_skeletons)
@@ -227,6 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    seed = getattr(args, "seed", None)  # checked before a command creates anything
+    if seed is not None and seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     return args.func(args)
 
 

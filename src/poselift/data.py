@@ -267,9 +267,12 @@ def read_pose_file(path: str | Path) -> list[Sample]:
     path = Path(path)
     base_dir = path.parent.absolute()
     samples = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: not UTF-8 text: {exc}") from exc
             if not line:
                 continue
             try:

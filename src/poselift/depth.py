@@ -81,16 +81,10 @@ def read_depth_at(depth: DepthMap, points: np.ndarray) -> Readouts:
     x = pts[..., 0]
     y = pts[..., 1]
 
-    inside = (
-        np.isfinite(x)
-        & np.isfinite(y)
-        & (x >= 0.0)
-        & (x <= depth.width - 1)
-        & (y >= 0.0)
-        & (y <= depth.height - 1)
-    )
-    xc = np.clip(np.where(inside, x, 0.0), 0, depth.width - 1)
-    yc = np.clip(np.where(inside, y, 0.0), 0, depth.height - 1)
+    # NaN and +-inf fail these comparisons, so they need no test of their own.
+    inside = (x >= 0.0) & (x <= depth.width - 1) & (y >= 0.0) & (y <= depth.height - 1)
+    xc = np.where(inside, x, 0.0)
+    yc = np.where(inside, y, 0.0)
 
     x0 = np.minimum(np.floor(xc), depth.width - 2 if depth.width > 1 else 0).astype(int)
     y0 = np.minimum(np.floor(yc), depth.height - 2 if depth.height > 1 else 0).astype(int)
@@ -107,10 +101,11 @@ def read_depth_at(depth: DepthMap, points: np.ndarray) -> Readouts:
     q10 = v[y1, x0].astype(np.float64)
     q11 = v[y1, x1].astype(np.float64)
 
-    valid = inside & np.isfinite(q00) & np.isfinite(q01) & np.isfinite(q10) & np.isfinite(q11)
     top = q00 * (1.0 - wx) + q01 * wx
     bottom = q10 * (1.0 - wx) + q11 * wx
     out = top * (1.0 - wy) + bottom * wy
+    # A map holds no inf, and a NaN corner makes the sum NaN even at weight 0.
+    valid = inside & ~np.isnan(out)
     out = np.where(valid, out, np.nan)
     return Readouts(out, valid)
 

@@ -22,6 +22,12 @@ PCK_THRESHOLD_MM = 150.0
 Frames = list  # list of frames, each a list of (J, 3) arrays
 
 
+def check_threshold(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite and > 0."""
+    if not 0.0 < value < math.inf:  # NaN compares false
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _root_of(pose: np.ndarray, root_index: int) -> np.ndarray:
     arr = np.asarray(pose, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3 or root_index >= arr.shape[0]:
@@ -39,8 +45,10 @@ def match_poses(
 
     Returns one int array per frame, entry g holding the index of the
     prediction matched to ground-truth pose g, or -1 if the pose stayed
-    unmatched (no free prediction within ``threshold`` mm).
+    unmatched (no free prediction within ``threshold`` mm).  The
+    threshold must be finite and > 0.
     """
+    check_threshold("threshold", threshold)
     if len(gt_frames) != len(pred_frames):
         raise ValueError(f"{len(gt_frames)} gt frames vs {len(pred_frames)} predicted frames")
     matching = []
@@ -164,7 +172,10 @@ def evaluate(
     undetected pose misses every joint unless ``detected_only`` restricts
     the denominators to matched poses.  The detection rate is the
     percentage of ground-truth poses matched, NaN when there are none.
+    Both thresholds must be finite and > 0.
     """
+    check_threshold("match_threshold", match_threshold)
+    check_threshold("pck_threshold", pck_threshold)
     matching = match_poses(gt_frames, pred_frames, match_threshold, root_index)
     absolute, aligned, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
     matched = sum(int((a >= 0).sum()) for a in matching)

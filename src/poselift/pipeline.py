@@ -230,6 +230,7 @@ class TrainConfig:
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("depth_hidden_dim", self.depth_hidden_dim >= 1, ">= 1"),
             ("depth_num_blocks", self.depth_num_blocks >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
         )
         for name, ok, need in rules:
             if not ok:

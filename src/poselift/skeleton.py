@@ -100,7 +100,7 @@ def load_skeleton(path: str | Path) -> SkeletonSpec:
     """Read a file written by :func:`save_skeleton`; invalid JSON or a bad,
     missing or unknown field raises ValueError naming ``path``."""
     try:
-        return fields_from_json(SkeletonSpec, json.loads(Path(path).read_text()))
+        return fields_from_json(SkeletonSpec, json.loads(Path(path).read_text(encoding="utf-8")))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -172,11 +172,13 @@ class Occluder:
 
 @dataclass
 class Scene:
+    """A frame's sensor map ``depth`` and noise-free map ``clean``."""
+
     camera: CameraIntrinsics
     poses: list[np.ndarray]
-    visibility: list[np.ndarray]
     occluders: list[Occluder]
     depth: DepthMap
+    clean: DepthMap
 
 
 def _require_default_skeleton(spec: SkeletonSpec) -> None:
@@ -430,23 +432,6 @@ def render_clean_depth(
     return best
 
 
-def _joint_visibility(
-    poses: list[np.ndarray],
-    clean: np.ndarray,
-    cam: CameraIntrinsics,
-    config: SceneConfig,
-) -> list[np.ndarray]:
-    """A joint is visible when the surface in front of it is no more than
-    the visibility margin nearer than the joint itself (its own body
-    shell is thinner than the margin) and it projects inside the image."""
-    if not poses:
-        return []
-    joints = np.stack(poses)
-    # An invalid readout is NaN, and NaN compares false: the joint is hidden.
-    values = read_depth_at(DepthMap(clean), project(joints, cam)).values
-    return list(values > joints[..., 2] - config.visibility_margin_mm)
-
-
 def render_depth(
     poses: list[np.ndarray],
     occluders: list[Occluder],
@@ -454,14 +439,14 @@ def render_depth(
     config: SceneConfig,
     spec: SkeletonSpec,
     rng: np.random.Generator,
-) -> tuple[DepthMap, list[np.ndarray]]:
-    """Render a scene to a sensor-like depth map plus per-joint visibility.
+) -> tuple[DepthMap, DepthMap]:
+    """Render a scene to a sensor-like depth map and its noise-free map.
 
-    Visibility is decided on the noise-free rendering; the returned map
-    adds Gaussian sensor noise and NaN holes.
+    The sensor map adds Gaussian sensor noise and NaN holes to the
+    noise-free one, on which ``scene_to_samples`` decides visibility.
     """
     clean = render_clean_depth(poses, occluders, cam, config, spec)
-    visibility = _joint_visibility(poses, clean, cam, config)
+    clean_map = DepthMap(clean)  # a float32 copy, taken before the noise below
     noisy = clean  # rendered for this call alone, so written in place below
     if config.sensor_noise_mm > 0.0:
         noisy = rng.standard_normal(clean.shape) * config.sensor_noise_mm
@@ -469,7 +454,7 @@ def render_depth(
         np.maximum(noisy, 1.0, out=noisy)
     if config.hole_probability > 0.0:
         np.copyto(noisy, np.nan, where=rng.random(clean.shape) < config.hole_probability)
-    return DepthMap(noisy), visibility
+    return DepthMap(noisy), clean_map
 
 
 def _sample_camera(rng: np.random.Generator, config: SceneConfig) -> CameraIntrinsics:
@@ -532,44 +517,38 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig, spec: Skeleton
         half_h = rng.uniform(*config.occluder_size_range) / 2.0
         occluders.append(Occluder(center=center, half_width=half_w, half_height=half_h))
 
-    depth, visibility = render_depth(poses, occluders, cam, config, spec, rng)
-    return Scene(
-        camera=cam,
-        poses=poses,
-        visibility=visibility,
-        occluders=occluders,
-        depth=depth,
-    )
+    depth, clean = render_depth(poses, occluders, cam, config, spec, rng)
+    return Scene(camera=cam, poses=poses, occluders=occluders, depth=depth, clean=clean)
 
 
 def scene_to_samples(scene: Scene, config: SceneConfig, rng: np.random.Generator, frame_id: str) -> list[Sample]:
     """One sample per person: noisy 2D detections plus cached depth readouts.
 
-    Readouts are taken at the true joint projections, so their error is
-    bounded by sensor noise plus the interpolation footprint; only the
-    2D keypoints carry the simulated detector error.
+    The frame's joints are projected once, and both maps are read at
+    these true projections.  The sensor map gives the readouts, so their
+    error is bounded by sensor noise plus the interpolation footprint;
+    only the 2D keypoints carry the simulated detector error.  The
+    noise-free map gives the eval-only visibility: a joint is visible
+    when it projects inside the image and the surface in front of it is
+    no more than the visibility margin nearer than the joint itself (its
+    own body shell is thinner than the margin).
     """
     if not scene.poses:
         return []
-    joints_2d = project(np.stack(scene.poses), scene.camera)
-    readouts, valid = read_depth_at(scene.depth, joints_2d)  # one call per frame
+    joints = np.stack(scene.poses)
+    joints_2d = project(joints, scene.camera)
+    readouts, valid = read_depth_at(scene.depth, joints_2d)
+    # An invalid readout is NaN, and NaN compares false: the joint is hidden.
+    visible = read_depth_at(scene.clean, joints_2d).values > joints[..., 2] - config.visibility_margin_mm
     samples = []
-    for i, (pose, visible) in enumerate(zip(scene.poses, scene.visibility)):
+    for i, pose in enumerate(scene.poses):
         detections = joints_2d[i].copy()
         if config.detector_noise_px > 0.0:
             detections += rng.normal(0.0, config.detector_noise_px, size=detections.shape)
-        sample = Sample(
-            frame_id=frame_id,
-            camera=scene.camera,
-            joints_2d=detections,
-            joints_3d=pose.copy(),
-            depth=scene.depth,
-            depth_readouts=readouts[i].copy(),
-            depth_valid=valid[i].copy(),
-            eval_joints_3d=pose.copy(),
-            eval_visibility=visible.copy(),
-        )
-        samples.append(sample)
+        samples.append(Sample(
+            frame_id=frame_id, camera=scene.camera, joints_2d=detections, joints_3d=pose.copy(),
+            depth=scene.depth, depth_readouts=readouts[i].copy(), depth_valid=valid[i].copy(),
+            eval_joints_3d=pose.copy(), eval_visibility=visible[i].copy()))
     return samples
 
 

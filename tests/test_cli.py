@@ -110,6 +110,19 @@ class TestGenerate:
         assert str(info.value) == f"{flag} must be >= 0, got -1"
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_is_named_before_anything_is_written(self, tmp_path):
+        with pytest.raises(ValueError) as info:
+            main(["generate", "--out", str(tmp_path / "out"), "--seed", "-1", "--n-annotated", "1", "--n-weak", "0"])
+        assert str(info.value) == "--seed must be >= 0, got -1"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"n_weak": 1}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: config is not UTF-8 text: "):
+            main(["generate", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_bad_scene_field_names_the_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"scene": {"image_width": "160", "n_weak": 1}}))
@@ -207,6 +220,16 @@ class TestTrain:
         assert str(info.value) == f"{bad}: {message}"
         assert not (tmp_path / "model.npz").exists()
 
+    def test_negative_seed_names_the_flag_or_the_file(self, workspace, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {"seed": -1}}))
+        for args, message in [(["--seed", "-1"], "--seed must be >= 0, got -1"),
+                              (["--config", str(bad)], f"{bad}: seed must be >= 0, got -1")]:
+            with pytest.raises(ValueError) as info:
+                main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "model.npz"), *args])
+            assert str(info.value) == message
+        assert not (tmp_path / "model.npz").exists()
+
     def test_unknown_config_field_is_rejected(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"epochs": 1, "momentum": 0.9}}))
@@ -262,6 +285,16 @@ class TestEval:
         message = f"{path}: a pose in frame {gt[3].frame_id}: knee-to-neck distance is 0.0, cannot normalize"
         with pytest.raises(DegeneratePoseError, match=f"^{re.escape(message)}$"):
             main(["eval", "--gt", str(path), "--pred", str(workspace["pred"]), "--normalized-skeletons"])
+
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--pck-threshold", "nan", "nan"), ("--pck-threshold", "0", "0.0"),
+        ("--match-threshold", "-5", "-5.0"), ("--match-threshold", "inf", "inf"),
+    ])
+    def test_bad_threshold_flag_is_named(self, workspace, flag, value, shown):
+        with pytest.raises(ValueError) as info:
+            main(["eval", "--gt", str(workspace["data"] / "gt_poses.jsonl"), "--pred", str(workspace["pred"]),
+                  flag, value])
+        assert str(info.value) == f"{flag} must be finite and > 0, got {shown}"
 
     def test_records_without_poses_are_rejected(self, workspace):
         with pytest.raises(ValueError, match="no joints_3d"):

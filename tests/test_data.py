@@ -7,6 +7,7 @@ also after the file is rewritten elsewhere.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,15 @@ class TestPoseFile:
         record = json.dumps(sample_to_record(_sample()))
         path.write_text(f"{record}\n{{broken\n")
         with pytest.raises(ValueError, match=r"samples\.jsonl:2"):
+            read_pose_file(path)
+
+    @pytest.mark.parametrize("line_no", [1, 3])
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, line_no):
+        path = tmp_path / "samples.jsonl"
+        lines = [json.dumps(sample_to_record(_sample())).encode()] * 3
+        lines[line_no - 1] = b"\xff\xfe" + lines[line_no - 1]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line_no}: not UTF-8 text: "):
             read_pose_file(path)
 
     def test_missing_field_names_file_line_and_field(self, tmp_path):

@@ -2,7 +2,9 @@
 
 The bilinear interpolation is compared entry by entry against an
 independent double-loop implementation, including the invalidity rules
-(out-of-range queries, NaN neighbours).  File round trips must be
+(out-of-range queries, NaN neighbours), and byte for byte against the
+earlier vectorized readout, which tested finiteness per coordinate and
+per corner.  File round trips must be
 bit-exact, and malformed files must raise the right error types with
 messages that name the file.
 """
@@ -13,12 +15,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poselift.depth import (
     MAGIC,
     VERSION,
     DepthFormatError,
     DepthMap,
+    Readouts,
     load_depth,
     read_depth_at,
     save_depth,
@@ -56,6 +61,78 @@ def _reference_bilinear(depth: DepthMap, x: float, y: float):
     top = v(depth.values[y0, x0]) * (1 - wx) + v(depth.values[y0, x1]) * wx
     bot = v(depth.values[y1, x0]) * (1 - wx) + v(depth.values[y1, x1]) * wx
     return top * (1 - wy) + bot * wy, True
+
+
+def ref_read_depth_at(depth: DepthMap, points: np.ndarray) -> Readouts:
+    """The earlier readout: a finiteness test per coordinate and per
+    corner, and a clip after the ``np.where``."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.shape[-1] != 2:
+        raise ValueError(f"points must have shape (..., 2), got {pts.shape}")
+    x = pts[..., 0]
+    y = pts[..., 1]
+
+    inside = (
+        np.isfinite(x)
+        & np.isfinite(y)
+        & (x >= 0.0)
+        & (x <= depth.width - 1)
+        & (y >= 0.0)
+        & (y <= depth.height - 1)
+    )
+    xc = np.clip(np.where(inside, x, 0.0), 0, depth.width - 1)
+    yc = np.clip(np.where(inside, y, 0.0), 0, depth.height - 1)
+
+    x0 = np.minimum(np.floor(xc), depth.width - 2 if depth.width > 1 else 0).astype(int)
+    y0 = np.minimum(np.floor(yc), depth.height - 2 if depth.height > 1 else 0).astype(int)
+    x1 = np.minimum(x0 + 1, depth.width - 1)
+    y1 = np.minimum(y0 + 1, depth.height - 1)
+    wx = xc - x0
+    wy = yc - y0
+
+    v = depth.values
+    q00 = v[y0, x0].astype(np.float64)
+    q01 = v[y0, x1].astype(np.float64)
+    q10 = v[y1, x0].astype(np.float64)
+    q11 = v[y1, x1].astype(np.float64)
+
+    valid = inside & np.isfinite(q00) & np.isfinite(q01) & np.isfinite(q10) & np.isfinite(q11)
+    top = q00 * (1.0 - wx) + q01 * wx
+    bottom = q10 * (1.0 - wx) + q11 * wx
+    out = top * (1.0 - wy) + bottom * wy
+    out = np.where(valid, out, np.nan)
+    return Readouts(out, valid)
+
+
+def _coordinate(top: int):
+    """A coordinate on a grid axis 0..top: on a grid line (the edges and
+    one past them included), just inside or outside an edge, anywhere
+    between, or not finite."""
+    return st.one_of(
+        st.integers(-1, top + 1).map(float),
+        st.sampled_from([-0.0, np.nextafter(0.0, -1.0), np.nextafter(float(top), np.inf),
+                         np.nextafter(float(top), -np.inf), np.nan, np.inf, -np.inf]),
+        st.floats(-2.0, top + 2.0, allow_nan=False),
+    )
+
+
+@st.composite
+def readout_cases(draw):
+    """A map 1-9 pixels a side, with no holes, some or all holes (quiet
+    NaNs of either sign and random payloads), and 1-12 query points, or
+    one point as a 1-D array."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(1.0, 9000.0, size=(height, width)).astype(np.float32)
+    holes = rng.random(values.shape) < draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    bits = rng.integers(0, 2**22, size=values.shape, dtype=np.uint32) | np.uint32(0x7FC00000)
+    bits[rng.random(values.shape) < 0.5] |= np.uint32(0x80000000)
+    values.view(np.uint32)[holes] = bits[holes]
+    n = draw(st.integers(1, 12))
+    points = np.array([[draw(_coordinate(width - 1)), draw(_coordinate(height - 1))] for _ in range(n)])
+    return DepthMap(values), points[0] if draw(st.booleans()) else points
 
 
 class TestDepthMapValidation:
@@ -146,6 +223,16 @@ class TestBilinearReadout:
             assert out.values.dtype == np.float64
             assert out.values.tobytes() == ref.values.tobytes()
             np.testing.assert_array_equal(out.valid, ref.valid)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(readout_cases())
+    def test_matches_the_earlier_readout_byte_for_byte(self, case):
+        depth, points = case
+        out, ref = read_depth_at(depth, points), ref_read_depth_at(depth, points)
+        assert out.values.dtype == ref.values.dtype == np.float64
+        assert out.values.shape == ref.values.shape
+        assert out.values.tobytes() == ref.values.tobytes()
+        assert out.valid.dtype == bool and out.valid.tobytes() == ref.valid.tobytes()
 
     def test_edge_of_image_is_inside(self):
         dm = DepthMap(np.full((3, 3), 1000.0, dtype=np.float32))

@@ -177,6 +177,28 @@ def _reference_report(gt_frames, pred_frames, root_index, match_t, pck_t, detect
     }
 
 
+class TestThresholds:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    def test_match_poses_rejects_a_threshold_not_finite_and_positive(self, value):
+        frames = [[_pose([0.0, 0.0, 3000.0])]]
+        with pytest.raises(ValueError, match=rf"^threshold must be finite and > 0, got {value!r}$"):
+            match_poses(frames, frames, value)
+
+    @pytest.mark.parametrize("name", ["match_threshold", "pck_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])
+    def test_evaluate_names_the_bad_threshold(self, name, value):
+        """A perfect prediction read 0% A-3DPCK at a NaN PCK threshold and
+        0% detection at a negative match threshold; both now raise."""
+        frames = [[_pose([0.0, 0.0, 3000.0])]]
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got {value!r}$"):
+            evaluate(frames, frames, **{name: value})
+
+    def test_a_tiny_positive_threshold_is_accepted(self):
+        frames = [[_pose([0.0, 0.0, 3000.0])]]
+        report = evaluate(frames, frames, match_threshold=1e-300, pck_threshold=1e-300)
+        assert report.detection_rate == 100.0 and report.a_mpjpe == 0.0
+
+
 class TestEvaluate:
     def test_matches_reference_on_random_instances(self):
         rng = np.random.default_rng(11)

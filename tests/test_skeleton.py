@@ -8,6 +8,7 @@ property (the hip does not move at all).
 
 import dataclasses
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -94,6 +95,13 @@ class TestSpecLayout:
         path = tmp_path / "skeleton.json"
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=f"skeleton.json: .*{field}"):
+            load_skeleton(path)
+
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "skeleton.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(asdict(SPEC)).encode())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             load_skeleton(path)
 
 

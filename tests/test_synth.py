@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poselift.depth import read_depth_at
+from poselift.depth import DepthMap, read_depth_at
 from poselift.geometry import CameraIntrinsics, project
 from poselift.skeleton import default_skeleton, knee_neck_distance
 from poselift.synth import (
@@ -41,6 +41,7 @@ from poselift.synth import (
     _SITTING,
     _STANDING,
     Occluder,
+    Scene,
     SceneConfig,
     _fold_capsules,
     _fold_occluders,
@@ -61,6 +62,12 @@ CAM = CameraIntrinsics(fx=260.0, fy=260.0, cx=80.0, cy=60.0, width=160, height=1
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _flags(scene, config):
+    """The eval_visibility of each person in the scene, as
+    ``scene_to_samples`` sets it."""
+    return [s.eval_visibility for s in scene_to_samples(scene, config, _rng(0), "f")]
 
 
 def _incident_radius(joint: int) -> float:
@@ -506,9 +513,10 @@ class TestRenderCleanDepth:
     def test_a_scene_without_persons_has_no_visibility_flags(self):
         config = self._config()
         occ = Occluder(center=np.array([0.0, 0.0, 1500.0]), half_width=400.0, half_height=300.0)
-        depth, visibility = render_depth([], [occ], CAM, config, SPEC, _rng(0))
-        assert visibility == []
+        depth, clean = render_depth([], [occ], CAM, config, SPEC, _rng(0))
+        assert _flags(Scene(camera=CAM, poses=[], occluders=[occ], depth=depth, clean=clean), config) == []
         assert depth.values[60, 80] == 1500.0
+        assert clean.values[60, 80] == 1500.0
 
     def test_background_fills_misses(self):
         config = self._config()
@@ -684,9 +692,11 @@ class TestGenerateScene:
         scene = generate_scene(_rng(3), config, SPEC)
         assert 2 <= len(scene.poses) <= 3
         assert 1 <= len(scene.occluders) <= 2
-        assert len(scene.visibility) == len(scene.poses)
+        flags = _flags(scene, config)
+        assert len(flags) == len(scene.poses)
         assert scene.depth.values.shape == (config.image_height, config.image_width)
-        for pose, visible in zip(scene.poses, scene.visibility):
+        assert scene.clean.values.shape == (config.image_height, config.image_width)
+        for pose, visible in zip(scene.poses, flags):
             assert pose.shape == (17, 3)
             assert visible.shape == (17,) and visible.dtype == bool
             assert (pose[:, 2] > config.min_scene_depth_mm).all()
@@ -696,7 +706,7 @@ class TestGenerateScene:
         hit = 0
         for seed in range(10):
             scene = generate_scene(_rng(100 + seed), config, SPEC)
-            for pose, visible in zip(scene.poses, scene.visibility):
+            for pose, visible in zip(scene.poses, _flags(scene, config)):
                 pix = project(pose, scene.camera)
                 outside = (
                     (pix[:, 0] < 0.0) | (pix[:, 0] > scene.camera.width - 1)
@@ -726,8 +736,8 @@ class TestConstructedOcclusion:
         pose = generate_pose(_rng(4), config, SPEC) + np.array([0.0, 0.0, 4000.0])
         occ = Occluder(center=np.array([0.0, -380.0, 2000.0]),
                        half_width=500.0, half_height=200.0)
-        depth, visibility = render_depth([pose], [occ], CAM, config, SPEC, _rng(5))
-        flags = visibility[0]
+        depth, clean = render_depth([pose], [occ], CAM, config, SPEC, _rng(5))
+        flags = _flags(Scene(camera=CAM, poses=[pose], occluders=[occ], depth=depth, clean=clean), config)[0]
 
         blocked = [0, 1, 2, 5, 16]  # head top, neck, both shoulders, head
         clear = [4, 7, 9, 10, 12, 13]  # wrists, knees, ankles
@@ -767,6 +777,34 @@ class TestSceneToSamples:
             np.testing.assert_array_equal(sample.depth_readouts, ref.values)
             np.testing.assert_array_equal(sample.depth_valid, ref.valid)
             assert not np.array_equal(sample.joints_2d, project(pose, scene.camera))
+
+    def test_visibility_is_the_margin_rule_on_the_clean_map(self):
+        """A joint is visible when the noise-free map, read at its true
+        projection, is nearer than its own depth by less than the margin;
+        a readout that is invalid on the clean map hides the joint."""
+        hidden = 0
+        for seed in range(12):
+            scene, config, rng = self._scene_and_config([seed, 41], persons_range=(1, 4), occluder_range=(0, 3))
+            for sample, pose in zip(scene_to_samples(scene, config, rng, "f0"), scene.poses):
+                clean = read_depth_at(scene.clean, project(pose, scene.camera))
+                expected = clean.values > pose[:, 2] - config.visibility_margin_mm
+                assert sample.eval_visibility.dtype == bool
+                np.testing.assert_array_equal(sample.eval_visibility, expected)
+                assert not sample.eval_visibility[~clean.valid].any()
+                hidden += int((~expected).sum())
+        assert hidden > 0
+
+    @pytest.mark.parametrize("noise, holes", [(15.0, 0.01), (0.0, 0.5), (15.0, 0.0), (0.0, 0.0)])
+    def test_clean_map_is_the_noise_free_render(self, noise, holes):
+        """``clean`` holds the noise-free render's float32 bytes, also when
+        the noise is off and the holes are written into the render's own
+        array."""
+        config = SceneConfig(sensor_noise_mm=noise, hole_probability=holes)
+        scene = generate_scene(_rng(17), config, SPEC)
+        render = render_clean_depth(scene.poses, scene.occluders, scene.camera, config, SPEC)
+        assert scene.clean.values.tobytes() == DepthMap(render).values.tobytes()
+        if holes > 0.0:
+            assert np.isnan(scene.depth.values).sum() > np.isnan(scene.clean.values).sum()
 
     def test_noiseless_detector_keeps_exact_projections(self):
         scene, config, rng = self._scene_and_config(8, detector_noise_px=0.0)
@@ -854,10 +892,10 @@ class TestStatisticalProperties:
             scene = generate_scene(rng, config, SPEC)
             clean = render_clean_depth(scene.poses, scene.occluders, scene.camera, config, SPEC)
             samples = scene_to_samples(scene, config, rng, f"f{seed}")
-            for sample, pose, visible in zip(samples, scene.poses, scene.visibility):
+            for sample, pose in zip(samples, scene.poses):
                 pix = project(pose, scene.camera)
                 for j in range(17):
-                    if not (visible[j] and sample.depth_valid[j]):
+                    if not (sample.eval_visibility[j] and sample.depth_valid[j]):
                         continue
                     x0 = min(int(np.floor(pix[j, 0])), scene.camera.width - 2)
                     y0 = min(int(np.floor(pix[j, 1])), scene.camera.height - 2)
@@ -876,7 +914,7 @@ class TestStatisticalProperties:
             occluded = total = 0
             for seed in range(60):
                 scene = generate_scene(_rng([count, seed]), config, SPEC)
-                for visible in scene.visibility:
+                for visible in _flags(scene, config):
                     occluded += int((~visible).sum())
                     total += visible.size
             fractions.append(occluded / total)
