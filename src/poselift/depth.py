@@ -32,10 +32,15 @@ class DepthFormatError(ValueError):
     or values."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DepthMap:
     """A height x width grid of z-depths in mm, NaN where invalid; its
-    size is the shape of ``values``."""
+    size is the shape of ``values``.
+
+    The map is frozen and ``values`` is a read-only float32 array, so the
+    checks made here hold for as long as the map lives.  A writable
+    float32 array of the caller's is copied, never frozen in place; a
+    read-only float32 array is taken as it is."""
 
     values: np.ndarray
 
@@ -47,7 +52,10 @@ class DepthMap:
             raise ValueError("depth values must be finite or NaN")
         if (vals <= 0.0).any():  # NaN compares false
             raise ValueError("valid depth values must be positive")
-        self.values = vals
+        if vals.flags.writeable and (vals is self.values or not vals.flags.owndata):
+            vals = vals.copy()
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
     @property
     def width(self) -> int:
@@ -146,7 +154,8 @@ def load_depth(path: str | Path) -> DepthMap:
             raise DepthFormatError(f"{path}: {have - need} bytes after the {width}x{height} payload")
         fh.seek(_HEADER.size)
         payload = fh.read(need)
-    values = np.frombuffer(payload, dtype="<f4").reshape(height, width).copy()
+    # Read-only over the immutable payload, so the map takes it uncopied.
+    values = np.frombuffer(payload, dtype="<f4").reshape(height, width)
     try:
         return DepthMap(values)
     except ValueError as err:

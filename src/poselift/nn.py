@@ -34,13 +34,17 @@ class MlpConfig:
     dropout: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("input_dim", "output_dim", "hidden_dim"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.num_blocks < 0:
-            raise ValueError("num_blocks must be >= 0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        # Comparisons with NaN are false, so the dropout range also rejects NaN.
+        rules = (
+            ("input_dim", self.input_dim > 0, "positive"),
+            ("output_dim", self.output_dim > 0, "positive"),
+            ("hidden_dim", self.hidden_dim > 0, "positive"),
+            ("num_blocks", self.num_blocks >= 0, ">= 0"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+        )
+        for name, ok, need in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
 
 def param_shapes(config: MlpConfig) -> dict[str, tuple[int, ...]]:
@@ -99,11 +103,15 @@ def _linear_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, dw=None, db=N
 
 
 def _layernorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    # Each row is centred once; the variance is numpy's own ``var`` steps
+    # on the centred rows, so the bits equal ``x.var(axis=1)``'s.
+    xhat = x - x.mean(axis=1, keepdims=True)
+    var = np.add.reduce(xhat * xhat, axis=1, keepdims=True) / x.shape[1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return g * xhat + b, (xhat, inv)
+    xhat *= inv
+    out = g * xhat
+    out += b
+    return out, (xhat, inv)
 
 
 def _layernorm_backward(dy: np.ndarray, cache, g: np.ndarray, dg=None, db=None):

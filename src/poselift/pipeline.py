@@ -7,6 +7,13 @@ network predicts, from the pose network's output, how the depth sensor
 should see each of the stable joints; comparing that against the actual
 readouts through the robust penalty turns unannotated RGB-D frames into
 a weak supervision signal.  The depth network is ignored at inference.
+
+The pose network reads the depth readouts at inference too: a prediction
+needs the sensor's depth at each 2D joint, not the RGB image alone.
+With two usable CPUs and single-threaded BLAS, ``train`` runs each step
+of a training with weak data on two threads, and ``predict_frames`` a
+large batch as two row blocks side by side; either way the result is
+bit-identical to one thread.
 """
 
 from __future__ import annotations
@@ -328,13 +335,47 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise ValueError(f"{path}: cannot load model bundle: {exc}") from exc
 
 
+# A row block of a batch gives the bytes of the whole batch's forward pass
+# only when BLAS takes the same kernel path for both.  On OpenBLAS that
+# held for every layer shape, batch size and cut tried whenever each block
+# had two rows or more (one row takes the GEMV path) and its smallest layer
+# product, rows x in x out, was at least this many multiply-adds; smaller
+# blocks differed in the last bits, by up to 1e-13.
+_MIN_BLOCK_MACS = 1 << 20
+
+
+def _eval_forward(params: nn.ParamVector, config: nn.MlpConfig, x: np.ndarray) -> np.ndarray:
+    """``nn.forward(params, config, x, train=False)``'s output.  When
+    :func:`_side_by_side` holds and both halves of ``x`` are large enough
+    (``_MIN_BLOCK_MACS``), the rows before ``len(x) // 2`` run on a worker
+    thread while the caller runs the rest, and the outputs are stacked:
+    the same bytes as one pass.  If both blocks fail, the first block's
+    error is raised."""
+    half = len(x) // 2
+    h = config.hidden_dim
+    smallest = h * min((config.input_dim, config.output_dim) + ((h,) if config.num_blocks else ()))
+    if half < 2 or half * smallest < _MIN_BLOCK_MACS or not _side_by_side():
+        return nn.forward(params, config, x, train=False)[0]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        first = _submit(worker, nn.forward, params, config, x[:half], False)
+        try:
+            second, _ = nn.forward(params, config, x[half:], train=False)
+        finally:  # also when the second block failed: the first block's error wins
+            head, _ = first.result()
+    return np.concatenate([head, second])
+
+
 def predict_frames(bundle: ModelBundle, samples: list[Sample]):
-    """Absolute 3D poses (J, 3) from one forward pass over all samples,
-    grouped per frame in first-appearance order: (frame_ids, list of pose
-    lists).  The depth net plays no part."""
+    """Absolute 3D poses (J, 3) from one eval-mode forward pass of the
+    pose network over all samples, grouped per frame in first-appearance
+    order: (frame_ids, list of pose lists).  The network reads each
+    sample's 2D joints and its depth readouts, so prediction needs the
+    sensor; the depth net plays no part.  A large batch runs as two row
+    blocks on two threads (:func:`_eval_forward`), with the bytes of the
+    one-pass result."""
     batch = SampleBatch.from_samples(samples, bundle.skeleton.num_joints)
     x = build_inputs(batch, bundle.stats)
-    o, _ = nn.forward(bundle.pose_params, bundle.pose_config, x, train=False)
+    o = _eval_forward(bundle.pose_params, bundle.pose_config, x)
     poses = vector_to_pose(destandardize_output(o, bundle.stats), bundle.skeleton)
     frames: dict[str, list[np.ndarray]] = {}
     for frame_id, pose in zip(batch.frame_ids, poses):
@@ -448,7 +489,8 @@ class _Inline(Executor):
 
 
 def _side_by_side() -> bool:
-    """Whether :func:`train` gives a step's halves two threads: the
+    """Whether :func:`train` gives a step's halves, and
+    :func:`predict_frames` a batch's row blocks, two threads: the
     process may run on two CPUs or more, and BLAS was started
     single-threaded (the first of ``OPENBLAS_NUM_THREADS`` and
     ``OMP_NUM_THREADS`` that is set is ``1``).  Two threads whose matrix

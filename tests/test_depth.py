@@ -9,6 +9,7 @@ bit-exact, and malformed files must raise the right error types with
 messages that name the file.
 """
 
+import dataclasses
 import re
 import struct
 from types import SimpleNamespace
@@ -159,10 +160,47 @@ class TestDepthMapValidation:
     def test_width_and_height_follow_the_shape(self):
         dm = DepthMap(np.arange(1, 7, dtype=np.float32).reshape(2, 3))
         assert (dm.width, dm.height) == (3, 2)
-        dm.values = np.ones((5, 4), dtype=np.float32)
-        assert (dm.width, dm.height) == (4, 5)
+        other = DepthMap(np.ones((5, 4), dtype=np.float32))
+        assert (other.width, other.height) == (4, 5)
         with pytest.raises(AttributeError):
             dm.width = 7
+
+    def test_values_cannot_be_reassigned(self):
+        """The readout relies on the checks, so a map cannot take an
+        unchecked grid after them (inf here would read as a valid inf)."""
+        dm = DepthMap(np.full((2, 2), 700.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dm.values = np.array([[np.inf, 700.0], [700.0, 700.0]], dtype=np.float32)
+        assert (dm.values == 700.0).all()
+
+    def test_values_are_read_only(self):
+        dm = DepthMap(np.full((2, 2), 700.0))
+        with pytest.raises(ValueError, match="read-only"):
+            dm.values[0, 0] = np.inf
+        values, valid = read_depth_at(dm, [0.5, 0.5])
+        assert values.tolist() == [700.0] and valid.tolist() == [True]
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.full((3, 4), 700.0, dtype=np.float32),
+        lambda: np.full((3, 8), 700.0, dtype=np.float32)[:, ::2],
+    ], ids=["array", "view"])
+    def test_a_callers_writable_array_stays_its_own(self, make):
+        """The map copies a float32 array it would otherwise share: the
+        caller's array stays writable, and writing into it leaves the map
+        as it was checked."""
+        grid = make()
+        dm = DepthMap(grid)
+        assert grid.flags.writeable and not np.shares_memory(dm.values, grid)
+        grid[0, 0] = -5.0
+        assert dm.values[0, 0] == 700.0
+
+    def test_a_read_only_or_converted_array_is_not_copied_again(self):
+        frozen = np.full((3, 4), 700.0, dtype=np.float32)
+        frozen.flags.writeable = False
+        assert DepthMap(frozen).values is frozen
+        grid = np.full((3, 4), 700.0)  # float64: the map's float32 array is its own
+        dm = DepthMap(grid)
+        assert dm.values.dtype == np.float32 and not dm.values.flags.writeable and grid.flags.writeable
 
     def test_all_nan_map_is_allowed(self):
         """A frame where the sensor returned nothing is still a valid map."""
@@ -279,6 +317,7 @@ class TestDmapFormat:
         back = load_depth(path)
         assert (back.width, back.height) == (17, 11)
         assert back.values.tobytes() == dm.values.tobytes()
+        assert not back.values.flags.writeable
 
     def test_nan_payloads_survive(self, tmp_path):
         """NaNs are stored verbatim, whatever their payload bits."""

@@ -24,14 +24,21 @@ def _tiny_config(dropout=0.0):
 
 class TestMlpConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            nn.MlpConfig(input_dim=0, output_dim=1)
-        with pytest.raises(ValueError):
-            nn.MlpConfig(input_dim=1, output_dim=1, hidden_dim=-4)
-        with pytest.raises(ValueError):
-            nn.MlpConfig(input_dim=1, output_dim=1, num_blocks=-1)
-        with pytest.raises(ValueError):
-            nn.MlpConfig(input_dim=1, output_dim=1, dropout=1.0)
+        """Each message names the field and its value."""
+        rows = [
+            ("input_dim", 0, "input_dim must be positive, got 0"),
+            ("output_dim", -2, "output_dim must be positive, got -2"),
+            ("hidden_dim", 0, "hidden_dim must be positive, got 0"),
+            ("hidden_dim", -4, "hidden_dim must be positive, got -4"),
+            ("num_blocks", -1, "num_blocks must be >= 0, got -1"),
+            ("dropout", 1.0, "dropout must be in [0, 1), got 1.0"),
+            ("dropout", -0.1, "dropout must be in [0, 1), got -0.1"),
+            ("dropout", math.nan, "dropout must be in [0, 1), got nan"),
+        ]
+        for field, value, message in rows:
+            with pytest.raises(ValueError) as info:
+                nn.MlpConfig(**{"input_dim": 1, "output_dim": 1, field: value})
+            assert str(info.value) == message
 
     def test_dict_round_trip(self):
         config = _tiny_config(dropout=0.25)
@@ -130,6 +137,33 @@ class TestForward:
         params["fc_out.b"] = np.full(4, np.inf)
         with pytest.raises(FloatingPointError):
             nn.forward(params, config, np.zeros((1, 6)))
+
+
+def _ref_layernorm_forward(x, g, b):
+    """The earlier LayerNorm forward pass, which let ``x.var`` take the
+    mean a second time."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + nn.LN_EPS)
+    xhat = (x - mu) * inv
+    return g * xhat + b, (xhat, inv)
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("rows, width", [
+        (1, 8), (1, 1024), (2, 1), (3, 1), (7, 8), (33, 64), (64, 1024), (400, 1024), (400, 51), (5, 129),
+    ])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -3e12], ids=["centred", "offset", "large-offset"])
+    def test_same_bytes_as_the_earlier_formula(self, rows, width, offset):
+        """Output and cache byte for byte, on rows that sit far from zero
+        as well as on centred ones; a 1-wide row centres to exactly 0."""
+        rng = np.random.default_rng(rows * 1031 + width)
+        x = rng.normal(offset, 1.0 + abs(offset) * 1e-6, size=(rows, width)) * rng.uniform(0.5, 2.0, size=(rows, 1))
+        g, b = rng.normal(1.0, 0.2, size=width), rng.normal(0.0, 0.2, size=width)
+        out, (xhat, inv) = nn._layernorm_forward(x, g, b)
+        ref_out, (ref_xhat, ref_inv) = _ref_layernorm_forward(x, g, b)
+        for got, want in ((out, ref_out), (xhat, ref_xhat), (inv, ref_inv)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBackwardInterface:

@@ -642,6 +642,138 @@ class TestTrainSchedules:
         assert threading.active_count() == before
 
 
+@pytest.fixture(scope="module")
+def many_samples():
+    """701 annotated samples and the standardizer fit on them."""
+    samples = _training_set(n=701, seed=5)
+    return samples, _fit(samples)
+
+
+def _untrained_bundle(stats, width: int) -> ModelBundle:
+    """A freshly initialized bundle whose pose network is ``width`` wide
+    (two blocks, as the default network)."""
+    return pipeline.init_bundle(TrainConfig(hidden_dim=width, depth_hidden_dim=8), stats, SPEC)
+
+
+@pytest.fixture(scope="module")
+def wide_bundle(many_samples):
+    return _untrained_bundle(many_samples[1], 1024)
+
+
+def _predicted_bits(bundle, samples) -> tuple:
+    """The frame ids and the bytes of every predicted pose."""
+    frame_ids, preds = predict_frames(bundle, samples)
+    return frame_ids, [pose.tobytes() for poses in preds for pose in poses]
+
+
+def _with_fc_in_weight(bundle, value) -> ModelBundle:
+    """A copy of ``bundle`` whose pose network weighs input 0 by ``value``
+    in its first hidden unit."""
+    params = nn.ParamVector(bundle.pose_config, bundle.pose_params.flat.copy())
+    params["fc_in.w"][0, 0] = value
+    return dataclasses.replace(bundle, pose_params=params)
+
+
+def _with_far_joint(samples, index, u) -> list:
+    """``samples`` with joint 0 of sample ``index`` moved to column ``u``."""
+    joints = samples[index].joints_2d.copy()
+    joints[0, 0] = u
+    return [*samples[:index], dataclasses.replace(samples[index], joints_2d=joints), *samples[index + 1:]]
+
+
+class TestPredictSchedules:
+    """``predict_frames`` runs a large batch as two row blocks, the first
+    on a worker thread, when the process has two CPUs and BLAS runs one
+    thread; everything it returns or raises is the same as with one pass
+    in the caller."""
+
+    @pytest.mark.parametrize("width, sizes", [
+        (64, [*range(1, 9), *range(640, 651), 700]),
+        (1024, [1, 2, 3, 41, 42, 43, 64, 65, 400, 401]),
+    ])
+    def test_same_bits(self, many_samples, wide_bundle, monkeypatch, width, sizes):
+        """Width-64 batches split from 644 rows and width-1024 batches
+        from 42, so both sides of the rule are covered."""
+        samples, stats = many_samples
+        bundle = wide_bundle if width == 1024 else _untrained_bundle(stats, width)
+        for n in sizes:
+            inline, side_by_side = _in_both_schedules(monkeypatch, lambda: _predicted_bits(bundle, samples[:n]))
+            assert inline == side_by_side, n
+
+    @pytest.mark.parametrize("width, n, split", [
+        (64, 643, False), (64, 644, True), (1024, 3, False), (1024, 41, False), (1024, 42, True), (1024, 65, True),
+    ])
+    def test_the_worker_runs_a_block_only_when_the_rule_says(self, many_samples, wide_bundle, monkeypatch, width, n,
+                                                             split):
+        samples, stats = many_samples
+        bundle = wide_bundle if width == 1024 else _untrained_bundle(stats, width)
+        calls = []  # (in the caller's thread, rows) per call
+        original, caller = nn.forward, threading.get_ident()
+
+        def spy(params, config, x, *args, **kwargs):
+            calls.append((threading.get_ident() == caller, len(x)))
+            return original(params, config, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", spy)
+        for side_by_side in (False, True):
+            calls.clear()
+            _force_schedule(monkeypatch, side_by_side)
+            predict_frames(bundle, samples[:n])
+            if side_by_side and split:
+                assert sorted(calls) == [(False, n // 2), (True, n - n // 2)]
+            else:
+                assert calls == [(True, n)]
+
+    @pytest.mark.parametrize("index", [0, 63], ids=["first-block", "second-block"])
+    def test_a_non_finite_activation_is_raised_alike(self, many_samples, wide_bundle, monkeypatch, index):
+        """One sample's input overflows the first hidden unit to inf; the
+        other rows' squares overflow too but normalize to finite values."""
+        bundle = _with_fc_in_weight(wide_bundle, 1e300)
+        samples = _with_far_joint(many_samples[0][:64], index, 1e12)
+
+        def message():
+            with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as info:
+                predict_frames(bundle, samples)
+            return str(info.value)
+
+        assert _in_both_schedules(monkeypatch, message) == ["non-finite activations in forward pass"] * 2
+
+    def test_when_both_blocks_fail_the_first_blocks_error_wins(self, many_samples, wide_bundle, monkeypatch):
+        def fail(params, config, x, *args, **kwargs):
+            if len(x) == 32:
+                time.sleep(0.05)  # the first block fails after the second
+            raise FloatingPointError(f"block of {len(x)} rows failed")
+
+        monkeypatch.setattr(nn, "forward", fail)
+        _force_schedule(monkeypatch, True)
+        with pytest.raises(FloatingPointError, match="^block of 32 rows failed$"):
+            predict_frames(wide_bundle, many_samples[0][:65])
+
+    def test_the_callers_errstate_reaches_the_worker(self, many_samples, wide_bundle, monkeypatch):
+        """A first-block sample whose first hidden unit is about 1e157
+        overflows LayerNorm's squares; under ``over="raise"`` that raises
+        in both schedules, where the default would only warn."""
+        bundle = _with_fc_in_weight(wide_bundle, 1e150)
+        samples = _with_far_joint(many_samples[0][:64], 0, 1e9)
+
+        def message():
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+                predict_frames(bundle, samples)
+            return str(info.value)
+
+        assert _in_both_schedules(monkeypatch, message) == ["overflow encountered in multiply"] * 2
+
+    def test_no_thread_outlives_predict_frames(self, many_samples, wide_bundle, monkeypatch):
+        _force_schedule(monkeypatch, True)
+        before = threading.active_count()
+        predict_frames(wide_bundle, many_samples[0][:64])
+        assert threading.active_count() == before
+        bad = _with_fc_in_weight(wide_bundle, 1e300)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            predict_frames(bad, _with_far_joint(many_samples[0][:64], 0, 1e12))
+        assert threading.active_count() == before
+
+
 class TestPredictFrames:
     def test_groups_follow_first_appearance(self, tiny_dataset):
         bundle, _ = train(_tiny_config(epochs=1), tiny_dataset, SPEC)
@@ -658,8 +790,8 @@ class TestPredictFrames:
         for pred, sample in ((preds[0][0], samples[0]), (preds[0][1], samples[2]), (preds[1][0], samples[1])):
             np.testing.assert_allclose(pred, predict_pose(bundle, sample), rtol=0, atol=1e-9)
 
-    def test_no_samples_give_no_frames(self, tiny_bundle):
-        assert predict_frames(tiny_bundle, []) == ([], [])
+    def test_no_samples_give_no_frames(self, tiny_bundle, monkeypatch):
+        assert _in_both_schedules(monkeypatch, lambda: predict_frames(tiny_bundle, [])) == [([], [])] * 2
 
 
 @pytest.fixture(scope="module")
@@ -717,6 +849,17 @@ class TestBundleFormat:
             load_bundle(tmp_path / "b.npz")
         assert str(info.value).endswith(
             f"b.npz: cannot load model bundle: {net}: config field 'hidden_dim' must be int, got '8'")
+
+    @pytest.mark.parametrize("net, field, value, need", [
+        ("posenet", "hidden_dim", 0, "positive"),
+        ("jointdepthnet", "num_blocks", -1, ">= 0"),
+    ])
+    def test_bad_network_value_names_the_network_and_the_value(self, tiny_bundle, tmp_path, net, field, value, need):
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", lambda meta, arrays: meta[net].update({field: value}))
+        with pytest.raises(ValueError) as info:
+            load_bundle(tmp_path / "b.npz")
+        assert str(info.value).endswith(f"b.npz: cannot load model bundle: {net}: {field} must be {need}, got {value}")
 
     def test_version_1_json_checkpoint_is_rejected(self, tmp_path):
         path = tmp_path / "model.json"
