@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Sample, group_frames, load_dataset, read_pose_file, write_pose_file
-from .depth import save_depth
+from .data import SAMPLES_FILE, Sample, group_frames, load_dataset, read_pose_file, write_dataset, write_pose_file
 from .gradcheck import run_all
 from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, check_threshold, evaluate
 from .pipeline import TrainConfig, load_bundle, predict_frames, save_bundle, train
@@ -60,25 +59,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         counts[name] = value if flag is None else flag
     config = _config_from_file(SceneConfig, args.config, section)
 
-    out = Path(args.out)
-    depth_dir = out / "depth"
-    depth_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.Generator(np.random.Philox(args.seed))
     dataset = generate_dataset(rng, config, counts["n_annotated"], counts["n_weak"])
-
-    written: dict[str, str] = {}
-    for sample in dataset.all_samples():
-        if sample.frame_id not in written:
-            rel = f"depth/{sample.frame_id}.dmap"
-            save_depth(out / rel, sample.depth)
-            written[sample.frame_id] = rel
-        sample.depth_path = written[sample.frame_id]
-    write_pose_file(out / "samples.jsonl", dataset.all_samples())
-    write_pose_file(out / "gt_poses.jsonl", dataset.all_samples(), use_eval_pose=True)
-    print(
-        f"wrote {len(dataset.annotated)} annotated + {len(dataset.weak)} weak samples "
-        f"({len(written)} depth maps) to {out}"
-    )
+    depth_maps = write_dataset(args.out, dataset)
+    print(f"wrote {len(dataset.annotated)} annotated + {len(dataset.weak)} weak samples "
+          f"({depth_maps} depth maps) to {Path(args.out)}")
     return 0
 
 
@@ -103,20 +88,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.model)
-    samples = read_pose_file(Path(args.data) / "samples.jsonl")
+    samples = read_pose_file(Path(args.data) / SAMPLES_FILE)
     frame_ids, pred_frames = predict_frames(bundle, samples)
     by_frame = group_frames(samples)
     out_samples = []
     for fid, poses in zip(frame_ids, pred_frames):
         for src, pose in zip(by_frame[fid], poses):
-            out_samples.append(
-                Sample(
-                    frame_id=fid,
-                    camera=src.camera,
-                    joints_2d=src.joints_2d,
-                    joints_3d=pose,
-                )
-            )
+            out_samples.append(Sample(frame_id=fid, camera=src.camera, joints_2d=src.joints_2d, joints_3d=pose))
     write_pose_file(args.out, out_samples)
     print(f"wrote {len(out_samples)} predicted poses to {args.out}")
     return 0

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .depth import DepthMap, load_depth, read_depth_at
+from .depth import DepthMap, load_depth, read_depth_at, save_depth
 from .geometry import CameraIntrinsics
+
+SAMPLES_FILE = "samples.jsonl"  # a dataset directory's pose file, as write_dataset writes it
 
 
 @dataclass
@@ -279,6 +281,8 @@ def read_pose_file(path: str | Path) -> list[Sample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{line_no}: record must be a JSON object, got {type(record).__name__}")
             try:
                 samples.append(record_to_sample(record, base_dir=base_dir))
             except KeyError as exc:
@@ -295,8 +299,24 @@ def split_dataset(samples: list[Sample]) -> Dataset:
     return Dataset(annotated=annotated, weak=weak)
 
 
+def write_dataset(data_dir: str | Path, dataset: Dataset) -> int:
+    """Write ``poselift generate``'s layout: each frame's map once as
+    ``depth/<frame_id>.dmap`` (set as the samples' ``depth_path``), the
+    samples, and their withheld ground truth; return the number of maps."""
+    data_dir = Path(data_dir)
+    (data_dir / "depth").mkdir(parents=True, exist_ok=True)
+    frames = group_frames(dataset.all_samples())
+    for frame_id, samples in frames.items():
+        save_depth(data_dir / "depth" / f"{frame_id}.dmap", samples[0].depth)
+        for sample in samples:
+            sample.depth_path = f"depth/{frame_id}.dmap"
+    write_pose_file(data_dir / SAMPLES_FILE, dataset.all_samples())
+    write_pose_file(data_dir / "gt_poses.jsonl", dataset.all_samples(), use_eval_pose=True)
+    return len(frames)
+
+
 def load_dataset(data_dir: str | Path) -> Dataset:
-    return split_dataset(read_pose_file(Path(data_dir) / "samples.jsonl"))
+    return split_dataset(read_pose_file(Path(data_dir) / SAMPLES_FILE))
 
 
 def group_frames(samples: list[Sample]) -> dict[str, list[Sample]]:
@@ -324,13 +344,25 @@ def _fits(value, annotation: str) -> bool:
     return isinstance(value, _JSON_TYPES[annotation]) and (annotation == "bool" or not isinstance(value, bool))
 
 
-def fields_from_json(cls, values, error: type[ValueError] = ValueError):
+def check_fields(obj, rules, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error("<field> must be <need>, got <obj.field>")`` for the first
+    ``(field, ok, need)`` in ``rules`` whose ``ok`` is false.  Comparisons
+    with NaN are false, so a range rule also rejects NaN."""
+    for name, ok, need in rules:
+        if not ok:
+            raise error(f"{name} must be {need}, got {getattr(obj, name)!r}")
+
+
+def fields_from_json(cls, values, error: type[ValueError] = ValueError, defaults: bool = False):
     """``cls(**values)`` for dataclass ``cls`` from parsed JSON holding every
-    field; write one back with ``dataclasses.asdict``.  Raise ``error``
-    naming unknown or missing fields, or else the first field whose value
-    does not fit its annotation.  Lists become tuples for tuple fields."""
+    field, or with ``defaults`` any over ``cls()``'s; write one back with
+    ``dataclasses.asdict``.  Raise ``error`` naming a non-object's type,
+    unknown or missing fields, or else the first field whose value does
+    not fit its annotation.  Lists become tuples for tuple fields."""
     if not isinstance(values, dict):
         raise error(f"expected a JSON object of {cls.__name__} fields, got {type(values).__name__}")
+    if defaults:
+        values = {**asdict(cls()), **values}
     names = {f.name for f in fields(cls)}
     unknown, missing = sorted(set(values) - names), sorted(names - set(values))
     if unknown:

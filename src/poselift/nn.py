@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_fields
+
 LN_EPS = 1e-10
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -34,17 +36,13 @@ class MlpConfig:
     dropout: float = 0.5
 
     def __post_init__(self) -> None:
-        # Comparisons with NaN are false, so the dropout range also rejects NaN.
-        rules = (
+        check_fields(self, (
             ("input_dim", self.input_dim > 0, "positive"),
             ("output_dim", self.output_dim > 0, "positive"),
             ("hidden_dim", self.hidden_dim > 0, "positive"),
             ("num_blocks", self.num_blocks >= 0, ">= 0"),
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
-        )
-        for name, ok, need in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        ))
 
 
 def param_shapes(config: MlpConfig) -> dict[str, tuple[int, ...]]:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, Sample, SampleBatch, fields_from_json, numbers_from_json
+from .data import Dataset, Sample, SampleBatch, check_fields, fields_from_json, numbers_from_json
 from .geometry import normalize_2d, zoom_augment
 from .losses import l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_index, vector_to_pose
@@ -223,8 +223,7 @@ class TrainConfig:
     track_weak_grad_stats: bool = False
 
     def __post_init__(self) -> None:
-        # Comparisons with NaN are false, so each range also rejects NaN.
-        rules = (
+        check_fields(self, (
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0, "an even number >= 2"),
             ("base_lr", 0.0 < self.base_lr < math.inf, "finite and > 0"),
@@ -238,17 +237,15 @@ class TrainConfig:
             ("depth_hidden_dim", self.depth_hidden_dim >= 1, ">= 1"),
             ("depth_num_blocks", self.depth_num_blocks >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
-        )
-        for name, ok, need in rules:
-            if not ok:
-                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
-        if not 0.0 < self.zoom_min <= self.zoom_max < math.inf:
-            raise ConfigError(f"zoom range must be finite with 0 < min <= max, got [{self.zoom_min}, {self.zoom_max}]")
+            ("zoom_min", 0.0 < self.zoom_min < math.inf, "finite and > 0"),
+            ("zoom_max", self.zoom_min <= self.zoom_max < math.inf,
+             f"finite and >= zoom_min = {self.zoom_min!r}, the zoom range's low end"),
+        ), ConfigError)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         """The config with the fields in ``d`` (parsed JSON) over the defaults."""
-        return fields_from_json(cls, {**asdict(cls()), **d}, ConfigError)
+        return fields_from_json(cls, d, ConfigError, defaults=True)
 
 
 @dataclass

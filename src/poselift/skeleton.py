@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import fields_from_json
+from .data import check_fields, fields_from_json
 
 DEFAULT_JOINT_NAMES = (
     "head_top",
@@ -61,23 +61,17 @@ class SkeletonSpec:
 
     def __post_init__(self) -> None:
         j = len(self.joint_names)
-        if j < 2:
-            raise ValueError("a skeleton needs at least two joints")
-        if len(set(self.joint_names)) != j:
-            raise ValueError("joint names must be distinct")
-        for name, idx in (("root", self.root), ("neck", self.neck)):
-            if not 0 <= idx < j:
-                raise ValueError(f"{name} index {idx} out of range for {j} joints")
-        if len(self.knees) != 2 or not all(0 <= k < j for k in self.knees):
-            raise ValueError(f"knee indices {self.knees} out of range for {j} joints")
-        if len(set(self.depth_subset)) != len(self.depth_subset):
-            raise ValueError("depth subset indices must be distinct")
-        if not all(0 <= k < j for k in self.depth_subset):
-            raise ValueError("depth subset indices out of range")
-        if len(self.parents) != j:
-            raise ValueError("parents must list one entry per joint")
-        if self.parents[self.root] != -1:
-            raise ValueError("the root joint must have parent -1")
+        check_fields(self, (
+            ("joint_names", j >= 2 and len(set(self.joint_names)) == j, "two or more distinct names"),
+            ("root", 0 <= self.root < j, f"a joint index in [0, {j})"),
+            ("neck", 0 <= self.neck < j, f"a joint index in [0, {j})"),
+            ("knees", len(self.knees) == 2 and all(0 <= k < j for k in self.knees), f"two joint indices in [0, {j})"),
+            ("depth_subset", len(set(self.depth_subset)) == len(self.depth_subset)
+             and all(0 <= k < j for k in self.depth_subset), f"distinct joint indices in [0, {j})"),
+            ("parents", len(self.parents) == j, f"one entry per joint, {j} in all"),
+            ("parents", 0 <= self.root < len(self.parents) and self.parents[self.root] == -1,
+             f"-1 at the root, index {self.root}"),
+        ))
 
     @property
     def num_joints(self) -> int:

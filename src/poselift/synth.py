@@ -16,17 +16,18 @@ the one a full-frame solve of one primitive after another gives, byte
 for byte.  A pose is likewise built for all 16 bones at once, with the
 bits of a bone-by-bone build.  Every random draw comes from a per-scene
 stream, so datasets are reproducible and scenes could be generated in
-parallel.
+parallel by processes; on threads generation holds the GIL, and a second
+thread measured no gain (README, "Threads").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, Sample, fields_from_json
+from .data import Dataset, Sample, check_fields, fields_from_json
 from .depth import DepthMap, read_depth_at
 from .geometry import CameraIntrinsics, normalize_2d, project
 from .skeleton import DEFAULT_JOINT_NAMES, DEFAULT_PARENTS, SkeletonSpec, default_skeleton, knee_neck_distance
@@ -57,17 +58,11 @@ class SceneConfig:
     min_scene_depth_mm: float = 300.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            values = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for name in ("fx_range", "root_depth_range", "bone_scale_range", "occluder_size_range"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
         lo, hi = self.occluder_depth_fraction
-        rules = (
+        check_fields(self, [
+            *((f.name, _finite(getattr(self, f.name)), "finite") for f in fields(self)),
+            *((name, 0 < getattr(self, name)[0] <= getattr(self, name)[1], "(lo, hi) with 0 < lo <= hi")
+              for name in ("fx_range", "root_depth_range", "bone_scale_range", "occluder_size_range")),
             ("image_width", self.image_width >= 2, ">= 2"),
             ("image_height", self.image_height >= 2, ">= 2"),
             ("yaw_range_deg", self.yaw_range_deg[0] <= self.yaw_range_deg[1], "(lo, hi) with lo <= hi"),
@@ -85,15 +80,17 @@ class SceneConfig:
             ("principal_jitter", 0.0 <= self.principal_jitter <= 0.5, "in [0, 0.5]"),
             ("min_scene_depth_mm", 0.0 < self.min_scene_depth_mm < self.root_depth_range[1],
              f"> 0 and below root_depth_range[1] = {self.root_depth_range[1]!r}"),
-        )
-        for name, ok, need in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        ])
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
         """The config with the fields in ``d`` (parsed JSON) over the defaults."""
-        return fields_from_json(cls, {**asdict(cls()), **d})
+        return fields_from_json(cls, d, defaults=True)
+
+
+def _finite(value) -> bool:
+    """Whether every float in ``value``, alone or in a tuple, is finite."""
+    return all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, float))
 
 
 # Rest poses with the hip at the origin; x right, y down, z toward the

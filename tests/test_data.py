@@ -3,7 +3,9 @@
 Round trips are checked bit-exact (reprs of float64 survive JSON), the
 weak/annotated split hinges on the presence of a 3D pose, and depth map
 paths stored relative to the pose file resolve against its directory,
-also after the file is rewritten elsewhere.
+also after the file is rewritten elsewhere.  Every rule of the configs
+and the skeleton, checked through ``check_fields``, names its field and
+the bad value.
 """
 
 import json
@@ -23,10 +25,15 @@ from poselift.data import (
     record_to_sample,
     sample_to_record,
     split_dataset,
+    write_dataset,
     write_pose_file,
 )
 from poselift.depth import DepthMap, load_depth, read_depth_at, save_depth
 from poselift.geometry import CameraIntrinsics
+from poselift.nn import MlpConfig
+from poselift.pipeline import ConfigError, TrainConfig
+from poselift.skeleton import SkeletonSpec
+from poselift.synth import SceneConfig
 
 CAM = CameraIntrinsics(fx=270.0, fy=265.3, cx=80.7, cy=59.2, width=160, height=120)
 
@@ -172,6 +179,14 @@ class TestPoseFile:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line_no}: not UTF-8 text: "):
             read_pose_file(path)
 
+    @pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ("null", "NoneType"), ("5", "int"), ('"x"', "str")])
+    def test_record_that_is_not_an_object_names_file_line_and_type(self, tmp_path, line, kind):
+        path = tmp_path / "samples.jsonl"
+        path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + line + "\n")
+        with pytest.raises(ValueError) as info:
+            read_pose_file(path)
+        assert str(info.value) == f"{path}:2: record must be a JSON object, got {kind}"
+
     def test_missing_field_names_file_line_and_field(self, tmp_path):
         path = tmp_path / "samples.jsonl"
         record = sample_to_record(_sample())
@@ -303,6 +318,18 @@ class TestDatasetHelpers:
         assert [len(v) for v in frames.values()] == [2, 2, 1]
         assert frames["b"][0] is samples[0] and frames["b"][1] is samples[2]
 
+    def test_write_dataset_saves_each_frame_map_once_and_loads_back(self, tmp_path):
+        maps = {f: DepthMap(np.full((120, 160), 2500.0 + i)) for i, f in enumerate(["a", "b"])}
+        samples = [_sample(f, annotated=f == "a", depth=maps[f]) for f in ["a", "a", "b"]]
+        samples[2].eval_joints_3d = samples[0].joints_3d
+        assert write_dataset(tmp_path, split_dataset(samples)) == 2
+        assert sorted(p.name for p in (tmp_path / "depth").iterdir()) == ["a.dmap", "b.dmap"]
+        dataset = load_dataset(tmp_path)
+        assert [s.frame_id for s in dataset.all_samples()] == ["a", "a", "b"]
+        assert load_depth(dataset.weak[0].depth_path).values.tobytes() == maps["b"].values.tobytes()
+        gt = read_pose_file(tmp_path / "gt_poses.jsonl")
+        assert all(s.joints_3d.tobytes() == samples[0].joints_3d.tobytes() for s in gt)
+
     def test_load_dataset_reads_the_samples_file(self, tmp_path):
         write_pose_file(tmp_path / "samples.jsonl", [_sample("a"), _sample("b", annotated=False)])
         dataset = load_dataset(tmp_path)
@@ -334,3 +361,50 @@ class TestEnsureReadouts:
         sample = _sample()
         with pytest.raises(ValueError, match="no depth source"):
             sample.ensure_readouts()
+
+
+# One bad value for each rule of the four dataclasses that check_fields
+# guards, with the other arguments each needs.
+_NAN, _INF = float("nan"), float("inf")
+_RULE_CASES = [
+    *[(MlpConfig, {"input_dim": 1, "output_dim": 1}, field, value) for field, value in [
+        ("input_dim", 0), ("output_dim", -1), ("hidden_dim", 0), ("num_blocks", -1), ("dropout", 1.0),
+    ]],
+    *[(TrainConfig, {}, field, value) for field, value in [
+        ("epochs", 0), ("batch_size", 3), ("base_lr", 0.0), ("lr_decay", 1.5), ("lr_decay_every", 0),
+        ("lambda_weight", -1.0), ("alpha", _INF), ("hidden_dim", 0), ("num_blocks", -1), ("dropout", _NAN),
+        ("depth_hidden_dim", 0), ("depth_num_blocks", -1), ("seed", -1), ("zoom_min", 0.0), ("zoom_max", 0.5),
+    ]],
+    *[(SceneConfig, {}, field, value) for field, value in [
+        ("joint_jitter_deg", _NAN), ("fx_range", (300.0, 200.0)), ("root_depth_range", (0.0, 7000.0)),
+        ("bone_scale_range", (1.2, 1.1)), ("occluder_size_range", (-1.0, 700.0)), ("image_width", 1),
+        ("image_height", 0), ("yaw_range_deg", (30.0, -30.0)), ("occluder_depth_fraction", (0.5, 1.0)),
+        ("persons_range", (0, 2)), ("occluder_range", (2, 1)), ("sensor_noise_mm", -1.0),
+        ("detector_noise_px", -0.5), ("hole_probability", 1.0), ("visibility_margin_mm", 0.0),
+        ("standing_probability", 1.5), ("fy_jitter", 1.0), ("root_margin", 0.6), ("background_depth", 0.0),
+        ("principal_jitter", -0.1), ("min_scene_depth_mm", 7000.0),
+    ]],
+    *[(SkeletonSpec, {}, field, value) for field, value in [
+        ("joint_names", ("a",)), ("root", 17), ("neck", -1), ("knees", (9,)), ("depth_subset", (0, 0)),
+        ("parents", (-1,) * 16), ("parents", (0,) * 17),
+    ]],
+]
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("cls, base, field, value", _RULE_CASES,
+                             ids=[f"{c.__name__}-{f}-{v!r}" for c, _, f, v in _RULE_CASES])
+    def test_each_rule_names_the_field_and_the_value(self, cls, base, field, value):
+        with pytest.raises(ValueError) as info:
+            cls(**{**base, field: value})
+        message = str(info.value)
+        assert message.startswith(f"{field} must be ") and message.endswith(f", got {value!r}")
+        assert isinstance(info.value, ConfigError) == (cls is TrainConfig)
+
+    @pytest.mark.parametrize("cls, error", [(TrainConfig, ConfigError), (SceneConfig, ValueError)])
+    @pytest.mark.parametrize("blob", [[1], None, 5])
+    def test_from_dict_rejects_a_value_that_is_not_an_object(self, cls, error, blob):
+        with pytest.raises(ValueError) as info:
+            cls.from_dict(blob)
+        assert type(info.value) is error
+        assert str(info.value) == f"expected a JSON object of {cls.__name__} fields, got {type(blob).__name__}"
