@@ -197,11 +197,13 @@ def numbers_from_json(name: str, value, null_ok: bool = False) -> np.ndarray:
 
 def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
     """A record's sample; a missing field raises KeyError naming it, and
-    a field whose JSON type does not fit (see :func:`_fits`), a joint or
-    readout that is not a JSON number, per-joint arrays that disagree on
-    the joint count, joints that are not finite, a readout that is not
-    finite and > 0, or a camera :class:`CameraIntrinsics` refuses raise
+    a record that is not a dict, a field whose JSON type does not fit (see
+    :func:`_fits`), a joint or readout that is not a JSON number, arrays
+    that disagree on the joint count, joints that are not finite, a readout
+    not finite and > 0, or a camera :class:`CameraIntrinsics` refuses raise
     ValueError.  Only a null readout marks an invalid one."""
+    if not isinstance(record, dict):
+        raise ValueError(f"record must be a JSON object, got {type(record).__name__}")
     cam_rec = record["camera"]
     if not isinstance(cam_rec, dict):
         raise ValueError(f"field 'camera' must be an object, got {cam_rec!r}")
@@ -281,8 +283,6 @@ def read_pose_file(path: str | Path) -> list[Sample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{line_no}: record must be a JSON object, got {type(record).__name__}")
             try:
                 samples.append(record_to_sample(record, base_dir=base_dir))
             except KeyError as exc:

@@ -11,6 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 0.0:  # NaN fails every comparison
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+
+
 def gm_loss(x: np.ndarray, alpha: float) -> np.ndarray:
     """Geman-McClure penalty x^2 / (x^2 + alpha), elementwise.
 
@@ -18,8 +23,7 @@ def gm_loss(x: np.ndarray, alpha: float) -> np.ndarray:
     squared residual scale beyond which a measurement is treated as an
     outlier.  A residual whose square overflows gets the limit 1.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_alpha(alpha)
     arr = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
         sq = arr * arr
@@ -33,8 +37,7 @@ def gm_grad(x: np.ndarray, alpha: float) -> np.ndarray:
     residuals, which is what rejects outliers.  A residual whose squared
     denominator overflows gets the limit 0.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_alpha(alpha)
     arr = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
         numer = 2.0 * alpha * arr
@@ -77,8 +80,7 @@ def total_loss(pred_depths: np.ndarray, target_depths: np.ndarray, alpha: float,
     contributes exactly zero loss and zero gradient.  Returns (value,
     grad wrt pred_depths).
     """
-    if not alpha > 0.0:  # NaN fails every comparison
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    _check_alpha(alpha)
     if not (lambda_weight >= 0.0 and np.isfinite(lambda_weight)):
         raise ValueError(f"lambda_weight must be finite and >= 0, got {lambda_weight}")
     pred_depths = np.asarray(pred_depths, dtype=np.float64)

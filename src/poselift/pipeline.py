@@ -24,7 +24,8 @@ import math
 import os
 import zipfile
 from collections.abc import Callable
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -345,21 +346,17 @@ def _eval_forward(params: nn.ParamVector, config: nn.MlpConfig, x: np.ndarray) -
     """``nn.forward(params, config, x, train=False)``'s output.  When
     :func:`_side_by_side` holds and both halves of ``x`` are large enough
     (``_MIN_BLOCK_MACS``), the rows before ``len(x) // 2`` run on a worker
-    thread while the caller runs the rest, and the outputs are stacked:
-    the same bytes as one pass.  If both blocks fail, the first block's
-    error is raised."""
+    thread while the caller runs the rest (:func:`_pair`), and the outputs
+    are stacked: the same bytes as one pass."""
     half = len(x) // 2
     h = config.hidden_dim
     smallest = h * min((config.input_dim, config.output_dim) + ((h,) if config.num_blocks else ()))
     if half < 2 or half * smallest < _MIN_BLOCK_MACS or not _side_by_side():
         return nn.forward(params, config, x, train=False)[0]
     with ThreadPoolExecutor(max_workers=1) as worker:
-        first = _submit(worker, nn.forward, params, config, x[:half], False)
-        try:
-            second, _ = nn.forward(params, config, x[half:], train=False)
-        finally:  # also when the second block failed: the first block's error wins
-            head, _ = first.result()
-    return np.concatenate([head, second])
+        head, tail = _pair(worker, lambda: nn.forward(params, config, x[:half], train=False)[0],
+                           lambda: nn.forward(params, config, x[half:], train=False)[0])
+    return np.concatenate([head, tail])
 
 
 def predict_frames(bundle: ModelBundle, samples: list[Sample]):
@@ -446,18 +443,18 @@ def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoc
     to the head's depths, the pose backward pass): calling the last with
     the pose-net gradient buffer adds the weak half's gradient onto it,
     so the annotated half may write that buffer in the meantime.  A
-    FloatingPointError from the head's forward pass carries
-    ``network = "jointdepthnet"``."""
+    FloatingPointError from the head's forward pass, loss or backward
+    pass carries ``network = "jointdepthnet"`` (:func:`_named`)."""
     weak, o, pose_cache = _pose_forward(bundle, config, batch, epoch, step, _WEAK_ZOOM, _WEAK_DROPOUT)
     head_rng = _step_rng(config.seed, epoch, step, _HEAD_DROPOUT)
-    try:
-        depths, head_cache = predicted_joint_depths(bundle, o, train=True, rng=head_rng)
-    except FloatingPointError as exc:
-        exc.network = "jointdepthnet"
-        raise
     targets = weak.readouts[:, bundle.skeleton.depth_subset]
-    value, d_depths = total_loss(depths, targets, config.alpha, config.lambda_weight)
-    d_o = joint_depth_backward(bundle, d_depths, head_cache, depth_grads)
+
+    def head():
+        depths, head_cache = predicted_joint_depths(bundle, o, train=True, rng=head_rng)
+        value, d_depths = total_loss(depths, targets, config.alpha, config.lambda_weight)
+        return value, d_depths, joint_depth_backward(bundle, d_depths, head_cache, depth_grads)
+
+    value, d_depths, d_o = _named("jointdepthnet", head)
 
     def pose_backward(pose_grads: nn.ParamVector) -> None:
         nn.backward(bundle.pose_params, bundle.pose_config, pose_cache, d_o, pose_grads, accumulate=True)
@@ -465,24 +462,23 @@ def weak_step(bundle: ModelBundle, config: TrainConfig, batch: SampleBatch, epoc
     return value, d_depths, pose_backward
 
 
-def _diverged(exc: FloatingPointError, epoch: int, step: int, net: str, params: nn.ParamVector):
+def _named(net: str, fn: Callable, *args):
+    """``fn(*args)``; a FloatingPointError it raises names ``net`` as its
+    ``network``, which :func:`train`'s divergence error reports."""
+    try:
+        return fn(*args)
+    except FloatingPointError as exc:
+        exc.network = net
+        raise
+
+
+def _diverged(exc: FloatingPointError, epoch: int, step: int, bundle: ModelBundle):
     """The error for a training step that went non-finite, saying where."""
+    net = getattr(exc, "network", "posenet")
+    params = bundle.depth_params if net == "jointdepthnet" else bundle.pose_params
     bad = next((name for name, p in params.items() if not np.isfinite(p).all()), None)
     found = f"first non-finite parameter {bad}" if bad else "all parameters finite"
     return FloatingPointError(f"training diverged at epoch {epoch}, step {step}, in {net}: {exc}; {found}")
-
-
-class _Inline(Executor):
-    """An executor that runs each call at once, in the calling thread;
-    like a worker's, its error is raised by ``result()``."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
 
 
 def _side_by_side() -> bool:
@@ -498,10 +494,19 @@ def _side_by_side() -> bool:
     return cpus >= 2 and blas == "1"
 
 
-def _submit(worker: Executor, fn, *args) -> Future:
-    """``fn(*args)`` on ``worker`` in a copy of the caller's context, so
-    the call sees the caller's ``np.errstate``."""
-    return worker.submit(contextvars.copy_context().run, fn, *args)
+def _pair(worker: Executor | None, first: Callable, second: Callable) -> tuple:
+    """``(first(), second())``.  With a worker, ``first`` runs there in a
+    copy of the caller's context, so it sees the caller's ``np.errstate``,
+    while the caller runs ``second``; if both fail, ``first``'s error is
+    raised.  With ``worker=None`` the caller runs the two in turn."""
+    if worker is None:
+        return first(), second()
+    future = worker.submit(contextvars.copy_context().run, first)
+    try:
+        tail = second()
+    finally:  # also when second failed: first's error wins
+        head = future.result()
+    return head, tail
 
 
 def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = None):
@@ -514,16 +519,15 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     bit-reproducible.  The dataset's samples are not modified.
 
     The two halves share nothing until their pose gradients are summed,
-    so with weak data a step runs side by side on one worker thread: the
-    worker runs the annotated half while the caller runs the weak half
-    up to its pose backward pass; then the worker runs the depth net's
-    Adam update while the caller adds the weak pose gradient and runs
-    the pose net's.  Every value is computed by the same operations in
-    the same order, so the result is bit-identical to running the same
-    schedule in the caller alone, which ``train`` does unless the
-    process may use two CPUs and BLAS was started single-threaded.  If
-    both halves fail, the annotated half's error is raised; if both
-    Adam updates fail, the depth net's.
+    so with weak data a step is two :func:`_pair` calls: the annotated
+    half beside the weak half up to its pose backward pass, then the
+    depth net's Adam update beside the weak pose gradient and the pose
+    net's update.  The first of each pair runs on a worker thread when
+    the process may use two CPUs and BLAS was started single-threaded,
+    else in the caller; every value is computed by the same operations
+    in the same order either way, so the results are bit-identical.  If
+    both halves fail, the annotated half's error is raised; if both Adam
+    updates fail, the depth net's.
     """
     spec = spec or default_skeleton()
     if not dataset.annotated:
@@ -539,7 +543,6 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     # Written whole by every step's first backward pass, so never zeroed.
     pose_grads = nn.ParamVector(bundle.pose_config)
     depth_grads = nn.ParamVector(bundle.depth_config)
-    nets = {"posenet": bundle.pose_params, "jointdepthnet": bundle.depth_params}
 
     order_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 1])))
     weak_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([config.seed, 2])))
@@ -552,7 +555,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     steps_per_epoch = math.ceil(n_ann / ann_per_step)
 
     logs = []
-    with ThreadPoolExecutor(max_workers=1) if use_weak and _side_by_side() else _Inline() as worker:
+    with ThreadPoolExecutor(max_workers=1) if use_weak and _side_by_side() else nullcontext() as worker:
         for epoch in range(config.epochs):
             lr = nn.lr_schedule(config.base_lr, epoch, config.lr_decay, config.lr_decay_every)
             order = order_rng.permutation(n_ann)
@@ -562,31 +565,26 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
             grad_n = {"visible": 0, "occluded": 0}
 
             for step in range(steps_per_epoch):
-                net = "posenet"  # the network of the awaited call, for the divergence error
                 try:
-                    idx = order[step * ann_per_step : (step + 1) * ann_per_step]
-                    annotated = _submit(worker, annotated_step, bundle, config, ann_all.take(idx), epoch, step,
-                                        pose_grads)
-                    try:
-                        if use_weak:
-                            weak = weak_all.take(weak_rng.integers(n_weak, size=len(idx)))
-                            weak_value, d_depths, pose_backward = weak_step(bundle, config, weak, epoch, step,
-                                                                            depth_grads)
-                    finally:  # also when the weak half failed: the annotated half's error wins
-                        epoch_l1 += annotated.result()
+                    ann = ann_all.take(order[step * ann_per_step : (step + 1) * ann_per_step])
                     if not use_weak:
+                        epoch_l1 += annotated_step(bundle, config, ann, epoch, step, pose_grads)
                         nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
                         continue
 
+                    weak = weak_all.take(weak_rng.integers(n_weak, size=len(ann)))
+                    l1, (weak_value, d_depths, pose_backward) = _pair(
+                        worker, lambda: annotated_step(bundle, config, ann, epoch, step, pose_grads),
+                        lambda: weak_step(bundle, config, weak, epoch, step, depth_grads))
+                    epoch_l1 += l1
                     epoch_weak += weak_value
-                    depth_update = _submit(worker, nn.adam_step, bundle.depth_params, depth_grads, depth_adam, lr)
-                    try:
+
+                    def pose_update():
                         pose_backward(pose_grads)
                         nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
-                    finally:  # also when the pose update failed: the depth net's error wins
-                        net = "jointdepthnet"
-                        depth_update.result()
-                        net = "posenet"
+
+                    _pair(worker, lambda: _named("jointdepthnet", nn.adam_step, bundle.depth_params, depth_grads,
+                                                 depth_adam, lr), pose_update)
 
                     if config.track_weak_grad_stats:
                         valid, vis = ~np.isnan(weak.readouts[:, subset]), weak.visibility[:, subset]
@@ -595,8 +593,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                             grad_abs[label] += float(mags[mask].sum())
                             grad_n[label] += int(mask.sum())
                 except FloatingPointError as exc:
-                    net = getattr(exc, "network", net)
-                    raise _diverged(exc, epoch, step, net, nets[net]) from exc
+                    raise _diverged(exc, epoch, step, bundle) from exc
 
             entry = {
                 "epoch": epoch,

@@ -105,6 +105,10 @@ class TestRecordRoundTrip:
         assert weak.gt_pose() is weak.eval_joints_3d
 
 
+# JSON lines that parse to something other than an object, and the type named.
+_NOT_OBJECTS = [("[1, 2]", "list"), ("null", "NoneType"), ("5", "int"), ('"x"', "str")]
+
+
 class TestPoseFile:
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(1))
@@ -179,13 +183,19 @@ class TestPoseFile:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line_no}: not UTF-8 text: "):
             read_pose_file(path)
 
-    @pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ("null", "NoneType"), ("5", "int"), ('"x"', "str")])
+    @pytest.mark.parametrize("line, kind", _NOT_OBJECTS)
     def test_record_that_is_not_an_object_names_file_line_and_type(self, tmp_path, line, kind):
         path = tmp_path / "samples.jsonl"
         path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + line + "\n")
         with pytest.raises(ValueError) as info:
             read_pose_file(path)
         assert str(info.value) == f"{path}:2: record must be a JSON object, got {kind}"
+
+    @pytest.mark.parametrize("line, kind", _NOT_OBJECTS)
+    def test_record_to_sample_rejects_a_record_that_is_not_an_object(self, line, kind):
+        with pytest.raises(ValueError) as info:
+            record_to_sample(json.loads(line))
+        assert str(info.value) == f"record must be a JSON object, got {kind}"
 
     def test_missing_field_names_file_line_and_field(self, tmp_path):
         path = tmp_path / "samples.jsonl"

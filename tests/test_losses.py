@@ -59,10 +59,13 @@ class TestGmLoss:
         assert rho[3:].tobytes() == (finite * finite / (finite * finite + 2500.0)).tobytes()
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            gm_loss(np.zeros(3), 0.0)
-        with pytest.raises(ValueError):
-            gm_grad(np.zeros(3), -1.0)
+        """All three functions reject a non-positive or NaN alpha alike."""
+        for alpha in (0.0, -1.0, math.nan):
+            for call in (lambda: gm_loss(np.zeros(3), alpha), lambda: gm_grad(np.zeros(3), alpha),
+                         lambda: total_loss(np.zeros(3), np.zeros(3), alpha, 1.0)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == f"alpha must be > 0, got {alpha}"
 
 
 class TestGmGrad:

@@ -620,6 +620,17 @@ class TestTrainSchedules:
         assert messages == ["training diverged at epoch 0, step 0, in posenet: annotated half failed; "
                             "all parameters finite"] * 2
 
+    def test_an_error_in_the_head_backward_pass_names_jointdepthnet(self, tiny_dataset, monkeypatch):
+        """The head's backward pass runs inside :func:`weak_step`, so its
+        error names the depth net like one from the head's forward pass."""
+        def overflow(bundle, d_depths, cache, grads):
+            raise FloatingPointError("overflow encountered in multiply")
+
+        monkeypatch.setattr(pipeline, "joint_depth_backward", overflow)
+        messages = _divergence_in_both_schedules(monkeypatch, lambda: train(_tiny_config(), tiny_dataset, SPEC))
+        assert messages == ["training diverged at epoch 0, step 0, in jointdepthnet: overflow encountered in multiply; "
+                            "all parameters finite"] * 2
+
     def test_the_callers_errstate_reaches_the_worker(self, tiny_dataset, monkeypatch):
         """Weights of about 1e300 after the first update overflow the
         next forward pass of both halves; under ``over="raise"`` that
