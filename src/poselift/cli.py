@@ -176,11 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skeleton", help="skeleton spec JSON (defaults to the built-in layout)")
     p.add_argument("--log-file", dest="log_file")
     for f in fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            p.add_argument(flag, action="store_const", const=True, dest=f.name)
-        else:
-            p.add_argument(flag, type={"int": int, "float": float}[f.type], dest=f.name)
+        p.add_argument("--" + f.name.replace("_", "-"), type={"int": int, "float": float}[f.type], dest=f.name)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict 3D poses for a dataset")

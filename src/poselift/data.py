@@ -71,6 +71,16 @@ def _checked(sample: Sample, name: str, value, shape: tuple, dtype=np.float64, f
     return arr
 
 
+def _read_map(sample: Sample, depth: DepthMap, points: np.ndarray, source: str = "depth map"):
+    """``read_depth_at(depth, points)`` once the map is the size of the
+    sample's camera image; else a ValueError names the frame, the map's
+    ``source`` and both (height, width) sizes."""
+    size, image = (depth.height, depth.width), (sample.camera.height, sample.camera.width)
+    if size != image:
+        raise ValueError(f"sample {sample.frame_id}: {source} has (height, width) {size}, the camera's image {image}")
+    return read_depth_at(depth, points)
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """A sample list as arrays, row i holding sample i: the form training
@@ -96,11 +106,12 @@ class SampleBatch:
         """Check each sample's fields against ``num_joints`` and stack them.
 
         This is where sample arrays are validated: a wrong shape, a
-        non-finite joint or a non-finite readout marked valid raises
-        ValueError naming the frame id and the field.  A readout is the
-        sample's cached one, else read from its map, else from its DMAP
-        file; nothing is stored, and a run of samples that share a DMAP
-        file loads it once.
+        non-finite joint, a readout marked valid that is not finite and
+        > 0, or a depth map whose size is not the camera's raises
+        ValueError naming the frame id and the field or the map.  A
+        readout is the sample's cached one, else read from its map, else
+        from its DMAP file; nothing is stored, and a run of samples that
+        share a DMAP file loads it once.
         """
         n, j = len(samples), num_joints
         joints_2d = np.empty((n, j, 2))
@@ -117,17 +128,20 @@ class SampleBatch:
                 values = s.depth_readouts
                 ok = np.isfinite(values) if s.depth_valid is None else s.depth_valid
             elif s.depth is not None:
-                values, ok = read_depth_at(s.depth, joints_2d[i])
+                values, ok = _read_map(s, s.depth, joints_2d[i])
             elif s.depth_path is not None:
                 if s.depth_path != last_path:
                     last_path, last_map = s.depth_path, load_depth(s.depth_path)
-                values, ok = read_depth_at(last_map, joints_2d[i])
+                values, ok = _read_map(s, last_map, joints_2d[i], f"depth map {s.depth_path}")
             else:
                 raise ValueError(f"sample {s.frame_id} has no depth source")
             values = _checked(s, "depth_readouts", values, (j,), finite=False)
             ok = _checked(s, "depth_valid", ok, (j,), dtype=bool, finite=False)
-            if not np.isfinite(values[ok]).all():
-                raise ValueError(f"sample {s.frame_id}: depth_readouts marked valid are not finite")
+            marked = values[ok]
+            bad = marked[~((marked > 0.0) & (marked < np.inf))]  # NaN compares false
+            if bad.size:
+                raise ValueError(f"sample {s.frame_id}: depth_readouts marked valid must be finite and > 0, "
+                                 f"got {float(bad[0])}")
             readouts[i] = np.where(ok, values, np.nan)
             if joints_3d is not None:
                 joints_3d[i] = _checked(s, "joints_3d", s.joints_3d, (j, 3))
@@ -327,7 +341,7 @@ def group_frames(samples: list[Sample]) -> dict[str, list[Sample]]:
     return frames
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def _fits(value, annotation: str) -> bool:
@@ -341,7 +355,7 @@ def _fits(value, annotation: str) -> bool:
             return all(_fits(v, parts[0]) for v in value)
         return len(value) == len(parts) and all(map(_fits, value, parts))
     # JSON true/false parse as bool, which Python also counts as an int.
-    return isinstance(value, _JSON_TYPES[annotation]) and (annotation == "bool" or not isinstance(value, bool))
+    return isinstance(value, _JSON_TYPES[annotation]) and not isinstance(value, bool)
 
 
 def check_fields(obj, rules, error: type[ValueError] = ValueError) -> None:

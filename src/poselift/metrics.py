@@ -30,8 +30,10 @@ def check_threshold(name: str, value: float) -> None:
 
 def _root_of(pose: np.ndarray, root_index: int) -> np.ndarray:
     arr = np.asarray(pose, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3 or root_index >= arr.shape[0]:
-        raise ValueError(f"pose must be (J, 3) with J > {root_index}, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"pose must be (J, 3), got {arr.shape}")
+    if not 0 <= root_index < len(arr):
+        raise ValueError(f"root_index must be in [0, J) for J = {len(arr)} joints, got {root_index}")
     return arr[root_index]
 
 

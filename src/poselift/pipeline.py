@@ -221,7 +221,6 @@ class TrainConfig:
     zoom_min: float = 1.0
     zoom_max: float = 1.5
     seed: int = 0
-    track_weak_grad_stats: bool = False
 
     def __post_init__(self) -> None:
         check_fields(self, (
@@ -518,6 +517,10 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     half, and one Adam update of each network.  Runs with equal seeds are
     bit-reproducible.  The dataset's samples are not modified.
 
+    With weak data whose every sample has ``eval_visibility``, each
+    epoch's log also holds the mean |weak gradient| and the readout count
+    at visible and at occluded stable joints (``weak_grad_*``).
+
     The two halves share nothing until their pose gradients are summed,
     so with weak data a step is two :func:`_pair` calls: the annotated
     half beside the weak half up to its pose backward pass, then the
@@ -534,8 +537,6 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
         raise ConfigError("training needs at least one annotated sample")
     ann_all = SampleBatch.from_samples(dataset.annotated, spec.num_joints)
     weak_all = SampleBatch.from_samples(dataset.weak, spec.num_joints)
-    if config.track_weak_grad_stats and weak_all.visibility is None:
-        raise ConfigError("track_weak_grad_stats needs eval_visibility on every weak sample")
 
     bundle = init_bundle(config, fit_standardizer(ann_all, spec), spec)
     pose_adam = nn.init_adam(bundle.pose_params)
@@ -551,6 +552,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     n_ann = len(ann_all)
     n_weak = len(weak_all)
     use_weak = n_weak > 0
+    grad_stats = use_weak and weak_all.visibility is not None
     ann_per_step = config.batch_size // 2 if use_weak else config.batch_size
     steps_per_epoch = math.ceil(n_ann / ann_per_step)
 
@@ -586,7 +588,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                     _pair(worker, lambda: _named("jointdepthnet", nn.adam_step, bundle.depth_params, depth_grads,
                                                  depth_adam, lr), pose_update)
 
-                    if config.track_weak_grad_stats:
+                    if grad_stats:
                         valid, vis = ~np.isnan(weak.readouts[:, subset]), weak.visibility[:, subset]
                         mags = np.abs(d_depths)
                         for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
@@ -603,7 +605,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                 "loss_weak": epoch_weak,
                 "steps": steps_per_epoch,
             }
-            if config.track_weak_grad_stats:
+            if grad_stats:
                 entry["weak_grad_visible"] = grad_abs["visible"] / grad_n["visible"] if grad_n["visible"] else 0.0
                 entry["weak_grad_occluded"] = grad_abs["occluded"] / grad_n["occluded"] if grad_n["occluded"] else 0.0
                 entry["weak_grad_visible_n"] = grad_n["visible"]

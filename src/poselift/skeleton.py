@@ -152,8 +152,8 @@ def height_normalize(pose: np.ndarray, spec: SkeletonSpec, target_length: float 
     location while removing body-size variation; useful when comparing
     skeletons of people with different heights.
     """
-    if target_length <= 0:
-        raise ValueError(f"target_length must be > 0, got {target_length}")
+    if not 0.0 < target_length < np.inf:  # NaN compares false
+        raise ValueError(f"target_length must be finite and > 0, got {target_length}")
     arr = _check_pose(pose, spec)
     current = knee_neck_distance(arr, spec)
     if current <= 0.0 or not np.isfinite(current):

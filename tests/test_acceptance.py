@@ -237,8 +237,7 @@ def test_criterion_5_occlusion_rejection():
         joint_jitter_deg=5.0,
     )
     ds = generate_dataset(_rng([0, 100]), occ_scene, 150, 1200, SPEC)
-    config = TrainConfig(epochs=9, lambda_weight=1e-3, alpha=2500.0, seed=0,
-                         track_weak_grad_stats=True)
+    config = TrainConfig(epochs=9, lambda_weight=1e-3, alpha=2500.0, seed=0)
     _, logs = train(config, ds, SPEC)
 
     post = [e for e in logs if e["epoch"] > 5]

@@ -216,7 +216,9 @@ class TestFromSamples:
         ("joints_3d", np.full((J, 3), np.nan), "sample f7: joints_3d contains non-finite values"),
         ("depth_readouts", np.zeros(J + 1), r"sample f7: depth_readouts has shape \(18,\)"),
         ("depth_valid", np.ones(3, dtype=bool), r"sample f7: depth_valid has shape \(3,\)"),
-        ("depth_valid", np.ones(J, dtype=bool), "sample f7: depth_readouts marked valid are not finite"),
+        ("depth_valid", np.ones(J, dtype=bool),
+         "sample f7: depth_readouts marked valid must be finite and > 0, got inf"),
+        ("depth_readouts", np.full(J, -5.0), "sample f7: depth_readouts marked valid must be finite and > 0, got -5.0"),
         ("eval_visibility", np.ones(2, dtype=bool), r"sample f7: eval_visibility has shape \(2,\)"),
     ])
     def test_errors_name_the_frame_and_the_field(self, field, value, message):
@@ -244,6 +246,20 @@ class TestFromSamples:
         assert _same_with_nans(batch.readouts[1], from_map.depth_readouts)
         np.testing.assert_array_equal(~np.isnan(batch.readouts[1]), from_map.depth_valid)
         np.testing.assert_array_equal(from_map.depth_valid, read_depth_at(from_map.depth, from_map.joints_2d).valid)
+
+    @pytest.mark.parametrize("size", [(60, 80), (240, 320), (160, 120)], ids=["smaller", "larger", "transposed"])
+    def test_a_map_of_another_size_than_the_camera_names_frame_sizes_and_path(self, tmp_path, size):
+        """A map that is not the camera's (120, 160) image would read wrong
+        or no depths, from memory or from a DMAP file."""
+        values = np.full(size, 3000.0, dtype=np.float32)
+        save_depth(tmp_path / "f.dmap", DepthMap(values))
+        from_map = _sample(depth_readouts=None, depth_valid=None, depth=DepthMap(values))
+        from_file = _sample(depth_readouts=None, depth_valid=None, depth_path=str(tmp_path / "f.dmap"))
+        for sample, path in ((from_map, ""), (from_file, f" {tmp_path / 'f.dmap'}")):
+            with pytest.raises(ValueError) as info:
+                SampleBatch.from_samples([_sample("f1"), sample], J)
+            assert str(info.value) == (
+                f"sample f7: depth map{path} has (height, width) {size}, the camera's image (120, 160)")
 
     def test_adjacent_samples_of_a_dmap_file_load_it_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(10)

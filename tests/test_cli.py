@@ -151,7 +151,7 @@ class TestTrain:
         own = {"-h", "--help", "--config", "--data", "--out", "--skeleton", "--log-file"}
         assert flags - own == {"--" + f.name.replace("_", "-") for f in fields(TrainConfig)}
 
-    def test_absent_bool_flag_keeps_the_config_value(self, workspace, tmp_path, monkeypatch):
+    def test_absent_flags_keep_the_config_values(self, workspace, tmp_path, monkeypatch):
         seen = []
 
         def record(config, dataset, spec):
@@ -160,17 +160,23 @@ class TestTrain:
 
         monkeypatch.setattr(cli, "train", record)
         config = tmp_path / "train.json"
-        config.write_text(json.dumps({"track_weak_grad_stats": True, "epochs": 2, "alpha": 50}))
-        plain = tmp_path / "plain.json"
-        plain.write_text(json.dumps({"epochs": 2, "alpha": 50}))
-        runs = [(config, []), (config, ["--epochs", "3", "--alpha", "7.5"]),
-                (plain, []), (plain, ["--track-weak-grad-stats"])]
-        for path, extra in runs:
+        config.write_text(json.dumps({"epochs": 2, "alpha": 50}))
+        for extra in ([], ["--epochs", "3", "--alpha", "7.5"]):
             with pytest.raises(_TrainCalled):
-                main(["train", "--config", str(path), "--data", str(workspace["data"]),
+                main(["train", "--config", str(config), "--data", str(workspace["data"]),
                       "--out", str(tmp_path / "m")] + extra)
-        assert [(c.track_weak_grad_stats, c.epochs, c.alpha) for c in seen] == [
-            (True, 2, 50), (True, 3, 7.5), (False, 2, 50), (True, 2, 50)]
+        assert [(c.epochs, c.alpha) for c in seen] == [(2, 50), (3, 7.5)]
+
+    def test_a_config_setting_the_removed_grad_stats_switch_names_file_and_field(self, workspace, tmp_path):
+        """The occlusion statistics are logged whenever the weak samples carry
+        visibility labels, so a config that still asks for them is refused."""
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"train": {"epochs": 2, "track_weak_grad_stats": True}}))
+        with pytest.raises(ValueError) as info:
+            main(["train", "--config", str(config), "--data", str(workspace["data"]),
+                  "--out", str(tmp_path / "m")])
+        assert str(info.value) == f"{config}: unknown config fields: ['track_weak_grad_stats']"
+        assert not (tmp_path / "m").exists()
 
     def test_epoch_flag_overrides_the_config(self, workspace):
         lines = workspace["log"].read_text().splitlines()

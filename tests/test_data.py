@@ -126,8 +126,8 @@ class TestPoseFile:
 
     def test_relative_depth_path_resolves_against_the_file(self, tmp_path):
         (tmp_path / "depth").mkdir()
-        values = np.random.Generator(np.random.Philox(2)).uniform(500, 9000, (4, 6))
-        values = values.astype(np.float32)
+        values = np.random.Generator(np.random.Philox(2)).uniform(500, 9000, (120, 160))
+        values = values.astype(np.float32)  # the size of _sample's camera image
         save_depth(tmp_path / "depth" / "f0.dmap", DepthMap(values))
         sample = _sample(depth_path="depth/f0.dmap")
         sample.joints_2d = np.array([[1.0, 1.0], [4.5, 2.5]] + [[0.0, 0.0]] * 15)

@@ -138,6 +138,17 @@ class TestErrorMetrics:
         with pytest.raises(ValueError, match=r"pose shape mismatch: \(17, 3\) vs \(16, 3\)"):
             evaluate([[gt_pose]], [[pred_pose]])
 
+    @pytest.mark.parametrize("root_index", [-1, -18, 17, 40])
+    def test_a_root_index_outside_the_pose_names_it_and_j(self, root_index):
+        """-1 read the last joint as the root (R-MPJPE 0 on a shifted copy)
+        and -18 raised a bare IndexError; each now names the index."""
+        gt_pose = _pose([0.0, 0.0, 3000.0])
+        message = rf"^root_index must be in \[0, J\) for J = 17 joints, got {root_index}$"
+        with pytest.raises(ValueError, match=message):
+            match_poses([[gt_pose]], [[gt_pose + 10.0]], root_index=root_index)
+        with pytest.raises(ValueError, match=message):
+            evaluate([[gt_pose]], [[gt_pose + 10.0]], root_index=root_index)
+
 
 def _reference_report(gt_frames, pred_frames, root_index, match_t, pck_t, detected_only):
     """Metric suite recomputed with plain loops, for cross-checking."""

@@ -293,7 +293,7 @@ class TestTrainConfig:
             TrainConfig(zoom_max=inf)
 
     def test_dict_round_trip(self):
-        config = _tiny_config(seed=3, track_weak_grad_stats=True)
+        config = _tiny_config(seed=3)
         blob = json.loads(json.dumps(dataclasses.asdict(config)))
         assert TrainConfig.from_dict(blob) == config
         assert fields_from_json(TrainConfig, blob) == config
@@ -305,8 +305,7 @@ class TestTrainConfig:
             TrainConfig.from_dict(d)
 
     @pytest.mark.parametrize("field, value", [
-        ("epochs", "40"), ("epochs", 2.0), ("epochs", True), ("base_lr", "0.1"),
-        ("track_weak_grad_stats", 1),
+        ("epochs", "40"), ("epochs", 2.0), ("epochs", True), ("base_lr", "0.1"), ("alpha", False),
     ])
     def test_wrongly_typed_value_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -403,7 +402,7 @@ class TestTrain:
         assert {id(v) for v in made} == buffers | {id(bundle.pose_params), id(bundle.depth_params)}
 
     def test_weak_grad_stats_are_logged(self, tiny_dataset):
-        _, logs = train(_tiny_config(track_weak_grad_stats=True), tiny_dataset, SPEC)
+        _, logs = train(_tiny_config(), tiny_dataset, SPEC)
         for entry in logs:
             for key in ("weak_grad_visible", "weak_grad_occluded"):
                 assert entry[key] >= 0.0
@@ -470,14 +469,24 @@ class TestTrain:
         from_map = dataclasses.replace(tiny_dataset.weak[1], depth_readouts=None, depth_valid=None)
         dataset = Dataset(annotated=list(tiny_dataset.annotated), weak=[bare, from_map] + tiny_dataset.weak[2:])
         before = [snapshot(s) for s in dataset.all_samples()]
-        train(_tiny_config(zoom_min=1.2, zoom_max=1.5, track_weak_grad_stats=True), dataset, SPEC)
+        train(_tiny_config(zoom_min=1.2, zoom_max=1.5), dataset, SPEC)
         assert [snapshot(s) for s in dataset.all_samples()] == before
         assert bare.depth is None and bare.depth_readouts is None and from_map.depth_readouts is None
 
-    def test_weak_grad_stats_need_visibility(self, tiny_dataset):
-        weak = [dataclasses.replace(tiny_dataset.weak[0], eval_visibility=None)] + tiny_dataset.weak[1:]
-        with pytest.raises(ConfigError, match="eval_visibility"):
-            train(_tiny_config(track_weak_grad_stats=True), Dataset(tiny_dataset.annotated, weak), SPEC)
+    def test_a_weak_set_without_labels_logs_no_grad_stats(self, tiny_dataset):
+        """One weak sample without eval_visibility, as every pose file's
+        sample is: training runs as with labels, and its log holds the
+        other fields with the same values and no weak_grad_* key."""
+        unlabelled = [dataclasses.replace(tiny_dataset.weak[0], eval_visibility=None)] + tiny_dataset.weak[1:]
+        bundle, logs = train(_tiny_config(), Dataset(tiny_dataset.annotated, unlabelled), SPEC)
+        labelled, labelled_logs = train(_tiny_config(), tiny_dataset, SPEC)
+        assert logs == [{k: v for k, v in e.items() if not k.startswith("weak_grad")} for e in labelled_logs]
+        assert bundle.pose_params.flat.tobytes() == labelled.pose_params.flat.tobytes()
+        assert bundle.depth_params.flat.tobytes() == labelled.depth_params.flat.tobytes()
+
+    def test_without_a_weak_set_no_grad_stats_are_logged(self, tiny_dataset):
+        _, logs = train(_tiny_config(), Dataset(tiny_dataset.annotated, []), SPEC)
+        assert [set(e) for e in logs] == [{"epoch", "lr", "loss", "loss_l1", "loss_weak", "steps"}] * len(logs)
 
     def test_without_annotated_samples_raises(self, tiny_dataset):
         weak_only = Dataset(annotated=[], weak=tiny_dataset.weak)
@@ -559,12 +568,14 @@ class TestTrainSchedules:
             assert (threads[0] != threading.get_ident()) is side_by_side
 
     @pytest.mark.parametrize("kwargs, weak", [
-        ({"lambda_weight": 1.0}, True),
-        ({}, False),
-        ({"track_weak_grad_stats": True}, True),
-    ], ids=["weak", "no-weak-set", "grad-stats"])
+        ({"lambda_weight": 1.0}, "labelled"),
+        ({}, "none"),
+        ({}, "unlabelled"),
+    ], ids=["weak", "no-weak-set", "no-labels"])
     def test_same_bits(self, tiny_dataset, monkeypatch, kwargs, weak):
-        dataset = tiny_dataset if weak else Dataset(tiny_dataset.annotated, [])
+        samples = {"labelled": tiny_dataset.weak, "none": [],
+                   "unlabelled": [dataclasses.replace(s, eval_visibility=None) for s in tiny_dataset.weak]}[weak]
+        dataset = Dataset(tiny_dataset.annotated, samples)
         inline, side_by_side = _in_both_schedules(monkeypatch, lambda: _trained_bits(_tiny_config(**kwargs), dataset))
         assert inline == side_by_side
 

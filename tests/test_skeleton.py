@@ -192,10 +192,11 @@ class TestHeightNormalize:
         with pytest.raises(DegeneratePoseError):
             height_normalize(pose, SPEC)
 
-    def test_bad_target_raises(self):
+    @pytest.mark.parametrize("target", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_target_raises(self, target):
         pose = _random_pose(np.random.default_rng(3))
-        with pytest.raises(ValueError):
-            height_normalize(pose, SPEC, target_length=0.0)
+        with pytest.raises(ValueError, match=f"^target_length must be finite and > 0, got {target}$"):
+            height_normalize(pose, SPEC, target_length=target)
 
 
 class TestJointNames:
