@@ -4,8 +4,11 @@ With one OpenBLAS thread and two usable CPUs, ``pipeline.train`` runs each
 step of a training with weak data on two threads, and
 ``pipeline.predict_frames`` a large batch as two row blocks (README,
 "Threads").  The acceptance suite's weak trainings spend most of tier-1
-on the first.  Results are bit-identical either way; a value already set
-in the environment wins.
+on the first.  The schedule does not change the bits; the numpy and
+OpenBLAS build, the BLAS thread count and the batch size can: at two
+OpenBLAS threads, predictions for 41 to 43 samples at width 1024
+differed in the last bits from one thread's (README, "Threads").  A
+value already set in the environment wins.
 """
 
 import os

@@ -9,10 +9,13 @@ One record per person instance per frame:
 
 Records without ``joints_3d`` are depth-only (weak) samples.  Floats are
 written with ``repr`` precision so files round trip bit-exact.  A
-:class:`SampleBatch` holds a sample list as arrays for training and
-prediction.  :func:`fields_from_json` builds a config dataclass from
-JSON, checking each field by name and type, and :func:`numbers_from_json`
-reads an array whose every element must be a JSON number.
+:class:`Sample` checks its arrays once, when it is built from a record or
+in code (``dataclasses.replace`` included); a field assigned afterwards is
+not checked again.  A :class:`SampleBatch` holds a sample list as arrays
+for training and prediction.  :func:`fields_from_json` builds a config
+dataclass from JSON, checking each field by name and type, and
+:func:`numbers_from_json` reads an array whose every element must be a
+JSON number.
 """
 
 from __future__ import annotations
@@ -47,6 +50,35 @@ class Sample:
     eval_joints_3d: np.ndarray | None = field(default=None, repr=False)
     eval_visibility: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        """Check the arrays, raising ValueError ``sample <frame_id>: <field>
+        ...``, and store them as float64 or bool; J is ``joints_2d``'s
+        length.  A field assigned later is not checked again."""
+        joints_2d = np.asarray(self.joints_2d, dtype=np.float64)
+        if joints_2d.ndim != 2:
+            raise ValueError(f"sample {self.frame_id}: joints_2d has shape {joints_2d.shape}, expected (J, 2)")
+        j = len(joints_2d)
+        for name, shape, dtype in [("joints_2d", (j, 2), float), ("joints_3d", (j, 3), float),
+                                   ("depth_readouts", (j,), float), ("depth_valid", (j,), bool),
+                                   ("eval_visibility", (j,), bool)]:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            arr = np.asarray(value, dtype=dtype)
+            if arr.shape != shape:
+                raise ValueError(f"sample {self.frame_id}: {name} has shape {arr.shape}, expected {shape}")
+            if name in ("joints_2d", "joints_3d") and not np.isfinite(arr).all():
+                raise ValueError(f"sample {self.frame_id}: {name} contains non-finite values")
+            setattr(self, name, arr)
+        if self.depth_readouts is not None:
+            marked = self.depth_readouts[np.isfinite(self.depth_readouts) if self.depth_valid is None
+                                         else self.depth_valid]
+            bad = marked[~((marked > 0.0) & (marked < np.inf))]  # NaN compares false
+            if bad.size:
+                raise ValueError(f"sample {self.frame_id}: depth_readouts marked valid must be finite and > 0 "
+                                 f"(a false depth_valid, or null in a pose file, marks an invalid one), "
+                                 f"got {float(bad[0])}")
+
     @property
     def is_annotated(self) -> bool:
         return self.joints_3d is not None
@@ -60,15 +92,6 @@ class Sample:
         if self.depth_readouts is None or self.depth_valid is None:
             self.depth_readouts = SampleBatch.from_samples([self], len(self.joints_2d)).readouts[0]
             self.depth_valid = ~np.isnan(self.depth_readouts)
-
-
-def _checked(sample: Sample, name: str, value, shape: tuple, dtype=np.float64, finite: bool = True) -> np.ndarray:
-    arr = np.asarray(value, dtype=dtype)
-    if arr.shape != shape:
-        raise ValueError(f"sample {sample.frame_id}: {name} has shape {arr.shape}, expected {shape}")
-    if finite and not np.isfinite(arr).all():
-        raise ValueError(f"sample {sample.frame_id}: {name} contains non-finite values")
-    return arr
 
 
 def _read_map(sample: Sample, depth: DepthMap, points: np.ndarray, source: str = "depth map"):
@@ -103,11 +126,11 @@ class SampleBatch:
 
     @classmethod
     def from_samples(cls, samples: list[Sample], num_joints: int) -> "SampleBatch":
-        """Check each sample's fields against ``num_joints`` and stack them.
+        """Stack the samples' arrays, each sample already checked when it
+        was built (:meth:`Sample.__post_init__`).
 
-        This is where sample arrays are validated: a wrong shape, a
-        non-finite joint, a readout marked valid that is not finite and
-        > 0, or a depth map whose size is not the camera's raises
+        A sample whose joint count is not ``num_joints``, that has no depth
+        source, or whose depth map's size is not its camera's raises
         ValueError naming the frame id and the field or the map.  A
         readout is the sample's cached one, else read from its map, else
         from its DMAP file; nothing is stored, and a run of samples that
@@ -123,7 +146,10 @@ class SampleBatch:
         # previous DMAP loads each such file once.
         last_path, last_map = None, None
         for i, s in enumerate(samples):
-            joints_2d[i] = _checked(s, "joints_2d", s.joints_2d, (j, 2))
+            if len(s.joints_2d) != j:  # the one rule a sample cannot check alone
+                raise ValueError(f"sample {s.frame_id}: joints_2d has shape {np.shape(s.joints_2d)}, "
+                                 f"expected {(j, 2)}")
+            joints_2d[i] = s.joints_2d
             if s.depth_readouts is not None:
                 values = s.depth_readouts
                 ok = np.isfinite(values) if s.depth_valid is None else s.depth_valid
@@ -135,18 +161,11 @@ class SampleBatch:
                 values, ok = _read_map(s, last_map, joints_2d[i], f"depth map {s.depth_path}")
             else:
                 raise ValueError(f"sample {s.frame_id} has no depth source")
-            values = _checked(s, "depth_readouts", values, (j,), finite=False)
-            ok = _checked(s, "depth_valid", ok, (j,), dtype=bool, finite=False)
-            marked = values[ok]
-            bad = marked[~((marked > 0.0) & (marked < np.inf))]  # NaN compares false
-            if bad.size:
-                raise ValueError(f"sample {s.frame_id}: depth_readouts marked valid must be finite and > 0, "
-                                 f"got {float(bad[0])}")
             readouts[i] = np.where(ok, values, np.nan)
             if joints_3d is not None:
-                joints_3d[i] = _checked(s, "joints_3d", s.joints_3d, (j, 3))
+                joints_3d[i] = s.joints_3d
             if visibility is not None:
-                visibility[i] = _checked(s, "eval_visibility", s.eval_visibility, (j,), dtype=bool, finite=False)
+                visibility[i] = s.eval_visibility
         return cls(
             frame_ids=np.array([s.frame_id for s in samples], dtype=object),
             intrinsics=np.array([s.camera.row for s in samples], dtype=np.float64).reshape(n, 4),
@@ -212,10 +231,10 @@ def numbers_from_json(name: str, value, null_ok: bool = False) -> np.ndarray:
 def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
     """A record's sample; a missing field raises KeyError naming it, and
     a record that is not a dict, a field whose JSON type does not fit (see
-    :func:`_fits`), a joint or readout that is not a JSON number, arrays
-    that disagree on the joint count, joints that are not finite, a readout
-    not finite and > 0, or a camera :class:`CameraIntrinsics` refuses raise
-    ValueError.  Only a null readout marks an invalid one."""
+    :func:`_fits`), a joint or readout that is not a JSON number, or a
+    camera :class:`CameraIntrinsics` refuses raises ValueError.  Only a
+    null readout marks an invalid one.  The arrays are checked once, by
+    :class:`Sample` itself, whose errors name the frame and the field."""
     if not isinstance(record, dict):
         raise ValueError(f"record must be a JSON object, got {type(record).__name__}")
     cam_rec = record["camera"]
@@ -229,40 +248,16 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
             raise ValueError(f"field {name!r} must be {annotation}, got {value!r}")
     if depth_path is not None and base_dir is not None:
         depth_path = str(base_dir / depth_path)
-    joints_2d = numbers_from_json("joints_2d", record["joints_2d"])
-    if joints_2d.ndim != 2 or joints_2d.shape[1] != 2:
-        raise ValueError(f"joints_2d has shape {joints_2d.shape}, expected (J, 2)")
-    if not np.isfinite(joints_2d).all():
-        raise ValueError("joints_2d contains non-finite values")
-    num_joints = joints_2d.shape[0]
     joints_3d = record.get("joints_3d")
-    if joints_3d is not None:
-        joints_3d = numbers_from_json("joints_3d", joints_3d)
-        if joints_3d.shape != (num_joints, 3):
-            raise ValueError(f"joints_3d has shape {joints_3d.shape}, expected ({num_joints}, 3) like joints_2d")
-        if not np.isfinite(joints_3d).all():
-            raise ValueError("joints_3d contains non-finite values")
     readouts = record.get("depth_readouts")
-    depth_readouts = None
-    depth_valid = None
-    if readouts is not None:
-        depth_readouts = numbers_from_json("depth_readouts", readouts, null_ok=True)
-        if depth_readouts.shape != (num_joints,):
-            raise ValueError(
-                f"depth_readouts has shape {depth_readouts.shape}, expected ({num_joints},) like joints_2d"
-            )
-        depth_valid = np.array([v is not None for v in readouts], dtype=bool)
-        bad = [v for v in depth_readouts[depth_valid] if not 0.0 < v < np.inf]  # NaN compares false
-        if bad:
-            raise ValueError(f"depth_readouts must be finite and > 0 (null marks an invalid one), got {bad[0]}")
     return Sample(
         frame_id=record["frame_id"],
         camera=CameraIntrinsics(**{f.name: cam_rec[f.name] for f in fields(CameraIntrinsics)}),
-        joints_2d=joints_2d,
-        joints_3d=joints_3d,
+        joints_2d=numbers_from_json("joints_2d", record["joints_2d"]),
+        joints_3d=None if joints_3d is None else numbers_from_json("joints_3d", joints_3d),
         depth_path=depth_path,
-        depth_readouts=depth_readouts,
-        depth_valid=depth_valid,
+        depth_readouts=None if readouts is None else numbers_from_json("depth_readouts", readouts, null_ok=True),
+        depth_valid=None if readouts is None else np.not_equal(np.array(readouts, dtype=object), None),
     )
 
 

@@ -12,8 +12,10 @@ The pose network reads the depth readouts at inference too: a prediction
 needs the sensor's depth at each 2D joint, not the RGB image alone.
 With two usable CPUs and single-threaded BLAS, ``train`` runs each step
 of a training with weak data on two threads, and ``predict_frames`` a
-large batch as two row blocks side by side; either way the result is
-bit-identical to one thread.
+large batch as two row blocks side by side; either way the result has
+the bytes of one thread.  The bits depend on the numpy and OpenBLAS
+build, the BLAS thread count and the batch size, not on the schedule
+(README, "Threads").
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ per-sample raw input, its standardization and the single-pose vector
 layout.  Property tests
 compare the batch helpers with it to the bit on random batches that mix
 factor-1 rows, invalid readouts and weak rows.  The builder tests pin
-its validation messages and that it stores nothing on the samples.
+the messages of a sample's own checks, made when it is built, and of the
+builder's (joint count, depth source, map size), and that the builder
+stores nothing on the samples.
 """
 
 import dataclasses
@@ -186,7 +188,7 @@ class TestPoseVectorBatchAxis:
 
 def _sample(frame_id="f7", **kwargs) -> Sample:
     sample = _random_sample(np.random.default_rng(8), False, 0.2, False, True)
-    return dataclasses.replace(sample, frame_id=frame_id, eval_visibility=np.ones(J, dtype=bool), **kwargs)
+    return dataclasses.replace(sample, **{"frame_id": frame_id, "eval_visibility": np.ones(J, dtype=bool), **kwargs})
 
 
 class TestFromSamples:
@@ -217,17 +219,27 @@ class TestFromSamples:
         ("depth_readouts", np.zeros(J + 1), r"sample f7: depth_readouts has shape \(18,\)"),
         ("depth_valid", np.ones(3, dtype=bool), r"sample f7: depth_valid has shape \(3,\)"),
         ("depth_valid", np.ones(J, dtype=bool),
-         "sample f7: depth_readouts marked valid must be finite and > 0, got inf"),
-        ("depth_readouts", np.full(J, -5.0), "sample f7: depth_readouts marked valid must be finite and > 0, got -5.0"),
+         r"sample f7: depth_readouts marked valid must be finite and > 0 "
+         r"\(a false depth_valid, or null in a pose file, marks an invalid one\), got inf"),
+        ("depth_readouts", np.full(J, -5.0),
+         r"sample f7: depth_readouts marked valid must be finite and > 0 "
+         r"\(a false depth_valid, or null in a pose file, marks an invalid one\), got -5.0"),
         ("eval_visibility", np.ones(2, dtype=bool), r"sample f7: eval_visibility has shape \(2,\)"),
     ])
     def test_errors_name_the_frame_and_the_field(self, field, value, message):
         readouts = np.full(J, 3000.0)
         readouts[0] = np.inf
-        sample = _sample(depth_readouts=readouts, depth_valid=np.arange(J) > 0)
-        setattr(sample, field, value)
         with pytest.raises(ValueError, match=message):
-            SampleBatch.from_samples([_sample("f1"), sample], J)
+            _sample(**{"depth_readouts": readouts, "depth_valid": np.arange(J) > 0, field: value})
+
+    def test_a_joint_count_other_than_the_skeletons_names_the_frame(self):
+        """The one check ``from_samples`` makes on each sample: a 16-joint
+        sample is whole on its own, but not against the 17-joint skeleton."""
+        short = Sample(frame_id="f16", camera=_sample().camera, joints_2d=np.zeros((J - 1, 2)),
+                       depth_readouts=np.full(J - 1, 3000.0))
+        with pytest.raises(ValueError) as info:
+            SampleBatch.from_samples([_sample("f1"), short], J)
+        assert str(info.value) == "sample f16: joints_2d has shape (16, 2), expected (17, 2)"
 
     def test_without_any_depth_source_raises(self):
         with pytest.raises(ValueError, match="sample f7 has no depth source"):

@@ -215,6 +215,8 @@ class TestPoseFile:
 
     @pytest.mark.parametrize("field, value", [
         ("joints_2d", [[1.0, 2.0, 3.0]] * 17),
+        ("joints_2d", 5.0),
+        ("joints_2d", [[[1.0, 2.0]]] * 17),
         ("joints_3d", [[1.0, 2.0, 3.0]] * 16),
         ("joints_3d", [[1.0, 2.0]] * 17),
         ("depth_readouts", [1000.0] * 18),
@@ -224,9 +226,36 @@ class TestPoseFile:
         record = sample_to_record(_sample(readouts=[1000.0] * 17))
         record[field] = value
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ValueError, match=rf"samples\.jsonl:1: {field} has shape"):
+        with pytest.raises(ValueError, match=rf"samples\.jsonl:1: sample f0: {field} has shape"):
             read_pose_file(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("joints_2d", [[1.0, 2.0, 3.0]] * 17),
+        ("joints_2d", 5.0),
+        ("joints_2d", [[1.0, float("inf")]] * 17),
+        ("joints_3d", [[1.0, 2.0, 3.0]] * 16),
+        ("joints_3d", [[1.0, 2.0, float("nan")]] * 17),
+        ("depth_readouts", [1000.0] * 18),
+        ("depth_readouts", [1000.0] * 16 + [-5.0]),
+        ("depth_readouts", [None] * 16 + [float("inf")]),
+    ])
+    def test_a_built_sample_and_a_pose_file_give_one_message(self, tmp_path, field, value):
+        """The same bad field, built in code and read from a file, raises
+        the same message; the file adds its path and line."""
+        good = _sample(readouts=[1000.0] * 17)
+        changes = {field: np.array(value, dtype=np.float64)}
+        if field == "depth_readouts":
+            changes["depth_valid"] = np.array([v is not None for v in value])
+        with pytest.raises(ValueError) as built:
+            Sample(**{**vars(good), **changes})
+        record = sample_to_record(good)
+        record[field] = value
+        path = tmp_path / "samples.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as read:
+            read_pose_file(path)
+        assert str(built.value).startswith("sample f0: ")
+        assert str(read.value) == f"{path}:1: {built.value}"
 
     @pytest.mark.parametrize("field, bad", [
         ("joints_2d", float("nan")), ("joints_2d", float("inf")),
@@ -237,7 +266,7 @@ class TestPoseFile:
         record = sample_to_record(_sample())
         record[field][4][1] = bad
         path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + json.dumps(record) + "\n")
-        with pytest.raises(ValueError, match=rf"samples\.jsonl:2: {field} contains non-finite values"):
+        with pytest.raises(ValueError, match=rf"samples\.jsonl:2: sample f0: {field} contains non-finite values"):
             read_pose_file(path)
 
     def test_null_readout_marks_an_invalid_one(self, tmp_path):
@@ -257,8 +286,9 @@ class TestPoseFile:
         line = json.dumps(record)
         assert f", {text}, " in line  # the literal json.loads accepts
         path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + line + "\n")
-        with pytest.raises(ValueError, match=rf"samples\.jsonl:2: depth_readouts must be finite and > 0 "
-                                             rf"\(null marks an invalid one\), got {bad}$"):
+        with pytest.raises(ValueError, match=rf"samples\.jsonl:2: sample f0: depth_readouts marked valid must be "
+                                             rf"finite and > 0 \(a false depth_valid, or null in a pose file, "
+                                             rf"marks an invalid one\), got {bad}$"):
             read_pose_file(path)
 
     @pytest.mark.parametrize("field", ["width", "height"])
