@@ -71,13 +71,16 @@ class Sample:
                 raise ValueError(f"sample {self.frame_id}: {name} contains non-finite values")
             setattr(self, name, arr)
         if self.depth_readouts is not None:
-            marked = self.depth_readouts[np.isfinite(self.depth_readouts) if self.depth_valid is None
-                                         else self.depth_valid]
+            marked = self.depth_readouts[self._readout_mask()]
             bad = marked[~((marked > 0.0) & (marked < np.inf))]  # NaN compares false
             if bad.size:
                 raise ValueError(f"sample {self.frame_id}: depth_readouts marked valid must be finite and > 0 "
                                  f"(a false depth_valid, or null in a pose file, marks an invalid one), "
                                  f"got {float(bad[0])}")
+
+    def _readout_mask(self) -> np.ndarray:
+        """Which cached readouts are valid: ``depth_valid``, else the finite ones."""
+        return np.isfinite(self.depth_readouts) if self.depth_valid is None else self.depth_valid
 
     @property
     def is_annotated(self) -> bool:
@@ -151,8 +154,7 @@ class SampleBatch:
                                  f"expected {(j, 2)}")
             joints_2d[i] = s.joints_2d
             if s.depth_readouts is not None:
-                values = s.depth_readouts
-                ok = np.isfinite(values) if s.depth_valid is None else s.depth_valid
+                values, ok = s.depth_readouts, s._readout_mask()
             elif s.depth is not None:
                 values, ok = _read_map(s, s.depth, joints_2d[i])
             elif s.depth_path is not None:
@@ -198,11 +200,8 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
     if sample.depth_path is not None:
         record["depth_path"] = sample.depth_path
     if sample.depth_readouts is not None:
-        valid = sample.depth_valid
-        if valid is None:
-            valid = np.isfinite(sample.depth_readouts)
         record["depth_readouts"] = [
-            float(v) if ok else None for v, ok in zip(sample.depth_readouts, valid)
+            float(v) if ok else None for v, ok in zip(sample.depth_readouts, sample._readout_mask())
         ]
     return record
 

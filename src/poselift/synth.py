@@ -1,7 +1,11 @@
 """Synthetic RGB-D scenes: random posed bodies rendered into depth maps.
 
-Bodies are unions of capsules around the bones of the built-in skeleton;
-occluders are camera-facing rectangles placed between the camera and a
+Bodies are unions of capsules around the bones of the built-in 17-joint
+skeleton, the only one the generator draws, so its functions take no
+skeleton argument (``render_clean_depth`` keeps its ``spec``, checked to
+be that skeleton, only while the benchmark harness, ``bench/tracing.py``,
+reads it as the fifth argument to count capsules); occluders are
+camera-facing rectangles placed between the camera and a
 person.  Depth is ray-cast analytically per pixel (the stored value is
 the z coordinate of the nearest hit, matching a time-of-flight sensor),
 then corrupted with Gaussian noise and NaN holes.  Each capsule is
@@ -178,11 +182,6 @@ class Scene:
     clean: DepthMap
 
 
-def _require_default_skeleton(spec: SkeletonSpec) -> None:
-    if spec.joint_names != DEFAULT_JOINT_NAMES:
-        raise ValueError("the synthetic generator only knows the built-in 17-joint skeleton")
-
-
 def _tree_order(spec: SkeletonSpec) -> list[int]:
     order = [spec.root]
     seen = {spec.root}
@@ -194,15 +193,16 @@ def _tree_order(spec: SkeletonSpec) -> list[int]:
     return order
 
 
-# The built-in skeleton's bones, one per child joint, in the order
-# generate_pose draws them (every parent before its children), with the
-# capsule radius of each.
-_CHILDREN = np.array(_tree_order(default_skeleton())[1:])
+# The one skeleton the generator draws, and its bones, one per child
+# joint, in the order generate_pose draws them (every parent before its
+# children), with the capsule radius of each.
+_SPEC = default_skeleton()
+_CHILDREN = np.array(_tree_order(_SPEC)[1:])
 _PARENTS = np.array(DEFAULT_PARENTS)[_CHILDREN]
 _RADII = np.array([_BONE_RADII[DEFAULT_JOINT_NAMES[child]] for child in _CHILDREN])
 
 
-def generate_pose(rng: np.random.Generator, config: SceneConfig, spec: SkeletonSpec) -> np.ndarray:
+def generate_pose(rng: np.random.Generator, config: SceneConfig) -> np.ndarray:
     """A random body pose with the hip at the origin.
 
     Starts from a standing or sitting rest pose rotated by a random yaw,
@@ -219,7 +219,6 @@ def generate_pose(rng: np.random.Generator, config: SceneConfig, spec: SkeletonS
     and ``math.sin`` per bone, and ``(axis * dot) * (1 - c)`` in that
     order, so each pose has the bits of the per-bone loop.
     """
-    _require_default_skeleton(spec)
     sigma = math.radians(config.joint_jitter_deg)
     normals = np.empty((_CHILDREN.size, 4))
     scale = np.empty(_CHILDREN.size)
@@ -248,7 +247,7 @@ def generate_pose(rng: np.random.Generator, config: SceneConfig, spec: SkeletonS
         pose = np.zeros_like(template)
         for child, parent, bone_step in zip(_CHILDREN.tolist(), _PARENTS.tolist(), step):
             pose[child] = pose[parent] + bone_step
-        if knee_neck_distance(pose, spec) > 1.0:  # reject collapsed draws
+        if knee_neck_distance(pose, _SPEC) > 1.0:  # reject collapsed draws
             return pose
 
 
@@ -412,7 +411,8 @@ def render_clean_depth(
     another gives it.  The occluders are then folded in over the whole
     frame as row-times-column masks (see ``_fold_occluders``).
     """
-    _require_default_skeleton(spec)
+    if spec.joint_names != DEFAULT_JOINT_NAMES:
+        raise ValueError("the synthetic generator only knows the built-in 17-joint skeleton")
     # Pixel (i, i) normalizes to the ray slopes of column i and of row i.
     dx, dy = normalize_2d(np.arange(max(cam.width, cam.height), dtype=np.float64)[:, None].repeat(2, 1), cam).T
     dx, dy, best = dx[: cam.width], dy[: cam.height], np.full(cam.height * cam.width, np.inf)
@@ -434,7 +434,6 @@ def render_depth(
     occluders: list[Occluder],
     cam: CameraIntrinsics,
     config: SceneConfig,
-    spec: SkeletonSpec,
     rng: np.random.Generator,
 ) -> tuple[DepthMap, DepthMap]:
     """Render a scene to a sensor-like depth map and its noise-free map.
@@ -442,7 +441,7 @@ def render_depth(
     The sensor map adds Gaussian sensor noise and NaN holes to the
     noise-free one, on which ``scene_to_samples`` decides visibility.
     """
-    clean = render_clean_depth(poses, occluders, cam, config, spec)
+    clean = render_clean_depth(poses, occluders, cam, config, _SPEC)
     clean_map = DepthMap(clean)  # a float32 copy, taken before the noise below
     noisy = clean  # rendered for this call alone, so written in place below
     if config.sensor_noise_mm > 0.0:
@@ -483,15 +482,14 @@ def _place_pose(
     return placed
 
 
-def generate_scene(rng: np.random.Generator, config: SceneConfig, spec: SkeletonSpec) -> Scene:
-    _require_default_skeleton(spec)
+def generate_scene(rng: np.random.Generator, config: SceneConfig) -> Scene:
     cam = _sample_camera(rng, config)
     n_persons = int(rng.integers(config.persons_range[0], config.persons_range[1] + 1))
     poses = []
     for _ in range(n_persons):
         placed = None
         for _attempt in range(100):
-            placed = _place_pose(rng, config, cam, generate_pose(rng, config, spec))
+            placed = _place_pose(rng, config, cam, generate_pose(rng, config))
             if placed is not None:
                 break
         if placed is None:
@@ -514,7 +512,7 @@ def generate_scene(rng: np.random.Generator, config: SceneConfig, spec: Skeleton
         half_h = rng.uniform(*config.occluder_size_range) / 2.0
         occluders.append(Occluder(center=center, half_width=half_w, half_height=half_h))
 
-    depth, clean = render_depth(poses, occluders, cam, config, spec, rng)
+    depth, clean = render_depth(poses, occluders, cam, config, rng)
     return Scene(camera=cam, poses=poses, occluders=occluders, depth=depth, clean=clean)
 
 
@@ -554,24 +552,24 @@ def generate_dataset(
     config: SceneConfig,
     n_annotated: int,
     n_weak: int,
-    spec: SkeletonSpec | None = None,
 ) -> Dataset:
     """Generate scenes until the two sample pools are full.
 
     Weak samples keep their depth map but lose the 3D pose annotation
     (it moves to the evaluation-only fields).  Each scene is rendered
     from its own child random stream seeded off the master generator.
+    A count that is not a Python or numpy integer >= 0 raises ValueError
+    naming it.
     """
-    spec = spec or default_skeleton()
-    _require_default_skeleton(spec)
-    if n_annotated < 0 or n_weak < 0:
-        raise ValueError("sample counts must be >= 0")
+    for name, count in (("n_annotated", n_annotated), ("n_weak", n_weak)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"{name} must be an int >= 0, got {count!r}")
     annotated: list[Sample] = []
     weak: list[Sample] = []
     scene_index = 0
     while len(annotated) < n_annotated or len(weak) < n_weak:
         child = np.random.Generator(np.random.Philox(int(rng.integers(2**63))))
-        scene = generate_scene(child, config, spec)
+        scene = generate_scene(child, config)
         frame_id = f"scene{scene_index:06d}"
         scene_index += 1
         for sample in scene_to_samples(scene, config, child, frame_id):

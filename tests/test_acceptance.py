@@ -197,12 +197,12 @@ def test_criterion_4_weak_supervision_ablation():
         yaw_range_deg=(-60.0, 60.0),
         standing_probability=0.7,
     )
-    eval_ds = generate_dataset(_rng([999, 200]), bench_scene, 400, 0, SPEC)
+    eval_ds = generate_dataset(_rng([999, 200]), bench_scene, 400, 0)
     gt_by_frame = group_frames(eval_ds.annotated)
 
     reports = {0.0: [], 1e-3: []}
     for seed in (0, 1, 2):
-        ds = generate_dataset(_rng([seed, 100]), bench_scene, 200, 2000, SPEC)
+        ds = generate_dataset(_rng([seed, 100]), bench_scene, 200, 2000)
         for lam in (0.0, 1e-3):
             config = TrainConfig(epochs=40, lambda_weight=lam, alpha=2500.0, seed=seed)
             data = Dataset(annotated=ds.annotated, weak=ds.weak if lam > 0 else [])
@@ -236,7 +236,7 @@ def test_criterion_5_occlusion_rejection():
         standing_probability=1.0,
         joint_jitter_deg=5.0,
     )
-    ds = generate_dataset(_rng([0, 100]), occ_scene, 150, 1200, SPEC)
+    ds = generate_dataset(_rng([0, 100]), occ_scene, 150, 1200)
     config = TrainConfig(epochs=9, lambda_weight=1e-3, alpha=2500.0, seed=0)
     _, logs = train(config, ds, SPEC)
 
@@ -253,7 +253,7 @@ def test_criterion_5_occlusion_rejection():
 
 
 def test_criterion_6_determinism_and_formats(tmp_path):
-    ds = generate_dataset(_rng([5, 100]), SceneConfig(), 24, 12, SPEC)
+    ds = generate_dataset(_rng([5, 100]), SceneConfig(), 24, 12)
     config = TrainConfig(epochs=3, batch_size=8, hidden_dim=64, num_blocks=1,
                          depth_hidden_dim=64, depth_num_blocks=1,
                          lambda_weight=1e-3, alpha=2500.0, seed=0)

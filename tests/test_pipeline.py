@@ -78,7 +78,7 @@ def _fit(samples):
 @pytest.fixture(scope="module")
 def tiny_dataset():
     rng = np.random.Generator(np.random.Philox(77))
-    return generate_dataset(rng, SceneConfig(), 10, 8, SPEC)
+    return generate_dataset(rng, SceneConfig(), 10, 8)
 
 
 def _tiny_config(**kwargs):

@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -253,7 +253,7 @@ def scenes(draw):
 def generated_scenes(draw):
     """Full-size 160x120 frames from generate_scene: 1-4 persons, 0-3 occluders."""
     config = SceneConfig(persons_range=(1, 4), occluder_range=(0, 3))
-    return generate_scene(_rng(draw(st.integers(0, 2**32 - 1))), config, SPEC), config
+    return generate_scene(_rng(draw(st.integers(0, 2**32 - 1))), config), config
 
 
 @st.composite
@@ -391,7 +391,7 @@ class TestSceneConfig:
         config = SceneConfig(root_depth_range=(2000.0, 2000.0), min_scene_depth_mm=1999.0)
         message = r"root_depth_range=\(2000\.0, 2000\.0\) .* min_scene_depth_mm=1999\.0$"
         with pytest.raises(ValueError, match=message):
-            generate_scene(_rng(0), config, SPEC)
+            generate_scene(_rng(0), config)
 
     def test_standing_probability_bounds_are_allowed(self):
         assert SceneConfig(standing_probability=0.0).standing_probability == 0.0
@@ -513,7 +513,7 @@ class TestRenderCleanDepth:
     def test_a_scene_without_persons_has_no_visibility_flags(self):
         config = self._config()
         occ = Occluder(center=np.array([0.0, 0.0, 1500.0]), half_width=400.0, half_height=300.0)
-        depth, clean = render_depth([], [occ], CAM, config, SPEC, _rng(0))
+        depth, clean = render_depth([], [occ], CAM, config, _rng(0))
         assert _flags(Scene(camera=CAM, poses=[], occluders=[occ], depth=depth, clean=clean), config) == []
         assert depth.values[60, 80] == 1500.0
         assert clean.values[60, 80] == 1500.0
@@ -529,6 +529,11 @@ class TestRenderCleanDepth:
         clean = render_clean_depth([], [occ], cam, SceneConfig(), SPEC)
         assert clean.shape == (30, 40)
         assert clean[15, 20] == 1500.0
+
+    def test_another_skeleton_raises(self):
+        renamed = replace(SPEC, joint_names=("crown",) + SPEC.joint_names[1:])
+        with pytest.raises(ValueError, match="only knows the built-in 17-joint skeleton"):
+            render_clean_depth([], [], CAM, SceneConfig(), renamed)
 
 
 class TestCulledRenderer:
@@ -615,7 +620,7 @@ class TestArrayPassReferences:
         for seed in range(100):
             rng, ref_rng = _rng([seed, 31]), _rng([seed, 31])
             for _ in range(2):
-                assert generate_pose(rng, config, SPEC).tobytes() == ref_generate_pose(ref_rng, config, SPEC).tobytes()
+                assert generate_pose(rng, config).tobytes() == ref_generate_pose(ref_rng, config, SPEC).tobytes()
             assert rng.random() == ref_rng.random()  # both took the same draws
 
     def test_a_rejected_draw_is_redrawn_as_the_per_bone_generator_does(self):
@@ -624,7 +629,7 @@ class TestArrayPassReferences:
         config = SceneConfig(bone_scale_range=(0.0008, 0.0012))
         assert knee_neck_distance(ref_pose_draw(_rng(0), config, SPEC), SPEC) <= 1.0
         rng, ref_rng = _rng(0), _rng(0)
-        assert generate_pose(rng, config, SPEC).tobytes() == ref_generate_pose(ref_rng, config, SPEC).tobytes()
+        assert generate_pose(rng, config).tobytes() == ref_generate_pose(ref_rng, config, SPEC).tobytes()
         assert rng.random() == ref_rng.random()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -668,7 +673,7 @@ class TestGeneratePose:
             lengths = [float(np.linalg.norm(t[child] - t[parent])) for t in (_STANDING, _SITTING)]
             bounds[(parent, child)] = (lo * min(lengths) - 1e-9, hi * max(lengths) + 1e-9)
         for _ in range(500):
-            pose = generate_pose(rng, config, SPEC)
+            pose = generate_pose(rng, config)
             for (parent, child), (lo_mm, hi_mm) in bounds.items():
                 length = float(np.linalg.norm(pose[child] - pose[parent]))
                 assert lo_mm <= length <= hi_mm, (parent, child, length)
@@ -677,19 +682,19 @@ class TestGeneratePose:
         config = SceneConfig()
         rng = _rng(1)
         for _ in range(300):
-            assert knee_neck_distance(generate_pose(rng, config, SPEC), SPEC) > 1.0
+            assert knee_neck_distance(generate_pose(rng, config), SPEC) > 1.0
 
     def test_zero_jitter_unit_scale_frontal_reproduces_the_template(self):
         config = SceneConfig(joint_jitter_deg=0.0, bone_scale_range=(1.0, 1.0),
                              yaw_range_deg=(0.0, 0.0), standing_probability=1.0)
-        pose = generate_pose(_rng(2), config, SPEC)
+        pose = generate_pose(_rng(2), config)
         np.testing.assert_allclose(pose, _STANDING, rtol=0, atol=1e-9)
 
 
 class TestGenerateScene:
     def test_counts_and_shapes(self):
         config = SceneConfig(persons_range=(2, 3), occluder_range=(1, 2))
-        scene = generate_scene(_rng(3), config, SPEC)
+        scene = generate_scene(_rng(3), config)
         assert 2 <= len(scene.poses) <= 3
         assert 1 <= len(scene.occluders) <= 2
         flags = _flags(scene, config)
@@ -705,7 +710,7 @@ class TestGenerateScene:
         config = SceneConfig()
         hit = 0
         for seed in range(10):
-            scene = generate_scene(_rng(100 + seed), config, SPEC)
+            scene = generate_scene(_rng(100 + seed), config)
             for pose, visible in zip(scene.poses, _flags(scene, config)):
                 pix = project(pose, scene.camera)
                 outside = (
@@ -719,7 +724,7 @@ class TestGenerateScene:
     def test_occluder_depths_respect_the_fraction_range(self):
         config = SceneConfig(occluder_range=(2, 2), occluder_depth_fraction=(0.3, 0.5))
         for seed in range(5):
-            scene = generate_scene(_rng(200 + seed), config, SPEC)
+            scene = generate_scene(_rng(200 + seed), config)
             max_z = max(float(p[:, 2].max()) for p in scene.poses)
             for occ in scene.occluders:
                 assert 500.0 <= occ.center[2] <= 0.5 * max_z + 1e-9
@@ -733,10 +738,10 @@ class TestConstructedOcclusion:
                              detector_noise_px=0.0, joint_jitter_deg=0.0,
                              bone_scale_range=(1.0, 1.0), yaw_range_deg=(0.0, 0.0),
                              standing_probability=1.0)
-        pose = generate_pose(_rng(4), config, SPEC) + np.array([0.0, 0.0, 4000.0])
+        pose = generate_pose(_rng(4), config) + np.array([0.0, 0.0, 4000.0])
         occ = Occluder(center=np.array([0.0, -380.0, 2000.0]),
                        half_width=500.0, half_height=200.0)
-        depth, clean = render_depth([pose], [occ], CAM, config, SPEC, _rng(5))
+        depth, clean = render_depth([pose], [occ], CAM, config, _rng(5))
         flags = _flags(Scene(camera=CAM, poses=[pose], occluders=[occ], depth=depth, clean=clean), config)[0]
 
         blocked = [0, 1, 2, 5, 16]  # head top, neck, both shoulders, head
@@ -755,7 +760,7 @@ class TestSceneToSamples:
     def _scene_and_config(self, seed, **kwargs):
         config = SceneConfig(**kwargs)
         rng = _rng(seed)
-        scene = generate_scene(rng, config, SPEC)
+        scene = generate_scene(rng, config)
         return scene, config, rng
 
     def test_one_sample_per_person_with_shared_frame(self):
@@ -800,7 +805,7 @@ class TestSceneToSamples:
         the noise is off and the holes are written into the render's own
         array."""
         config = SceneConfig(sensor_noise_mm=noise, hole_probability=holes)
-        scene = generate_scene(_rng(17), config, SPEC)
+        scene = generate_scene(_rng(17), config)
         render = render_clean_depth(scene.poses, scene.occluders, scene.camera, config, SPEC)
         assert scene.clean.values.tobytes() == DepthMap(render).values.tobytes()
         if holes > 0.0:
@@ -825,7 +830,7 @@ class TestSceneToSamples:
 
 class TestGenerateDataset:
     def test_counts_and_annotation_split(self):
-        dataset = generate_dataset(_rng(10), SceneConfig(), 5, 7, SPEC)
+        dataset = generate_dataset(_rng(10), SceneConfig(), 5, 7)
         assert len(dataset.annotated) == 5
         assert len(dataset.weak) == 7
         for sample in dataset.annotated:
@@ -838,17 +843,29 @@ class TestGenerateDataset:
             assert sample.depth_readouts is not None
 
     def test_weak_only_dataset(self):
-        dataset = generate_dataset(_rng(11), SceneConfig(), 0, 4, SPEC)
+        dataset = generate_dataset(_rng(11), SceneConfig(), 0, 4)
         assert not dataset.annotated
         assert len(dataset.weak) == 4
 
-    def test_negative_counts_raise(self):
-        with pytest.raises(ValueError):
-            generate_dataset(_rng(12), SceneConfig(), -1, 0, SPEC)
+    @pytest.mark.parametrize("counts, message", [
+        ((-1, 0), "n_annotated must be an int >= 0, got -1"),
+        ((0, -1), "n_weak must be an int >= 0, got -1"),
+        ((2.5, 0), "n_annotated must be an int >= 0, got 2.5"),
+        ((0, 2.0), "n_weak must be an int >= 0, got 2.0"),
+        ((True, 0), "n_annotated must be an int >= 0, got True"),
+        ((0, np.int64(-3)), "n_weak must be an int >= 0, got np.int64(-3)"),
+    ])
+    def test_negative_counts_raise(self, counts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_dataset(_rng(12), SceneConfig(), *counts)
+
+    def test_numpy_integer_counts(self):
+        dataset = generate_dataset(_rng(12), SceneConfig(), np.int64(1), np.int32(1))
+        assert (len(dataset.annotated), len(dataset.weak)) == (1, 1)
 
     def test_bit_identical_datasets_for_equal_seeds(self):
-        a = generate_dataset(_rng(13), SceneConfig(), 4, 4, SPEC)
-        b = generate_dataset(_rng(13), SceneConfig(), 4, 4, SPEC)
+        a = generate_dataset(_rng(13), SceneConfig(), 4, 4)
+        b = generate_dataset(_rng(13), SceneConfig(), 4, 4)
         for sa, sb in zip(a.all_samples(), b.all_samples()):
             assert sa.frame_id == sb.frame_id
             assert sa.camera == sb.camera
@@ -861,8 +878,8 @@ class TestGenerateDataset:
                 np.testing.assert_array_equal(sa.joints_3d, sb.joints_3d)
 
     def test_different_seeds_differ(self):
-        a = generate_dataset(_rng(14), SceneConfig(), 2, 0, SPEC)
-        b = generate_dataset(_rng(15), SceneConfig(), 2, 0, SPEC)
+        a = generate_dataset(_rng(14), SceneConfig(), 2, 0)
+        b = generate_dataset(_rng(15), SceneConfig(), 2, 0)
         assert not np.array_equal(a.annotated[0].joints_2d, b.annotated[0].joints_2d)
 
 
@@ -871,11 +888,11 @@ class TestPinnedDatasets:
     training sets keep their bytes."""
 
     def test_criterion_4_scenes(self):
-        dataset = generate_dataset(_rng([0, 100]), C4_SCENE, 12, 24, SPEC)
+        dataset = generate_dataset(_rng([0, 100]), C4_SCENE, 12, 24)
         assert _dataset_digest(dataset) == C4_DIGEST
 
     def test_criterion_5_scenes(self):
-        dataset = generate_dataset(_rng([0, 100]), C5_SCENE, 10, 20, SPEC)
+        dataset = generate_dataset(_rng([0, 100]), C5_SCENE, 10, 20)
         assert _dataset_digest(dataset) == C5_DIGEST
 
 
@@ -889,7 +906,7 @@ class TestStatisticalProperties:
         good = 0
         for seed in range(60):
             rng = _rng(300 + seed)
-            scene = generate_scene(rng, config, SPEC)
+            scene = generate_scene(rng, config)
             clean = render_clean_depth(scene.poses, scene.occluders, scene.camera, config, SPEC)
             samples = scene_to_samples(scene, config, rng, f"f{seed}")
             for sample, pose in zip(samples, scene.poses):
@@ -913,7 +930,7 @@ class TestStatisticalProperties:
             config = SceneConfig(occluder_range=(count, count))
             occluded = total = 0
             for seed in range(60):
-                scene = generate_scene(_rng([count, seed]), config, SPEC)
+                scene = generate_scene(_rng([count, seed]), config)
                 for visible in _flags(scene, config):
                     occluded += int((~visible).sum())
                     total += visible.size
