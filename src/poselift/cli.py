@@ -13,6 +13,7 @@ import numpy as np
 from .data import SAMPLES_FILE, Sample, group_frames, load_dataset, read_pose_file, write_dataset, write_pose_file
 from .gradcheck import run_all
 from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, check_threshold, evaluate
+from .nn import adam_paths
 from .pipeline import TrainConfig, load_bundle, predict_frames, save_bundle, train
 from .skeleton import DegeneratePoseError, SkeletonSpec, default_skeleton, height_normalize, load_skeleton
 from .synth import SceneConfig, generate_dataset
@@ -74,7 +75,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     dataset = load_dataset(args.data)
     spec = load_skeleton(args.skeleton) if args.skeleton else default_skeleton()
+    before = adam_paths()
     bundle, logs = train(config, dataset, spec)
+    for path, updates in (adam_paths() - before).items():  # stderr: stdout and the log stay the same
+        print(f"Adam: {updates} updates by {path}", file=sys.stderr)
     save_bundle(args.out, bundle)
     if args.log_file:
         with open(args.log_file, "w") as fh:

@@ -21,6 +21,7 @@ JSON number.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -335,7 +336,8 @@ def group_frames(samples: list[Sample]) -> dict[str, list[Sample]]:
     return frames
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+# numbers.Integral: JSON gives Python ints, code may also pass numpy ints.
+_JSON_TYPES = {"int": numbers.Integral, "float": (int, float), "str": str}
 
 
 def _fits(value, annotation: str) -> bool:
@@ -359,6 +361,15 @@ def check_fields(obj, rules, error: type[ValueError] = ValueError) -> None:
     for name, ok, need in rules:
         if not ok:
             raise error(f"{name} must be {need}, got {getattr(obj, name)!r}")
+
+
+def int_rules(obj) -> list[tuple[str, bool, str]]:
+    """A :func:`check_fields` rule for each ``int`` and ``tuple[int, int]``
+    field of dataclass ``obj``: a float or a bool there is refused, as
+    :func:`fields_from_json` refuses it.  Put them first, so that a
+    wrong type is reported as such and not as a value out of range."""
+    return [(f.name, _fits(getattr(obj, f.name), f.type), f.type)
+            for f in fields(obj) if f.type in ("int", "tuple[int, int]")]
 
 
 def fields_from_json(cls, values, error: type[ValueError] = ValueError, defaults: bool = False):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,13 +45,18 @@ class CameraIntrinsics:
                 finite = math.isfinite(value)
             except OverflowError:  # an int beyond float range
                 finite = False
+            except TypeError:
+                raise ValueError(f"{name} must be a real number, got {value!r}") from None
             if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         for name in ("width", "height"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"camera {name} must be >= 1, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"camera {name} must be int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"camera {name} must be >= 1, got {value!r}")
 
     @property
     def row(self) -> tuple[float, float, float, float]:

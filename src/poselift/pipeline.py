@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, Sample, SampleBatch, check_fields, fields_from_json, numbers_from_json
+from .data import Dataset, Sample, SampleBatch, check_fields, fields_from_json, int_rules, numbers_from_json
 from .geometry import normalize_2d, zoom_augment
 from .losses import l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_index, vector_to_pose
@@ -226,6 +226,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, (
+            *int_rules(self),
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0, "an even number >= 2"),
             ("base_lr", 0.0 < self.base_lr < math.inf, "finite and > 0"),

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, Sample, check_fields, fields_from_json
+from .data import Dataset, Sample, check_fields, fields_from_json, int_rules
 from .depth import DepthMap, read_depth_at
 from .geometry import CameraIntrinsics, normalize_2d, project
 from .skeleton import DEFAULT_JOINT_NAMES, DEFAULT_PARENTS, SkeletonSpec, default_skeleton, knee_neck_distance
@@ -64,6 +64,7 @@ class SceneConfig:
     def __post_init__(self) -> None:
         lo, hi = self.occluder_depth_fraction
         check_fields(self, [
+            *int_rules(self),
             *((f.name, _finite(getattr(self, f.name)), "finite") for f in fields(self)),
             *((name, 0 < getattr(self, name)[0] <= getattr(self, name)[1], "(lo, hi) with 0 < lo <= hi")
               for name in ("fx_range", "root_depth_range", "bone_scale_range", "occluder_size_range")),

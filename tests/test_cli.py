@@ -8,12 +8,13 @@ precedence of flags over config values.
 import hashlib
 import json
 import re
+import shutil
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from poselift import cli
+from poselift import cli, nn
 from poselift.cli import build_parser, main
 from poselift.data import read_pose_file, write_pose_file
 from poselift.pipeline import ConfigError, TrainConfig, load_bundle
@@ -201,6 +202,21 @@ class TestTrain:
         assert main(["train", "--config", str(flat), "--data", str(workspace["data"]),
                      "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_stderr_names_the_adam_path(self, workspace, tmp_path, capsys, monkeypatch):
+        """One epoch of 6 steps updates two networks; stdout and the log
+        file do not depend on the path."""
+        argv = ["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                "--out", str(tmp_path / "m.npz"), "--log-file", str(tmp_path / "log.jsonl")]
+        assert main(argv) == 0
+        compiled, log = capsys.readouterr(), (tmp_path / "log.jsonl").read_bytes()
+        monkeypatch.setattr(nn, "_kernel", (None, "forced by the test"))
+        assert main(argv) == 0
+        forced = capsys.readouterr()
+        path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
+        assert compiled.err == f"Adam: 12 updates by {path}\n"
+        assert forced.err == "Adam: 12 updates by the numpy passes (forced by the test)\n"
+        assert forced.out == compiled.out and (tmp_path / "log.jsonl").read_bytes() == log
 
     def test_bad_config_field_names_the_file_whatever_the_flags(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,18 +4,29 @@ Gradient correctness has its own finite-difference suite; these tests
 pin everything else: the parameter layout and its views into one
 vector, forward-pass semantics in train and eval mode, the exact Adam
 update rule against an independent scalar implementation and against
-the whole-array formula, and the learning-rate schedule values.
+the whole-array formula, on the compiled loop and on the numpy passes,
+and the learning-rate schedule values.
 """
 
+import contextlib
+import dataclasses
+import hashlib
 import json
 import math
+import re
+import shutil
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from poselift import nn
-from poselift.data import fields_from_json
+from poselift.data import Dataset, fields_from_json
+from poselift.pipeline import TrainConfig, train
+from poselift.synth import SceneConfig, generate_dataset
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
 
 
 def _tiny_config(dropout=0.0):
@@ -34,6 +45,8 @@ class TestMlpConfig:
             ("dropout", 1.0, "dropout must be in [0, 1), got 1.0"),
             ("dropout", -0.1, "dropout must be in [0, 1), got -0.1"),
             ("dropout", math.nan, "dropout must be in [0, 1), got nan"),
+            ("hidden_dim", 8.0, "hidden_dim must be int, got 8.0"),
+            ("num_blocks", True, "num_blocks must be int, got True"),
         ]
         for field, value, message in rows:
             with pytest.raises(ValueError) as info:
@@ -232,6 +245,11 @@ def _vectors(config, *seeds):
     return [nn.ParamVector(config, np.random.default_rng(s).normal(size=size)) for s in seeds]
 
 
+def _force_numpy(monkeypatch):
+    """Make every later update in the test run the numpy passes."""
+    monkeypatch.setattr(nn, "_kernel", (None, "forced by the test"))
+
+
 class TestAdam:
     def test_three_steps_match_scalar_reference(self):
         config = _tiny_config()
@@ -327,6 +345,174 @@ class TestAdam:
         assert (flat != before).all()
         assert state.t == 1 and state.m.any() and state.v.any()
         assert grads.flat.tobytes() == g.tobytes()
+
+
+class TestAdamOnTheNumpyPasses(TestAdam):
+    """Every test of :class:`TestAdam`, which runs the compiled loop where
+    ``cc`` is found, on the numpy passes."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_passes(self, monkeypatch):
+        _force_numpy(monkeypatch)
+        before = nn.adam_paths()
+        yield
+        assert set(nn.adam_paths() - before) <= {"the numpy passes (forced by the test)"}
+
+
+class _Flat(dict):
+    """One named vector with ``.flat``, all :func:`nn.adam_step` reads of a
+    :class:`nn.ParamVector`, so that any size can be updated."""
+
+    def __init__(self, values):
+        super().__init__(all=values)
+        self.flat = values
+
+
+def _hard_gradient(rng, size):
+    """Normal draws, with zeros, subnormals and values whose square
+    overflows mixed in."""
+    g = rng.normal(size=size) * 10.0 ** rng.integers(-3, 3, size=size)
+    kind = rng.choice(4, size=size, p=[0.8, 0.1, 0.09, 0.01])
+    g[kind == 1] = 0.0
+    g[kind == 2] = rng.choice([5e-324, -5e-324, 1e-310, -2.2e-308], size=int((kind == 2).sum()))
+    g[kind == 3] = rng.choice([1e160, -1e200], size=int((kind == 3).sum()))
+    return g
+
+
+def _updates(size, steps, seed):
+    """A digest of the bytes of p, m and v after each of ``steps`` updates,
+    with the same gradients and rates on every call."""
+    rng = np.random.default_rng(seed)
+    params = _Flat(rng.normal(size=size))
+    state = nn.AdamState(m=np.zeros(size), v=np.zeros(size))
+    out = []
+    with np.errstate(all="ignore"):
+        for t in range(steps):
+            nn.adam_step(params, _Flat(_hard_gradient(rng, size)), state, lr=nn.lr_schedule(0.05, t, 0.96, 4))
+            out.append(hashlib.sha256(b"".join(a.tobytes() for a in (params.flat, state.m, state.v))).digest())
+    return out
+
+
+def _compiled_then_numpy(monkeypatch, run):
+    """``run()`` on the compiled loop, checked to have run it, then on the
+    numpy passes."""
+    before = nn.adam_paths()
+    compiled = run()
+    assert set(nn.adam_paths() - before) == {"the compiled C loop"}
+    _force_numpy(monkeypatch)
+    return compiled, run()
+
+
+def _trained_bits(config, dataset):
+    bundle, logs = train(config, dataset)
+    return json.dumps(logs), bundle.pose_params.flat.tobytes(), bundle.depth_params.flat.tobytes()
+
+
+@pytest.fixture(scope="module")
+def criterion6_data():
+    """Criterion 6's data set."""
+    return generate_dataset(np.random.Generator(np.random.Philox([5, 100])), SceneConfig(), 24, 12)
+
+
+@needs_cc
+class TestCompiledAdam:
+    def test_the_loop_loads(self, monkeypatch):
+        monkeypatch.setattr(nn, "_kernel", None)
+        before = nn.adam_paths()
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
+        assert nn._kernel[0] is not None, nn._kernel[1]
+        assert nn.adam_paths() - before == Counter({"the compiled C loop": 1})
+
+    @pytest.mark.parametrize("source, which, why", [
+        (nn._ADAM_C, lambda name: None, r"no C compiler \(cc\) on PATH"),
+        ("int adam_update(void) { return nope; }", shutil.which, r"cc failed with status 1: \S*adam\.c:1:\d+: error: .*nope.*"),
+    ], ids=["no-cc", "cc-fails"])
+    def test_a_loop_that_does_not_build_leaves_the_numpy_passes(self, monkeypatch, source, which, why):
+        monkeypatch.setattr(nn, "_kernel", None)
+        monkeypatch.setattr(nn, "_ADAM_C", source)
+        monkeypatch.setattr(shutil, "which", which)
+        before = nn.adam_paths()
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
+        ((path, updates),) = (nn.adam_paths() - before).items()
+        assert re.fullmatch(rf"the numpy passes \({why}\)", path) and updates == 1
+
+    @pytest.mark.parametrize("size, steps", [(1, 400), (7, 400), (16_385, 400), (None, 2)],
+                             ids=["1", "7", "16385", "width-1024"])
+    def test_same_bytes_as_the_numpy_passes(self, monkeypatch, size, steps):
+        """At t = 356, 1 - 0.9**t rounds to 1.0; the width-1024 layout is
+        the 4.3M-element pose network of the benchmark."""
+        if size is None:
+            size = nn.ParamVector(nn.MlpConfig(51, 51, hidden_dim=1024)).flat.size
+        compiled, reference = _compiled_then_numpy(monkeypatch, lambda: _updates(size, steps, seed=size))
+        assert 1.0 - 0.9**356 == 1.0 and 1.0 - 0.9**355 != 1.0
+        for t, (a, b) in enumerate(zip(compiled, reference), start=1):
+            assert a == b, f"step {t}"
+
+    @pytest.mark.parametrize("lambda_weight, weak", [(1e-3, "labelled"), (1e-3, "unlabelled"), (0.0, "none")],
+                             ids=["weak", "no-labels", "lambda-0"])
+    def test_training_gives_the_same_bits(self, monkeypatch, criterion6_data, lambda_weight, weak):
+        """Criterion 6's config, with weak data, with its labels stripped,
+        and at lambda = 0 without it (as criterion 4 trains its baseline)."""
+        samples = {"labelled": criterion6_data.weak, "none": [],
+                   "unlabelled": [dataclasses.replace(s, eval_visibility=None) for s in criterion6_data.weak]}[weak]
+        dataset = Dataset(criterion6_data.annotated, samples)
+        config = TrainConfig(epochs=3, batch_size=8, hidden_dim=64, num_blocks=1, depth_hidden_dim=64,
+                             depth_num_blocks=1, lambda_weight=lambda_weight, alpha=2500.0, seed=0)
+        compiled, reference = _compiled_then_numpy(monkeypatch, lambda: _trained_bits(config, dataset))
+        assert compiled == reference
+
+    @pytest.mark.parametrize("errstate, outcome", [
+        ({}, "warn"), ({"over": "raise"}, "raise"), ({"over": "ignore"}, "quiet"),
+    ])
+    def test_an_overflow_obeys_errstate_on_both_paths(self, monkeypatch, errstate, outcome):
+        """(g * (1 - beta2)) * g overflows for g = 1e160.  Raising, the numpy
+        passes stop inside the update and the loop after it."""
+        def step():
+            params, grads = _vectors(_tiny_config(), 1, 2)
+            grads.flat[3] = 1e160
+            expect = {"raise": pytest.raises(FloatingPointError, match="^overflow encountered in "),
+                      "warn": pytest.warns(RuntimeWarning, match="^overflow encountered in "),
+                      "quiet": contextlib.nullcontext()}[outcome]
+            with np.errstate(**errstate), expect:
+                nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
+            return params.flat.tobytes()
+
+        compiled, reference = _compiled_then_numpy(monkeypatch, step)
+        assert outcome == "raise" or compiled == reference
+
+    @pytest.mark.parametrize("arrange, why", [
+        (lambda p, m, v: (nn.ParamVector(_tiny_config(), np.repeat(p.flat, 2)[::2]), m, v),
+         "params is not C-contiguous and aligned"),
+        (lambda p, m, v: (p, m.astype(np.float32), v), "state.m is not float64 of shape"),
+        (lambda p, m, v: (p, m, m), "state.m and state.v overlap"),
+    ], ids=["strided-params", "float32-moment", "shared-moments"])
+    def test_arrays_the_loop_cannot_take_get_the_numpy_passes(self, monkeypatch, arrange, why):
+        def step():
+            params, grads = _vectors(_tiny_config(), 1, 2)
+            state = nn.init_adam(params)
+            state.m[:] = 0.25
+            params, state.m, state.v = arrange(params, state.m, state.v)
+            before = nn.adam_paths()
+            with np.errstate(invalid="ignore"):  # shared moments go negative
+                nn.adam_step(params, grads, state, lr=0.1)
+            return [params.flat.tobytes(), state.m.tobytes(), state.v.tobytes()], nn.adam_paths() - before
+
+        bits, ran = step()
+        (path,) = ran
+        assert path.startswith(f"the numpy passes ({why}") and ran[path] == 1
+        _force_numpy(monkeypatch)
+        assert step()[0] == bits
+
+    def test_a_read_only_moment_goes_to_the_numpy_passes_which_refuse_it(self):
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        state = nn.init_adam(params)
+        state.v.flags.writeable = False
+        before = nn.adam_paths()
+        with pytest.raises(ValueError, match="read-only"):
+            nn.adam_step(params, grads, state, lr=0.1)
+        assert nn.adam_paths() - before == Counter({"the numpy passes (state.v is read-only)": 1})
 
 
 class TestLrSchedule:

@@ -286,6 +286,7 @@ class TestTrainConfig:
             ("lr_decay_every", 0), ("dropout", 1.0), ("dropout", -0.1), ("dropout", nan),
             ("hidden_dim", 0), ("depth_hidden_dim", 0), ("num_blocks", -1), ("depth_num_blocks", -1),
             ("alpha", nan), ("alpha", inf), ("lambda_weight", nan), ("lambda_weight", inf), ("seed", -1),
+            ("epochs", 2.5), ("batch_size", 8.0), ("seed", True),
         ]:
             with pytest.raises(ConfigError, match=f"^{field} must be .*, got {value!r}$"):
                 TrainConfig(**{field: value})

@@ -354,6 +354,15 @@ class TestSceneConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
             SceneConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, need", [
+        ("image_width", 100.5, "int"), ("image_height", True, "int"),
+        ("persons_range", (1.5, 2), r"tuple\[int, int\]"), ("occluder_range", (0, True), r"tuple\[int, int\]"),
+    ])
+    def test_int_field_refuses_a_float_or_a_bool(self, field, value, need):
+        """As ``from_dict`` does, also for a config built in code."""
+        with pytest.raises(ValueError, match=rf"^{field} must be {need}, got {re.escape(repr(value))}$"):
+            SceneConfig(**{field: value})
+
     @pytest.mark.parametrize("value", [-0.1, 1.5])
     def test_standing_probability_outside_unit_interval(self, value):
         with pytest.raises(ValueError, match=r"standing_probability must be in \[0, 1\]"):
