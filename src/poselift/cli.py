@@ -16,7 +16,7 @@ from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, check_threshold, eval
 from .nn import adam_paths
 from .pipeline import TrainConfig, load_bundle, predict_frames, save_bundle, train
 from .skeleton import DegeneratePoseError, SkeletonSpec, default_skeleton, height_normalize, load_skeleton
-from .synth import SceneConfig, generate_dataset
+from .synth import SceneConfig, generate_dataset, render_paths
 
 
 def _load_config_section(path: str | None, section: str) -> dict:
@@ -61,7 +61,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     config = _config_from_file(SceneConfig, args.config, section)
 
     rng = np.random.Generator(np.random.Philox(args.seed))
+    before = render_paths()
     dataset = generate_dataset(rng, config, counts["n_annotated"], counts["n_weak"])
+    for path, frames in (render_paths() - before).items():  # stderr: stdout and the files stay the same
+        print(f"render: {frames} frames by {path}", file=sys.stderr)
     depth_maps = write_dataset(args.out, dataset)
     print(f"wrote {len(dataset.annotated)} annotated + {len(dataset.weak)} weak samples "
           f"({depth_maps} depth maps) to {Path(args.out)}")

@@ -364,12 +364,12 @@ def check_fields(obj, rules, error: type[ValueError] = ValueError) -> None:
 
 
 def int_rules(obj) -> list[tuple[str, bool, str]]:
-    """A :func:`check_fields` rule for each ``int`` and ``tuple[int, int]``
-    field of dataclass ``obj``: a float or a bool there is refused, as
-    :func:`fields_from_json` refuses it.  Put them first, so that a
-    wrong type is reported as such and not as a value out of range."""
+    """A :func:`check_fields` rule for each ``int``, ``tuple[int, int]`` and
+    ``tuple[int, ...]`` field of dataclass ``obj``: a float or a bool there
+    is refused, as :func:`fields_from_json` refuses it.  Put them first, so
+    that a wrong type is reported as such and not as a value out of range."""
     return [(f.name, _fits(getattr(obj, f.name), f.type), f.type)
-            for f in fields(obj) if f.type in ("int", "tuple[int, int]")]
+            for f in fields(obj) if f.type in ("int", "tuple[int, int]", "tuple[int, ...]")]
 
 
 def fields_from_json(cls, values, error: type[ValueError] = ValueError, defaults: bool = False):

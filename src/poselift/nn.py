@@ -11,30 +11,25 @@ out by :func:`param_shapes`; :class:`ParamVector` names the views into it.
 The caller owns the gradient buffer: :func:`backward` writes into it, so
 a trainer allocates one per network and reuses it on every step.
 
-:func:`adam_step` updates a network in one pass of a C loop, compiled
-with ``cc`` on the first update in a process and called through ctypes,
-which releases the interpreter lock so two updates can overlap on two
-threads.  The loop does the numpy passes' IEEE operations in their
-order, so both give the same bits; the numpy passes run where the loop
-does not build or the arrays do not suit it.
+:func:`adam_step` updates a network in one pass of the ``adam_update``
+loop of :mod:`poselift.compiled`, built with ``cc`` on first use in a
+process and called through ctypes, which releases the interpreter lock
+so two updates can overlap on two threads.  The loop does the numpy
+passes' IEEE operations in their order, so both give the same bits; the
+numpy passes run where the loop does not build or the arrays do not
+suit it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import compiled
 from .data import check_fields, int_rules
 
 LN_EPS = 1e-10
@@ -266,74 +261,6 @@ def init_adam(params: ParamVector) -> AdamState:
 # are bound by memory bandwidth, blocks that stay in cache took half the time.
 _ADAM_BLOCK = 1 << 14
 
-# The numpy passes' arithmetic as one loop, element by element in their
-# order.  -ffp-contract=off keeps ``a*b + c`` from becoming a fused
-# multiply-add, and -fno-math-errno lets sqrt be the one IEEE instruction.
-# -ffast-math and -Ofast are never used: they reorder the arithmetic and
-# link start-up code that sets flush-to-zero for the whole process, which
-# would change numpy's own results.  The loop returns the IEEE exceptions
-# it raised, so that np.errstate governs them as it governs the numpy passes.
-_ADAM_C = r"""
-#include <fenv.h>
-#include <math.h>
-
-int adam_update(double *restrict p, const double *restrict g, double *restrict m, double *restrict v,
-                long n, double b1, double b2, double c1, double c2, double lr, double eps)
-{
-    const double a1 = 1.0 - b1, a2 = 1.0 - b2;
-    feclearexcept(FE_ALL_EXCEPT);
-    for (long i = 0; i < n; i++) {
-        const double mi = m[i] * b1 + g[i] * a1;
-        const double vi = v[i] * b2 + (g[i] * a2) * g[i];
-        const double d = sqrt(vi / c2) + eps;
-        m[i] = mi;
-        v[i] = vi;
-        p[i] = p[i] - ((mi / c1) * lr) / d;
-    }
-    const int raised = fetestexcept(FE_ALL_EXCEPT);
-    feclearexcept(FE_ALL_EXCEPT);
-    return (raised & FE_DIVBYZERO ? 1 : 0) | (raised & FE_OVERFLOW ? 2 : 0)
-         | (raised & FE_UNDERFLOW ? 4 : 0) | (raised & FE_INVALID ? 8 : 0);
-}
-"""
-_CC_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
-# The loop's return bits, in order, as np.errstate's keys and numpy's words.
-_FP_ERRORS = (("divide", "divide by zero"), ("over", "overflow"), ("under", "underflow"), ("invalid", "invalid value"))
-
-# Built on the process's first update, which train starts on two threads at once.
-_kernel_lock = threading.Lock()
-_kernel = None  # (the loop, "") or (None, why the numpy passes run) once built
-_adam_runs = Counter()  # updates run by each path in this process
-
-
-def _build_kernel():
-    """Compile and load :data:`_ADAM_C`; returns (the loop, "") or (None, why not)."""
-    cc = shutil.which("cc")
-    if cc is None:
-        return None, "no C compiler (cc) on PATH"
-    with tempfile.TemporaryDirectory() as tmp:
-        source, library = os.path.join(tmp, "adam.c"), os.path.join(tmp, "adam.so")
-        with open(source, "w") as fh:
-            fh.write(_ADAM_C)
-        try:
-            done = subprocess.run([cc, *_CC_FLAGS, "-o", library, source, "-lm"],
-                                  capture_output=True, text=True, timeout=120)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            return None, f"cc did not run: {exc}"
-        if done.returncode != 0:
-            lines = [line for line in done.stderr.splitlines() if line.strip()]
-            first = next((line for line in lines if "error" in line), lines[0] if lines else "")
-            return None, f"cc failed with status {done.returncode}: {first}"
-        try:
-            lib = ctypes.CDLL(library)  # mapped, so the file may be removed
-        except OSError as exc:
-            return None, f"the compiled loop did not load: {exc}"
-    kernel = lib.adam_update
-    kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_long] + [ctypes.c_double] * 6
-    kernel.restype = ctypes.c_int
-    return kernel, ""
-
-
 def _refusal(arrays: dict[str, np.ndarray]) -> str:
     """Why the compiled loop cannot update ``arrays`` in place, or ""."""
     shape = arrays["params"].shape
@@ -353,8 +280,7 @@ def _refusal(arrays: dict[str, np.ndarray]) -> str:
 def adam_paths() -> Counter:
     """The updates :func:`adam_step` ran in this process by each path:
     "the compiled C loop", or "the numpy passes (<why>)"."""
-    with _kernel_lock:
-        return Counter(_adam_runs)
+    return compiled.runs("adam_update")
 
 
 def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float) -> None:
@@ -372,12 +298,12 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     other IEEE exception, the loop only once it has finished the update.
     :func:`adam_paths` counts the updates each path ran.
     """
-    global _kernel
     if grads.keys() != params.keys() or grads.flat.shape != params.flat.shape:
         raise ValueError("grads must have the parameter layout")
     # A non-finite element makes the sum of squares non-finite; only then,
-    # or when the sum overflows, is the element-wise scan run.
-    with np.errstate(over="ignore"):
+    # or when the sum overflows, is the element-wise scan run.  Underflow
+    # in the sum is no error either: only the update reports IEEE errors.
+    with np.errstate(over="ignore", under="ignore"):
         sum_sq = grads.flat @ grads.flat
     if not np.isfinite(sum_sq) and not np.isfinite(grads.flat).all():
         bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
@@ -387,20 +313,11 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
     arrays = {"params": params.flat, "grads": grads.flat, "state.m": state.m, "state.v": state.v}
-    with _kernel_lock:
-        _kernel = _kernel or _build_kernel()
-        kernel, why = _kernel
-        why = why or _refusal(arrays)
-        _adam_runs[f"the numpy passes ({why})" if why else "the compiled C loop"] += 1
-    if not why:
-        raised = kernel(*(a.ctypes.data for a in arrays.values()), params.flat.size,
+    update = compiled.loop("adam_update", _refusal(arrays))
+    if update is not None:
+        raised = update(*(a.ctypes.data for a in arrays.values()), params.flat.size,
                         beta1, beta2, c1, c2, float(lr), ADAM_EPS)
-        for bit, (kind, what) in enumerate(_FP_ERRORS):
-            mode = np.geterr()[kind] if raised >> bit & 1 else "ignore"
-            if mode == "raise":
-                raise FloatingPointError(f"{what} encountered in adam_step")
-            if mode != "ignore":
-                warnings.warn(f"{what} encountered in adam_step", RuntimeWarning, stacklevel=2)
+        compiled.report(raised, "adam_step")
         return
     term, denom = np.empty((2, _ADAM_BLOCK))
     for lo in range(0, params.flat.size, _ADAM_BLOCK):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import check_fields, fields_from_json
+from .data import check_fields, fields_from_json, int_rules
 
 DEFAULT_JOINT_NAMES = (
     "head_top",
@@ -61,6 +61,7 @@ class SkeletonSpec:
 
     def __post_init__(self) -> None:
         j = len(self.joint_names)
+        check_fields(self, int_rules(self))  # before the rules below index with them
         check_fields(self, (
             ("joint_names", j >= 2 and len(set(self.joint_names)) == j, "two or more distinct names"),
             ("root", 0 <= self.root < j, f"a joint index in [0, {j})"),

@@ -17,20 +17,26 @@ over their (pixel, capsule) pairs, each pair running the per-element
 float64 formulas of a one-capsule solve, and folded into the frame by
 minimum; each occluder is a row mask times a column mask.  The map is
 the one a full-frame solve of one primitive after another gives, byte
-for byte.  A pose is likewise built for all 16 bones at once, with the
-bits of a bone-by-bone build.  Every random draw comes from a per-scene
-stream, so datasets are reproducible; processes paid only at large sizes
-(0.75x at 48 samples, 1.42x at 2,200), and on threads generation holds
-the GIL, so a second thread gained nothing (README, "Threads").
+for byte.  After the per-capsule dot products, the frame is rendered by
+one call of the ``render_clean`` loop of :mod:`poselift.compiled`, which
+does these passes' IEEE operations in their order, so both give the same
+bits; the numpy passes run where the loop does not build.  A pose is
+likewise built for all 16 bones at once, with the bits of a bone-by-bone
+build.  Every random draw comes from a per-scene stream, so datasets are
+reproducible; processes paid only at large sizes (0.75x at 48 samples,
+1.42x at 2,200), and on threads the Python and numpy part of generation
+holds the GIL, so a second thread gained nothing (README, "Threads").
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import compiled
 from .data import Dataset, Sample, check_fields, fields_from_json, int_rules
 from .depth import DepthMap, read_depth_at
 from .geometry import CameraIntrinsics, normalize_2d, project
@@ -310,6 +316,18 @@ def _sphere_entry(dc: np.ndarray, dd: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c
 
 
+def _capsule_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The length, |a|^2, |b|^2, unit axis (zero below 1e-9 mm) and a . axis
+    of each capsule a[k]-b[k], its dot products as ``np.vecdot``."""
+    m = b - a
+    length = np.sqrt(np.vecdot(m, m))
+    a_sq, b_sq = np.vecdot(a, a), np.vecdot(b, b)
+    solid = length >= 1e-9
+    axis = np.zeros_like(m)
+    axis[solid] = m[solid] / length[solid, None]
+    return length, a_sq, b_sq, axis, np.vecdot(a, axis)
+
+
 def _fold_capsules(best, dx, dy, a, b, radii) -> None:
     """Lower ``best`` (flat, row-major) to the nearest entry depth of rays
     (dx, dy, 1) into the capsules a[k]-b[k] of radius radii[k].
@@ -324,13 +342,8 @@ def _fold_capsules(best, dx, dy, a, b, radii) -> None:
     scalars: at a frame's 10^4 pairs a fresh temporary per operation
     costs about as much as the arithmetic.
     """
-    m = b - a
-    length = np.sqrt(np.vecdot(m, m))
-    a_sq, b_sq = np.vecdot(a, a), np.vecdot(b, b)
+    length, a_sq, b_sq, axis, a_par = _capsule_products(a, b)
     solid = length >= 1e-9
-    axis = np.zeros_like(m)
-    axis[solid] = m[solid] / length[solid, None]
-    a_par = np.vecdot(a, axis)
     rr = radii * radii
     pixel, x, y, counts = _window_pairs(
         _pixel_windows(np.minimum(a, b) - radii[:, None], np.maximum(a, b) + radii[:, None], dx, dy), dx, dy)
@@ -411,16 +424,38 @@ def render_clean_depth(
     pixel gets the bytes that a whole-frame solve of one primitive after
     another gives it.  The occluders are then folded in over the whole
     frame as row-times-column masks (see ``_fold_occluders``).
+
+    The compiled loop (module docstring) runs everything after the
+    per-capsule products, pixel by pixel and capsule by capsule, and
+    raises or warns per ``np.errstate`` for an overflow or underflow once
+    the frame is done; the invalid values and zero divisions of rays that
+    miss are ignored, as the numpy passes ignore them.
+    :func:`render_paths` counts the frames each path rendered.
     """
     if spec.joint_names != DEFAULT_JOINT_NAMES:
         raise ValueError("the synthetic generator only knows the built-in 17-joint skeleton")
+    joints = np.stack(poses).astype(np.float64, copy=False) if poses else np.empty((0, 17, 3))
+    if joints.shape[1:] != (17, 3):
+        raise ValueError(f"poses must be (17, 3) arrays, got {joints.shape[1:]}")
+    a, b = joints[:, _PARENTS].reshape(-1, 3), joints[:, _CHILDREN].reshape(-1, 3)
+    radii = np.tile(_RADII, len(poses))
+    render = compiled.loop("render_clean")
+    if render is not None:
+        # Every array the loop reads or writes is a local, alive until it returns.
+        capsules = (a, b, radii, *_capsule_products(a, b))
+        boxes = np.array([(*occ.center, occ.half_width, occ.half_height) for occ in occluders],
+                         dtype=np.float64).reshape(-1, 5)
+        best, rays = np.empty((cam.height, cam.width)), np.empty(cam.width + cam.height)
+        background = math.inf if config.background_depth is None else config.background_depth
+        raised = render(best.ctypes.data, rays.ctypes.data, cam.width, cam.height, *cam.row,
+                        radii.size, *(x.ctypes.data for x in capsules), len(boxes), boxes.ctypes.data, background)
+        compiled.report(raised, "render_clean_depth")
+        return best
     # Pixel (i, i) normalizes to the ray slopes of column i and of row i.
     dx, dy = normalize_2d(np.arange(max(cam.width, cam.height), dtype=np.float64)[:, None].repeat(2, 1), cam).T
     dx, dy, best = dx[: cam.width], dy[: cam.height], np.full(cam.height * cam.width, np.inf)
     if poses:
-        joints = np.stack(poses)
-        radii = np.tile(_RADII, len(poses))
-        _fold_capsules(best, dx, dy, joints[:, _PARENTS].reshape(-1, 3), joints[:, _CHILDREN].reshape(-1, 3), radii)
+        _fold_capsules(best, dx, dy, a, b, radii)
     best = best.reshape(cam.height, cam.width)
     if occluders:
         _fold_occluders(best, dx, dy, occluders)
@@ -428,6 +463,12 @@ def render_clean_depth(
         np.minimum(best, config.background_depth, out=best)
     np.copyto(best, np.nan, where=np.isinf(best))
     return best
+
+
+def render_paths() -> Counter:
+    """The frames :func:`render_clean_depth` rendered in this process by
+    each path: "the compiled C loop", or "the numpy passes (<why>)"."""
+    return compiled.runs("render_clean")
 
 
 def render_depth(

@@ -14,7 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from poselift import cli, nn
+from poselift import cli, compiled
 from poselift.cli import build_parser, main
 from poselift.data import read_pose_file, write_pose_file
 from poselift.pipeline import ConfigError, TrainConfig, load_bundle
@@ -70,9 +70,13 @@ class TestGenerate:
         assert len(gt) == 18
         assert all(s.joints_3d is not None for s in gt)
 
-    def test_output_keeps_its_bytes(self, tmp_path):
+    @pytest.mark.parametrize("path", ["default", "numpy"])
+    def test_output_keeps_its_bytes(self, tmp_path, monkeypatch, path):
         """sha256 over both pose files and every DMAP of a small seeded run,
-        pinned when the camera arithmetic moved into ``geometry``."""
+        pinned when the camera arithmetic moved into ``geometry``; on the
+        default path and with the numpy passes forced."""
+        if path == "numpy":
+            monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
         out = tmp_path / "gen"
         assert main(["generate", "--out", str(out), "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]) == 0
         h = hashlib.sha256()
@@ -80,6 +84,22 @@ class TestGenerate:
             h.update(path.relative_to(out).as_posix().encode())
             h.update(path.read_bytes())
         assert h.hexdigest() == GENERATE_DIGEST
+
+    def test_stderr_names_the_render_path(self, tmp_path, capsys, monkeypatch):
+        """Five frames hold the 6 + 4 samples; stdout and the files do
+        not depend on the path."""
+        argv = ["generate", "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        default = capsys.readouterr()
+        monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        forced = capsys.readouterr()
+        path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
+        assert default.err == f"render: 5 frames by {path}\n"
+        assert forced.err == "render: 5 frames by the numpy passes (forced by the test)\n"
+        assert forced.out == default.out.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+        for name in ("samples.jsonl", "gt_poses.jsonl"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_progress_message(self, tmp_path, capsys):
         config = tmp_path / "scene.json"
@@ -209,14 +229,14 @@ class TestTrain:
         argv = ["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
                 "--out", str(tmp_path / "m.npz"), "--log-file", str(tmp_path / "log.jsonl")]
         assert main(argv) == 0
-        compiled, log = capsys.readouterr(), (tmp_path / "log.jsonl").read_bytes()
-        monkeypatch.setattr(nn, "_kernel", (None, "forced by the test"))
+        default, log = capsys.readouterr(), (tmp_path / "log.jsonl").read_bytes()
+        monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
         assert main(argv) == 0
         forced = capsys.readouterr()
         path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
-        assert compiled.err == f"Adam: 12 updates by {path}\n"
+        assert default.err == f"Adam: 12 updates by {path}\n"
         assert forced.err == "Adam: 12 updates by the numpy passes (forced by the test)\n"
-        assert forced.out == compiled.out and (tmp_path / "log.jsonl").read_bytes() == log
+        assert forced.out == default.out and (tmp_path / "log.jsonl").read_bytes() == log
 
     def test_bad_config_field_names_the_file_whatever_the_flags(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from poselift import nn
+from poselift import compiled, nn
 from poselift.data import Dataset, fields_from_json
 from poselift.pipeline import TrainConfig, train
 from poselift.synth import SceneConfig, generate_dataset
@@ -247,7 +247,7 @@ def _vectors(config, *seeds):
 
 def _force_numpy(monkeypatch):
     """Make every later update in the test run the numpy passes."""
-    monkeypatch.setattr(nn, "_kernel", (None, "forced by the test"))
+    monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
 
 
 class TestAdam:
@@ -335,6 +335,18 @@ class TestAdam:
         p = p - 0.1 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
         assert params.flat.tobytes() == p.tobytes()
 
+    def test_a_subnormal_gradient_underflows_only_in_the_update(self):
+        """The guard's sum of squares of [5e-324, 0] underflows, which is no
+        error; the update's own underflow obeys errstate."""
+        def step():
+            nn.adam_step(_Flat(np.array([1.0, -2.0])), _Flat(np.array([5e-324, 0.0])),
+                         nn.AdamState(m=np.zeros(2), v=np.zeros(2)), lr=0.1)
+
+        with np.errstate(all="raise", under="ignore"):
+            step()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="^underflow encountered in (?!matmul)"):
+            step()
+
     def test_updates_params_and_moments_in_place(self):
         params, grads = _vectors(_tiny_config(), 1, 2)
         flat, view, g = params.flat, params["fc_out.b"], grads.flat.copy()
@@ -417,20 +429,20 @@ def criterion6_data():
 @needs_cc
 class TestCompiledAdam:
     def test_the_loop_loads(self, monkeypatch):
-        monkeypatch.setattr(nn, "_kernel", None)
+        monkeypatch.setattr(compiled, "_library", None)
         before = nn.adam_paths()
         params, grads = _vectors(_tiny_config(), 1, 2)
         nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
-        assert nn._kernel[0] is not None, nn._kernel[1]
+        assert compiled._library[0] is not None, compiled._library[1]
         assert nn.adam_paths() - before == Counter({"the compiled C loop": 1})
 
     @pytest.mark.parametrize("source, which, why", [
-        (nn._ADAM_C, lambda name: None, r"no C compiler \(cc\) on PATH"),
-        ("int adam_update(void) { return nope; }", shutil.which, r"cc failed with status 1: \S*adam\.c:1:\d+: error: .*nope.*"),
+        (compiled._SOURCE, lambda name: None, r"no C compiler \(cc\) on PATH"),
+        ("int adam_update(void) { return nope; }", shutil.which, r"cc failed with status 1: \S*loops\.c:1:\d+: error: .*nope.*"),
     ], ids=["no-cc", "cc-fails"])
     def test_a_loop_that_does_not_build_leaves_the_numpy_passes(self, monkeypatch, source, which, why):
-        monkeypatch.setattr(nn, "_kernel", None)
-        monkeypatch.setattr(nn, "_ADAM_C", source)
+        monkeypatch.setattr(compiled, "_library", None)
+        monkeypatch.setattr(compiled, "_SOURCE", source)
         monkeypatch.setattr(shutil, "which", which)
         before = nn.adam_paths()
         params, grads = _vectors(_tiny_config(), 1, 2)

@@ -76,6 +76,15 @@ class TestSpecLayout:
         with pytest.raises(ValueError):
             SkeletonSpec(parents=(-1,) * 16)  # wrong length
 
+    @pytest.mark.parametrize("field, value, need", [
+        ("root", 14.0, "int"),
+        ("knees", (9.0, 12), "tuple[int, int]"),
+        ("neck", True, "int"),
+    ])
+    def test_a_wrong_type_is_named(self, field, value, need):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be {need}, got {value!r}')}$"):
+            SkeletonSpec(**{field: value})
+
     def test_dict_and_file_round_trip(self, tmp_path):
         assert fields_from_json(SkeletonSpec, json.loads(json.dumps(asdict(SPEC)))) == SPEC
         path = tmp_path / "skeleton.json"

@@ -18,14 +18,21 @@ generated frames.  The per-pair occluder fold and the per-bone pose
 generator are kept here too, and the array versions must match them
 byte for byte; a guard test pins the one numpy property the array
 versions rely on, that ``np.vecdot`` rounds as per-row ``.dot`` does.
-Dataset digests pinned from the full-frame renderer guard the
-criterion-4 and criterion-5 scene configs end to end.
+Where ``cc`` builds the compiled render loop, it must give the bytes of
+the numpy passes and of the full-frame renderer on 1,002 generated
+frames of three configs and on edge cases, and the numpy passes are
+forced by monkeypatching ``compiled._library``.  Dataset digests pinned
+from the full-frame renderer guard the criterion-4 and criterion-5
+scene configs end to end, on both paths.
 """
 
+import contextlib
 import hashlib
 import json
 import math
 import re
+import shutil
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -33,6 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poselift import compiled
 from poselift.depth import DepthMap, read_depth_at
 from poselift.geometry import CameraIntrinsics, project
 from poselift.skeleton import default_skeleton, knee_neck_distance
@@ -53,15 +61,27 @@ from poselift.synth import (
     generate_scene,
     render_clean_depth,
     render_depth,
+    render_paths,
     scene_to_samples,
 )
 
 SPEC = default_skeleton()
 CAM = CameraIntrinsics(fx=260.0, fy=260.0, cx=80.0, cy=60.0, width=160, height=120)
+FORCED = "the numpy passes (forced by the test)"
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
 
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _both_paths(*args):
+    """render_clean_depth(*args)'s bytes on the default path, which is the
+    compiled loop where ``cc`` is found, and on the numpy passes."""
+    default = render_clean_depth(*args).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiled, "_library", (None, "forced by the test"))
+        return default, render_clean_depth(*args).tobytes()
 
 
 def _flags(scene, config):
@@ -539,6 +559,11 @@ class TestRenderCleanDepth:
         assert clean.shape == (30, 40)
         assert clean[15, 20] == 1500.0
 
+    @pytest.mark.parametrize("shape", [(17, 4), (16, 3)])
+    def test_a_pose_of_another_shape_raises(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"poses must be (17, 3) arrays, got {shape}")):
+            render_clean_depth([np.full(shape, 3000.0)], [], CAM, SceneConfig(), SPEC)
+
     def test_another_skeleton_raises(self):
         renamed = replace(SPEC, joint_names=("crown",) + SPEC.joint_names[1:])
         with pytest.raises(ValueError, match="only knows the built-in 17-joint skeleton"):
@@ -549,9 +574,9 @@ class TestCulledRenderer:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(scenes())
     def test_matches_the_full_frame_renderer_bit_for_bit(self, scene):
-        poses, occluders, cam, config = scene
-        culled = render_clean_depth(poses, occluders, cam, config, SPEC)
-        assert culled.tobytes() == ref_render_clean_depth(poses, occluders, cam, config, SPEC).tobytes()
+        args = (*scene, SPEC)
+        default, numpy_passes = _both_paths(*args)
+        assert default == numpy_passes == ref_render_clean_depth(*args).tobytes()
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(generated_scenes())
@@ -604,6 +629,90 @@ class TestCulledRenderer:
         lo, hi = np.array([0.0, 0.0, -10.0]), np.array([1.0, 1.0, 50.0])
         assert _pixel_window(lo, hi, dx, dy) == (slice(None), slice(None))
         assert [int(w[0]) for w in _pixel_windows(lo[None], hi[None], dx, dy)] == [0, 3, 0, 4]
+
+
+NEAR_SCENE = SceneConfig(background_depth=None, root_depth_range=(800.0, 3000.0))
+
+
+def _edge_scene(case):
+    """(poses, occluders, camera, config) of one edge case of the windows
+    and the capsule solve."""
+    occluders = [Occluder(center=np.array([-300.0, 100.0, 1500.0]), half_width=400.0, half_height=300.0),
+                 Occluder(center=np.array([500.0, -200.0, 2200.0]), half_width=250.0, half_height=600.0)]
+    pose = _STANDING + [0.0, 0.0, 3000.0]
+    if case == "box-behind-camera":  # the feet reach z < 0, and every box of the second pose z < 45 mm
+        return [_SITTING + [100.0, 0.0, 300.0], _STANDING + [0.0, 0.0, 30.0]], [], CAM, SceneConfig()
+    if case == "short-capsules":  # one bone of 9e-10 mm, one of 0 mm
+        pose[9] = pose[8] + [0.0, 0.0, 9e-10]
+        pose[4] = pose[3]
+        return [pose], occluders[:1], CAM, SceneConfig(background_depth=None)
+    if case == "no-poses":
+        return [], [], CAM, SceneConfig()
+    return [], occluders, CAM, SceneConfig(background_depth=None)  # occluders only
+
+
+@needs_cc
+class TestCompiledRender:
+    """The compiled loop against the numpy passes and the full-frame renderer."""
+
+    @pytest.mark.parametrize("config, count", [(C4_SCENE, 334), (SceneConfig(), 334), (NEAR_SCENE, 334)],
+                             ids=["criterion-4", "default", "near-no-background"])
+    def test_same_bytes_on_generated_scenes(self, config, count):
+        before = render_paths()
+        for seed in range(count):
+            scene = generate_scene(_rng([30, seed]), config)
+            args = (scene.poses, scene.occluders, scene.camera, config, SPEC)
+            default, numpy_passes = _both_paths(*args)
+            assert default == numpy_passes == ref_render_clean_depth(*args).tobytes(), f"seed {seed}"
+        assert render_paths() - before == Counter({"the compiled C loop": 2 * count, FORCED: count})
+
+    @pytest.mark.parametrize("case", ["box-behind-camera", "short-capsules", "no-poses", "occluders-only"])
+    def test_same_bytes_on_edge_cases(self, case):
+        args = (*_edge_scene(case), SPEC)
+        default, numpy_passes = _both_paths(*args)
+        assert default == numpy_passes == ref_render_clean_depth(*args).tobytes()
+
+    @pytest.mark.parametrize("errstate, outcome", [
+        ({"invalid": "ignore"}, "warn"), ({"over": "raise"}, "raise"), ({"over": "ignore", "invalid": "ignore"}, "quiet"),
+    ])
+    def test_an_overflow_obeys_errstate_on_both_paths(self, errstate, outcome):
+        """Every bone of this pose is a sphere about one point p with |p|^2
+        finite, but for the rays near p, (d.p)^2 overflows.  The numpy
+        passes go on to inf - inf, an invalid value the loop does not
+        report, so the cases that run on ignore it."""
+        pose = np.tile([0.28 * 1.27e154, 0.0, 1.27e154], (17, 1))
+        with np.errstate(over="raise"):
+            np.vecdot(pose, pose)
+
+        def render():
+            expect = {"raise": pytest.raises(FloatingPointError, match="^overflow encountered in "),
+                      "warn": pytest.warns(RuntimeWarning, match="^overflow encountered in "),
+                      "quiet": contextlib.nullcontext()}[outcome]
+            with np.errstate(**errstate), expect:
+                return render_clean_depth([pose], [], CAM, SceneConfig(), SPEC)
+
+        default = render()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compiled, "_library", (None, "forced by the test"))
+            numpy_passes = render()
+        if outcome != "raise":
+            assert default.tobytes() == numpy_passes.tobytes()
+
+    @pytest.mark.parametrize("source, which, why", [
+        (compiled._SOURCE, lambda name: None, r"no C compiler \(cc\) on PATH"),
+        ("int render_clean(void) { return nope; }", shutil.which,
+         r"cc failed with status 1: \S*loops\.c:1:\d+: error: .*nope.*"),
+    ], ids=["no-cc", "cc-fails"])
+    def test_a_failed_build_names_its_reason(self, monkeypatch, source, which, why):
+        args = (*_edge_scene("short-capsules"), SPEC)
+        expected = render_clean_depth(*args).tobytes()
+        monkeypatch.setattr(compiled, "_library", None)
+        monkeypatch.setattr(compiled, "_SOURCE", source)
+        monkeypatch.setattr(shutil, "which", which)
+        before = render_paths()
+        assert render_clean_depth(*args).tobytes() == expected
+        ((path, frames),) = (render_paths() - before).items()
+        assert re.fullmatch(rf"the numpy passes \({why}\)", path) and frames == 1
 
 
 class TestArrayPassReferences:
@@ -894,7 +1003,13 @@ class TestGenerateDataset:
 
 class TestPinnedDatasets:
     """The first scenes of the seed-0 criterion-4 and criterion-5
-    training sets keep their bytes."""
+    training sets keep their bytes, on the default path and with the
+    numpy passes forced."""
+
+    @pytest.fixture(autouse=True, params=["default", "numpy"])
+    def _path(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
 
     def test_criterion_4_scenes(self):
         dataset = generate_dataset(_rng([0, 100]), C4_SCENE, 12, 24)
