@@ -10,13 +10,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import compiled, data
 from .data import SAMPLES_FILE, Sample, group_frames, load_dataset, read_pose_file, write_dataset, write_pose_file
 from .gradcheck import run_all
 from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, check_threshold, evaluate
-from .nn import adam_paths
 from .pipeline import TrainConfig, load_bundle, predict_frames, save_bundle, train
 from .skeleton import DegeneratePoseError, SkeletonSpec, default_skeleton, height_normalize, load_skeleton
-from .synth import SceneConfig, generate_dataset, render_paths
+from .synth import SceneConfig, generate_dataset
 
 
 def _load_config_section(path: str | None, section: str) -> dict:
@@ -50,10 +50,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     counts = {}
     for name, default in (("n_annotated", 200), ("n_weak", 400)):
         value = section.pop(name, default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{args.config}: config field {name!r} must be int, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{args.config}: config field {name!r} must be >= 0, got {value!r}")
+        if not (data._fits(value, "int") and value >= 0):
+            raise ValueError(f"{args.config}: config field {name!r} must be an int >= 0, got {value!r}")
         flag = getattr(args, name)
         if flag is not None and flag < 0:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {flag}")
@@ -61,10 +59,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     config = _config_from_file(SceneConfig, args.config, section)
 
     rng = np.random.Generator(np.random.Philox(args.seed))
-    before = render_paths()
     dataset = generate_dataset(rng, config, counts["n_annotated"], counts["n_weak"])
-    for path, frames in (render_paths() - before).items():  # stderr: stdout and the files stay the same
-        print(f"render: {frames} frames by {path}", file=sys.stderr)
     depth_maps = write_dataset(args.out, dataset)
     print(f"wrote {len(dataset.annotated)} annotated + {len(dataset.weak)} weak samples "
           f"({depth_maps} depth maps) to {Path(args.out)}")
@@ -78,10 +73,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     dataset = load_dataset(args.data)
     spec = load_skeleton(args.skeleton) if args.skeleton else default_skeleton()
-    before = adam_paths()
     bundle, logs = train(config, dataset, spec)
-    for path, updates in (adam_paths() - before).items():  # stderr: stdout and the log stay the same
-        print(f"Adam: {updates} updates by {path}", file=sys.stderr)
     save_bundle(args.out, bundle)
     if args.log_file:
         with open(args.log_file, "w") as fh:
@@ -215,7 +207,11 @@ def main(argv: list[str] | None = None) -> int:
     seed = getattr(args, "seed", None)  # checked before a command creates anything
     if seed is not None and seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
-    return args.func(args)
+    before = compiled.runs()
+    status = args.func(args)
+    for (loop, path), calls in (compiled.runs() - before).items():  # stderr: stdout and the files stay the same
+        print(f"{loop}: {calls} calls by {path}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -251,11 +251,12 @@ def loop(name: str, why_not: str = ""):
     return None if why else getattr(lib, name)
 
 
-def runs(name: str) -> Counter:
-    """The calls for loop ``name`` in this process by each path: "the
-    compiled C loop", or "the numpy passes (<why>)"."""
+def runs() -> Counter:
+    """A copy of the calls of each loop in this process, keyed ``(loop,
+    path)``: the path is "the compiled C loop", or "the numpy passes
+    (<why>)"."""
     with _lock:
-        return Counter({path: calls for (loop_name, path), calls in _runs.items() if loop_name == name})
+        return _runs.copy()
 
 
 def report(raised: int, where: str) -> None:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,12 +276,6 @@ def _refusal(arrays: dict[str, np.ndarray]) -> str:
     return ""
 
 
-def adam_paths() -> Counter:
-    """The updates :func:`adam_step` ran in this process by each path:
-    "the compiled C loop", or "the numpy passes (<why>)"."""
-    return compiled.runs("adam_update")
-
-
 def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
@@ -296,7 +289,7 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     apart; else numpy does, in cache-sized blocks.  Both give the same
     bits, and both raise or warn per ``np.errstate`` for an overflow or
     other IEEE exception, the loop only once it has finished the update.
-    :func:`adam_paths` counts the updates each path ran.
+    :func:`compiled.runs` counts the updates each path ran.
     """
     if grads.keys() != params.keys() or grads.flat.shape != params.flat.shape:
         raise ValueError("grads must have the parameter layout")

@@ -31,13 +31,12 @@ holds the GIL, so a second thread gained nothing (README, "Threads").
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import compiled
-from .data import Dataset, Sample, check_fields, fields_from_json, int_rules
+from .data import Dataset, Sample, _fits, check_fields, fields_from_json, int_rules
 from .depth import DepthMap, read_depth_at
 from .geometry import CameraIntrinsics, normalize_2d, project
 from .skeleton import DEFAULT_JOINT_NAMES, DEFAULT_PARENTS, SkeletonSpec, default_skeleton, knee_neck_distance
@@ -307,8 +306,8 @@ def _sphere_entry(dc: np.ndarray, dd: np.ndarray, c: np.ndarray) -> np.ndarray:
     the test t > 0."""
     disc = dc * dc
     c *= dd
-    disc -= c
     with np.errstate(invalid="ignore"):
+        disc -= c
         np.sqrt(disc, out=disc)
     np.subtract(dc, disc, out=c)
     c /= dd
@@ -365,8 +364,8 @@ def _fold_capsules(best, dx, dy, a, b, radii) -> None:
     cross = np.subtract(da, d_par * a_par, out=da)  # d_perp . a_perp
     disc = cross * cross
     c_cyl *= d_perp_sq
-    disc -= c_cyl
     with np.errstate(invalid="ignore", divide="ignore"):
+        disc -= c_cyl  # inf - inf once both products overflow
         np.sqrt(disc, out=disc)  # NaN where the ray misses the cylinder, failing t_cyl > 0
         t_cyl = np.subtract(cross, disc, out=cross)
         t_cyl /= d_perp_sq
@@ -430,7 +429,7 @@ def render_clean_depth(
     raises or warns per ``np.errstate`` for an overflow or underflow once
     the frame is done; the invalid values and zero divisions of rays that
     miss are ignored, as the numpy passes ignore them.
-    :func:`render_paths` counts the frames each path rendered.
+    :func:`compiled.runs` counts the frames each path rendered.
     """
     if spec.joint_names != DEFAULT_JOINT_NAMES:
         raise ValueError("the synthetic generator only knows the built-in 17-joint skeleton")
@@ -463,12 +462,6 @@ def render_clean_depth(
         np.minimum(best, config.background_depth, out=best)
     np.copyto(best, np.nan, where=np.isinf(best))
     return best
-
-
-def render_paths() -> Counter:
-    """The frames :func:`render_clean_depth` rendered in this process by
-    each path: "the compiled C loop", or "the numpy passes (<why>)"."""
-    return compiled.runs("render_clean")
 
 
 def render_depth(
@@ -600,11 +593,11 @@ def generate_dataset(
     Weak samples keep their depth map but lose the 3D pose annotation
     (it moves to the evaluation-only fields).  Each scene is rendered
     from its own child random stream seeded off the master generator.
-    A count that is not a Python or numpy integer >= 0 raises ValueError
-    naming it.
+    A count that is not an integer >= 0, by the rule :func:`fields_from_json`
+    applies to an ``int`` field, raises ValueError naming it.
     """
     for name, count in (("n_annotated", n_annotated), ("n_weak", n_weak)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        if not (_fits(count, "int") and count >= 0):
             raise ValueError(f"{name} must be an int >= 0, got {count!r}")
     annotated: list[Sample] = []
     weak: list[Sample] = []

@@ -95,8 +95,8 @@ class TestGenerate:
         assert main([*argv, "--out", str(tmp_path / "b")]) == 0
         forced = capsys.readouterr()
         path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
-        assert default.err == f"render: 5 frames by {path}\n"
-        assert forced.err == "render: 5 frames by the numpy passes (forced by the test)\n"
+        assert default.err == f"render_clean: 5 calls by {path}\n"
+        assert forced.err == "render_clean: 5 calls by the numpy passes (forced by the test)\n"
         assert forced.out == default.out.replace(str(tmp_path / "a"), str(tmp_path / "b"))
         for name in ("samples.jsonl", "gt_poses.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -113,9 +113,9 @@ class TestGenerate:
         ('{"n_annotated": 2', "bad.json: invalid JSON config"),
         ('[["n_weak", 1]]', "bad.json: expected a JSON object of config fields, got list"),
         ('{"scene": [1, 2]}', "bad.json: expected a JSON object of config fields, got list"),
-        ('{"n_annotated": 2.7}', "bad.json: config field 'n_annotated' must be int, got 2.7"),
-        ('{"n_weak": true}', "bad.json: config field 'n_weak' must be int, got True"),
-        ('{"scene": {"n_annotated": -1}}', "bad.json: config field 'n_annotated' must be >= 0, got -1"),
+        ('{"n_annotated": 2.7}', "bad.json: config field 'n_annotated' must be an int >= 0, got 2.7"),
+        ('{"n_weak": true}', "bad.json: config field 'n_weak' must be an int >= 0, got True"),
+        ('{"scene": {"n_annotated": -1}}', "bad.json: config field 'n_annotated' must be an int >= 0, got -1"),
     ])
     def test_bad_config_file_is_named(self, tmp_path, text, message):
         bad = tmp_path / "bad.json"
@@ -234,8 +234,8 @@ class TestTrain:
         assert main(argv) == 0
         forced = capsys.readouterr()
         path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
-        assert default.err == f"Adam: 12 updates by {path}\n"
-        assert forced.err == "Adam: 12 updates by the numpy passes (forced by the test)\n"
+        assert default.err == f"adam_update: 12 calls by {path}\n"
+        assert forced.err == "adam_update: 12 calls by the numpy passes (forced by the test)\n"
         assert forced.out == default.out and (tmp_path / "log.jsonl").read_bytes() == log
 
     def test_bad_config_field_names_the_file_whatever_the_flags(self, workspace, tmp_path):
@@ -344,10 +344,27 @@ class TestEval:
                   "--pred", str(workspace["data"] / "samples.jsonl")])
 
 
+class TestStderr:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_a_command_that_runs_no_compiled_loop_writes_nothing(self, workspace, tmp_path, capsys, command):
+        """The workspace's generate and train ran both loops in this process
+        first, so a report of every call so far would show up here;
+        ``TestGradcheck`` checks gradcheck the same way."""
+        argv = {"predict": ["--model", str(workspace["model"]), "--data", str(workspace["data"]),
+                            "--out", str(tmp_path / "pred.jsonl")],
+                "eval": ["--gt", str(workspace["data"] / "gt_poses.jsonl"), "--pred", str(workspace["pred"])]}
+        assert {loop for loop, _ in compiled.runs()} == {"adam_update", "render_clean"}
+        capsys.readouterr()
+        assert main([command, *argv[command]]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestGradcheck:
-    def test_all_checks_pass(self, capsys):
+    def test_all_checks_pass(self, workspace, capsys):
+        """Nothing on stderr, though the workspace ran both compiled loops."""
         assert main(["gradcheck", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "gradient checks passed" in out
         assert "FAIL" not in out
         assert "max_rel_err" in out
+        assert err == ""

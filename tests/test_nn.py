@@ -15,7 +15,6 @@ import json
 import math
 import re
 import shutil
-from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -366,9 +365,9 @@ class TestAdamOnTheNumpyPasses(TestAdam):
     @pytest.fixture(autouse=True)
     def _numpy_passes(self, monkeypatch):
         _force_numpy(monkeypatch)
-        before = nn.adam_paths()
+        before = compiled.runs()
         yield
-        assert set(nn.adam_paths() - before) <= {"the numpy passes (forced by the test)"}
+        assert set(compiled.runs() - before) <= {("adam_update", "the numpy passes (forced by the test)")}
 
 
 class _Flat(dict):
@@ -408,11 +407,11 @@ def _updates(size, steps, seed):
 def _compiled_then_numpy(monkeypatch, run):
     """``run()`` on the compiled loop, checked to have run it, then on the
     numpy passes."""
-    before = nn.adam_paths()
-    compiled = run()
-    assert set(nn.adam_paths() - before) == {"the compiled C loop"}
+    before = compiled.runs()
+    fast = run()
+    assert set(compiled.runs() - before) == {("adam_update", "the compiled C loop")}
     _force_numpy(monkeypatch)
-    return compiled, run()
+    return fast, run()
 
 
 def _trained_bits(config, dataset):
@@ -430,11 +429,11 @@ def criterion6_data():
 class TestCompiledAdam:
     def test_the_loop_loads(self, monkeypatch):
         monkeypatch.setattr(compiled, "_library", None)
-        before = nn.adam_paths()
+        before = compiled.runs()
         params, grads = _vectors(_tiny_config(), 1, 2)
         nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
         assert compiled._library[0] is not None, compiled._library[1]
-        assert nn.adam_paths() - before == Counter({"the compiled C loop": 1})
+        assert compiled.runs() - before == {("adam_update", "the compiled C loop"): 1}
 
     @pytest.mark.parametrize("source, which, why", [
         (compiled._SOURCE, lambda name: None, r"no C compiler \(cc\) on PATH"),
@@ -444,10 +443,11 @@ class TestCompiledAdam:
         monkeypatch.setattr(compiled, "_library", None)
         monkeypatch.setattr(compiled, "_SOURCE", source)
         monkeypatch.setattr(shutil, "which", which)
-        before = nn.adam_paths()
+        before = compiled.runs()
         params, grads = _vectors(_tiny_config(), 1, 2)
         nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
-        ((path, updates),) = (nn.adam_paths() - before).items()
+        (((loop, path), updates),) = (compiled.runs() - before).items()
+        assert loop == "adam_update"
         assert re.fullmatch(rf"the numpy passes \({why}\)", path) and updates == 1
 
     @pytest.mark.parametrize("size, steps", [(1, 400), (7, 400), (16_385, 400), (None, 2)],
@@ -506,14 +506,15 @@ class TestCompiledAdam:
             state = nn.init_adam(params)
             state.m[:] = 0.25
             params, state.m, state.v = arrange(params, state.m, state.v)
-            before = nn.adam_paths()
+            before = compiled.runs()
             with np.errstate(invalid="ignore"):  # shared moments go negative
                 nn.adam_step(params, grads, state, lr=0.1)
-            return [params.flat.tobytes(), state.m.tobytes(), state.v.tobytes()], nn.adam_paths() - before
+            return [params.flat.tobytes(), state.m.tobytes(), state.v.tobytes()], compiled.runs() - before
 
         bits, ran = step()
-        (path,) = ran
-        assert path.startswith(f"the numpy passes ({why}") and ran[path] == 1
+        ((loop, path),) = ran
+        assert loop == "adam_update"
+        assert path.startswith(f"the numpy passes ({why}") and ran[loop, path] == 1
         _force_numpy(monkeypatch)
         assert step()[0] == bits
 
@@ -521,10 +522,10 @@ class TestCompiledAdam:
         params, grads = _vectors(_tiny_config(), 1, 2)
         state = nn.init_adam(params)
         state.v.flags.writeable = False
-        before = nn.adam_paths()
+        before = compiled.runs()
         with pytest.raises(ValueError, match="read-only"):
             nn.adam_step(params, grads, state, lr=0.1)
-        assert nn.adam_paths() - before == Counter({"the numpy passes (state.v is read-only)": 1})
+        assert compiled.runs() - before == {("adam_update", "the numpy passes (state.v is read-only)"): 1}
 
 
 class TestLrSchedule:
