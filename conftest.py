@@ -9,8 +9,30 @@ OpenBLAS build, the BLAS thread count and the batch size can: at two
 OpenBLAS threads, predictions for 41 to 43 samples at width 1024
 differed in the last bits from one thread's (README, "Threads").  A
 value already set in the environment wins.
+
+The ``numpy_passes`` fixture is the one way a test forces the numpy
+passes of the compiled loops.
 """
 
+import contextlib
 import os
 
+import pytest
+
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.fixture(scope="session")
+def numpy_passes():
+    """A context manager under which every compiled loop runs its numpy
+    passes, counted by ``compiled.runs()`` as "the numpy passes (forced
+    by the test)".  Session-scoped, so Hypothesis tests may take it."""
+    from poselift import compiled  # imported late: numpy after the setting above
+
+    @contextlib.contextmanager
+    def forced():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compiled, "_library", (None, "forced by the test"))
+            yield
+
+    return forced

@@ -6,9 +6,10 @@ which releases the interpreter lock while a loop runs.
 :func:`synth.render_clean_depth`'s ray cast after the per-capsule
 products.  Each does the IEEE operations of the numpy passes it stands
 for, in their order, so both give the same bits; the numpy passes run
-where the library does not build.  The build is paid once per process
-(0.2 s on a 2-vCPU VM), keeps no file on disk, and the compiler has
-exited before :func:`loop` returns.
+where the library does not build, so a loop's path is one per process;
+the callers refuse on both paths the inputs a loop cannot take.  The build
+is paid once per process (0.2 s on a 2-vCPU VM), keeps no file on disk,
+and the compiler has exited before :func:`loop` returns.
 """
 
 from __future__ import annotations
@@ -60,18 +61,14 @@ int adam_update(double *restrict p, const double *restrict g, double *restrict m
     return raised_flags();
 }
 
-/* np.minimum and np.maximum: NaN when either operand is NaN. */
-static double min_nan(double a, double b) { return (a < b || a != a) ? a : b; }
-static double max_nan(double a, double b) { return (a > b || a != a) ? a : b; }
-
 /* np.searchsorted on rays[0:n], ascending and free of NaN: the count of
-   rays below v (left), or not above it (right).  NaN sorts above all. */
+   rays below v (left), or not above it (right). */
 static long search(const double *rays, long n, double v, int right)
 {
     long lo = 0, hi = n;
     while (lo < hi) {
         const long mid = lo + (hi - lo) / 2;
-        if (right ? !(v < rays[mid]) : (rays[mid] < v || v != v))
+        if (right ? !(v < rays[mid]) : rays[mid] < v)
             lo = mid + 1;
         else
             hi = mid;
@@ -88,8 +85,8 @@ static void window(const double *lo, const double *hi, int i, const double *rays
     const double s[4] = {lo[i] / lo[2], lo[i] / hi[2], hi[i] / lo[2], hi[i] / hi[2]};
     double first = s[0], last = s[0];
     for (int j = 1; j < 4; j++) {
-        first = min_nan(first, s[j]);
-        last = max_nan(last, s[j]);
+        first = first < s[j] ? first : s[j];
+        last = last > s[j] ? last : s[j];
     }
     const long a = search(rays, n, first, 0) - 1, b = search(rays, n, last, 1) + 1;
     const int front = lo[2] > 0.0;
@@ -136,8 +133,8 @@ int render_clean(double *restrict out, double *restrict rays, long width, long h
         const double c_cyl = (a_sq[k] - ap * ap) - rr, c_a = a_sq[k] - rr, c_b = b_sq[k] - rr;
         double lo[3], hi[3];
         for (int d = 0; d < 3; d++) {
-            lo[d] = min_nan(ak[d], bk[d]) - r;
-            hi[d] = max_nan(ak[d], bk[d]) + r;
+            lo[d] = (ak[d] < bk[d] ? ak[d] : bk[d]) - r;
+            hi[d] = (ak[d] > bk[d] ? ak[d] : bk[d]) + r;
         }
         long r0, r1, c0, c1;
         window(lo, hi, 1, dy, height, &r0, &r1);
@@ -238,15 +235,13 @@ def _build():
     return lib, ""
 
 
-def loop(name: str, why_not: str = ""):
-    """The compiled loop ``name``, or None where the numpy passes run: when
-    the library did not build, or for ``why_not``.  Counts the call under
-    its path for :func:`runs`."""
+def loop(name: str):
+    """The compiled loop ``name``, or None where the library did not build;
+    counts the call under its path for :func:`runs`."""
     global _library
     with _lock:
         _library = _library or _build()
         lib, why = _library
-        why = why or why_not
         _runs[name, f"the numpy passes ({why})" if why else "the compiled C loop"] += 1
     return None if why else getattr(lib, name)
 

@@ -10,17 +10,18 @@ One record per person instance per frame:
 Records without ``joints_3d`` are depth-only (weak) samples.  Floats are
 written with ``repr`` precision so files round trip bit-exact.  A
 :class:`Sample` checks its arrays once, when it is built from a record or
-in code (``dataclasses.replace`` included); a field assigned afterwards is
-not checked again.  A :class:`SampleBatch` holds a sample list as arrays
-for training and prediction.  :func:`fields_from_json` builds a config
-dataclass from JSON, checking each field by name and type, and
-:func:`numbers_from_json` reads an array whose every element must be a
-JSON number.
+in code (``dataclasses.replace`` included), and stores an invalid depth
+readout as NaN; a field assigned afterwards is not checked again.  A
+:class:`SampleBatch` holds a sample list as arrays for training and
+prediction.  :func:`fields_from_json` builds a config dataclass from JSON,
+checking each field by name and type, and :func:`numbers_from_json` reads
+an array whose every element must be a JSON number.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -44,8 +45,8 @@ class Sample:
     joints_3d: np.ndarray | None = None
     depth_path: str | None = None
     depth: DepthMap | None = None
-    depth_readouts: np.ndarray | None = None
-    depth_valid: np.ndarray | None = None
+    depth_readouts: np.ndarray | None = None  # (J,) mm, stored NaN where depth_valid (else finiteness) says invalid
+    depth_valid: np.ndarray | None = None  # so ~np.isnan(depth_readouts): a readout it marks valid is finite
     # Ground truth withheld from training for weak samples, kept for
     # evaluation and diagnostics of synthetic data.
     eval_joints_3d: np.ndarray | None = field(default=None, repr=False)
@@ -72,16 +73,15 @@ class Sample:
                 raise ValueError(f"sample {self.frame_id}: {name} contains non-finite values")
             setattr(self, name, arr)
         if self.depth_readouts is not None:
-            marked = self.depth_readouts[self._readout_mask()]
+            if self.depth_valid is None:
+                self.depth_valid = np.isfinite(self.depth_readouts)
+            marked = self.depth_readouts[self.depth_valid]
             bad = marked[~((marked > 0.0) & (marked < np.inf))]  # NaN compares false
             if bad.size:
                 raise ValueError(f"sample {self.frame_id}: depth_readouts marked valid must be finite and > 0 "
                                  f"(a false depth_valid, or null in a pose file, marks an invalid one), "
                                  f"got {float(bad[0])}")
-
-    def _readout_mask(self) -> np.ndarray:
-        """Which cached readouts are valid: ``depth_valid``, else the finite ones."""
-        return np.isfinite(self.depth_readouts) if self.depth_valid is None else self.depth_valid
+            self.depth_readouts = np.where(self.depth_valid, self.depth_readouts, np.nan)
 
     @property
     def is_annotated(self) -> bool:
@@ -98,14 +98,14 @@ class Sample:
             self.depth_valid = ~np.isnan(self.depth_readouts)
 
 
-def _read_map(sample: Sample, depth: DepthMap, points: np.ndarray, source: str = "depth map"):
-    """``read_depth_at(depth, points)`` once the map is the size of the
-    sample's camera image; else a ValueError names the frame, the map's
-    ``source`` and both (height, width) sizes."""
+def _read_map(sample: Sample, depth: DepthMap, points: np.ndarray, source: str = "depth map") -> np.ndarray:
+    """``read_depth_at(depth, points).values``, NaN where invalid, once the
+    map is the size of the sample's camera image; else a ValueError names
+    the frame, the map's ``source`` and both (height, width) sizes."""
     size, image = (depth.height, depth.width), (sample.camera.height, sample.camera.width)
     if size != image:
         raise ValueError(f"sample {sample.frame_id}: {source} has (height, width) {size}, the camera's image {image}")
-    return read_depth_at(depth, points)
+    return read_depth_at(depth, points).values
 
 
 @dataclass(frozen=True)
@@ -155,16 +155,15 @@ class SampleBatch:
                                  f"expected {(j, 2)}")
             joints_2d[i] = s.joints_2d
             if s.depth_readouts is not None:
-                values, ok = s.depth_readouts, s._readout_mask()
+                readouts[i] = s.depth_readouts
             elif s.depth is not None:
-                values, ok = _read_map(s, s.depth, joints_2d[i])
+                readouts[i] = _read_map(s, s.depth, joints_2d[i])
             elif s.depth_path is not None:
                 if s.depth_path != last_path:
                     last_path, last_map = s.depth_path, load_depth(s.depth_path)
-                values, ok = _read_map(s, last_map, joints_2d[i], f"depth map {s.depth_path}")
+                readouts[i] = _read_map(s, last_map, joints_2d[i], f"depth map {s.depth_path}")
             else:
                 raise ValueError(f"sample {s.frame_id} has no depth source")
-            readouts[i] = np.where(ok, values, np.nan)
             if joints_3d is not None:
                 joints_3d[i] = s.joints_3d
             if visibility is not None:
@@ -201,9 +200,7 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
     if sample.depth_path is not None:
         record["depth_path"] = sample.depth_path
     if sample.depth_readouts is not None:
-        record["depth_readouts"] = [
-            float(v) if ok else None for v, ok in zip(sample.depth_readouts, sample._readout_mask())
-        ]
+        record["depth_readouts"] = [None if math.isnan(v) else v for v in sample.depth_readouts.tolist()]
     return record
 
 
@@ -311,7 +308,10 @@ def split_dataset(samples: list[Sample]) -> Dataset:
 def write_dataset(data_dir: str | Path, dataset: Dataset) -> int:
     """Write ``poselift generate``'s layout: each frame's map once as
     ``depth/<frame_id>.dmap`` (set as the samples' ``depth_path``), the
-    samples, and their withheld ground truth; return the number of maps."""
+    samples, and their withheld ground truth; return the number of maps.
+    A sample without a map raises ValueError first, naming its frame."""
+    if bare := [s.frame_id for s in dataset.all_samples() if s.depth is None]:
+        raise ValueError(f"sample {bare[0]}: no depth map to write")
     data_dir = Path(data_dir)
     (data_dir / "depth").mkdir(parents=True, exist_ok=True)
     frames = group_frames(dataset.all_samples())

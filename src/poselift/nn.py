@@ -16,8 +16,7 @@ loop of :mod:`poselift.compiled`, built with ``cc`` on first use in a
 process and called through ctypes, which releases the interpreter lock
 so two updates can overlap on two threads.  The loop does the numpy
 passes' IEEE operations in their order, so both give the same bits; the
-numpy passes run where the loop does not build or the arrays do not
-suit it.
+numpy passes run where the loop does not build.
 """
 
 from __future__ import annotations
@@ -284,15 +283,18 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;
     p = p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps).
 
-    The compiled C loop (module docstring) runs it when it built and the
-    four vectors are C-contiguous float64, writeable where written and
-    apart; else numpy does, in cache-sized blocks.  Both give the same
-    bits, and both raise or warn per ``np.errstate`` for an overflow or
-    other IEEE exception, the loop only once it has finished the update.
+    The compiled C loop (module docstring) runs it, or numpy in cache-sized
+    blocks where the loop did not build; both raise ValueError naming the
+    first vector that is not C-contiguous float64, writeable where written
+    and apart, before any change.  Both give the same bits, and raise or
+    warn per ``np.errstate`` for an IEEE exception, the loop once it is done.
     :func:`compiled.runs` counts the updates each path ran.
     """
     if grads.keys() != params.keys() or grads.flat.shape != params.flat.shape:
         raise ValueError("grads must have the parameter layout")
+    arrays = {"params": params.flat, "grads": grads.flat, "state.m": state.m, "state.v": state.v}
+    if why := _refusal(arrays):
+        raise ValueError(f"adam_step cannot update in place: {why}")
     # A non-finite element makes the sum of squares non-finite; only then,
     # or when the sum overflows, is the element-wise scan run.  Underflow
     # in the sum is no error either: only the update reports IEEE errors.
@@ -305,8 +307,7 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    arrays = {"params": params.flat, "grads": grads.flat, "state.m": state.m, "state.v": state.v}
-    update = compiled.loop("adam_update", _refusal(arrays))
+    update = compiled.loop("adam_update")
     if update is not None:
         raised = update(*(a.ctypes.data for a in arrays.values()), params.flat.size,
                         beta1, beta2, c1, c2, float(lr), ADAM_EPS)

@@ -67,8 +67,8 @@ class SkeletonSpec:
             ("root", 0 <= self.root < j, f"a joint index in [0, {j})"),
             ("neck", 0 <= self.neck < j, f"a joint index in [0, {j})"),
             ("knees", len(self.knees) == 2 and all(0 <= k < j for k in self.knees), f"two joint indices in [0, {j})"),
-            ("depth_subset", len(set(self.depth_subset)) == len(self.depth_subset)
-             and all(0 <= k < j for k in self.depth_subset), f"distinct joint indices in [0, {j})"),
+            ("depth_subset", 0 < len(set(self.depth_subset)) == len(self.depth_subset)
+             and all(0 <= k < j for k in self.depth_subset), f"one or more distinct joint indices in [0, {j})"),
             ("parents", len(self.parents) == j, f"one entry per joint, {j} in all"),
             ("parents", 0 <= self.root < len(self.parents) and self.parents[self.root] == -1,
              f"-1 at the root, index {self.root}"),

@@ -406,6 +406,7 @@ def render_clean_depth(
     spec: SkeletonSpec,
 ) -> np.ndarray:
     """Noise-free z-depth per camera pixel, NaN where no surface returns.
+    ``poses`` must be finite (17, 3) arrays; else ValueError, on both paths.
 
     The capsules of every person are solved in one array pass.  A
     capsule is solved only over the pixel window of its axis-aligned 3D
@@ -436,6 +437,8 @@ def render_clean_depth(
     joints = np.stack(poses).astype(np.float64, copy=False) if poses else np.empty((0, 17, 3))
     if joints.shape[1:] != (17, 3):
         raise ValueError(f"poses must be (17, 3) arrays, got {joints.shape[1:]}")
+    if not np.isfinite(joints).all():
+        raise ValueError("poses must be finite")
     a, b = joints[:, _PARENTS].reshape(-1, 3), joints[:, _CHILDREN].reshape(-1, 3)
     radii = np.tile(_RADII, len(poses))
     render = compiled.loop("render_clean")
@@ -567,7 +570,7 @@ def scene_to_samples(scene: Scene, config: SceneConfig, rng: np.random.Generator
         return []
     joints = np.stack(scene.poses)
     joints_2d = project(joints, scene.camera)
-    readouts, valid = read_depth_at(scene.depth, joints_2d)
+    readouts = read_depth_at(scene.depth, joints_2d).values  # NaN where invalid
     # An invalid readout is NaN, and NaN compares false: the joint is hidden.
     visible = read_depth_at(scene.clean, joints_2d).values > joints[..., 2] - config.visibility_margin_mm
     samples = []
@@ -577,7 +580,7 @@ def scene_to_samples(scene: Scene, config: SceneConfig, rng: np.random.Generator
             detections += rng.normal(0.0, config.detector_noise_px, size=detections.shape)
         samples.append(Sample(
             frame_id=frame_id, camera=scene.camera, joints_2d=detections, joints_3d=pose.copy(),
-            depth=scene.depth, depth_readouts=readouts[i].copy(), depth_valid=valid[i].copy(),
+            depth=scene.depth, depth_readouts=readouts[i],
             eval_joints_3d=pose.copy(), eval_visibility=visible[i].copy()))
     return samples
 

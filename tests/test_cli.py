@@ -5,6 +5,7 @@ dataset, checking the files each stage leaves behind and the override
 precedence of flags over config values.
 """
 
+import contextlib
 import hashlib
 import json
 import re
@@ -71,28 +72,27 @@ class TestGenerate:
         assert all(s.joints_3d is not None for s in gt)
 
     @pytest.mark.parametrize("path", ["default", "numpy"])
-    def test_output_keeps_its_bytes(self, tmp_path, monkeypatch, path):
+    def test_output_keeps_its_bytes(self, tmp_path, numpy_passes, path):
         """sha256 over both pose files and every DMAP of a small seeded run,
         pinned when the camera arithmetic moved into ``geometry``; on the
         default path and with the numpy passes forced."""
-        if path == "numpy":
-            monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
         out = tmp_path / "gen"
-        assert main(["generate", "--out", str(out), "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]) == 0
+        with numpy_passes() if path == "numpy" else contextlib.nullcontext():
+            assert main(["generate", "--out", str(out), "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]) == 0
         h = hashlib.sha256()
         for path in [out / "samples.jsonl", out / "gt_poses.jsonl", *sorted((out / "depth").glob("*.dmap"))]:
             h.update(path.relative_to(out).as_posix().encode())
             h.update(path.read_bytes())
         assert h.hexdigest() == GENERATE_DIGEST
 
-    def test_stderr_names_the_render_path(self, tmp_path, capsys, monkeypatch):
+    def test_stderr_names_the_render_path(self, tmp_path, capsys, numpy_passes):
         """Five frames hold the 6 + 4 samples; stdout and the files do
         not depend on the path."""
         argv = ["generate", "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]
         assert main([*argv, "--out", str(tmp_path / "a")]) == 0
         default = capsys.readouterr()
-        monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
-        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        with numpy_passes():
+            assert main([*argv, "--out", str(tmp_path / "b")]) == 0
         forced = capsys.readouterr()
         path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
         assert default.err == f"render_clean: 5 calls by {path}\n"
@@ -223,15 +223,15 @@ class TestTrain:
                      "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_stderr_names_the_adam_path(self, workspace, tmp_path, capsys, monkeypatch):
+    def test_stderr_names_the_adam_path(self, workspace, tmp_path, capsys, numpy_passes):
         """One epoch of 6 steps updates two networks; stdout and the log
         file do not depend on the path."""
         argv = ["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
                 "--out", str(tmp_path / "m.npz"), "--log-file", str(tmp_path / "log.jsonl")]
         assert main(argv) == 0
         default, log = capsys.readouterr(), (tmp_path / "log.jsonl").read_bytes()
-        monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
-        assert main(argv) == 0
+        with numpy_passes():
+            assert main(argv) == 0
         forced = capsys.readouterr()
         path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
         assert default.err == f"adam_update: 12 calls by {path}\n"

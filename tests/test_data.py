@@ -79,6 +79,22 @@ class TestRecordRoundTrip:
         assert not back.depth_valid[3]
         assert back.depth_valid[4]
 
+    def test_junk_under_a_false_mask_is_stored_as_nan(self):
+        """The mask's invalid readouts are NaN in the sample; its record
+        and batch row have the bytes of a sample built with NaN there."""
+        junk, nan = np.full(17, 2500.0), np.full(17, 2500.0)
+        junk[[2, 7]], nan[[2, 7]] = [-3.0, np.inf], np.nan
+        mask = ~np.isin(np.arange(17), [2, 7])
+        twin = _sample(readouts=nan)
+        built = Sample(frame_id=twin.frame_id, camera=CAM, joints_2d=twin.joints_2d, joints_3d=twin.joints_3d,
+                       depth_readouts=junk, depth_valid=mask)
+        assert np.isnan(built.depth_readouts[[2, 7]]).all() and np.array_equal(built.depth_valid, mask)
+        assert junk[2] == -3.0  # the caller's array is not written
+        assert json.dumps(sample_to_record(built)) == json.dumps(sample_to_record(twin))
+        assert sample_to_record(built)["depth_readouts"][2] is None
+        rows = [SampleBatch.from_samples([s], 17).readouts.tobytes() for s in (built, twin)]
+        assert rows[0] == rows[1]
+
     def test_weak_sample_has_no_pose_key(self):
         sample = _sample(annotated=False)
         record = sample_to_record(sample)
@@ -369,6 +385,15 @@ class TestDatasetHelpers:
         assert load_depth(dataset.weak[0].depth_path).values.tobytes() == maps["b"].values.tobytes()
         gt = read_pose_file(tmp_path / "gt_poses.jsonl")
         assert all(s.joints_3d.tobytes() == samples[0].joints_3d.tobytes() for s in gt)
+
+    def test_write_dataset_refuses_a_sample_without_a_map_before_writing(self, tmp_path):
+        """A dataset read back holds depth paths, not maps: write_dataset
+        names the frame before it creates ``depth/`` or any file."""
+        maps = DepthMap(np.full((120, 160), 2500.0))
+        samples = [_sample("a", depth=maps), _sample("b", annotated=False)]
+        with pytest.raises(ValueError, match="^sample b: no depth map to write$"):
+            write_dataset(tmp_path / "out", split_dataset(samples))
+        assert not (tmp_path / "out").exists()
 
     def test_load_dataset_reads_the_samples_file(self, tmp_path):
         write_pose_file(tmp_path / "samples.jsonl", [_sample("a"), _sample("b", annotated=False)])

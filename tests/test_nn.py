@@ -244,11 +244,6 @@ def _vectors(config, *seeds):
     return [nn.ParamVector(config, np.random.default_rng(s).normal(size=size)) for s in seeds]
 
 
-def _force_numpy(monkeypatch):
-    """Make every later update in the test run the numpy passes."""
-    monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
-
-
 class TestAdam:
     def test_three_steps_match_scalar_reference(self):
         config = _tiny_config()
@@ -357,16 +352,33 @@ class TestAdam:
         assert state.t == 1 and state.m.any() and state.v.any()
         assert grads.flat.tobytes() == g.tobytes()
 
+    @pytest.mark.parametrize("arrange, why", [
+        (lambda p, s: (nn.ParamVector(_tiny_config(), np.repeat(p.flat, 2)[::2]), s.m, s.v),
+         "params is not C-contiguous and aligned"),
+        (lambda p, s: (p, s.m.astype(np.float32), s.v), "state.m is not float64 of shape"),
+        (lambda p, s: (p, s.m, s.m), "state.m and state.v overlap"),
+        (lambda p, s: (p, s.m, np.frombuffer(s.v.tobytes())), "state.v is read-only"),
+    ], ids=["strided-params", "float32-moment", "shared-moments", "read-only-v"])
+    def test_arrays_the_loop_cannot_update_in_place_are_refused_before_any_change(self, arrange, why):
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        state = nn.init_adam(params)
+        state.m[:] = 0.25
+        params, state.m, state.v = arrange(params, state)
+        before = [a.tobytes() for a in (params.flat, state.m, state.v)]
+        with pytest.raises(ValueError, match=f"^adam_step cannot update in place: {why}"):
+            nn.adam_step(params, grads, state, lr=0.1)
+        assert [a.tobytes() for a in (params.flat, state.m, state.v)] == before and state.t == 0
+
 
 class TestAdamOnTheNumpyPasses(TestAdam):
     """Every test of :class:`TestAdam`, which runs the compiled loop where
     ``cc`` is found, on the numpy passes."""
 
     @pytest.fixture(autouse=True)
-    def _numpy_passes(self, monkeypatch):
-        _force_numpy(monkeypatch)
+    def _numpy_passes(self, numpy_passes):
         before = compiled.runs()
-        yield
+        with numpy_passes():
+            yield
         assert set(compiled.runs() - before) <= {("adam_update", "the numpy passes (forced by the test)")}
 
 
@@ -404,14 +416,14 @@ def _updates(size, steps, seed):
     return out
 
 
-def _compiled_then_numpy(monkeypatch, run):
+def _compiled_then_numpy(numpy_passes, run):
     """``run()`` on the compiled loop, checked to have run it, then on the
     numpy passes."""
     before = compiled.runs()
     fast = run()
     assert set(compiled.runs() - before) == {("adam_update", "the compiled C loop")}
-    _force_numpy(monkeypatch)
-    return fast, run()
+    with numpy_passes():
+        return fast, run()
 
 
 def _trained_bits(config, dataset):
@@ -452,19 +464,19 @@ class TestCompiledAdam:
 
     @pytest.mark.parametrize("size, steps", [(1, 400), (7, 400), (16_385, 400), (None, 2)],
                              ids=["1", "7", "16385", "width-1024"])
-    def test_same_bytes_as_the_numpy_passes(self, monkeypatch, size, steps):
+    def test_same_bytes_as_the_numpy_passes(self, numpy_passes, size, steps):
         """At t = 356, 1 - 0.9**t rounds to 1.0; the width-1024 layout is
         the 4.3M-element pose network of the benchmark."""
         if size is None:
             size = nn.ParamVector(nn.MlpConfig(51, 51, hidden_dim=1024)).flat.size
-        compiled, reference = _compiled_then_numpy(monkeypatch, lambda: _updates(size, steps, seed=size))
+        compiled, reference = _compiled_then_numpy(numpy_passes, lambda: _updates(size, steps, seed=size))
         assert 1.0 - 0.9**356 == 1.0 and 1.0 - 0.9**355 != 1.0
         for t, (a, b) in enumerate(zip(compiled, reference), start=1):
             assert a == b, f"step {t}"
 
     @pytest.mark.parametrize("lambda_weight, weak", [(1e-3, "labelled"), (1e-3, "unlabelled"), (0.0, "none")],
                              ids=["weak", "no-labels", "lambda-0"])
-    def test_training_gives_the_same_bits(self, monkeypatch, criterion6_data, lambda_weight, weak):
+    def test_training_gives_the_same_bits(self, numpy_passes, criterion6_data, lambda_weight, weak):
         """Criterion 6's config, with weak data, with its labels stripped,
         and at lambda = 0 without it (as criterion 4 trains its baseline)."""
         samples = {"labelled": criterion6_data.weak, "none": [],
@@ -472,13 +484,13 @@ class TestCompiledAdam:
         dataset = Dataset(criterion6_data.annotated, samples)
         config = TrainConfig(epochs=3, batch_size=8, hidden_dim=64, num_blocks=1, depth_hidden_dim=64,
                              depth_num_blocks=1, lambda_weight=lambda_weight, alpha=2500.0, seed=0)
-        compiled, reference = _compiled_then_numpy(monkeypatch, lambda: _trained_bits(config, dataset))
+        compiled, reference = _compiled_then_numpy(numpy_passes, lambda: _trained_bits(config, dataset))
         assert compiled == reference
 
     @pytest.mark.parametrize("errstate, outcome", [
         ({}, "warn"), ({"over": "raise"}, "raise"), ({"over": "ignore"}, "quiet"),
     ])
-    def test_an_overflow_obeys_errstate_on_both_paths(self, monkeypatch, errstate, outcome):
+    def test_an_overflow_obeys_errstate_on_both_paths(self, numpy_passes, errstate, outcome):
         """(g * (1 - beta2)) * g overflows for g = 1e160.  Raising, the numpy
         passes stop inside the update and the loop after it."""
         def step():
@@ -491,41 +503,8 @@ class TestCompiledAdam:
                 nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
             return params.flat.tobytes()
 
-        compiled, reference = _compiled_then_numpy(monkeypatch, step)
+        compiled, reference = _compiled_then_numpy(numpy_passes, step)
         assert outcome == "raise" or compiled == reference
-
-    @pytest.mark.parametrize("arrange, why", [
-        (lambda p, m, v: (nn.ParamVector(_tiny_config(), np.repeat(p.flat, 2)[::2]), m, v),
-         "params is not C-contiguous and aligned"),
-        (lambda p, m, v: (p, m.astype(np.float32), v), "state.m is not float64 of shape"),
-        (lambda p, m, v: (p, m, m), "state.m and state.v overlap"),
-    ], ids=["strided-params", "float32-moment", "shared-moments"])
-    def test_arrays_the_loop_cannot_take_get_the_numpy_passes(self, monkeypatch, arrange, why):
-        def step():
-            params, grads = _vectors(_tiny_config(), 1, 2)
-            state = nn.init_adam(params)
-            state.m[:] = 0.25
-            params, state.m, state.v = arrange(params, state.m, state.v)
-            before = compiled.runs()
-            with np.errstate(invalid="ignore"):  # shared moments go negative
-                nn.adam_step(params, grads, state, lr=0.1)
-            return [params.flat.tobytes(), state.m.tobytes(), state.v.tobytes()], compiled.runs() - before
-
-        bits, ran = step()
-        ((loop, path),) = ran
-        assert loop == "adam_update"
-        assert path.startswith(f"the numpy passes ({why}") and ran[loop, path] == 1
-        _force_numpy(monkeypatch)
-        assert step()[0] == bits
-
-    def test_a_read_only_moment_goes_to_the_numpy_passes_which_refuse_it(self):
-        params, grads = _vectors(_tiny_config(), 1, 2)
-        state = nn.init_adam(params)
-        state.v.flags.writeable = False
-        before = compiled.runs()
-        with pytest.raises(ValueError, match="read-only"):
-            nn.adam_step(params, grads, state, lr=0.1)
-        assert compiled.runs() - before == {("adam_update", "the numpy passes (state.v is read-only)"): 1}
 
 
 class TestLrSchedule:

@@ -97,6 +97,7 @@ class TestSpecLayout:
         (lambda d: d.pop("root"), "root"),
         (lambda d: d.update(knees=[9, 12.0]), "knees"),
         (lambda d: d.update(pelvis=14), "pelvis"),
+        (lambda d: d.update(depth_subset=[]), "depth_subset"),
     ])
     def test_bad_file_field_is_named(self, tmp_path, edit, field):
         d = asdict(SPEC)

@@ -20,7 +20,7 @@ versions rely on, that ``np.vecdot`` rounds as per-row ``.dot`` does.
 Where ``cc`` builds the compiled render loop, it must give the bytes of
 the numpy passes and of the full-frame renderer on 1,002 generated
 frames of three configs and on edge cases, and the numpy passes are
-forced by monkeypatching ``compiled._library``.  Dataset digests pinned
+forced by the ``numpy_passes`` fixture.  Dataset digests pinned
 from the full-frame renderer guard the criterion-4 and criterion-5
 scene configs end to end, on both paths.
 """
@@ -72,12 +72,11 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _both_paths(*args):
+def _both_paths(numpy_passes, *args):
     """render_clean_depth(*args)'s bytes on the default path, which is the
     compiled loop where ``cc`` is found, and on the numpy passes."""
     default = render_clean_depth(*args).tobytes()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compiled, "_library", (None, "forced by the test"))
+    with numpy_passes():
         return default, render_clean_depth(*args).tobytes()
 
 
@@ -554,6 +553,15 @@ class TestRenderCleanDepth:
         with pytest.raises(ValueError, match=re.escape(f"poses must be (17, 3) arrays, got {shape}")):
             render_clean_depth([np.full(shape, 3000.0)], [], CAM, SceneConfig(), SPEC)
 
+    @pytest.mark.parametrize("path", ["default", "numpy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_pose_that_is_not_finite_raises_on_both_paths(self, numpy_passes, path, value):
+        pose = _STANDING + [0.0, 0.0, 3000.0]
+        pose[9, 0] = value  # the right knee's x
+        with numpy_passes() if path == "numpy" else contextlib.nullcontext():
+            with pytest.raises(ValueError, match="^poses must be finite$"):
+                render_clean_depth([pose], [], CAM, SceneConfig(), SPEC)
+
     def test_another_skeleton_raises(self):
         renamed = replace(SPEC, joint_names=("crown",) + SPEC.joint_names[1:])
         with pytest.raises(ValueError, match="only knows the built-in 17-joint skeleton"):
@@ -563,10 +571,10 @@ class TestRenderCleanDepth:
 class TestCulledRenderer:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(scenes())
-    def test_matches_the_full_frame_renderer_bit_for_bit(self, scene):
+    def test_matches_the_full_frame_renderer_bit_for_bit(self, numpy_passes, scene):
         args = (*scene, SPEC)
-        default, numpy_passes = _both_paths(*args)
-        assert default == numpy_passes == ref_render_clean_depth(*args).tobytes()
+        default, forced = _both_paths(numpy_passes, *args)
+        assert default == forced == ref_render_clean_depth(*args).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(boxes(), min_size=1, max_size=8), st.sampled_from([3.0, 40.0, 260.0]))
@@ -640,26 +648,26 @@ class TestCompiledRender:
 
     @pytest.mark.parametrize("config, count", [(C4_SCENE, 334), (SceneConfig(), 334), (NEAR_SCENE, 334)],
                              ids=["criterion-4", "default", "near-no-background"])
-    def test_same_bytes_on_generated_scenes(self, config, count):
+    def test_same_bytes_on_generated_scenes(self, numpy_passes, config, count):
         before = compiled.runs()
         for seed in range(count):
             scene = generate_scene(_rng([30, seed]), config)
             args = (scene.poses, scene.occluders, scene.camera, config, SPEC)
-            default, numpy_passes = _both_paths(*args)
-            assert default == numpy_passes == ref_render_clean_depth(*args).tobytes(), f"seed {seed}"
+            default, forced = _both_paths(numpy_passes, *args)
+            assert default == forced == ref_render_clean_depth(*args).tobytes(), f"seed {seed}"
         assert compiled.runs() - before == {("render_clean", "the compiled C loop"): 2 * count,
                                             ("render_clean", FORCED): count}
 
     @pytest.mark.parametrize("case", ["box-behind-camera", "short-capsules", "no-poses", "occluders-only"])
-    def test_same_bytes_on_edge_cases(self, case):
+    def test_same_bytes_on_edge_cases(self, numpy_passes, case):
         args = (*_edge_scene(case), SPEC)
-        default, numpy_passes = _both_paths(*args)
-        assert default == numpy_passes == ref_render_clean_depth(*args).tobytes()
+        default, forced = _both_paths(numpy_passes, *args)
+        assert default == forced == ref_render_clean_depth(*args).tobytes()
 
     @pytest.mark.parametrize("errstate, outcome", [
         ({}, "warn"), ({"over": "raise"}, "raise"), ({"over": "ignore"}, "quiet"),
     ])
-    def test_an_overflow_obeys_errstate_on_both_paths(self, errstate, outcome):
+    def test_an_overflow_obeys_errstate_on_both_paths(self, numpy_passes, errstate, outcome):
         """Every bone of this pose is a sphere about one point p with |p|^2
         finite, but for the rays near p, (d.p)^2 overflows.  Both paths go
         on to inf - inf, an invalid value that neither reports, as for a
@@ -676,11 +684,10 @@ class TestCompiledRender:
                 return render_clean_depth([pose], [], CAM, SceneConfig(), SPEC)
 
         default = render()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(compiled, "_library", (None, "forced by the test"))
-            numpy_passes = render()
+        with numpy_passes():
+            forced = render()
         if outcome != "raise":
-            assert default.tobytes() == numpy_passes.tobytes()
+            assert default.tobytes() == forced.tobytes()
 
     @pytest.mark.parametrize("source, which, why", [
         (compiled._SOURCE, lambda name: None, r"no C compiler \(cc\) on PATH"),
@@ -991,9 +998,9 @@ class TestPinnedDatasets:
     numpy passes forced."""
 
     @pytest.fixture(autouse=True, params=["default", "numpy"])
-    def _path(self, request, monkeypatch):
-        if request.param == "numpy":
-            monkeypatch.setattr(compiled, "_library", (None, "forced by the test"))
+    def _path(self, request, numpy_passes):
+        with numpy_passes() if request.param == "numpy" else contextlib.nullcontext():
+            yield
 
     def test_criterion_4_scenes(self):
         dataset = generate_dataset(_rng([0, 100]), C4_SCENE, 12, 24)
