@@ -11,15 +11,26 @@ differed in the last bits from one thread's (README, "Threads").  A
 value already set in the environment wins.
 
 The ``numpy_passes`` fixture is the one way a test forces the numpy
-passes of the compiled loops.
+passes of the compiled loops, and the ``needs_cc`` marker skips a test
+where no C compiler builds them.
 """
 
 import contextlib
 import os
+import shutil
 
 import pytest
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "needs_cc: skipped where no C compiler (cc) is on the PATH")
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("needs_cc") and shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compiled, data
+from . import checks, compiled
 from .data import SAMPLES_FILE, Sample, group_frames, load_dataset, read_pose_file, write_dataset, write_pose_file
 from .gradcheck import run_all
 from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, check_threshold, evaluate
@@ -50,7 +50,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     counts = {}
     for name, default in (("n_annotated", 200), ("n_weak", 400)):
         value = section.pop(name, default)
-        if not (data._fits(value, "int") and value >= 0):
+        if not (checks.fits(value, "int") and value >= 0):
             raise ValueError(f"{args.config}: config field {name!r} must be an int >= 0, got {value!r}")
         flag = getattr(args, name)
         if flag is not None and flag < 0:

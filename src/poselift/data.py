@@ -9,26 +9,26 @@ One record per person instance per frame:
 
 Records without ``joints_3d`` are depth-only (weak) samples.  Floats are
 written with ``repr`` precision so files round trip bit-exact.  A
-:class:`Sample` checks its arrays once, when it is built from a record or
+:class:`Sample` checks its fields once, when it is built from a record or
 in code (``dataclasses.replace`` included), and stores an invalid depth
 readout as NaN; a field assigned afterwards is not checked again.  A
 :class:`SampleBatch` holds a sample list as arrays for training and
-prediction.  :func:`fields_from_json` builds a config dataclass from JSON,
-checking each field by name and type, and :func:`numbers_from_json` reads
-an array whose every element must be a JSON number.
+prediction.  Values are checked where they are built: a sample, its
+camera and every config refuse in code what their JSON readers refuse
+from a file, by one type rule per field (:mod:`poselift.checks`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .checks import check_fields, fits, numbers_from_json
 from .depth import DepthMap, load_depth, read_depth_at, save_depth
 from .geometry import CameraIntrinsics
 
@@ -53,9 +53,11 @@ class Sample:
     eval_visibility: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        """Check the arrays, raising ValueError ``sample <frame_id>: <field>
-        ...``, and store them as float64 or bool; J is ``joints_2d``'s
-        length.  A field assigned later is not checked again."""
+        """Check the fields, raising ValueError (``sample <frame_id>: <field>
+        ...`` for an array), and store the arrays as float64 or bool; J is
+        ``joints_2d``'s length.  A field assigned later is not checked again."""
+        check_fields(self, [(name, fits(getattr(self, name), need), need)
+                            for name, need in (("frame_id", "str"), ("depth_path", "str | None"))])
         joints_2d = np.asarray(self.joints_2d, dtype=np.float64)
         if joints_2d.ndim != 2:
             raise ValueError(f"sample {self.frame_id}: joints_2d has shape {joints_2d.shape}, expected (J, 2)")
@@ -204,58 +206,34 @@ def sample_to_record(sample: Sample, use_eval_pose: bool = False) -> dict:
     return record
 
 
-_NUMBER_TYPES = {int, float}  # exact types, so a JSON true or false (a bool) is none
-
-
-def numbers_from_json(name: str, value, null_ok: bool = False) -> np.ndarray:
-    """A JSON array of numbers (nested lists) as float64.  Any other
-    element, or an integer beyond float range, raises ValueError naming
-    the field; where ``null_ok``, a null element reads as NaN."""
-    allowed = _NUMBER_TYPES | {type(None)} if null_ok else _NUMBER_TYPES
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if type(v) is list:
-            stack.extend(v)
-        elif type(v) not in allowed:
-            raise ValueError(f"field {name!r} must hold numbers{' or null' if null_ok else ''}, got {v!r}")
-    try:
-        return np.array(value, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"field {name!r} holds an integer beyond float range") from None
-
-
 def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
-    """A record's sample; a missing field raises KeyError naming it, and
-    a record that is not a dict, a field whose JSON type does not fit (see
-    :func:`_fits`), a joint or readout that is not a JSON number, or a
-    camera :class:`CameraIntrinsics` refuses raises ValueError.  Only a
-    null readout marks an invalid one.  The arrays are checked once, by
-    :class:`Sample` itself, whose errors name the frame and the field."""
+    """A record's sample; a missing field raises KeyError naming it, and a
+    record or camera that is not an object, a joint or readout that is not
+    a JSON number, or a value :class:`Sample` or the camera refuses raises
+    ValueError naming the field.  Only a null readout marks an invalid one."""
     if not isinstance(record, dict):
         raise ValueError(f"record must be a JSON object, got {type(record).__name__}")
     cam_rec = record["camera"]
     if not isinstance(cam_rec, dict):
         raise ValueError(f"field 'camera' must be an object, got {cam_rec!r}")
-    depth_path = record.get("depth_path")
-    typed = [("frame_id", record["frame_id"], "str"), ("depth_path", depth_path, "str | None")]
-    typed += [(f"camera.{f.name}", cam_rec[f.name], f.type) for f in fields(CameraIntrinsics)]
-    for name, value, annotation in typed:
-        if not _fits(value, annotation):
-            raise ValueError(f"field {name!r} must be {annotation}, got {value!r}")
-    if depth_path is not None and base_dir is not None:
-        depth_path = str(base_dir / depth_path)
+    try:
+        camera = CameraIntrinsics(**{f.name: cam_rec[f.name] for f in fields(CameraIntrinsics)})
+    except ValueError as exc:
+        raise ValueError(f"camera {exc}") from None
     joints_3d = record.get("joints_3d")
     readouts = record.get("depth_readouts")
-    return Sample(
+    sample = Sample(
         frame_id=record["frame_id"],
-        camera=CameraIntrinsics(**{f.name: cam_rec[f.name] for f in fields(CameraIntrinsics)}),
+        camera=camera,
         joints_2d=numbers_from_json("joints_2d", record["joints_2d"]),
         joints_3d=None if joints_3d is None else numbers_from_json("joints_3d", joints_3d),
-        depth_path=depth_path,
+        depth_path=record.get("depth_path"),
         depth_readouts=None if readouts is None else numbers_from_json("depth_readouts", readouts, null_ok=True),
         depth_valid=None if readouts is None else np.not_equal(np.array(readouts, dtype=object), None),
     )
+    if sample.depth_path is not None and base_dir is not None:
+        sample.depth_path = str(base_dir / sample.depth_path)
+    return sample
 
 
 def write_pose_file(path: str | Path, samples: list[Sample], use_eval_pose: bool = False) -> None:
@@ -334,62 +312,3 @@ def group_frames(samples: list[Sample]) -> dict[str, list[Sample]]:
     for sample in samples:
         frames.setdefault(sample.frame_id, []).append(sample)
     return frames
-
-
-# numbers.Integral: JSON gives Python ints, code may also pass numpy ints.
-_JSON_TYPES = {"int": numbers.Integral, "float": (int, float), "str": str}
-
-
-def _fits(value, annotation: str) -> bool:
-    if annotation.endswith(" | None"):
-        return value is None or _fits(value, annotation[: -len(" | None")])
-    if annotation.startswith("tuple["):
-        parts = annotation[len("tuple[") : -1].split(", ")
-        if not isinstance(value, (list, tuple)):
-            return False
-        if parts[-1] == "...":
-            return all(_fits(v, parts[0]) for v in value)
-        return len(value) == len(parts) and all(map(_fits, value, parts))
-    # JSON true/false parse as bool, which Python also counts as an int.
-    return isinstance(value, _JSON_TYPES[annotation]) and not isinstance(value, bool)
-
-
-def check_fields(obj, rules, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error("<field> must be <need>, got <obj.field>")`` for the first
-    ``(field, ok, need)`` in ``rules`` whose ``ok`` is false.  Comparisons
-    with NaN are false, so a range rule also rejects NaN."""
-    for name, ok, need in rules:
-        if not ok:
-            raise error(f"{name} must be {need}, got {getattr(obj, name)!r}")
-
-
-def int_rules(obj) -> list[tuple[str, bool, str]]:
-    """A :func:`check_fields` rule for each ``int``, ``tuple[int, int]`` and
-    ``tuple[int, ...]`` field of dataclass ``obj``: a float or a bool there
-    is refused, as :func:`fields_from_json` refuses it.  Put them first, so
-    that a wrong type is reported as such and not as a value out of range."""
-    return [(f.name, _fits(getattr(obj, f.name), f.type), f.type)
-            for f in fields(obj) if f.type in ("int", "tuple[int, int]", "tuple[int, ...]")]
-
-
-def fields_from_json(cls, values, error: type[ValueError] = ValueError, defaults: bool = False):
-    """``cls(**values)`` for dataclass ``cls`` from parsed JSON holding every
-    field, or with ``defaults`` any over ``cls()``'s; write one back with
-    ``dataclasses.asdict``.  Raise ``error`` naming a non-object's type,
-    unknown or missing fields, or else the first field whose value does
-    not fit its annotation.  Lists become tuples for tuple fields."""
-    if not isinstance(values, dict):
-        raise error(f"expected a JSON object of {cls.__name__} fields, got {type(values).__name__}")
-    if defaults:
-        values = {**asdict(cls()), **values}
-    names = {f.name for f in fields(cls)}
-    unknown, missing = sorted(set(values) - names), sorted(names - set(values))
-    if unknown:
-        raise error(f"unknown config fields: {unknown}")
-    if missing:
-        raise error(f"missing config fields: {missing}")
-    for f in fields(cls):
-        if not _fits(values[f.name], f.type):
-            raise error(f"config field {f.name!r} must be {f.type}, got {values[f.name]!r}")
-    return cls(**{f.name: tuple(values[f.name]) if f.type.startswith("tuple[") else values[f.name]
-                  for f in fields(cls)})

@@ -12,12 +12,12 @@ the points: one camera serves a pose, a batch's ``(N, 1, 4)`` rows its
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .checks import check_fields, finite, type_rules
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import SampleBatch
@@ -40,23 +40,12 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        for name, value in zip(("fx", "fy", "cx", "cy"), self.row):
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond float range
-                finite = False
-            except TypeError:
-                raise ValueError(f"{name} must be a real number, got {value!r}") from None
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-        for name in ("width", "height"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"camera {name} must be int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"camera {name} must be >= 1, got {value!r}")
+        check_fields(self, type_rules(self))
+        check_fields(self, (
+            *((name, finite(value), "finite") for name, value in zip(("fx", "fy", "cx", "cy"), self.row)),
+            ("fx", self.fx > 0, "> 0"), ("fy", self.fy > 0, "> 0"),
+            ("width", self.width >= 1, ">= 1"), ("height", self.height >= 1, ">= 1"),
+        ))
 
     @property
     def row(self) -> tuple[float, float, float, float]:

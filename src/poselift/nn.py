@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compiled
-from .data import check_fields, int_rules
+from .checks import check_fields, type_rules
 
 LN_EPS = 1e-10
 ADAM_BETA1 = 0.9
@@ -45,8 +45,8 @@ class MlpConfig:
     dropout: float = 0.5
 
     def __post_init__(self) -> None:
+        check_fields(self, type_rules(self))
         check_fields(self, (
-            *int_rules(self),
             ("input_dim", self.input_dim > 0, "positive"),
             ("output_dim", self.output_dim > 0, "positive"),
             ("hidden_dim", self.hidden_dim > 0, "positive"),

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .data import Dataset, Sample, SampleBatch, check_fields, fields_from_json, int_rules, numbers_from_json
+from .checks import check_fields, fields_from_json, numbers_from_json, type_rules
+from .data import Dataset, Sample, SampleBatch
 from .geometry import normalize_2d, zoom_augment
 from .losses import l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_index, vector_to_pose
@@ -225,8 +226,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, type_rules(self), ConfigError)
         check_fields(self, (
-            *int_rules(self),
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0, "an even number >= 2"),
             ("base_lr", 0.0 < self.base_lr < math.inf, "finite and > 0"),
@@ -276,11 +277,13 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
                  jointdepthnet=bundle.depth_params.flat)
 
 
-def _stored_network(meta: dict, net: str, flat: np.ndarray) -> tuple[nn.MlpConfig, nn.ParamVector]:
-    """A network's config from a bundle's ``meta`` and its finite parameters
-    over ``flat``; a ValueError names the network."""
+def _stored_network(meta: dict, net: str, flat: np.ndarray, dims: tuple) -> tuple[nn.MlpConfig, nn.ParamVector]:
+    """A network's config from a bundle's ``meta``, its (input_dim, output_dim) the skeleton's
+    ``dims``, and its finite parameters over ``flat``; a ValueError names the network."""
     try:
         config = fields_from_json(nn.MlpConfig, meta[net])
+        check_fields(config, [(name, getattr(config, name) == need, f"{need} for the skeleton")
+                              for name, need in zip(("input_dim", "output_dim"), dims)])
         params = nn.ParamVector(config, flat)
         if not np.isfinite(flat).all():
             raise ValueError("non-finite parameters")
@@ -292,9 +295,9 @@ def _stored_network(meta: dict, net: str, flat: np.ndarray) -> tuple[nn.MlpConfi
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read a file written by :func:`save_bundle`.  A version-1 JSON
     checkpoint, a truncated file, a ``meta`` or stats that is not a JSON
-    object, sizes that do not match the stored configs and skeleton,
-    non-finite parameters or stats, or a stats std that is not positive
-    raise ValueError naming ``path``."""
+    object, network widths or sizes that do not match the skeleton and
+    the stored configs, non-finite parameters or stats, or a stats std
+    that is not positive raise ValueError naming ``path``."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(4)
@@ -321,8 +324,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 raise ValueError(f"stats {name} has non-finite values")
             if name.endswith("_std") and not (value > 0.0).all():
                 raise ValueError(f"stats {name} must be positive")
-        pose_config, pose_params = _stored_network(meta, "posenet", pose_flat)
-        depth_config, depth_params = _stored_network(meta, "jointdepthnet", depth_flat)
+        pose_config, pose_params = _stored_network(meta, "posenet", pose_flat, (dim, dim))
+        depth_config, depth_params = _stored_network(meta, "jointdepthnet", depth_flat, (dim, k))
         return ModelBundle(
             skeleton=skeleton,
             pose_config=pose_config,

@@ -36,7 +36,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import compiled
-from .data import Dataset, Sample, _fits, check_fields, fields_from_json, int_rules
+from .checks import check_fields, fields_from_json, finite, fits, type_rules
+from .data import Dataset, Sample
 from .depth import DepthMap, read_depth_at
 from .geometry import CameraIntrinsics, normalize_2d, project
 from .skeleton import DEFAULT_JOINT_NAMES, DEFAULT_PARENTS, SkeletonSpec, default_skeleton, knee_neck_distance
@@ -67,10 +68,10 @@ class SceneConfig:
     min_scene_depth_mm: float = 300.0
 
     def __post_init__(self) -> None:
+        check_fields(self, type_rules(self))
         lo, hi = self.occluder_depth_fraction
         check_fields(self, [
-            *int_rules(self),
-            *((f.name, _finite(getattr(self, f.name)), "finite") for f in fields(self)),
+            *((f.name, finite(getattr(self, f.name)), "finite") for f in fields(self)),
             *((name, 0 < getattr(self, name)[0] <= getattr(self, name)[1], "(lo, hi) with 0 < lo <= hi")
               for name in ("fx_range", "root_depth_range", "bone_scale_range", "occluder_size_range")),
             ("image_width", self.image_width >= 2, ">= 2"),
@@ -96,11 +97,6 @@ class SceneConfig:
     def from_dict(cls, d: dict) -> "SceneConfig":
         """The config with the fields in ``d`` (parsed JSON) over the defaults."""
         return fields_from_json(cls, d, defaults=True)
-
-
-def _finite(value) -> bool:
-    """Whether every float in ``value``, alone or in a tuple, is finite."""
-    return all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, float))
 
 
 # Rest poses with the hip at the origin; x right, y down, z toward the
@@ -596,11 +592,11 @@ def generate_dataset(
     Weak samples keep their depth map but lose the 3D pose annotation
     (it moves to the evaluation-only fields).  Each scene is rendered
     from its own child random stream seeded off the master generator.
-    A count that is not an integer >= 0, by the rule :func:`fields_from_json`
-    applies to an ``int`` field, raises ValueError naming it.
+    A count that is not an integer >= 0, by the rule an ``int`` config
+    field has (:func:`checks.fits`), raises ValueError naming it.
     """
     for name, count in (("n_annotated", n_annotated), ("n_weak", n_weak)):
-        if not (_fits(count, "int") and count >= 0):
+        if not (fits(count, "int") and count >= 0):
             raise ValueError(f"{name} must be an int >= 0, got {count!r}")
     annotated: list[Sample] = []
     weak: list[Sample] = []

@@ -149,7 +149,7 @@ class TestGenerate:
         bad.write_text(json.dumps({"scene": {"image_width": "160", "n_weak": 1}}))
         with pytest.raises(ValueError) as info:
             main(["generate", "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert str(info.value) == f"{bad}: config field 'image_width' must be int, got '160'"
+        assert str(info.value) == f"{bad}: image_width must be int, got '160'"
         assert not (tmp_path / "out").exists()
 
     def test_nan_scene_field_names_the_file_and_field(self, tmp_path):
@@ -245,7 +245,7 @@ class TestTrain:
             with pytest.raises(ConfigError) as info:
                 main(["train", "--config", str(bad), "--data", str(workspace["data"]),
                       "--out", str(tmp_path / "model.npz"), *flags])
-            assert str(info.value) == f"{bad}: config field 'epochs' must be int, got '3'"
+            assert str(info.value) == f"{bad}: epochs must be int, got '3'"
         assert not (tmp_path / "model.npz").exists()
 
     @pytest.mark.parametrize("text, message", [

@@ -3,18 +3,21 @@
 Round trips are checked bit-exact (reprs of float64 survive JSON), the
 weak/annotated split hinges on the presence of a 3D pose, and depth map
 paths stored relative to the pose file resolve against its directory,
-also after the file is rewritten elsewhere.  Every rule of the configs
-and the skeleton, checked through ``check_fields``, names its field and
-the bad value.
+also after the file is rewritten elsewhere.  Every rule of the configs,
+the skeleton and the camera, checked through ``check_fields``, names its
+field and the bad value, and a value their JSON reader refuses is
+refused in code with the same error.
 """
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from poselift.checks import fields_from_json
 from poselift.data import (
     Dataset,
     Sample,
@@ -317,22 +320,22 @@ class TestPoseFile:
             read_pose_file(path)
 
     @pytest.mark.parametrize("keys, value, message", [
-        (("camera", "width"), None, "field 'camera.width' must be int, got None"),
-        (("camera", "fx"), None, "field 'camera.fx' must be float, got None"),
+        (("camera", "width"), None, "camera width must be int, got None"),
+        (("camera", "fx"), None, "camera fx must be float, got None"),
         (("camera",), [1, 2], "field 'camera' must be an object, got [1, 2]"),
-        (("depth_path",), 5, "field 'depth_path' must be str | None, got 5"),
-        (("camera", "width"), 160.7, "field 'camera.width' must be int, got 160.7"),
-        (("camera", "width"), True, "field 'camera.width' must be int, got True"),
-        (("camera", "fx"), True, "field 'camera.fx' must be float, got True"),
-        (("camera", "fx"), "250", "field 'camera.fx' must be float, got '250'"),
-        (("frame_id",), 7, "field 'frame_id' must be str, got 7"),
-        (("frame_id",), None, "field 'frame_id' must be str, got None"),
+        (("depth_path",), 5, "depth_path must be str | None, got 5"),
+        (("camera", "width"), 160.7, "camera width must be int, got 160.7"),
+        (("camera", "width"), True, "camera width must be int, got True"),
+        (("camera", "fx"), True, "camera fx must be float, got True"),
+        (("camera", "fx"), "250", "camera fx must be float, got '250'"),
+        (("frame_id",), 7, "frame_id must be str, got 7"),
+        (("frame_id",), None, "frame_id must be str, got None"),
         (("joints_2d", 3, 0), "1.5", "field 'joints_2d' must hold numbers, got '1.5'"),
         (("joints_2d", 3, 1), True, "field 'joints_2d' must hold numbers, got True"),
         (("joints_3d", 0, 2), "4000", "field 'joints_3d' must hold numbers, got '4000'"),
         (("depth_readouts", 5), "3000.5", "field 'depth_readouts' must hold numbers or null, got '3000.5'"),
         (("depth_readouts", 5), True, "field 'depth_readouts' must hold numbers or null, got True"),
-        (("camera", "fx"), 10**400, f"fx must be finite, got {10**400}"),
+        (("camera", "fx"), 10**400, f"camera fx must be finite, got {10**400}"),
         (("joints_3d", 2, 0), 10**400, "field 'joints_3d' holds an integer beyond float range"),
         (("depth_readouts", 0), 10**400, "field 'depth_readouts' holds an integer beyond float range"),
     ], ids=["width-null", "fx-null", "camera-list", "depth_path-int", "width-float", "width-bool", "fx-bool",
@@ -428,11 +431,23 @@ class TestEnsureReadouts:
             sample.ensure_readouts()
 
 
-# One bad value for each rule of the four dataclasses that check_fields
-# guards, with the other arguments each needs.
+# One bad value for each rule of the five dataclasses that check_fields
+# guards, with the other arguments each needs.  The type rows give each
+# class a bool or a string where a number goes, a value that is not a
+# tuple in a tuple field, or an int joint name; they are JSON values, so
+# fields_from_json must refuse them as the constructor does.
 _NAN, _INF = float("nan"), float("inf")
+_MLP, _CAM = {"input_dim": 1, "output_dim": 1}, asdict(CAM)
+_TYPE_CASES = [
+    (MlpConfig, _MLP, "dropout", True), (MlpConfig, _MLP, "dropout", "0.5"), (MlpConfig, _MLP, "hidden_dim", "8"),
+    (TrainConfig, {}, "lambda_weight", True), (TrainConfig, {}, "base_lr", True), (TrainConfig, {}, "epochs", "3"),
+    (SceneConfig, {}, "sensor_noise_mm", True), (SceneConfig, {}, "image_width", "160"),
+    (SceneConfig, {}, "fx_range", 5), (SceneConfig, {}, "persons_range", (1, "3")),
+    (SkeletonSpec, {}, "joint_names", (0, "neck")), (SkeletonSpec, {}, "root", True), (SkeletonSpec, {}, "knees", 9),
+    (CameraIntrinsics, _CAM, "fx", True), (CameraIntrinsics, _CAM, "cx", "80"), (CameraIntrinsics, _CAM, "width", 160.0),
+]
 _RULE_CASES = [
-    *[(MlpConfig, {"input_dim": 1, "output_dim": 1}, field, value) for field, value in [
+    *[(MlpConfig, _MLP, field, value) for field, value in [
         ("input_dim", 0), ("output_dim", -1), ("hidden_dim", 0), ("num_blocks", -1), ("dropout", 1.0),
     ]],
     *[(TrainConfig, {}, field, value) for field, value in [
@@ -447,24 +462,43 @@ _RULE_CASES = [
         ("persons_range", (0, 2)), ("occluder_range", (2, 1)), ("sensor_noise_mm", -1.0),
         ("detector_noise_px", -0.5), ("hole_probability", 1.0), ("visibility_margin_mm", 0.0),
         ("standing_probability", 1.5), ("fy_jitter", 1.0), ("root_margin", 0.6), ("background_depth", 0.0),
-        ("principal_jitter", -0.1), ("min_scene_depth_mm", 7000.0),
+        ("principal_jitter", -0.1), ("min_scene_depth_mm", 7000.0), ("fx_range", [220.0, 300.0]),
     ]],
     *[(SkeletonSpec, {}, field, value) for field, value in [
         ("joint_names", ("a",)), ("root", 17), ("neck", -1), ("knees", (9,)), ("depth_subset", (0, 0)),
-        ("parents", (-1,) * 16), ("parents", (0,) * 17),
+        ("parents", (-1,) * 16), ("parents", (0,) * 17), ("depth_subset", [0, 1]),
     ]],
+    *[(CameraIntrinsics, _CAM, field, value) for field, value in [
+        ("fx", 0.0), ("fy", -1.0), ("cx", _INF), ("cy", _NAN), ("fy", 10**400), ("width", 0), ("height", -5),
+    ]],
+    *_TYPE_CASES,
 ]
 
 
+def _ids(cases):
+    return [f"{c.__name__}-{f}-{v!r}" for c, _, f, v in cases]
+
+
 class TestConfigChecks:
-    @pytest.mark.parametrize("cls, base, field, value", _RULE_CASES,
-                             ids=[f"{c.__name__}-{f}-{v!r}" for c, _, f, v in _RULE_CASES])
+    @pytest.mark.parametrize("cls, base, field, value", _RULE_CASES, ids=_ids(_RULE_CASES))
     def test_each_rule_names_the_field_and_the_value(self, cls, base, field, value):
         with pytest.raises(ValueError) as info:
             cls(**{**base, field: value})
         message = str(info.value)
         assert message.startswith(f"{field} must be ") and message.endswith(f", got {value!r}")
         assert isinstance(info.value, ConfigError) == (cls is TrainConfig)
+
+    @pytest.mark.parametrize("cls, base, field, value", _TYPE_CASES, ids=_ids(_TYPE_CASES))
+    def test_json_and_code_refuse_a_value_alike(self, cls, base, field, value):
+        """One type rule: fields_from_json leaves each value to the
+        constructor, so both raise the same error for the same field."""
+        blob = json.loads(json.dumps({**asdict(cls(**base)), field: value}))
+        with pytest.raises(ValueError) as from_json:
+            fields_from_json(cls, blob)
+        with pytest.raises(ValueError) as in_code:
+            cls(**{**base, field: value})
+        assert (type(from_json.value), str(from_json.value)) == (type(in_code.value), str(in_code.value))
+        assert str(in_code.value).startswith(f"{field} must be ")
 
     @pytest.mark.parametrize("cls, error", [(TrainConfig, ConfigError), (SceneConfig, ValueError)])
     @pytest.mark.parametrize("blob", [[1], None, 5])

@@ -49,20 +49,20 @@ class TestCameraIntrinsics:
     @pytest.mark.parametrize("field", ["width", "height"])
     def test_rejects_image_size_below_one(self, field):
         size = {"width": 160, "height": 120, field: 0}
-        with pytest.raises(ValueError, match=rf"^camera {field} must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got 0$"):
             CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0, **size)
 
     @pytest.mark.parametrize("field, value", [("width", 4.5), ("height", True), ("width", 160.0)])
     def test_rejects_an_image_size_that_is_not_an_int(self, field, value):
         size = {"width": 160, "height": 120, field: value}
-        with pytest.raises(ValueError, match=rf"^camera {field} must be int, got {value!r}$"):
+        with pytest.raises(ValueError, match=rf"^{field} must be int, got {value!r}$"):
             CameraIntrinsics(fx=100.0, fy=100.0, cx=0.0, cy=0.0, **size)
 
     @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
     @pytest.mark.parametrize("value", ["a", None])
     def test_rejects_a_value_that_is_not_a_number(self, field, value):
         row = {"fx": 100.0, "fy": 100.0, "cx": 0.0, "cy": 0.0, field: value}
-        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got {value!r}$"):
+        with pytest.raises(ValueError, match=rf"^{field} must be float, got {value!r}$"):
             CameraIntrinsics(**row, width=160, height=120)
 
     def test_array_is_the_intrinsics_row(self):

@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 from poselift import compiled, nn
-from poselift.data import Dataset, fields_from_json
+from poselift.checks import fields_from_json
+from poselift.data import Dataset
 from poselift.pipeline import TrainConfig, train
 from poselift.synth import SceneConfig, generate_dataset
 
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
 
 
 def _tiny_config(dropout=0.0):
@@ -437,7 +437,7 @@ def criterion6_data():
     return generate_dataset(np.random.Generator(np.random.Philox([5, 100])), SceneConfig(), 24, 12)
 
 
-@needs_cc
+@pytest.mark.needs_cc
 class TestCompiledAdam:
     def test_the_loop_loads(self, monkeypatch):
         monkeypatch.setattr(compiled, "_library", None)

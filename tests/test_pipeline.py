@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from poselift import gradcheck, nn, pipeline
-from poselift.data import Dataset, Sample, SampleBatch, fields_from_json
+from poselift.checks import fields_from_json
+from poselift.data import Dataset, Sample, SampleBatch
 from poselift.depth import DepthMap, save_depth
 from poselift.geometry import CameraIntrinsics, zoom_augment
 from poselift.losses import gm_grad, gm_loss
@@ -871,7 +872,7 @@ class TestBundleFormat:
         with pytest.raises(ValueError) as info:
             load_bundle(tmp_path / "b.npz")
         assert str(info.value).endswith(
-            f"b.npz: cannot load model bundle: {net}: config field 'hidden_dim' must be int, got '8'")
+            f"b.npz: cannot load model bundle: {net}: hidden_dim must be int, got '8'")
 
     @pytest.mark.parametrize("net, field, value, need", [
         ("posenet", "hidden_dim", 0, "positive"),
@@ -883,6 +884,25 @@ class TestBundleFormat:
         with pytest.raises(ValueError) as info:
             load_bundle(tmp_path / "b.npz")
         assert str(info.value).endswith(f"b.npz: cannot load model bundle: {net}: {field} must be {need}, got {value}")
+
+    @pytest.mark.parametrize("net, field, delta", [
+        ("posenet", "input_dim", -1), ("posenet", "output_dim", 3), ("jointdepthnet", "output_dim", -1),
+    ])
+    def test_network_widths_must_fit_the_skeleton(self, tiny_bundle, tmp_path, net, field, delta):
+        """Refused when loaded, naming the path and the network, not first
+        at prediction time inside nn.forward."""
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        need = getattr(getattr(tiny_bundle, {"posenet": "pose_config", "jointdepthnet": "depth_config"}[net]), field)
+
+        def edit(meta, arrays):  # the vector is resized to the new width, so only the width rule can refuse it
+            meta[net][field] += delta
+            arrays[net] = np.zeros(nn.ParamVector(fields_from_json(nn.MlpConfig, meta[net])).flat.size)
+
+        _edited_copy(tmp_path / "a.npz", tmp_path / "b.npz", edit)
+        with pytest.raises(ValueError) as info:
+            load_bundle(tmp_path / "b.npz")
+        assert str(info.value) == (f"{tmp_path / 'b.npz'}: cannot load model bundle: {net}: "
+                                   f"{field} must be {need} for the skeleton, got {need + delta}")
 
     def test_version_1_json_checkpoint_is_rejected(self, tmp_path):
         path = tmp_path / "model.json"

@@ -14,7 +14,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from poselift.data import fields_from_json
+from poselift.checks import fields_from_json
 from poselift.skeleton import (
     DEFAULT_JOINT_NAMES,
     DegeneratePoseError,
