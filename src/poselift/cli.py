@@ -12,6 +12,7 @@ import numpy as np
 
 from . import checks, compiled
 from .data import SAMPLES_FILE, Sample, group_frames, load_dataset, read_pose_file, write_dataset, write_pose_file
+from .files import rewrite
 from .gradcheck import run_all
 from .metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, check_threshold, evaluate
 from .pipeline import TrainConfig, load_bundle, predict_frames, save_bundle, train
@@ -76,7 +77,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     bundle, logs = train(config, dataset, spec)
     save_bundle(args.out, bundle)
     if args.log_file:
-        with open(args.log_file, "w") as fh:
+        with rewrite(args.log_file) as fh:
             for entry in logs:
                 fh.write(json.dumps(entry) + "\n")
     for entry in logs:
@@ -138,7 +139,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     )
     print(report.format_table())
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        with rewrite(args.out) as fh:
+            fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
     return 0
 
 

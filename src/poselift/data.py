@@ -30,6 +30,7 @@ import numpy as np
 
 from .checks import check_fields, fits, numbers_from_json
 from .depth import DepthMap, load_depth, read_depth_at, save_depth
+from .files import rewrite
 from .geometry import CameraIntrinsics
 
 SAMPLES_FILE = "samples.jsonl"  # a dataset directory's pose file, as write_dataset writes it
@@ -239,9 +240,10 @@ def record_to_sample(record: dict, base_dir: Path | None = None) -> Sample:
 def write_pose_file(path: str | Path, samples: list[Sample], use_eval_pose: bool = False) -> None:
     """One record per sample.  An absolute ``depth_path``, as
     :func:`read_pose_file` stores it, is written relative to ``path``'s
-    directory; a relative one is written as it is."""
+    directory; a relative one is written as it is.  An existing file is
+    rewritten in place, never truncated first (:func:`poselift.files.rewrite`)."""
     base_dir = Path(path).parent.absolute()
-    with open(path, "w") as fh:
+    with rewrite(path) as fh:
         for sample in samples:
             record = sample_to_record(sample, use_eval_pose)
             if os.path.isabs(record.get("depth_path", "")):

@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .files import rewrite
+
 MAGIC = b"DMAP"
 VERSION = 1
 _HEADER = struct.Struct("<4sIII")
@@ -119,9 +121,10 @@ def read_depth_at(depth: DepthMap, points: np.ndarray) -> Readouts:
 
 
 def save_depth(path: str | Path, depth: DepthMap) -> None:
-    """Write a depth map in DMAP format."""
+    """Write a depth map in DMAP format.  An existing file is rewritten in
+    place, never truncated first (:func:`poselift.files.rewrite`)."""
     payload = np.ascontiguousarray(depth.values, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
+    with rewrite(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, depth.width, depth.height))
         fh.write(payload)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compiled
-from .checks import check_fields, type_rules
+from .checks import check_fields, finite, type_rules
 
 LN_EPS = 1e-10
 ADAM_BETA1 = 0.9
@@ -330,7 +330,7 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
 def lr_schedule(base_lr: float, epoch: int, decay: float, every: int) -> float:
     """Step decay: base_lr * decay ** floor(epoch / every)."""
     # Comparisons with NaN are false, so each range also rejects NaN.
-    if not 0.0 < base_lr < math.inf:
+    if not (finite(base_lr) and base_lr > 0.0):
         raise ValueError(f"base_lr must be finite and > 0, got {base_lr}")
     if not 0.0 < decay <= 1.0:
         raise ValueError(f"decay must be in (0, 1], got {decay}")

@@ -34,8 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .checks import check_fields, fields_from_json, numbers_from_json, type_rules
+from .checks import check_fields, fields_from_json, finite, numbers_from_json, type_rules
 from .data import Dataset, Sample, SampleBatch
+from .files import rewrite
 from .geometry import normalize_2d, zoom_augment
 from .losses import l1_pose_loss, total_loss
 from .skeleton import SkeletonSpec, default_skeleton, pose_to_vector, vector_index, vector_to_pose
@@ -230,19 +231,19 @@ class TrainConfig:
         check_fields(self, (
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 2 and self.batch_size % 2 == 0, "an even number >= 2"),
-            ("base_lr", 0.0 < self.base_lr < math.inf, "finite and > 0"),
+            ("base_lr", finite(self.base_lr) and self.base_lr > 0.0, "finite and > 0"),
             ("lr_decay", 0.0 < self.lr_decay <= 1.0, "in (0, 1]"),
             ("lr_decay_every", self.lr_decay_every >= 1, ">= 1"),
-            ("lambda_weight", 0.0 <= self.lambda_weight < math.inf, "finite and >= 0"),
-            ("alpha", 0.0 < self.alpha < math.inf, "finite and > 0"),
+            ("lambda_weight", finite(self.lambda_weight) and self.lambda_weight >= 0.0, "finite and >= 0"),
+            ("alpha", finite(self.alpha) and self.alpha > 0.0, "finite and > 0"),
             ("hidden_dim", self.hidden_dim >= 1, ">= 1"),
             ("num_blocks", self.num_blocks >= 0, ">= 0"),
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("depth_hidden_dim", self.depth_hidden_dim >= 1, ">= 1"),
             ("depth_num_blocks", self.depth_num_blocks >= 0, ">= 0"),
             ("seed", self.seed >= 0, ">= 0"),
-            ("zoom_min", 0.0 < self.zoom_min < math.inf, "finite and > 0"),
-            ("zoom_max", self.zoom_min <= self.zoom_max < math.inf,
+            ("zoom_min", finite(self.zoom_min) and self.zoom_min > 0.0, "finite and > 0"),
+            ("zoom_max", finite(self.zoom_max) and self.zoom_max >= self.zoom_min,
              f"finite and >= zoom_min = {self.zoom_min!r}, the zoom range's low end"),
         ), ConfigError)
 
@@ -264,7 +265,8 @@ class ModelBundle:
 
 def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
     """Write one ``.npz`` file at exactly ``path``: both parameter vectors and
-    a JSON ``meta`` entry.  Equal bundles give byte-identical files."""
+    a JSON ``meta`` entry.  Equal bundles give byte-identical files.  An existing
+    file is rewritten in place, never truncated first (:func:`poselift.files.rewrite`)."""
     meta = {
         "version": BUNDLE_VERSION,
         "skeleton": asdict(bundle.skeleton),
@@ -272,7 +274,7 @@ def save_bundle(path: str | Path, bundle: ModelBundle) -> None:
         "posenet": asdict(bundle.pose_config),
         "jointdepthnet": asdict(bundle.depth_config),
     }
-    with open(path, "wb") as fh:
+    with rewrite(path, binary=True) as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), posenet=bundle.pose_params.flat,
                  jointdepthnet=bundle.depth_params.flat)
 

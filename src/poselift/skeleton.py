@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import check_fields, fields_from_json, type_rules
+from .files import rewrite
 
 DEFAULT_JOINT_NAMES = (
     "head_top",
@@ -88,7 +89,10 @@ def default_skeleton() -> SkeletonSpec:
 
 
 def save_skeleton(path: str | Path, spec: SkeletonSpec) -> None:
-    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n")
+    """Write ``spec`` as JSON.  An existing file is rewritten in place,
+    never truncated first (:func:`poselift.files.rewrite`)."""
+    with rewrite(path) as fh:
+        fh.write(json.dumps(asdict(spec), indent=2) + "\n")
 
 
 def load_skeleton(path: str | Path) -> SkeletonSpec:

@@ -52,6 +52,17 @@ def workspace(tmp_path_factory):
             "model": model, "log": log_file, "pred": pred}
 
 
+def _generate_digest(out) -> str:
+    """sha256 over the paths and bytes of ``poselift generate --seed 5
+    --n-annotated 6 --n-weak 4``'s files, written to ``out``."""
+    assert main(["generate", "--out", str(out), "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]) == 0
+    h = hashlib.sha256()
+    for path in [out / "samples.jsonl", out / "gt_poses.jsonl", *sorted((out / "depth").glob("*.dmap"))]:
+        h.update(path.relative_to(out).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 class TestGenerate:
     def test_counts_follow_flags_over_config(self, workspace):
         samples = read_pose_file(workspace["data"] / "samples.jsonl")
@@ -78,12 +89,12 @@ class TestGenerate:
         default path and with the numpy passes forced."""
         out = tmp_path / "gen"
         with numpy_passes() if path == "numpy" else contextlib.nullcontext():
-            assert main(["generate", "--out", str(out), "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]) == 0
-        h = hashlib.sha256()
-        for path in [out / "samples.jsonl", out / "gt_poses.jsonl", *sorted((out / "depth").glob("*.dmap"))]:
-            h.update(path.relative_to(out).as_posix().encode())
-            h.update(path.read_bytes())
-        assert h.hexdigest() == GENERATE_DIGEST
+            assert _generate_digest(out) == GENERATE_DIGEST
+
+    def test_rerun_into_the_same_directory_keeps_its_bytes(self, tmp_path):
+        """Each rerun rewrites every file in place with the same bytes."""
+        for _ in range(3):
+            assert _generate_digest(tmp_path / "gen") == GENERATE_DIGEST
 
     def test_stderr_names_the_render_path(self, tmp_path, capsys, numpy_passes):
         """Five frames hold the 6 + 4 samples; stdout and the files do
@@ -212,6 +223,16 @@ class TestTrain:
             assert json.loads(str(npz["meta"]))["version"] == 2
         assert bundle.skeleton == default_skeleton()
         assert bundle.pose_config.hidden_dim == 32
+
+    def test_model_written_over_a_longer_file_loads_bit_equal(self, workspace, tmp_path):
+        out = tmp_path / "model.npz"
+        out.write_bytes(workspace["model"].read_bytes() + b"\0" * 65536)
+        assert main(["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+                     "--out", str(out), "--epochs", "2"]) == 0
+        assert out.read_bytes() == workspace["model"].read_bytes()
+        again, first = load_bundle(out), load_bundle(workspace["model"])
+        assert again.pose_params.flat.tobytes() == first.pose_params.flat.tobytes()
+        assert again.depth_params.flat.tobytes() == first.depth_params.flat.tobytes()
 
     def test_flat_config_without_section_key(self, workspace, tmp_path):
         flat = tmp_path / "train.json"

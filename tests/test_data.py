@@ -454,6 +454,7 @@ _RULE_CASES = [
         ("epochs", 0), ("batch_size", 3), ("base_lr", 0.0), ("lr_decay", 1.5), ("lr_decay_every", 0),
         ("lambda_weight", -1.0), ("alpha", _INF), ("hidden_dim", 0), ("num_blocks", -1), ("dropout", _NAN),
         ("depth_hidden_dim", 0), ("depth_num_blocks", -1), ("seed", -1), ("zoom_min", 0.0), ("zoom_max", 0.5),
+        *((name, 10**400) for name in ("base_lr", "lambda_weight", "alpha", "zoom_min", "zoom_max")),
     ]],
     *[(SceneConfig, {}, field, value) for field, value in [
         ("joint_jitter_deg", _NAN), ("fx_range", (300.0, 200.0)), ("root_depth_range", (0.0, 7000.0)),

@@ -535,6 +535,7 @@ class TestLrSchedule:
         ({"decay": np.inf}, r"decay must be in \(0, 1\], got inf"),
         ({"base_lr": np.inf}, r"base_lr must be finite and > 0, got inf"),
         ({"base_lr": np.nan}, r"base_lr must be finite and > 0, got nan"),
+        ({"base_lr": 10**400}, r"base_lr must be finite and > 0, got 10{400}$"),
     ])
     def test_bad_decay_or_base_lr_names_the_parameter(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
