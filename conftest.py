@@ -1,10 +1,11 @@
 """Test-session set-up, run by pytest before any test module imports numpy.
 
 With one OpenBLAS thread and two usable CPUs, ``pipeline.train`` runs each
-step of a training with weak data on two threads, and
-``pipeline.predict_frames`` a large batch as two row blocks (README,
-"Threads").  The acceptance suite's weak trainings spend most of tier-1
-on the first.  The schedule does not change the bits; the numpy and
+step on two threads (with weak data the step's two halves side by side,
+and with or without it the pose network's Adam update as two element
+ranges), and ``pipeline.predict_frames`` a large batch as two row blocks
+(README, "Threads").  The acceptance suite's trainings spend most of
+tier-1 on the first.  The schedule does not change the bits; the numpy and
 OpenBLAS build, the BLAS thread count and the batch size can: at two
 OpenBLAS threads, predictions for 41 to 43 samples at width 1024
 differed in the last bits from one thread's (README, "Threads").  A

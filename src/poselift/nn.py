@@ -14,21 +14,25 @@ a trainer allocates one per network and reuses it on every step.
 :func:`adam_step` updates a network in one pass of the ``adam_update``
 loop of :mod:`poselift.compiled`, built with ``cc`` on first use in a
 process and called through ctypes, which releases the interpreter lock
-so two updates can overlap on two threads.  The loop does the numpy
-passes' IEEE operations in their order, so both give the same bits; the
-numpy passes run where the loop does not build.
+so two updates, or the two element ranges of one (:func:`pair`), can
+run on two threads at once.  The loop does the numpy passes' IEEE
+operations in their order, so both give the same bits; the numpy passes
+run where the loop does not build.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+from collections.abc import Callable
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import compiled
-from .checks import check_fields, finite, type_rules
+from .checks import check_fields, finite, fits, type_rules
 
 LN_EPS = 1e-10
 ADAM_BETA1 = 0.9
@@ -275,7 +279,46 @@ def _refusal(arrays: dict[str, np.ndarray]) -> str:
     return ""
 
 
-def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float) -> None:
+def pair(worker: Executor | None, first: Callable, second: Callable) -> tuple:
+    """``(first(), second())``.  With a worker, ``first`` runs there in a
+    copy of the caller's context, so it sees the caller's ``np.errstate``,
+    while the caller runs ``second``; if both fail, ``first``'s error is
+    raised.  With ``worker=None`` the caller runs the two in turn."""
+    if worker is None:
+        return first(), second()
+    future = worker.submit(contextvars.copy_context().run, first)
+    try:
+        tail = second()
+    finally:  # also when second failed: first's error wins
+        head = future.result()
+    return head, tail
+
+
+def _adam_range(update, arrays: dict[str, np.ndarray], lo: int, hi: int, c1: float, c2: float, lr: float) -> int:
+    """:func:`adam_step`'s update of elements ``[lo, hi)`` of ``arrays``: by the
+    compiled ``update``, which returns the IEEE exceptions it raised, or,
+    where ``update`` is None, by the numpy passes, which raise or warn
+    themselves and return 0."""
+    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
+    if update is not None:
+        return update(*(a.ctypes.data + lo * a.itemsize for a in arrays.values()), hi - lo,
+                      beta1, beta2, c1, c2, lr, ADAM_EPS)
+    term, denom = np.empty((2, min(_ADAM_BLOCK, hi - lo)))
+    for start in range(lo, hi, _ADAM_BLOCK):
+        p, g, m, v = (a[start : min(start + _ADAM_BLOCK, hi)] for a in arrays.values())
+        a, d = term[: p.size], denom[: p.size]
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=a)
+        v *= beta2
+        v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
+        np.sqrt(np.divide(v, c2, out=d), out=d)
+        d += ADAM_EPS
+        p -= np.divide(np.multiply(np.divide(m, c1, out=a), lr, out=a), d, out=a)
+    return 0
+
+
+def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float,
+              worker: Executor | None = None) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
     With beta1, beta2 and eps the ``ADAM_*`` constants, per element this
@@ -284,12 +327,18 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     p = p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps).
 
     The compiled C loop (module docstring) runs it, or numpy in cache-sized
-    blocks where the loop did not build; both raise ValueError naming the
+    blocks where the loop did not build.  Before any change, both raise
+    ValueError for an ``lr`` that is not a finite float >= 0, and for the
     first vector that is not C-contiguous float64, writeable where written
-    and apart, before any change.  Both give the same bits, and raise or
-    warn per ``np.errstate`` for an IEEE exception, the loop once it is done.
+    and apart; FloatingPointError for a non-finite gradient.  With a
+    ``worker``, the elements before ``n // 2`` are updated there and the
+    rest in the caller (:func:`pair`); no element's arithmetic changes, so
+    neither do the bits.  Both paths raise or warn per ``np.errstate`` for
+    an IEEE exception, the loop once for both ranges, after them.
     :func:`compiled.runs` counts the updates each path ran.
     """
+    if not (fits(lr, "float") and finite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be a finite float >= 0, got {lr!r}")
     if grads.keys() != params.keys() or grads.flat.shape != params.flat.shape:
         raise ValueError("grads must have the parameter layout")
     arrays = {"params": params.flat, "grads": grads.flat, "state.m": state.m, "state.v": state.v}
@@ -303,28 +352,17 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     if not np.isfinite(sum_sq) and not np.isfinite(grads.flat).all():
         bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient for {bad}")
-    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
-    update = compiled.loop("adam_update")
-    if update is not None:
-        raised = update(*(a.ctypes.data for a in arrays.values()), params.flat.size,
-                        beta1, beta2, c1, c2, float(lr), ADAM_EPS)
-        compiled.report(raised, "adam_step")
-        return
-    term, denom = np.empty((2, _ADAM_BLOCK))
-    for lo in range(0, params.flat.size, _ADAM_BLOCK):
-        block = slice(lo, lo + _ADAM_BLOCK)
-        p, g, m, v = params.flat[block], grads.flat[block], state.m[block], state.v[block]
-        a, d = term[: p.size], denom[: p.size]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
-        v *= beta2
-        v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
-        np.sqrt(np.divide(v, c2, out=d), out=d)
-        d += ADAM_EPS
-        p -= np.divide(np.multiply(np.divide(m, c1, out=a), lr, out=a), d, out=a)
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
+    update, n, lr = compiled.loop("adam_update"), params.flat.size, float(lr)
+    if worker is None:
+        raised = _adam_range(update, arrays, 0, n, c1, c2, lr)
+    else:
+        head, tail = pair(worker, lambda: _adam_range(update, arrays, 0, n // 2, c1, c2, lr),
+                          lambda: _adam_range(update, arrays, n // 2, n, c1, c2, lr))
+        raised = head | tail
+    compiled.report(raised, "adam_step")
 
 
 def lr_schedule(base_lr: float, epoch: int, decay: float, every: int) -> float:

@@ -11,22 +11,21 @@ a weak supervision signal.  The depth network is ignored at inference.
 The pose network reads the depth readouts at inference too: a prediction
 needs the sensor's depth at each 2D joint, not the RGB image alone.
 With two usable CPUs and single-threaded BLAS, ``train`` runs each step
-of a training with weak data on two threads, and ``predict_frames`` a
-large batch as two row blocks side by side; either way the result has
-the bytes of one thread.  The bits depend on the numpy and OpenBLAS
+on two threads, the pose network's Adam update as two element ranges
+side by side, and ``predict_frames`` a large batch as two row blocks;
+either way the result has the bytes of one thread.  The bits depend on the numpy and OpenBLAS
 build, the BLAS thread count and the batch size, not on the schedule
 (README, "Threads").
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
 import zipfile
 from collections.abc import Callable
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -353,7 +352,7 @@ def _eval_forward(params: nn.ParamVector, config: nn.MlpConfig, x: np.ndarray) -
     """``nn.forward(params, config, x, train=False)``'s output.  When
     :func:`_side_by_side` holds and both halves of ``x`` are large enough
     (``_MIN_BLOCK_MACS``), the rows before ``len(x) // 2`` run on a worker
-    thread while the caller runs the rest (:func:`_pair`), and the outputs
+    thread while the caller runs the rest (:func:`nn.pair`), and the outputs
     are stacked: the same bytes as one pass."""
     half = len(x) // 2
     h = config.hidden_dim
@@ -361,7 +360,7 @@ def _eval_forward(params: nn.ParamVector, config: nn.MlpConfig, x: np.ndarray) -
     if half < 2 or half * smallest < _MIN_BLOCK_MACS or not _side_by_side():
         return nn.forward(params, config, x, train=False)[0]
     with ThreadPoolExecutor(max_workers=1) as worker:
-        head, tail = _pair(worker, lambda: nn.forward(params, config, x[:half], train=False)[0],
+        head, tail = nn.pair(worker, lambda: nn.forward(params, config, x[:half], train=False)[0],
                            lambda: nn.forward(params, config, x[half:], train=False)[0])
     return np.concatenate([head, tail])
 
@@ -501,21 +500,6 @@ def _side_by_side() -> bool:
     return cpus >= 2 and blas == "1"
 
 
-def _pair(worker: Executor | None, first: Callable, second: Callable) -> tuple:
-    """``(first(), second())``.  With a worker, ``first`` runs there in a
-    copy of the caller's context, so it sees the caller's ``np.errstate``,
-    while the caller runs ``second``; if both fail, ``first``'s error is
-    raised.  With ``worker=None`` the caller runs the two in turn."""
-    if worker is None:
-        return first(), second()
-    future = worker.submit(contextvars.copy_context().run, first)
-    try:
-        tail = second()
-    finally:  # also when second failed: first's error wins
-        head = future.result()
-    return head, tail
-
-
 def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = None):
     """Train both networks; returns (ModelBundle, per-epoch log dicts).
 
@@ -530,15 +514,18 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     at visible and at occluded stable joints (``weak_grad_*``).
 
     The two halves share nothing until their pose gradients are summed,
-    so with weak data a step is two :func:`_pair` calls: the annotated
-    half beside the weak half up to its pose backward pass, then the
-    depth net's Adam update beside the weak pose gradient and the pose
-    net's update.  The first of each pair runs on a worker thread when
-    the process may use two CPUs and BLAS was started single-threaded,
-    else in the caller; every value is computed by the same operations
-    in the same order either way, so the results are bit-identical.  If
-    both halves fail, the annotated half's error is raised; if both Adam
-    updates fail, the depth net's.
+    so with weak data a step is two :func:`nn.pair` calls and one update:
+    the annotated half beside the weak half up to its pose backward pass,
+    then the depth net's Adam update beside the weak pose backward pass,
+    then the pose net's update, whose two element ranges run side by
+    side (:func:`nn.adam_step`).  Without weak data a step is the
+    annotated half and that split update.  The first of each pair, and
+    the lower range, run on a worker thread when :func:`_side_by_side`
+    holds, else in the caller; every value is computed by the same
+    operations in the same order either way, so the results are
+    bit-identical.  If both halves fail, the annotated half's error is
+    raised; if the depth net's update fails, its error, and the pose
+    net's update does not run.
     """
     spec = spec or default_skeleton()
     if not dataset.annotated:
@@ -565,7 +552,7 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     steps_per_epoch = math.ceil(n_ann / ann_per_step)
 
     logs = []
-    with ThreadPoolExecutor(max_workers=1) if use_weak and _side_by_side() else nullcontext() as worker:
+    with ThreadPoolExecutor(max_workers=1) if _side_by_side() else nullcontext() as worker:
         for epoch in range(config.epochs):
             lr = nn.lr_schedule(config.base_lr, epoch, config.lr_decay, config.lr_decay_every)
             order = order_rng.permutation(n_ann)
@@ -578,30 +565,23 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
                 try:
                     ann = ann_all.take(order[step * ann_per_step : (step + 1) * ann_per_step])
                     if not use_weak:
-                        epoch_l1 += annotated_step(bundle, config, ann, epoch, step, pose_grads)
-                        nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
-                        continue
-
-                    weak = weak_all.take(weak_rng.integers(n_weak, size=len(ann)))
-                    l1, (weak_value, d_depths, pose_backward) = _pair(
-                        worker, lambda: annotated_step(bundle, config, ann, epoch, step, pose_grads),
-                        lambda: weak_step(bundle, config, weak, epoch, step, depth_grads))
+                        l1 = annotated_step(bundle, config, ann, epoch, step, pose_grads)
+                    else:
+                        weak = weak_all.take(weak_rng.integers(n_weak, size=len(ann)))
+                        l1, (weak_value, d_depths, pose_backward) = nn.pair(
+                            worker, lambda: annotated_step(bundle, config, ann, epoch, step, pose_grads),
+                            lambda: weak_step(bundle, config, weak, epoch, step, depth_grads))
+                        epoch_weak += weak_value
+                        nn.pair(worker, lambda: _named("jointdepthnet", nn.adam_step, bundle.depth_params,
+                                                       depth_grads, depth_adam, lr), lambda: pose_backward(pose_grads))
+                        if grad_stats:
+                            valid, vis = ~np.isnan(weak.readouts[:, subset]), weak.visibility[:, subset]
+                            mags = np.abs(d_depths)
+                            for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
+                                grad_abs[label] += float(mags[mask].sum())
+                                grad_n[label] += int(mask.sum())
                     epoch_l1 += l1
-                    epoch_weak += weak_value
-
-                    def pose_update():
-                        pose_backward(pose_grads)
-                        nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
-
-                    _pair(worker, lambda: _named("jointdepthnet", nn.adam_step, bundle.depth_params, depth_grads,
-                                                 depth_adam, lr), pose_update)
-
-                    if grad_stats:
-                        valid, vis = ~np.isnan(weak.readouts[:, subset]), weak.visibility[:, subset]
-                        mags = np.abs(d_depths)
-                        for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
-                            grad_abs[label] += float(mags[mask].sum())
-                            grad_n[label] += int(mask.sum())
+                    nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr, worker)
                 except FloatingPointError as exc:
                     raise _diverged(exc, epoch, step, bundle) from exc
 

@@ -5,7 +5,8 @@ pin everything else: the parameter layout and its views into one
 vector, forward-pass semantics in train and eval mode, the exact Adam
 update rule against an independent scalar implementation and against
 the whole-array formula, on the compiled loop and on the numpy passes,
-and the learning-rate schedule values.
+in one element range and in two on two threads, and the learning-rate
+schedule values.
 """
 
 import contextlib
@@ -15,6 +16,9 @@ import json
 import math
 import re
 import shutil
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -369,10 +373,31 @@ class TestAdam:
             nn.adam_step(params, grads, state, lr=0.1)
         assert [a.tobytes() for a in (params.flat, state.m, state.v)] == before and state.t == 0
 
+    @pytest.mark.parametrize("lr, shown", [
+        (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (-1e-3, "-0.001"),
+        (True, "True"), (10**400, "10{400}"), ("0.001", "'0.001'"), (None, "None"),
+    ], ids=["nan", "inf", "-inf", "negative", "bool", "beyond-float", "str", "none"])
+    def test_a_bad_lr_is_refused_before_any_change(self, lr, shown):
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        state = nn.init_adam(params)
+        with pytest.raises(ValueError, match=f"^lr must be a finite float >= 0, got {shown}$"):
+            nn.adam_step(params, grads, state, lr=lr)
+        assert params.flat.tobytes() == _vectors(_tiny_config(), 1)[0].flat.tobytes()
+        assert not state.m.any() and not state.v.any() and state.t == 0
 
-class TestAdamOnTheNumpyPasses(TestAdam):
-    """Every test of :class:`TestAdam`, which runs the compiled loop where
-    ``cc`` is found, on the numpy passes."""
+    def test_a_rate_decayed_to_zero_moves_only_the_moments(self):
+        """``lr_schedule``'s decay can underflow to 0.0, which is a legal rate."""
+        lr = nn.lr_schedule(1e-3, 4000, 0.5, 1)
+        assert lr == 0.0
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        before = params.flat.tobytes()
+        state = nn.init_adam(params)
+        nn.adam_step(params, grads, state, lr=lr)
+        assert params.flat.tobytes() == before and state.m.all() and state.t == 1
+
+
+class _OnTheNumpyPasses:
+    """Runs every test of the class it is mixed into on the numpy passes."""
 
     @pytest.fixture(autouse=True)
     def _numpy_passes(self, numpy_passes):
@@ -380,6 +405,11 @@ class TestAdamOnTheNumpyPasses(TestAdam):
         with numpy_passes():
             yield
         assert set(compiled.runs() - before) <= {("adam_update", "the numpy passes (forced by the test)")}
+
+
+class TestAdamOnTheNumpyPasses(_OnTheNumpyPasses, TestAdam):
+    """Every test of :class:`TestAdam`, which runs the compiled loop where
+    ``cc`` is found, on the numpy passes."""
 
 
 class _Flat(dict):
@@ -402,16 +432,17 @@ def _hard_gradient(rng, size):
     return g
 
 
-def _updates(size, steps, seed):
+def _updates(size, steps, seed, worker=None):
     """A digest of the bytes of p, m and v after each of ``steps`` updates,
-    with the same gradients and rates on every call."""
+    with the same gradients and rates on every call, split in two element
+    ranges when a ``worker`` is given."""
     rng = np.random.default_rng(seed)
     params = _Flat(rng.normal(size=size))
     state = nn.AdamState(m=np.zeros(size), v=np.zeros(size))
     out = []
     with np.errstate(all="ignore"):
         for t in range(steps):
-            nn.adam_step(params, _Flat(_hard_gradient(rng, size)), state, lr=nn.lr_schedule(0.05, t, 0.96, 4))
+            nn.adam_step(params, _Flat(_hard_gradient(rng, size)), state, nn.lr_schedule(0.05, t, 0.96, 4), worker)
             out.append(hashlib.sha256(b"".join(a.tobytes() for a in (params.flat, state.m, state.v))).digest())
     return out
 
@@ -505,6 +536,102 @@ class TestCompiledAdam:
 
         compiled, reference = _compiled_then_numpy(numpy_passes, step)
         assert outcome == "raise" or compiled == reference
+
+    def test_an_overflow_in_both_ranges_is_warned_once(self, worker):
+        """The loop's flags from both ranges are reported together."""
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        grads.flat[[0, -1]] = 1e160
+        with warnings.catch_warnings(record=True) as seen, np.errstate(over="warn"):
+            warnings.simplefilter("always")
+            nn.adam_step(params, grads, nn.init_adam(params), 0.1, worker)
+        assert [str(w.message) for w in seen] == ["overflow encountered in adam_step"]
+
+
+@pytest.fixture
+def worker():
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """Every ``(lo, hi, thread)`` that :func:`nn._adam_range` is called with."""
+    calls = []
+    original = nn._adam_range
+
+    def spy(update, arrays, lo, hi, *rest):
+        calls.append((lo, hi, threading.get_ident()))
+        return original(update, arrays, lo, hi, *rest)
+
+    monkeypatch.setattr(nn, "_adam_range", spy)
+    return calls
+
+
+class TestAdamInTwoRanges:
+    """:func:`nn.adam_step` with a worker: the lower half of the elements
+    there, the upper half in the caller."""
+
+    @pytest.mark.parametrize("size, steps", [(1, 400), (2, 400), (3, 400), (16_385, 400), (None, 2)],
+                             ids=["1", "2", "3", "16385", "width-1024"])
+    def test_same_bytes_as_one_range(self, worker, size, steps):
+        if size is None:
+            size = nn.ParamVector(nn.MlpConfig(51, 51, hidden_dim=1024)).flat.size
+        split, whole = _updates(size, steps, size, worker), _updates(size, steps, size)
+        for t, (a, b) in enumerate(zip(split, whole), start=1):
+            assert a == b, f"step {t}"
+
+    def test_the_lower_range_runs_on_the_worker(self, worker, ranges):
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        n = params.flat.size
+        nn.adam_step(params, grads, nn.init_adam(params), 0.1, worker)
+        (lo, mid, thread), (upper, end, caller) = sorted(ranges)
+        assert (lo, mid, upper, end) == (0, n // 2, n // 2, n)
+        assert caller == threading.get_ident() != thread
+        ranges.clear()
+        nn.adam_step(params, grads, nn.init_adam(params), 0.1)
+        assert ranges == [(0, n, threading.get_ident())]
+
+    @pytest.mark.parametrize("errstate, outcome", [({"over": "raise"}, "raise"), ({"over": "warn"}, "warn")])
+    def test_an_overflow_in_the_worker_range_alone_is_reported_once(self, worker, errstate, outcome):
+        """(g * (1 - beta2)) * g overflows for g = 1e160, at element 0."""
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        grads.flat[0] = 1e160
+        with warnings.catch_warnings(record=True) as seen, np.errstate(**errstate):
+            warnings.simplefilter("always")
+            expect = pytest.raises(FloatingPointError, match="^overflow encountered in ")
+            with expect if outcome == "raise" else contextlib.nullcontext():
+                nn.adam_step(params, grads, nn.init_adam(params), 0.1, worker)
+        shown = [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert len(shown) == (outcome == "warn") and all(m.startswith("overflow encountered in ") for m in shown)
+
+    def test_runs_counts_one_call_per_update(self, worker):
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        state = nn.init_adam(params)
+        before = compiled.runs()
+        for _ in range(3):
+            nn.adam_step(params, grads, state, 0.1, worker)
+        ((loop, _), updates), = (compiled.runs() - before).items()
+        assert loop == "adam_update" and updates == 3
+
+    @pytest.mark.parametrize("spoil", ["refusal", "non-finite-gradient"])
+    def test_a_refusal_raises_before_either_range_runs(self, worker, ranges, spoil):
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        state = nn.init_adam(params)
+        if spoil == "refusal":
+            state.m = state.m.astype(np.float32)
+            expect = pytest.raises(ValueError, match="^adam_step cannot update in place: state.m is not float64")
+        else:
+            grads.flat[-1] = np.nan
+            expect = pytest.raises(FloatingPointError, match="^non-finite gradient for fc_out.b$")
+        before = [a.tobytes() for a in (params.flat, state.m, state.v)]
+        with expect:
+            nn.adam_step(params, grads, state, 0.1, worker)
+        assert ranges == [] and state.t == 0
+        assert [a.tobytes() for a in (params.flat, state.m, state.v)] == before
+
+
+class TestAdamInTwoRangesOnTheNumpyPasses(_OnTheNumpyPasses, TestAdamInTwoRanges):
+    """Every test of :class:`TestAdamInTwoRanges` on the numpy passes."""
 
 
 class TestLrSchedule:

@@ -531,10 +531,11 @@ def _divergence_in_both_schedules(monkeypatch, run) -> list[str]:
 
 
 class TestTrainSchedules:
-    """``train`` runs a step's annotated half and the depth net's Adam
-    update on a worker thread when the process has two CPUs and BLAS
-    runs one thread; everything it returns or raises is the same as
-    with the caller alone."""
+    """``train`` runs a step's annotated half, the depth net's Adam update
+    and the lower element range of the pose net's update on a worker
+    thread when the process has two CPUs and BLAS runs one thread;
+    everything it returns or raises is the same as with the caller
+    alone."""
 
     @pytest.mark.parametrize("openblas, omp, cpus, side_by_side", [
         ("1", None, 2, True),
@@ -568,6 +569,31 @@ class TestTrainSchedules:
             train(_tiny_config(), tiny_dataset, SPEC)
             assert len(set(threads)) == 1
             assert (threads[0] != threading.get_ident()) is side_by_side
+
+    @pytest.mark.parametrize("weak", [True, False], ids=["weak", "no-weak-set"])
+    def test_the_pose_update_runs_on_both_threads(self, tiny_dataset, monkeypatch, weak):
+        """Each pose-net update is one element range in the caller alone,
+        or its lower half on the worker and its upper half in the caller."""
+        calls = []
+        original = nn._adam_range
+
+        def spy(update, arrays, lo, hi, *rest):
+            calls.append((arrays["params"], lo, hi, threading.get_ident()))
+            return original(update, arrays, lo, hi, *rest)
+
+        monkeypatch.setattr(nn, "_adam_range", spy)
+        dataset = Dataset(tiny_dataset.annotated, tiny_dataset.weak if weak else [])
+        for side_by_side in (False, True):
+            calls.clear()
+            _force_schedule(monkeypatch, side_by_side)
+            bundle, logs = train(_tiny_config(), dataset, SPEC)
+            flat = bundle.pose_params.flat
+            n, caller = flat.size, threading.get_ident()
+            pose = sorted((lo, hi, thread != caller) for p, lo, hi, thread in calls if p is flat)
+            updates = sum(e["steps"] for e in logs)
+            expected = [(0, n // 2, True)] * updates + [(n // 2, n, False)] * updates if side_by_side \
+                else [(0, n, False)] * updates
+            assert pose == expected
 
     @pytest.mark.parametrize("kwargs, weak", [
         ({"lambda_weight": 1.0}, "labelled"),
@@ -657,13 +683,15 @@ class TestTrainSchedules:
         assert messages[0].startswith("training diverged at epoch 0, step 1, in posenet: overflow encountered")
 
     def test_no_thread_outlives_train(self, tiny_dataset, monkeypatch):
+        """With weak data and with no weak set, which also has a worker."""
         _force_schedule(monkeypatch, True)
         before = threading.active_count()
-        train(_tiny_config(), tiny_dataset, SPEC)
-        assert threading.active_count() == before
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-            train(_tiny_config(base_lr=1e300), tiny_dataset, SPEC)
-        assert threading.active_count() == before
+        for dataset in (tiny_dataset, Dataset(tiny_dataset.annotated, [])):
+            train(_tiny_config(), dataset, SPEC)
+            assert threading.active_count() == before
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+                train(_tiny_config(base_lr=1e300), dataset, SPEC)
+            assert threading.active_count() == before
 
 
 @pytest.fixture(scope="module")
