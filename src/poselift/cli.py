@@ -211,8 +211,8 @@ def main(argv: list[str] | None = None) -> int:
         raise ValueError(f"--seed must be >= 0, got {seed}")
     before = compiled.runs()
     status = args.func(args)
-    for (loop, path), calls in (compiled.runs() - before).items():  # stderr: stdout and the files stay the same
-        print(f"{loop}: {calls} calls by {path}", file=sys.stderr)
+    for loop, calls in (compiled.runs() - before).items():  # stderr: stdout and the files stay the same
+        print(f"{loop}: {calls} calls", file=sys.stderr)
     return status
 
 

@@ -4,12 +4,11 @@ which releases the interpreter lock while a loop runs.
 
 ``adam_update`` is :func:`nn.adam_step`'s update and ``render_clean`` is
 :func:`synth.render_clean_depth`'s ray cast after the per-capsule
-products.  Each does the IEEE operations of the numpy passes it stands
-for, in their order, so both give the same bits; the numpy passes run
-where the library does not build, so a loop's path is one per process;
-the callers refuse on both paths the inputs a loop cannot take.  The build
-is paid once per process (0.2 s on a 2-vCPU VM), keeps no file on disk,
-and the compiler has exited before :func:`loop` returns.
+products.  ``cc`` is a requirement, as numpy is: where the library does
+not build, :func:`loop` raises RuntimeError naming ``cc`` and the reason,
+and the callers refuse the inputs a loop cannot take before they call it.
+The build is paid once per process (0.2 s on a 2-vCPU VM), keeps no file
+on disk, and the compiler has exited before :func:`loop` returns.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 # and -Ofast are never used: they reorder the arithmetic and link start-up
 # code that sets flush-to-zero for the whole process, which would change
 # numpy's own results.  Each loop returns the IEEE exceptions it raised,
-# so that np.errstate governs them as it governs the numpy passes.
+# so that np.errstate governs them as it governs numpy's own operations.
 _SOURCE = r"""
 #include <fenv.h>
 #include <math.h>
@@ -76,9 +75,9 @@ static long search(const double *rays, long n, double v, int right)
     return lo;
 }
 
-/* _pixel_windows for one box: [*start, *stop) of the rays between its
+/* The window of one box: [*start, *stop) of the rays between its
    extreme corner slopes along x (i = 0) or y (i = 1), padded by one ray
-   each side, or all n rays when the box reaches z <= 0. */
+   each side against rounding, or all n rays when the box reaches z <= 0. */
 static void window(const double *lo, const double *hi, int i, const double *rays, long n,
                    long *start, long *stop)
 {
@@ -94,8 +93,9 @@ static void window(const double *lo, const double *hi, int i, const double *rays
     *stop = front && b < n ? b : n;
 }
 
-/* _sphere_entry for one ray: inf unless the entry depth is > 0.  A
-   negative discriminant would give a NaN depth, so it is inf at once. */
+/* The entry depth of one ray into a sphere, from d.center (dc), d.d (dd)
+   and |center|^2 - radius^2 (c): inf unless it is > 0, and at once for a
+   negative discriminant, which misses. */
 static double sphere_entry(double dc, double dd, double c)
 {
     const double disc = dc * dc - c * dd;
@@ -105,12 +105,13 @@ static double sphere_entry(double dc, double dd, double c)
     return t > 0.0 ? t : INFINITY;
 }
 
-/* render_clean_depth after the per-capsule products: _fold_capsules over
-   each capsule's window, _fold_occluders, the background, then NaN where
-   no surface returns.  out is height x width; rays holds width + height.
-   Returns the overflow and underflow raised: the numpy passes run the
-   ray-miss arithmetic (NaN square roots, division by a zero d_perp_sq)
-   with divide and invalid ignored. */
+/* render_clean_depth after the per-capsule products: each capsule over
+   its window, a capsule shorter than 1e-9 mm being the sphere at its a
+   end alone, then each occluder as a row test times a column test, the
+   background, then NaN where no surface returns.  out is height x width;
+   rays holds width + height.  Returns the overflow and underflow raised;
+   the divide and invalid flags come from rays that miss (inf - inf once
+   both products overflow, a zero d_perp_sq) and are not reported. */
 int render_clean(double *restrict out, double *restrict rays, long width, long height,
                  double fx, double fy, double cx, double cy,
                  long n, const double *a, const double *b, const double *radii, const double *length,
@@ -203,15 +204,15 @@ _FP_ERRORS = (("divide", "divide by zero"), ("over", "overflow"), ("under", "und
 
 # Built on the process's first call for a loop, which train makes on two threads at once.
 _lock = threading.Lock()
-_library = None  # (the library, "") or (None, why the numpy passes run) once built
-_runs = Counter()  # calls of each loop by each path in this process, keyed (loop, path)
+_library = None  # the library, or why it did not build, once built
+_runs = Counter()  # calls of each loop in this process
 
 
 def _build():
-    """Compile and load :data:`_SOURCE`; returns (the library, "") or (None, why not)."""
+    """Compile and load :data:`_SOURCE`; returns the library, or why it did not build."""
     cc = shutil.which("cc")
     if cc is None:
-        return None, "no C compiler (cc) on PATH"
+        return "no cc on the PATH"
     with tempfile.TemporaryDirectory() as tmp:
         source, library = os.path.join(tmp, "loops.c"), os.path.join(tmp, "loops.so")
         with open(source, "w") as fh:
@@ -220,36 +221,37 @@ def _build():
             done = subprocess.run([cc, *_CC_FLAGS, "-o", library, source, "-lm"],
                                   capture_output=True, text=True, timeout=120)
         except (OSError, subprocess.TimeoutExpired) as exc:
-            return None, f"cc did not run: {exc}"
+            return f"cc did not run: {exc}"
         if done.returncode != 0:
             lines = [line for line in done.stderr.splitlines() if line.strip()]
             first = next((line for line in lines if "error" in line), lines[0] if lines else "")
-            return None, f"cc failed with status {done.returncode}: {first}"
+            return f"cc failed with status {done.returncode}: {first}"
         try:
             lib = ctypes.CDLL(library)  # mapped, so the file may be removed
             for name, argtypes in _ARGTYPES.items():
                 getattr(lib, name).argtypes = argtypes
                 getattr(lib, name).restype = ctypes.c_int
         except (OSError, AttributeError) as exc:
-            return None, f"the compiled loops did not load: {exc}"
-    return lib, ""
+            return f"the library did not load: {exc}"
+    return lib
 
 
 def loop(name: str):
-    """The compiled loop ``name``, or None where the library did not build;
-    counts the call under its path for :func:`runs`."""
+    """The compiled loop ``name``, counted for :func:`runs`.  Where the
+    library did not build, raises RuntimeError naming ``cc`` and the
+    reason, on this call and every later one, without building again."""
     global _library
     with _lock:
-        _library = _library or _build()
-        lib, why = _library
-        _runs[name, f"the numpy passes ({why})" if why else "the compiled C loop"] += 1
-    return None if why else getattr(lib, name)
+        if _library is None:
+            _library = _build()
+        if isinstance(_library, str):
+            raise RuntimeError(f"the compiled loops need a C compiler (cc): {_library}")
+        _runs[name] += 1
+        return getattr(_library, name)
 
 
 def runs() -> Counter:
-    """A copy of the calls of each loop in this process, keyed ``(loop,
-    path)``: the path is "the compiled C loop", or "the numpy passes
-    (<why>)"."""
+    """A copy of the calls of each loop in this process, keyed by loop name."""
     with _lock:
         return _runs.copy()
 

@@ -15,9 +15,7 @@ a trainer allocates one per network and reuses it on every step.
 loop of :mod:`poselift.compiled`, built with ``cc`` on first use in a
 process and called through ctypes, which releases the interpreter lock
 so two updates, or the two element ranges of one (:func:`pair`), can
-run on two threads at once.  The loop does the numpy passes' IEEE
-operations in their order, so both give the same bits; the numpy passes
-run where the loop does not build.
+run on two threads at once.
 """
 
 from __future__ import annotations
@@ -259,10 +257,6 @@ def init_adam(params: ParamVector) -> AdamState:
     return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-# Elements per block of the numpy passes: passes over whole 4.3M-element vectors
-# are bound by memory bandwidth, blocks that stay in cache took half the time.
-_ADAM_BLOCK = 1 << 14
-
 def _refusal(arrays: dict[str, np.ndarray]) -> str:
     """Why the compiled loop cannot update ``arrays`` in place, or ""."""
     shape = arrays["params"].shape
@@ -295,26 +289,10 @@ def pair(worker: Executor | None, first: Callable, second: Callable) -> tuple:
 
 
 def _adam_range(update, arrays: dict[str, np.ndarray], lo: int, hi: int, c1: float, c2: float, lr: float) -> int:
-    """:func:`adam_step`'s update of elements ``[lo, hi)`` of ``arrays``: by the
-    compiled ``update``, which returns the IEEE exceptions it raised, or,
-    where ``update`` is None, by the numpy passes, which raise or warn
-    themselves and return 0."""
-    beta1, beta2 = ADAM_BETA1, ADAM_BETA2
-    if update is not None:
-        return update(*(a.ctypes.data + lo * a.itemsize for a in arrays.values()), hi - lo,
-                      beta1, beta2, c1, c2, lr, ADAM_EPS)
-    term, denom = np.empty((2, min(_ADAM_BLOCK, hi - lo)))
-    for start in range(lo, hi, _ADAM_BLOCK):
-        p, g, m, v = (a[start : min(start + _ADAM_BLOCK, hi)] for a in arrays.values())
-        a, d = term[: p.size], denom[: p.size]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
-        v *= beta2
-        v += np.multiply(np.multiply(g, 1.0 - beta2, out=a), g, out=a)
-        np.sqrt(np.divide(v, c2, out=d), out=d)
-        d += ADAM_EPS
-        p -= np.divide(np.multiply(np.divide(m, c1, out=a), lr, out=a), d, out=a)
-    return 0
+    """:func:`adam_step`'s update of elements ``[lo, hi)`` of ``arrays`` by the
+    compiled ``update``; returns the IEEE exceptions it raised."""
+    return update(*(a.ctypes.data + lo * a.itemsize for a in arrays.values()), hi - lo,
+                  ADAM_BETA1, ADAM_BETA2, c1, c2, lr, ADAM_EPS)
 
 
 def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float,
@@ -326,16 +304,16 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g*g;
     p = p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps).
 
-    The compiled C loop (module docstring) runs it, or numpy in cache-sized
-    blocks where the loop did not build.  Before any change, both raise
-    ValueError for an ``lr`` that is not a finite float >= 0, and for the
-    first vector that is not C-contiguous float64, writeable where written
-    and apart; FloatingPointError for a non-finite gradient.  With a
-    ``worker``, the elements before ``n // 2`` are updated there and the
-    rest in the caller (:func:`pair`); no element's arithmetic changes, so
-    neither do the bits.  Both paths raise or warn per ``np.errstate`` for
-    an IEEE exception, the loop once for both ranges, after them.
-    :func:`compiled.runs` counts the updates each path ran.
+    The compiled loop (module docstring) runs it.  Before any change, this
+    raises ValueError for an ``lr`` that is not a finite float >= 0, and
+    for the first vector that is not C-contiguous float64, writeable where
+    written and apart, since the loop writes through raw pointers;
+    FloatingPointError for a non-finite gradient; and RuntimeError where
+    the loop does not build (:func:`compiled.loop`).  With a ``worker``,
+    the elements before ``n // 2`` are updated there and the rest in the
+    caller (:func:`pair`); no element's arithmetic changes, so neither do
+    the bits.  An IEEE exception raises or warns per ``np.errstate`` once
+    for both ranges, after them.  :func:`compiled.runs` counts the updates.
     """
     if not (fits(lr, "float") and finite(lr) and lr >= 0.0):
         raise ValueError(f"lr must be a finite float >= 0, got {lr!r}")
@@ -352,10 +330,10 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     if not np.isfinite(sum_sq) and not np.isfinite(grads.flat).all():
         bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
         raise FloatingPointError(f"non-finite gradient for {bad}")
+    update, n, lr = compiled.loop("adam_update"), params.flat.size, float(lr)
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    update, n, lr = compiled.loop("adam_update"), params.flat.size, float(lr)
     if worker is None:
         raised = _adam_range(update, arrays, 0, n, c1, c2, lr)
     else:

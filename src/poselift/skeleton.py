@@ -49,6 +49,23 @@ class DegeneratePoseError(ValueError):
     """Raised when a pose has no usable knee-to-neck extent."""
 
 
+def _one_tree(parents: tuple[int, ...], root: int) -> bool:
+    """Whether ``parents`` holds -1 at ``root`` alone and every other entry
+    is a joint index whose chain of parents reaches ``root``."""
+    if not (0 <= root < len(parents) and parents[root] == -1):
+        return False
+    reached = {root}
+    for joint in range(len(parents)):
+        chain = set()
+        while joint not in reached:
+            if joint in chain or not 0 <= joint < len(parents):
+                return False
+            chain.add(joint)
+            joint = parents[joint]
+        reached |= chain
+    return True
+
+
 @dataclass(frozen=True)
 class SkeletonSpec:
     """Names and role indices of the joints making up a pose."""
@@ -71,8 +88,8 @@ class SkeletonSpec:
             ("depth_subset", 0 < len(set(self.depth_subset)) == len(self.depth_subset)
              and all(0 <= k < j for k in self.depth_subset), f"one or more distinct joint indices in [0, {j})"),
             ("parents", len(self.parents) == j, f"one entry per joint, {j} in all"),
-            ("parents", 0 <= self.root < len(self.parents) and self.parents[self.root] == -1,
-             f"-1 at the root, index {self.root}"),
+            ("parents", _one_tree(self.parents, self.root), f"one tree: -1 at the root, index {self.root}, alone, "
+             f"and every other entry a joint index in [0, {j}) whose chain of parents reaches the root"),
         ))
 
     @property

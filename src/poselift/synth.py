@@ -8,24 +8,19 @@ reads it as the fifth argument to count capsules); occluders are
 camera-facing rectangles placed between the camera and a
 person.  Depth is ray-cast analytically per pixel (the stored value is
 the z coordinate of the nearest hit, matching a time-of-flight sensor),
-then corrupted with Gaussian noise and NaN holes.  Each capsule is
-solved only over the pixels whose rays can meet its axis-aligned 3D
-bounding box: in front of the camera, perspective projection maps the
-box into the convex hull of its projected corners, so the window is
-conservative.  All capsules of a frame are solved in one array pass
-over their (pixel, capsule) pairs, each pair running the per-element
-float64 formulas of a one-capsule solve, and folded into the frame by
-minimum; each occluder is a row mask times a column mask.  The map is
-the one a full-frame solve of one primitive after another gives, byte
-for byte.  After the per-capsule dot products, the frame is rendered by
-one call of the ``render_clean`` loop of :mod:`poselift.compiled`, which
-does these passes' IEEE operations in their order, so both give the same
-bits; the numpy passes run where the loop does not build.  A pose is
-likewise built for all 16 bones at once, with the bits of a bone-by-bone
-build.  Every random draw comes from a per-scene stream, so datasets are
-reproducible; processes paid only at large sizes (0.75x at 48 samples,
-1.42x at 2,200), and on threads the Python and numpy part of generation
-holds the GIL, so a second thread gained nothing (README, "Threads").
+then corrupted with Gaussian noise and NaN holes.  After the per-capsule
+dot products, a frame is rendered by one call of the ``render_clean``
+loop of :mod:`poselift.compiled`, which solves each capsule only over
+the pixels whose rays can meet its axis-aligned 3D bounding box: in
+front of the camera, perspective projection maps the box into the
+convex hull of its projected corners, so the window is conservative.
+The map is the one a full-frame solve of one primitive after another
+gives, byte for byte.  A pose is built for all 16 bones at once, with
+the bits of a bone-by-bone build.  Every random draw comes from a
+per-scene stream, so datasets are reproducible; processes paid only at
+large sizes (0.75x at 48 samples, 1.42x at 2,200), and on threads the
+Python and numpy part of generation holds the GIL, so a second thread
+gained nothing (README, "Threads").
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from . import compiled
 from .checks import check_fields, fields_from_json, finite, fits, type_rules
 from .data import Dataset, Sample
 from .depth import DepthMap, read_depth_at
-from .geometry import CameraIntrinsics, normalize_2d, project
+from .geometry import CameraIntrinsics, project
 from .skeleton import DEFAULT_JOINT_NAMES, DEFAULT_PARENTS, SkeletonSpec, default_skeleton, knee_neck_distance
 
 
@@ -253,64 +248,6 @@ def generate_pose(rng: np.random.Generator, config: SceneConfig) -> np.ndarray:
             return pose
 
 
-def _pixel_windows(lo: np.ndarray, hi: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row bounds [r0, r1) and column bounds [c0, c1) of the pixels whose
-    rays can meet each box [lo[k], hi[k]]: the sorted ray slopes between
-    the box's extreme corner slopes, padded by one pixel each side, or
-    the whole frame when the box reaches z <= 0 (see render_clean_depth)."""
-    front = lo[:, 2] > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.stack([lo[:, :2] / lo[:, 2:], lo[:, :2] / hi[:, 2:], hi[:, :2] / lo[:, 2:], hi[:, :2] / hi[:, 2:]])
-    first, last = slopes.min(axis=0), slopes.max(axis=0)  # (box, x or y)
-
-    def span(rays, i):
-        start = np.maximum(np.searchsorted(rays, first[:, i]) - 1, 0)
-        stop = np.minimum(np.searchsorted(rays, last[:, i], side="right") + 1, rays.size)
-        return np.where(front, start, 0), np.where(front, stop, rays.size)
-
-    return (*span(dy, 1), *span(dx, 0))
-
-
-def _window_pairs(windows: tuple[np.ndarray, ...], dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every (pixel, box) pair of the windows, box by box and row-major
-    within a box: the flat pixel index and the ray slopes dx and dy of
-    each pair, and the number of pairs of each box."""
-    r0, r1, c0, c1 = windows
-    n_rows = r1 - r0
-    box = np.repeat(np.arange(r0.size), n_rows)  # one segment per window row
-    row = np.arange(box.size) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows) + r0[box]
-    seg = (c1 - c0)[box]
-    col = np.arange(seg.sum()) + np.repeat(c0[box] - (np.cumsum(seg) - seg), seg)
-    pixel = np.repeat(row * dx.size, seg) + col
-    return pixel, dx[col], np.repeat(dy[row], seg), n_rows * (c1 - c0)
-
-
-def _ray_dot(x: np.ndarray, y: np.ndarray, c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """(x c0 + y c1) + c2 per pair: the dot product of the rays (x, y, 1)
-    with the vectors (c0, c1, c2), computed in c0 (c1 is overwritten)."""
-    c0 *= x
-    c1 *= y
-    c0 += c1
-    c0 += c2
-    return c0
-
-
-def _sphere_entry(dc: np.ndarray, dd: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Entry depth of rays d into spheres, inf where missed, from d.center
-    (dc), d.d (dd) and |center|^2 - radius^2 (c), computed in c.  A ray
-    that misses has a negative discriminant, so a NaN depth, which fails
-    the test t > 0."""
-    disc = dc * dc
-    c *= dd
-    with np.errstate(invalid="ignore"):
-        disc -= c
-        np.sqrt(disc, out=disc)
-    np.subtract(dc, disc, out=c)
-    c /= dd
-    np.copyto(c, np.inf, where=~(c > 0.0))
-    return c
-
-
 def _capsule_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     """The length, |a|^2, |b|^2, unit axis (zero below 1e-9 mm) and a . axis
     of each capsule a[k]-b[k], its dot products as ``np.vecdot``."""
@@ -323,77 +260,6 @@ def _capsule_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     return length, a_sq, b_sq, axis, np.vecdot(a, axis)
 
 
-def _fold_capsules(best, dx, dy, a, b, radii) -> None:
-    """Lower ``best`` (flat, row-major) to the nearest entry depth of rays
-    (dx, dy, 1) into the capsules a[k]-b[k] of radius radii[k].
-
-    The cylindrical body and the two sphere caps are solved as
-    quadratics; only entry points count (the camera sits outside), and a
-    capsule shorter than 1e-9 mm is the sphere at its ``a`` end alone.
-    Rays are (dx, dy, 1), so the ray parameter equals the hit's z.  The
-    per-capsule dot products are ``np.vecdot``, which rounds as a
-    one-capsule ``x.dot(y)`` does; an elementwise sum may round differently.
-    The per-pair formulas run in place, in the rows of the repeated
-    scalars: at a frame's 10^4 pairs a fresh temporary per operation
-    costs about as much as the arithmetic.
-    """
-    length, a_sq, b_sq, axis, a_par = _capsule_products(a, b)
-    solid = length >= 1e-9
-    rr = radii * radii
-    pixel, x, y, counts = _window_pairs(
-        _pixel_windows(np.minimum(a, b) - radii[:, None], np.maximum(a, b) + radii[:, None], dx, dy), dx, dy)
-    # Each capsule's scalars, repeated over its pairs; a_par and length
-    # are per pair from here on.
-    ax0, ax1, ax2, a0, a1, a2, b0, b1, b2, a_par, c_cyl, c_a, c_b, length = np.repeat(np.vstack([
-        axis.T, a.T, b.T, a_par, (a_sq - a_par * a_par) - rr, a_sq - rr, b_sq - rr, length,
-    ]), counts, axis=1)
-
-    dd = x * x
-    dd += y * y
-    dd += 1.0
-    da = _ray_dot(x, y, a0, a1, a2)
-    depth = _sphere_entry(da, dd, c_a)
-    cap_b = _sphere_entry(_ray_dot(x, y, b0, b1, b2), dd, c_b)
-    d_par = _ray_dot(x, y, ax0, ax1, ax2)
-    d_perp_sq = np.subtract(dd, d_par * d_par, out=dd)
-    np.maximum(d_perp_sq, 0.0, out=d_perp_sq)
-    cross = np.subtract(da, d_par * a_par, out=da)  # d_perp . a_perp
-    disc = cross * cross
-    c_cyl *= d_perp_sq
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc -= c_cyl  # inf - inf once both products overflow
-        np.sqrt(disc, out=disc)  # NaN where the ray misses the cylinder, failing t_cyl > 0
-        t_cyl = np.subtract(cross, disc, out=cross)
-        t_cyl /= d_perp_sq
-        along = np.multiply(t_cyl, d_par, out=d_par)
-        along -= a_par
-    cyl_ok = (d_perp_sq > 1e-12) & (t_cyl > 0.0) & (along >= 0.0) & (along <= length)
-    if not solid.all():
-        live = np.repeat(solid, counts)
-        cyl_ok &= live
-        cap_b[~live] = np.inf
-    np.copyto(t_cyl, np.inf, where=~cyl_ok)
-    np.minimum(depth, t_cyl, out=depth)
-    np.minimum(depth, cap_b, out=depth)
-    np.minimum.at(best, pixel, depth)
-
-
-def _fold_occluders(best, dx, dy, occluders: list[Occluder]) -> None:
-    """Lower ``best`` (height x width) to the depth of the camera-facing
-    rectangles that the rays (dx, dy, 1) meet.
-
-    A ray meets a rectangle when |dx z - cx| <= w and |dy z - cy| <= h;
-    the first test depends on the column alone and the second on the row
-    alone, so each rectangle is one column mask times one row mask.
-    """
-    cx, cy, z, half_w, half_h = np.array(
-        [(*occ.center, occ.half_width, occ.half_height) for occ in occluders], dtype=np.float64).T[:, :, None]
-    cols = np.abs(dx * z - cx) <= half_w  # (occluder, column)
-    rows = np.abs(dy * z - cy) <= half_h  # (occluder, row)
-    hits = np.where(rows[:, :, None] & cols[:, None, :], z[:, :, None], np.inf)
-    np.minimum(best, hits.min(axis=0), out=best)
-
-
 def render_clean_depth(
     poses: list[np.ndarray],
     occluders: list[Occluder],
@@ -402,31 +268,32 @@ def render_clean_depth(
     spec: SkeletonSpec,
 ) -> np.ndarray:
     """Noise-free z-depth per camera pixel, NaN where no surface returns.
-    ``poses`` must be finite (17, 3) arrays; else ValueError, on both paths.
+    ``poses`` must be finite (17, 3) arrays; else ValueError.
 
-    The capsules of every person are solved in one array pass.  A
-    capsule is solved only over the pixel window of its axis-aligned 3D
-    bounding box, padded by one pixel against rounding.  The window is
-    conservative: a ray (dx, dy, 1) meets a point p only where
-    dx = p_x / p_z and dy = p_y / p_z, and for a box in front of the
+    Each capsule's cylindrical body and two sphere caps are solved as
+    quadratics; only entry points count (the camera sits outside), and a
+    capsule shorter than 1e-9 mm is the sphere at its ``a`` end alone.
+    Rays are (dx, dy, 1), so the ray parameter equals the hit's z.  The
+    per-capsule dot products are ``np.vecdot``, which rounds as a
+    one-capsule ``x.dot(y)`` does; an elementwise sum may round
+    differently.  The compiled loop (module docstring) runs everything
+    after them.  It solves a capsule only over the pixel window of its
+    axis-aligned 3D bounding box, padded by one pixel against rounding.
+    The window is conservative: a ray (dx, dy, 1) meets a point p only
+    where dx = p_x / p_z and dy = p_y / p_z, and for a box in front of the
     camera p_x / p_z is monotone in p_x and in p_z, so over the box it
     spans the range of its corner values (likewise y).  A box reaching
-    z <= 0 gets the whole frame.  The pass lays out the windows as flat
-    (pixel, capsule) pairs, solves every pair with elementwise float64
-    arithmetic, and folds the pairs into the frame with
-    ``np.minimum.at``.  A pair's value depends only on its pixel's ray
-    and its capsule's scalars, which round as one-capsule ``.dot`` calls
-    do, and no depth is NaN, so the fold order does not matter: each
-    pixel gets the bytes that a whole-frame solve of one primitive after
-    another gives it.  The occluders are then folded in over the whole
-    frame as row-times-column masks (see ``_fold_occluders``).
+    z <= 0 gets the whole frame.  A pixel's depth from a capsule depends
+    only on its ray and the capsule's scalars, and no depth is NaN, so
+    folding by minimum gives each pixel the bytes that a whole-frame solve
+    of one primitive after another gives it.  Each occluder then lowers
+    the pixels whose row and column both meet it.
 
-    The compiled loop (module docstring) runs everything after the
-    per-capsule products, pixel by pixel and capsule by capsule, and
-    raises or warns per ``np.errstate`` for an overflow or underflow once
-    the frame is done; the invalid values and zero divisions of rays that
-    miss are ignored, as the numpy passes ignore them.
-    :func:`compiled.runs` counts the frames each path rendered.
+    The loop raises or warns per ``np.errstate`` for an overflow or
+    underflow once the frame is done; the invalid values and zero
+    divisions of rays that miss are not reported.  Where the loop does not
+    build, this raises RuntimeError (:func:`compiled.loop`).
+    :func:`compiled.runs` counts the frames rendered.
     """
     if spec.joint_names != DEFAULT_JOINT_NAMES:
         raise ValueError("the synthetic generator only knows the built-in 17-joint skeleton")
@@ -438,28 +305,15 @@ def render_clean_depth(
     a, b = joints[:, _PARENTS].reshape(-1, 3), joints[:, _CHILDREN].reshape(-1, 3)
     radii = np.tile(_RADII, len(poses))
     render = compiled.loop("render_clean")
-    if render is not None:
-        # Every array the loop reads or writes is a local, alive until it returns.
-        capsules = (a, b, radii, *_capsule_products(a, b))
-        boxes = np.array([(*occ.center, occ.half_width, occ.half_height) for occ in occluders],
-                         dtype=np.float64).reshape(-1, 5)
-        best, rays = np.empty((cam.height, cam.width)), np.empty(cam.width + cam.height)
-        background = math.inf if config.background_depth is None else config.background_depth
-        raised = render(best.ctypes.data, rays.ctypes.data, cam.width, cam.height, *cam.row,
-                        radii.size, *(x.ctypes.data for x in capsules), len(boxes), boxes.ctypes.data, background)
-        compiled.report(raised, "render_clean_depth")
-        return best
-    # Pixel (i, i) normalizes to the ray slopes of column i and of row i.
-    dx, dy = normalize_2d(np.arange(max(cam.width, cam.height), dtype=np.float64)[:, None].repeat(2, 1), cam).T
-    dx, dy, best = dx[: cam.width], dy[: cam.height], np.full(cam.height * cam.width, np.inf)
-    if poses:
-        _fold_capsules(best, dx, dy, a, b, radii)
-    best = best.reshape(cam.height, cam.width)
-    if occluders:
-        _fold_occluders(best, dx, dy, occluders)
-    if config.background_depth is not None:
-        np.minimum(best, config.background_depth, out=best)
-    np.copyto(best, np.nan, where=np.isinf(best))
+    # Every array the loop reads or writes is a local, alive until it returns.
+    capsules = (a, b, radii, *_capsule_products(a, b))
+    boxes = np.array([(*occ.center, occ.half_width, occ.half_height) for occ in occluders],
+                     dtype=np.float64).reshape(-1, 5)
+    best, rays = np.empty((cam.height, cam.width)), np.empty(cam.width + cam.height)
+    background = math.inf if config.background_depth is None else config.background_depth
+    raised = render(best.ctypes.data, rays.ctypes.data, cam.width, cam.height, *cam.row,
+                    radii.size, *(x.ctypes.data for x in capsules), len(boxes), boxes.ctypes.data, background)
+    compiled.report(raised, "render_clean_depth")
     return best
 
 

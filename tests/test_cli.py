@@ -5,11 +5,9 @@ dataset, checking the files each stage leaves behind and the override
 precedence of flags over config values.
 """
 
-import contextlib
 import hashlib
 import json
 import re
-import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -82,35 +80,22 @@ class TestGenerate:
         assert len(gt) == 18
         assert all(s.joints_3d is not None for s in gt)
 
-    @pytest.mark.parametrize("path", ["default", "numpy"])
-    def test_output_keeps_its_bytes(self, tmp_path, numpy_passes, path):
+    def test_output_keeps_its_bytes(self, tmp_path):
         """sha256 over both pose files and every DMAP of a small seeded run,
-        pinned when the camera arithmetic moved into ``geometry``; on the
-        default path and with the numpy passes forced."""
-        out = tmp_path / "gen"
-        with numpy_passes() if path == "numpy" else contextlib.nullcontext():
-            assert _generate_digest(out) == GENERATE_DIGEST
+        pinned when the camera arithmetic moved into ``geometry``."""
+        assert _generate_digest(tmp_path / "gen") == GENERATE_DIGEST
 
     def test_rerun_into_the_same_directory_keeps_its_bytes(self, tmp_path):
         """Each rerun rewrites every file in place with the same bytes."""
         for _ in range(3):
             assert _generate_digest(tmp_path / "gen") == GENERATE_DIGEST
 
-    def test_stderr_names_the_render_path(self, tmp_path, capsys, numpy_passes):
-        """Five frames hold the 6 + 4 samples; stdout and the files do
-        not depend on the path."""
-        argv = ["generate", "--seed", "5", "--n-annotated", "6", "--n-weak", "4"]
-        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
-        default = capsys.readouterr()
-        with numpy_passes():
-            assert main([*argv, "--out", str(tmp_path / "b")]) == 0
-        forced = capsys.readouterr()
-        path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
-        assert default.err == f"render_clean: 5 calls by {path}\n"
-        assert forced.err == "render_clean: 5 calls by the numpy passes (forced by the test)\n"
-        assert forced.out == default.out.replace(str(tmp_path / "a"), str(tmp_path / "b"))
-        for name in ("samples.jsonl", "gt_poses.jsonl"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    def test_stderr_counts_the_renders(self, tmp_path, capsys):
+        """Five frames hold the 6 + 4 samples; stdout holds no count."""
+        argv = ["generate", "--seed", "5", "--n-annotated", "6", "--n-weak", "4", "--out", str(tmp_path / "a")]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "render_clean: 5 calls\n" and "calls" not in out
 
     def test_progress_message(self, tmp_path, capsys):
         config = tmp_path / "scene.json"
@@ -244,20 +229,13 @@ class TestTrain:
                      "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_stderr_names_the_adam_path(self, workspace, tmp_path, capsys, numpy_passes):
-        """One epoch of 6 steps updates two networks; stdout and the log
-        file do not depend on the path."""
+    def test_stderr_counts_the_adam_updates(self, workspace, tmp_path, capsys):
+        """One epoch of 6 steps updates two networks; stdout holds no count."""
         argv = ["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
-                "--out", str(tmp_path / "m.npz"), "--log-file", str(tmp_path / "log.jsonl")]
+                "--out", str(tmp_path / "m.npz")]
         assert main(argv) == 0
-        default, log = capsys.readouterr(), (tmp_path / "log.jsonl").read_bytes()
-        with numpy_passes():
-            assert main(argv) == 0
-        forced = capsys.readouterr()
-        path = "the compiled C loop" if shutil.which("cc") else "the numpy passes (no C compiler (cc) on PATH)"
-        assert default.err == f"adam_update: 12 calls by {path}\n"
-        assert forced.err == "adam_update: 12 calls by the numpy passes (forced by the test)\n"
-        assert forced.out == default.out and (tmp_path / "log.jsonl").read_bytes() == log
+        out, err = capsys.readouterr()
+        assert err == "adam_update: 12 calls\n" and "calls" not in out
 
     def test_bad_config_field_names_the_file_whatever_the_flags(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"
@@ -374,7 +352,7 @@ class TestStderr:
         argv = {"predict": ["--model", str(workspace["model"]), "--data", str(workspace["data"]),
                             "--out", str(tmp_path / "pred.jsonl")],
                 "eval": ["--gt", str(workspace["data"] / "gt_poses.jsonl"), "--pred", str(workspace["pred"])]}
-        assert {loop for loop, _ in compiled.runs()} == {"adam_update", "render_clean"}
+        assert set(compiled.runs()) == {"adam_update", "render_clean"}
         capsys.readouterr()
         assert main([command, *argv[command]]) == 0
         assert capsys.readouterr().err == ""

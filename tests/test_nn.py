@@ -4,9 +4,9 @@ Gradient correctness has its own finite-difference suite; these tests
 pin everything else: the parameter layout and its views into one
 vector, forward-pass semantics in train and eval mode, the exact Adam
 update rule against an independent scalar implementation and against
-the whole-array formula, on the compiled loop and on the numpy passes,
-in one element range and in two on two threads, and the learning-rate
-schedule values.
+the whole-array formula, in one element range and in two on two
+threads and through a whole training, a build that fails, and the
+learning-rate schedule values.
 """
 
 import contextlib
@@ -14,8 +14,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import re
 import shutil
+import subprocess
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -27,8 +27,10 @@ import pytest
 from poselift import compiled, nn
 from poselift.checks import fields_from_json
 from poselift.data import Dataset
+from poselift.geometry import CameraIntrinsics
 from poselift.pipeline import TrainConfig, train
-from poselift.synth import SceneConfig, generate_dataset
+from poselift.skeleton import default_skeleton
+from poselift.synth import SceneConfig, generate_dataset, render_clean_depth
 
 
 
@@ -242,6 +244,14 @@ def _reference_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return p - lr * m_hat / (math.sqrt(v_hat) + eps), m, v
 
 
+def _formula_step(p, m, v, g, t, lr):
+    """One Adam update of p, m and v by the whole-array formula; returns
+    the new (p, m, v)."""
+    m = 0.9 * m + (1.0 - 0.9) * g
+    v = 0.999 * v + (1.0 - 0.999) * g * g
+    return p - lr * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8), m, v
+
+
 def _vectors(config, *seeds):
     """ParamVectors of ``config`` filled with normal draws, one per seed."""
     size = nn.ParamVector(config).flat.size
@@ -265,19 +275,14 @@ class TestAdam:
             assert state.t == t
 
     def test_matches_the_whole_array_formula_bit_for_bit(self):
-        """Across several update blocks, including a partial last one."""
         config = nn.MlpConfig(input_dim=6, output_dim=4, hidden_dim=128, num_blocks=1)
         (params,) = _vectors(config, 20)
-        assert params.flat.size > 2 * nn._ADAM_BLOCK and params.flat.size % nn._ADAM_BLOCK
         p, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
         state = nn.init_adam(params)
         for t in (1, 2, 3):
             (grads,) = _vectors(config, 200 + t)
-            g = grads.flat
             nn.adam_step(params, grads, state, lr=1e-3)
-            m = 0.9 * m + (1.0 - 0.9) * g
-            v = 0.999 * v + (1.0 - 0.999) * g * g
-            p = p - 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            p, m, v = _formula_step(p, m, v, grads.flat, t, 1e-3)
             assert params.flat.tobytes() == p.tobytes()
             assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
@@ -328,9 +333,8 @@ class TestAdam:
             assert np.isinf(grads.flat @ grads.flat)
         p, g = params.flat.copy(), grads.flat.copy()
         nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
-        m = (1.0 - 0.9) * g
-        v = (1.0 - 0.999) * g * g
-        p = p - 0.1 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+        with np.errstate(over="ignore"):
+            p, _, _ = _formula_step(p, np.zeros_like(p), np.zeros_like(p), g, 1, 0.1)
         assert params.flat.tobytes() == p.tobytes()
 
     def test_a_subnormal_gradient_underflows_only_in_the_update(self):
@@ -396,22 +400,6 @@ class TestAdam:
         assert params.flat.tobytes() == before and state.m.all() and state.t == 1
 
 
-class _OnTheNumpyPasses:
-    """Runs every test of the class it is mixed into on the numpy passes."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy_passes(self, numpy_passes):
-        before = compiled.runs()
-        with numpy_passes():
-            yield
-        assert set(compiled.runs() - before) <= {("adam_update", "the numpy passes (forced by the test)")}
-
-
-class TestAdamOnTheNumpyPasses(_OnTheNumpyPasses, TestAdam):
-    """Every test of :class:`TestAdam`, which runs the compiled loop where
-    ``cc`` is found, on the numpy passes."""
-
-
 class _Flat(dict):
     """One named vector with ``.flat``, all :func:`nn.adam_step` reads of a
     :class:`nn.ParamVector`, so that any size can be updated."""
@@ -447,14 +435,22 @@ def _updates(size, steps, seed, worker=None):
     return out
 
 
-def _compiled_then_numpy(numpy_passes, run):
-    """``run()`` on the compiled loop, checked to have run it, then on the
-    numpy passes."""
-    before = compiled.runs()
-    fast = run()
-    assert set(compiled.runs() - before) == {("adam_update", "the compiled C loop")}
-    with numpy_passes():
-        return fast, run()
+def _formula_updates(size, steps, seed):
+    """:func:`_updates` by the whole-array formula."""
+    rng = np.random.default_rng(seed)
+    p, m, v = rng.normal(size=size), np.zeros(size), np.zeros(size)
+    out = []
+    with np.errstate(all="ignore"):
+        for t in range(steps):
+            p, m, v = _formula_step(p, m, v, _hard_gradient(rng, size), t + 1, nn.lr_schedule(0.05, t, 0.96, 4))
+            out.append(hashlib.sha256(b"".join(a.tobytes() for a in (p, m, v))).digest())
+    return out
+
+
+def _formula_adam_step(params, grads, state, lr, worker=None):
+    """:func:`nn.adam_step` by the whole-array formula, in place."""
+    state.t += 1
+    params.flat[:], state.m[:], state.v[:] = _formula_step(params.flat, state.m, state.v, grads.flat, state.t, lr)
 
 
 def _trained_bits(config, dataset):
@@ -468,74 +464,96 @@ def criterion6_data():
     return generate_dataset(np.random.Generator(np.random.Philox([5, 100])), SceneConfig(), 24, 12)
 
 
-@pytest.mark.needs_cc
 class TestCompiledAdam:
     def test_the_loop_loads(self, monkeypatch):
         monkeypatch.setattr(compiled, "_library", None)
         before = compiled.runs()
         params, grads = _vectors(_tiny_config(), 1, 2)
         nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
-        assert compiled._library[0] is not None, compiled._library[1]
-        assert compiled.runs() - before == {("adam_update", "the compiled C loop"): 1}
+        assert not isinstance(compiled._library, str), compiled._library
+        assert compiled.runs() - before == {"adam_update": 1}
 
-    @pytest.mark.parametrize("source, which, why", [
-        (compiled._SOURCE, lambda name: None, r"no C compiler \(cc\) on PATH"),
-        ("int adam_update(void) { return nope; }", shutil.which, r"cc failed with status 1: \S*loops\.c:1:\d+: error: .*nope.*"),
+    @pytest.mark.parametrize("first", ["adam_step", "render_clean_depth"])
+    @pytest.mark.parametrize("source, which, why, builds", [
+        (compiled._SOURCE, lambda name: None, "no cc on the PATH", 0),
+        ("int adam_update(void) { return nope; }", shutil.which,
+         r"cc failed with status 1: \S*loops\.c:1:\d+: error: .*nope.*", 1),
     ], ids=["no-cc", "cc-fails"])
-    def test_a_loop_that_does_not_build_leaves_the_numpy_passes(self, monkeypatch, source, which, why):
+    def test_a_failed_build_raises_on_every_call_and_runs_cc_once(self, monkeypatch, source, which, why, builds,
+                                                                  first):
+        """The first call for a loop, an Adam update or a render, raises
+        RuntimeError naming ``cc`` and the reason; every later call, for
+        either loop, raises it again without building again, and nothing
+        was updated or counted."""
         monkeypatch.setattr(compiled, "_library", None)
         monkeypatch.setattr(compiled, "_SOURCE", source)
         monkeypatch.setattr(shutil, "which", which)
-        before = compiled.runs()
+        calls = []
+        run = subprocess.run
+        monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: calls.append(args) or run(*args, **kwargs))
         params, grads = _vectors(_tiny_config(), 1, 2)
-        nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
-        (((loop, path), updates),) = (compiled.runs() - before).items()
-        assert loop == "adam_update"
-        assert re.fullmatch(rf"the numpy passes \({why}\)", path) and updates == 1
+        state, before, flat = nn.init_adam(params), compiled.runs(), params.flat.tobytes()
+        loops = {"adam_step": lambda: nn.adam_step(params, grads, state, lr=0.1),
+                 "render_clean_depth": lambda: render_clean_depth(
+                     [], [], CameraIntrinsics(4.0, 4.0, 2.0, 2.0, 4, 4), SceneConfig(), default_skeleton())}
+        for name in [first, *loops.keys() - {first}] * 2:
+            with pytest.raises(RuntimeError, match=rf"^the compiled loops need a C compiler \(cc\): {why}$"):
+                loops[name]()
+            assert len(calls) == builds
+        assert params.flat.tobytes() == flat and state.t == 0 and not state.m.any()
+        assert compiled.runs() == before
 
     @pytest.mark.parametrize("size, steps", [(1, 400), (7, 400), (16_385, 400), (None, 2)],
                              ids=["1", "7", "16385", "width-1024"])
-    def test_same_bytes_as_the_numpy_passes(self, numpy_passes, size, steps):
-        """At t = 356, 1 - 0.9**t rounds to 1.0; the width-1024 layout is
-        the 4.3M-element pose network of the benchmark."""
+    def test_same_bytes_as_the_whole_array_formula(self, size, steps):
+        """On gradients with zeros, subnormals and overflowing squares.  At
+        t = 356, 1 - 0.9**t rounds to 1.0; the width-1024 layout is the
+        4.3M-element pose network of the benchmark."""
         if size is None:
             size = nn.ParamVector(nn.MlpConfig(51, 51, hidden_dim=1024)).flat.size
-        compiled, reference = _compiled_then_numpy(numpy_passes, lambda: _updates(size, steps, seed=size))
         assert 1.0 - 0.9**356 == 1.0 and 1.0 - 0.9**355 != 1.0
-        for t, (a, b) in enumerate(zip(compiled, reference), start=1):
+        pairs = zip(_updates(size, steps, seed=size), _formula_updates(size, steps, seed=size))
+        for t, (a, b) in enumerate(pairs, start=1):
             assert a == b, f"step {t}"
 
     @pytest.mark.parametrize("lambda_weight, weak", [(1e-3, "labelled"), (1e-3, "unlabelled"), (0.0, "none")],
                              ids=["weak", "no-labels", "lambda-0"])
-    def test_training_gives_the_same_bits(self, numpy_passes, criterion6_data, lambda_weight, weak):
+    def test_training_gives_the_same_bits(self, monkeypatch, criterion6_data, lambda_weight, weak):
         """Criterion 6's config, with weak data, with its labels stripped,
-        and at lambda = 0 without it (as criterion 4 trains its baseline)."""
+        and at lambda = 0 without it (as criterion 4 trains its baseline):
+        the same log and parameters as with every update by the whole-array
+        formula."""
         samples = {"labelled": criterion6_data.weak, "none": [],
                    "unlabelled": [dataclasses.replace(s, eval_visibility=None) for s in criterion6_data.weak]}[weak]
         dataset = Dataset(criterion6_data.annotated, samples)
         config = TrainConfig(epochs=3, batch_size=8, hidden_dim=64, num_blocks=1, depth_hidden_dim=64,
                              depth_num_blocks=1, lambda_weight=lambda_weight, alpha=2500.0, seed=0)
-        compiled, reference = _compiled_then_numpy(numpy_passes, lambda: _trained_bits(config, dataset))
-        assert compiled == reference
+        before = compiled.runs()
+        loop = _trained_bits(config, dataset)
+        assert (compiled.runs() - before)["adam_update"] > 0
+        monkeypatch.setattr(nn, "adam_step", _formula_adam_step)
+        before = compiled.runs()
+        assert _trained_bits(config, dataset) == loop
+        assert compiled.runs() - before == {}
 
     @pytest.mark.parametrize("errstate, outcome", [
         ({}, "warn"), ({"over": "raise"}, "raise"), ({"over": "ignore"}, "quiet"),
     ])
-    def test_an_overflow_obeys_errstate_on_both_paths(self, numpy_passes, errstate, outcome):
-        """(g * (1 - beta2)) * g overflows for g = 1e160.  Raising, the numpy
-        passes stop inside the update and the loop after it."""
-        def step():
-            params, grads = _vectors(_tiny_config(), 1, 2)
-            grads.flat[3] = 1e160
-            expect = {"raise": pytest.raises(FloatingPointError, match="^overflow encountered in "),
-                      "warn": pytest.warns(RuntimeWarning, match="^overflow encountered in "),
-                      "quiet": contextlib.nullcontext()}[outcome]
-            with np.errstate(**errstate), expect:
-                nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
-            return params.flat.tobytes()
-
-        compiled, reference = _compiled_then_numpy(numpy_passes, step)
-        assert outcome == "raise" or compiled == reference
+    def test_an_overflow_obeys_errstate(self, errstate, outcome):
+        """(g * (1 - beta2)) * g overflows for g = 1e160.  The loop raises
+        or warns after the update, which has the bytes of the whole-array
+        formula in every row."""
+        params, grads = _vectors(_tiny_config(), 1, 2)
+        grads.flat[3] = 1e160
+        p = params.flat.copy()
+        expect = {"raise": pytest.raises(FloatingPointError, match="^overflow encountered in adam_step$"),
+                  "warn": pytest.warns(RuntimeWarning, match="^overflow encountered in adam_step$"),
+                  "quiet": contextlib.nullcontext()}[outcome]
+        with np.errstate(**errstate), expect:
+            nn.adam_step(params, grads, nn.init_adam(params), lr=0.1)
+        with np.errstate(over="ignore"):
+            p, _, _ = _formula_step(p, np.zeros_like(p), np.zeros_like(p), grads.flat, 1, 0.1)
+        assert params.flat.tobytes() == p.tobytes()
 
     def test_an_overflow_in_both_ranges_is_warned_once(self, worker):
         """The loop's flags from both ranges are reported together."""
@@ -610,8 +628,7 @@ class TestAdamInTwoRanges:
         before = compiled.runs()
         for _ in range(3):
             nn.adam_step(params, grads, state, 0.1, worker)
-        ((loop, _), updates), = (compiled.runs() - before).items()
-        assert loop == "adam_update" and updates == 3
+        assert compiled.runs() - before == {"adam_update": 3}
 
     @pytest.mark.parametrize("spoil", ["refusal", "non-finite-gradient"])
     def test_a_refusal_raises_before_either_range_runs(self, worker, ranges, spoil):
@@ -630,8 +647,18 @@ class TestAdamInTwoRanges:
         assert [a.tobytes() for a in (params.flat, state.m, state.v)] == before
 
 
-class TestAdamInTwoRangesOnTheNumpyPasses(_OnTheNumpyPasses, TestAdamInTwoRanges):
-    """Every test of :class:`TestAdamInTwoRanges` on the numpy passes."""
+class TestAdamOnTwoThreads(TestAdam):
+    """Every test of :class:`TestAdam` with a worker thread, as ``train``
+    updates the pose network where it runs two threads: each update is two
+    element ranges, the lower one on the worker."""
+
+    @pytest.fixture(autouse=True)
+    def _two_ranges(self, monkeypatch, worker, ranges):
+        step = nn.adam_step
+        monkeypatch.setattr(nn, "adam_step", lambda params, grads, state, lr: step(params, grads, state, lr, worker))
+        yield
+        caller = threading.get_ident()
+        assert len(ranges) % 2 == 0 and all((lo == 0) == (thread != caller) for lo, _, thread in ranges)
 
 
 class TestLrSchedule:

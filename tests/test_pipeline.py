@@ -884,6 +884,7 @@ class TestBundleFormat:
         ("jointdepthnet", lambda d: d.pop("dropout"), "dropout"),
         ("posenet", lambda d: d.update(width=64), "width"),
         ("skeleton", lambda d: d["parents"].__setitem__(0, "16"), "parents"),
+        ("skeleton", lambda d: d["parents"].__setitem__(slice(2, 4), [3, 2]), "parents must be one tree"),
         ("skeleton", lambda d: d.pop("root"), "root"),
         ("skeleton", lambda d: d.update(pelvis=14), "pelvis"),
     ])

@@ -3,16 +3,21 @@
 The [root, root-relative offsets] vector is checked as a round trip; the
 height normalization is checked for both its target property (the
 knee-to-neck distance lands on the requested length) and its anchor
-property (the hip does not move at all).
+property (the hip does not move at all).  A Hypothesis property mutates
+saved skeleton files and requires each mutant to be refused naming the
+file.
 """
 
 import dataclasses
+import itertools
 import json
 import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poselift.checks import fields_from_json
 from poselift.skeleton import (
@@ -108,11 +113,96 @@ class TestSpecLayout:
             load_skeleton(path)
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.__setitem__(3, 99), lambda p: p.__setitem__(3, 3),
+        lambda p: p.__setitem__(slice(2, 4), [3, 2]), lambda p: p.__setitem__(5, -1),
+    ], ids=["out-of-range", "own-parent", "cycle", "second-root"])
+    def test_parents_that_are_not_one_tree_are_refused(self, tmp_path, edit):
+        parents = list(SPEC.parents)
+        edit(parents)
+        need = ("parents must be one tree: -1 at the root, index 14, alone, and every other entry a joint "
+                f"index in [0, 17) whose chain of parents reaches the root, got {tuple(parents)!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(need)}$"):
+            SkeletonSpec(parents=tuple(parents))
+        path = tmp_path / "skeleton.json"
+        path.write_text(json.dumps({**asdict(SPEC), "parents": parents}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {need}')}$"):
+            load_skeleton(path)
+
     def test_file_that_is_not_utf8_is_named(self, tmp_path):
         path = tmp_path / "skeleton.json"
         path.write_bytes(b"\xff\xfe" + json.dumps(asdict(SPEC)).encode())
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             load_skeleton(path)
+
+
+def _descendants(joint: int) -> list[int]:
+    """``joint`` and every joint below it in SPEC's tree."""
+    below = [joint]
+    for j in below:
+        below += [child for child, parent in enumerate(SPEC.parents) if parent == j]
+    return below
+
+
+@st.composite
+def skeleton_mutants(draw, text: bytes) -> bytes:
+    """``text``, a file written by ``save_skeleton``, with one mutation
+    that leaves no valid skeleton: a key dropped; null, NaN, a float for
+    an int or a value of another JSON type in a field or list element;
+    the file cut inside its JSON; bytes other than whitespace appended; a
+    bit flipped in a byte outside the names and numbers (a flip inside
+    one can give another valid name or index); or a parent that breaks
+    the tree."""
+    kind = draw(st.sampled_from(["drop", "value", "truncate", "append", "flip", "parent"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text.rstrip()) - 1))]
+    if kind == "append":
+        return text + draw(st.binary(min_size=1, max_size=8).filter(lambda b: b.strip(b" \t\r\n")))
+    if kind == "flip":
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if not (chr(c).isalnum() or chr(c) == "_")]))
+        return text[:at] + bytes([text[at] ^ 1 << draw(st.integers(0, 7))]) + text[at + 1 :]
+    d = json.loads(text)
+    if kind == "drop":
+        del d[draw(st.sampled_from(sorted(d)))]
+    elif kind == "parent":
+        joint = draw(st.integers(0, SPEC.num_joints - 1))
+        bad = [st.integers(-10**6, -2), st.integers(SPEC.num_joints, 10**6), st.sampled_from(_descendants(joint))]
+        d["parents"][joint] = draw(st.one_of(*bad, *([st.just(-1)] if joint != SPEC.root else [])))
+    else:
+        key = draw(st.sampled_from(sorted(d)))
+        holder, slot = d, key
+        if isinstance(d[key], list) and draw(st.booleans()):
+            holder, slot = d[key], draw(st.integers(0, len(d[key]) - 1))
+        old = holder[slot]
+        values = [None, float("nan"), *(v for v in ("x", 3, [3], {"a": 1}, True) if type(v) is not type(old))]
+        holder[slot] = draw(st.sampled_from(values + ([float(old)] if type(old) is int else [])))
+    return (json.dumps(d, indent=2) + "\n").encode()
+
+
+_MUTANT_NUMBERS = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def saved_skeleton(tmp_path_factory):
+    """A directory for mutants, and the bytes ``save_skeleton`` writes for SPEC."""
+    directory = tmp_path_factory.mktemp("skeleton-mutants")
+    save_skeleton(directory / "saved.json", SPEC)
+    return directory, (directory / "saved.json").read_bytes()
+
+
+class TestSkeletonFileMutants:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_mutant_is_refused_naming_the_file(self, saved_skeleton, data):
+        """A ValueError whose message holds the path, and no other class.
+        Each mutant gets a new file: truncating an existing one waits on
+        the disk on some file systems."""
+        directory, text = saved_skeleton
+        path = directory / f"mutant-{next(_MUTANT_NUMBERS)}.json"
+        path.write_bytes(data.draw(skeleton_mutants(text)))
+        with pytest.raises(ValueError) as info:
+            load_skeleton(path)
+        assert str(path) in str(info.value)
 
 
 class TestDecomposeCompose:

@@ -9,20 +9,19 @@ a hand-built occluded scene, and two statistical properties: visible
 joints read their own depth to within noise plus interpolation error,
 and the occluded fraction grows with the number of occluders.
 
-The renderer solves all capsules of a frame as one array of (pixel,
-capsule) pairs over their pixel windows, and each occluder as a row mask
-times a column mask.  The per-primitive solvers and the full-frame loop
-it replaced are kept here as the reference, and property tests require
-the two to agree to the bit on small random scenes.  The per-pair
-occluder fold and the per-bone pose generator are kept here too, and the
-array versions must match them byte for byte; a guard test pins the one numpy property the array
-versions rely on, that ``np.vecdot`` rounds as per-row ``.dot`` does.
-Where ``cc`` builds the compiled render loop, it must give the bytes of
-the numpy passes on 1,002 generated frames of three configs, and of the
-full-frame renderer on a seeded tenth of them and on edge cases; the
-numpy passes are forced by the ``numpy_passes`` fixture.  Dataset digests pinned
-from the full-frame renderer guard the criterion-4 and criterion-5
-scene configs end to end, on both paths.
+The compiled render loop solves each capsule over the pixel window of
+its bounding box, and each occluder as a row test times a column test.
+The per-primitive solvers and the full-frame loop it replaced are kept
+here as the reference, and property tests require the two to agree to
+the bit on small random scenes, on bodies inside random boxes, on
+generated frames of three configs and on edge cases: a capsule just
+shorter than 1e-9 mm, and a sphere whose tangent ray lies a rounding
+error outside its window.  The windowed occluder fold and the per-bone
+pose generator are kept here too, and the renderer and the array pose
+generator must match them byte for byte; a guard test pins the one
+numpy property the array generator relies on, that ``np.vecdot`` rounds
+as per-row ``.dot`` does.  Dataset digests pinned from the full-frame
+renderer guard the criterion-4 and criterion-5 scene configs end to end.
 """
 
 import contextlib
@@ -30,7 +29,6 @@ import hashlib
 import json
 import math
 import re
-import shutil
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -49,11 +47,7 @@ from poselift.synth import (
     Occluder,
     Scene,
     SceneConfig,
-    _fold_capsules,
-    _fold_occluders,
-    _pixel_windows,
     _tree_order,
-    _window_pairs,
     generate_dataset,
     generate_pose,
     generate_scene,
@@ -64,19 +58,10 @@ from poselift.synth import (
 
 SPEC = default_skeleton()
 CAM = CameraIntrinsics(fx=260.0, fy=260.0, cx=80.0, cy=60.0, width=160, height=120)
-FORCED = "the numpy passes (forced by the test)"
 
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _both_paths(numpy_passes, *args):
-    """render_clean_depth(*args)'s bytes on the default path, which is the
-    compiled loop where ``cc`` is found, and on the numpy passes."""
-    default = render_clean_depth(*args).tobytes()
-    with numpy_passes():
-        return default, render_clean_depth(*args).tobytes()
 
 
 def _flags(scene, config):
@@ -164,14 +149,32 @@ def _pixel_window(lo, hi, dx, dy):
 
 
 def ref_fold_occluders(best, dx, dy, occluders):
-    """The per-pair occluder fold: every (pixel, occluder) pair of the
-    occluders' pixel windows, folded into the flat frame ``best``."""
-    center = np.array([occ.center for occ in occluders], dtype=np.float64)
-    half = np.array([(occ.half_width, occ.half_height, 0.0) for occ in occluders])
-    pixel, x, y, counts = _window_pairs(_pixel_windows(center - half, center + half, dx, dy), dx, dy)
-    cx, cy, z, half_w, half_h = np.repeat(np.vstack([center.T, half[:, :2].T]), counts, axis=1)
-    hit = (np.abs(x * z - cx) <= half_w) & (np.abs(y * z - cy) <= half_h)
-    np.minimum.at(best, pixel, np.where(hit, z, np.inf))
+    """The windowed occluder fold: each occluder solved over the pixels
+    of its own window, lowering the frame ``best`` (height x width)."""
+    for occ in occluders:
+        half = np.array([occ.half_width, occ.half_height, 0.0])
+        rows, cols = _pixel_window(occ.center - half, occ.center + half, dx, dy)
+        cx, cy, z = occ.center
+        hit = (np.abs(dx[None, cols] * z - cx) <= occ.half_width) & (np.abs(dy[rows, None] * z - cy) <= occ.half_height)
+        window = best[rows, cols]
+        np.minimum(window, np.where(hit, z, np.inf), out=window)
+
+
+def _occluder_reference(occluders, cam, config):
+    """:func:`ref_fold_occluders` over an empty frame, as
+    ``render_clean_depth`` renders a scene without persons."""
+    dx, dy = _rays(cam)
+    best = np.full((cam.height, cam.width), np.inf)
+    ref_fold_occluders(best, dx, dy, occluders)
+    if config.background_depth is not None:
+        np.minimum(best, config.background_depth, out=best)
+    return np.where(np.isinf(best), np.nan, best)
+
+
+def _rays(cam):
+    """The ray slopes dx of the camera's columns and dy of its rows."""
+    dx = (np.arange(cam.width, dtype=np.float64) - cam.cx) / cam.fx
+    return dx, (np.arange(cam.height, dtype=np.float64) - cam.cy) / cam.fy
 
 
 def _rotate(v, axis, angle):
@@ -213,10 +216,8 @@ def ref_generate_pose(rng, config, spec):
 
 def ref_render_clean_depth(poses, occluders, cam, config, spec):
     """The full-frame renderer: every primitive solved over every pixel."""
-    dx = (np.arange(cam.width, dtype=np.float64) - cam.cx) / cam.fx
-    dy = (np.arange(cam.height, dtype=np.float64) - cam.cy) / cam.fy
-    dx = dx[None, :]
-    dy = dy[:, None]
+    dx, dy = _rays(cam)
+    dx, dy = dx[None, :], dy[:, None]
     best = np.full((cam.height, cam.width), np.inf)
     for pose in poses:
         for a, b, radius in _body_capsules(pose, spec):
@@ -275,15 +276,17 @@ def boxes(draw):
 
 @st.composite
 def occluder_frames(draw):
-    """(best, dx, dy, occluders): a frame partly filled with depths and
-    1-5 rectangles on it, across its edge, wholly off it, or with the
-    centre at z <= 0 (z = 0 among them)."""
+    """(occluders, camera, config): 1-5 rectangles on the frame, across
+    its edge, wholly off it, or with the centre at z <= 0 (z = 0 among
+    them), before a background or none."""
     width, height = draw(st.integers(2, 40)), draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     focal = draw(st.sampled_from([3.0, 40.0, 260.0]))
-    dx = (np.arange(width, dtype=np.float64) - rng.uniform(-0.2, 1.2) * width) / focal
-    dy = (np.arange(height, dtype=np.float64) - rng.uniform(-0.2, 1.2) * height) / (focal * rng.uniform(0.8, 1.2))
-    best = np.where(rng.random(width * height) < 0.5, rng.uniform(300.0, 9000.0, width * height), np.inf)
+    cam = CameraIntrinsics(fx=focal, fy=focal * rng.uniform(0.8, 1.2), cx=rng.uniform(-0.2, 1.2) * width,
+                           cy=rng.uniform(-0.2, 1.2) * height, width=width, height=height)
+    dx, dy = _rays(cam)
+    config = SceneConfig(image_width=width, image_height=height,
+                         background_depth=draw(st.sampled_from([None, rng.uniform(300.0, 9000.0)])))
     occluders = []
     for kind in draw(st.lists(st.sampled_from(["on", "edge", "off", "behind"]), min_size=1, max_size=5)):
         half_w, half_h = rng.uniform(1.0, 800.0, size=2)
@@ -300,7 +303,7 @@ def occluder_frames(draw):
             else:  # beyond the last column by more than the half width
                 center = [dx[-1] * z + half_w * rng.uniform(1.01, 3.0), rng.uniform(dy[0], dy[-1]) * z, z]
         occluders.append(Occluder(center=np.array(center), half_width=half_w, half_height=half_h))
-    return best, dx, dy, occluders
+    return occluders, cam, config
 
 
 C4_SCENE = SceneConfig(  # tests/test_acceptance.py, criterion 4
@@ -552,14 +555,12 @@ class TestRenderCleanDepth:
         with pytest.raises(ValueError, match=re.escape(f"poses must be (17, 3) arrays, got {shape}")):
             render_clean_depth([np.full(shape, 3000.0)], [], CAM, SceneConfig(), SPEC)
 
-    @pytest.mark.parametrize("path", ["default", "numpy"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_a_pose_that_is_not_finite_raises_on_both_paths(self, numpy_passes, path, value):
+    def test_a_pose_that_is_not_finite_raises(self, value):
         pose = _STANDING + [0.0, 0.0, 3000.0]
         pose[9, 0] = value  # the right knee's x
-        with numpy_passes() if path == "numpy" else contextlib.nullcontext():
-            with pytest.raises(ValueError, match="^poses must be finite$"):
-                render_clean_depth([pose], [], CAM, SceneConfig(), SPEC)
+        with pytest.raises(ValueError, match="^poses must be finite$"):
+            render_clean_depth([pose], [], CAM, SceneConfig(), SPEC)
 
     def test_another_skeleton_raises(self):
         renamed = replace(SPEC, joint_names=("crown",) + SPEC.joint_names[1:])
@@ -570,45 +571,58 @@ class TestRenderCleanDepth:
 class TestCulledRenderer:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(scenes())
-    def test_matches_the_full_frame_renderer_bit_for_bit(self, numpy_passes, scene):
+    def test_matches_the_full_frame_renderer_bit_for_bit(self, scene):
         args = (*scene, SPEC)
-        default, forced = _both_paths(numpy_passes, *args)
-        assert default == forced == ref_render_clean_depth(*args).tobytes()
+        assert render_clean_depth(*args).tobytes() == ref_render_clean_depth(*args).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(boxes(), min_size=1, max_size=8), st.sampled_from([3.0, 40.0, 260.0]))
-    def test_windows_equal_the_per_box_windows(self, box_list, focal):
-        dx = (np.arange(160.0) - 80.0) / focal
-        dy = (np.arange(120.0) - 60.0) / (0.9 * focal)
-        lo, hi = np.array([b[0] for b in box_list]), np.array([b[1] for b in box_list])
-        for k, window in enumerate(zip(*_pixel_windows(lo, hi, dx, dy))):
-            rows, cols = _pixel_window(lo[k], hi[k], dx, dy)
-            assert window == (*rows.indices(120)[:2], *cols.indices(160)[:2])
+    @given(st.lists(boxes(), min_size=1, max_size=4), st.sampled_from([3.0, 40.0, 260.0]), st.integers(0, 2**32 - 1))
+    def test_bodies_inside_boxes_match_the_full_frame_renderer(self, box_list, focal, seed):
+        """One body per box, its joints drawn inside the box, so that its
+        capsules' windows are those of boxes in front of, reaching behind
+        and wholly behind the camera; the frame is a quarter of CAM's."""
+        rng = np.random.default_rng(seed)
+        poses = [lo + rng.random((17, 3)) * (hi - lo) for lo, hi in box_list]
+        cam = CameraIntrinsics(fx=focal / 4, fy=0.9 * focal / 4, cx=20.0, cy=15.0, width=40, height=30)
+        args = (poses, [], cam, SceneConfig(image_width=40, image_height=30, background_depth=None), SPEC)
+        assert render_clean_depth(*args).tobytes() == ref_render_clean_depth(*args).tobytes()
 
     def test_near_degenerate_capsule_is_the_sphere_at_a(self):
-        """0 < |b - a| < 1e-9 mm: only the sphere at a, although the sphere
-        at b, 9e-10 mm nearer the camera, would read nearer."""
-        dx = (np.arange(160.0) - CAM.cx) / CAM.fx
-        dy = (np.arange(120.0) - CAM.cy) / CAM.fy
-        a = np.array([120.0, -80.0, 2500.0])
-        b = a - np.array([0.0, 0.0, 9e-10])
-        assert 0.0 < np.linalg.norm(b - a) < 1e-9
-        best = np.full(120 * 160, np.inf)
-        _fold_capsules(best, dx, dy, a[None], b[None], np.array([150.0]))
-        sphere_a = _sphere_depth(dx[None, :], dy[:, None], a, 150.0)
-        assert best.reshape(120, 160).tobytes() == sphere_a.tobytes()
-        assert (_sphere_depth(dx[None, :], dy[:, None], b, 150.0) < sphere_a).any()
+        """0 < |b - a| < 1e-9 mm on the head -> head_top bone, the largest
+        radius at the head: only the sphere at a, although the sphere at b,
+        9e-10 mm nearer the camera, would read nearer."""
+        pose = _STANDING + [0.0, 0.0, 3000.0]
+        pose[0] = pose[16] - [0.0, 0.0, 9e-10]
+        assert 0.0 < np.linalg.norm(pose[0] - pose[16]) < 1e-9
+        args = ([pose], [], CAM, SceneConfig(background_depth=None), SPEC)
+        clean = render_clean_depth(*args)
+        assert clean.tobytes() == ref_render_clean_depth(*args).tobytes()
+        dx, dy = _rays(CAM)
+        assert (_sphere_depth(dx[None, :], dy[:, None], pose[0], _BONE_RADII["head_top"]) < clean).any()
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["low-end", "high-end"])
+    def test_a_tangent_ray_outside_the_unpadded_window_is_solved(self, side):
+        """The left (or right) wrist, a sphere cap, 1e-12 mm past the ray of
+        column 80 (dx = 0): its box's corner slopes exclude that column,
+        but the cap's discriminant rounds to 0 there, a hit at z = 3000 in
+        the reference too.  The window's pad takes the column in; every
+        other joint is off the frame."""
+        wrist = 7 if side > 0 else 4
+        pose = np.tile([side * 2000.0, 0.0, 3000.0], (17, 1))
+        pose[wrist] = [side * (_BONE_RADII[SPEC.joint_names[wrist]] + 1e-12), 0.0, 3000.0]
+        args = ([pose], [], CAM, SceneConfig(background_depth=None), SPEC)
+        clean = render_clean_depth(*args)
+        assert clean.tobytes() == ref_render_clean_depth(*args).tobytes()
+        assert clean[60, 80] == 3000.0 and np.isnan(clean[60, 80 - round(side)])
 
     def test_a_bone_is_solved_over_a_small_window(self):
-        dx = (np.arange(160.0) - CAM.cx) / CAM.fx
-        dy = (np.arange(120.0) - CAM.cy) / CAM.fy
+        dx, dy = _rays(CAM)
         a, b = np.array([0.0, 0.0, 4000.0]), np.array([0.0, 400.0, 4000.0])
         lo, hi = np.minimum(a, b) - 40.0, np.maximum(a, b) + 40.0
         rows, cols = _pixel_window(lo, hi, dx, dy)
         # The box spans x / z in +-40 / 3960 and y / z in [-40 / 3960, 440 / 3960]:
         # columns 78-82 and rows 58-88 at fx = fy = 260, plus one pixel each side.
         assert (rows.start, rows.stop, cols.start, cols.stop) == (57, 90, 77, 84)
-        assert [int(w[0]) for w in _pixel_windows(lo[None], hi[None], dx, dy)] == [57, 90, 77, 84]
         full = _capsule_depth(dx[None, :], dy[:, None], a, b, 40.0)
         hits = np.argwhere(np.isfinite(full))
         assert hits[:, 0].min() > rows.start and hits[:, 0].max() < rows.stop - 1
@@ -618,7 +632,6 @@ class TestCulledRenderer:
         dx, dy = np.arange(4.0), np.arange(3.0)
         lo, hi = np.array([0.0, 0.0, -10.0]), np.array([1.0, 1.0, 50.0])
         assert _pixel_window(lo, hi, dx, dy) == (slice(None), slice(None))
-        assert [int(w[0]) for w in _pixel_windows(lo[None], hi[None], dx, dy)] == [0, 3, 0, 4]
 
 
 NEAR_SCENE = SceneConfig(background_depth=None, root_depth_range=(800.0, 3000.0))
@@ -642,81 +655,54 @@ def _edge_scene(case):
 
 
 # The full-frame reference takes 10-75 ms a frame (by VM), against under
-# 1 ms for either real path, so it renders only this many of each config's
-# frames; a dropped window corner still changes 41 to 129 of the 334.
+# 1 ms for the compiled loop, so it renders only this many of each
+# config's frames; a dropped window corner still changes 41 to 129 of the 334.
 REF_FRAMES = 34
 
 
-@pytest.mark.needs_cc
 class TestCompiledRender:
-    """The compiled loop against the numpy passes and the full-frame renderer."""
+    """The compiled loop against the full-frame renderer."""
 
     @pytest.mark.parametrize("config, count", [(C4_SCENE, 334), (SceneConfig(), 334), (NEAR_SCENE, 334)],
                              ids=["criterion-4", "default", "near-no-background"])
-    def test_same_bytes_on_generated_scenes(self, numpy_passes, config, count):
-        """The two real paths agree on every frame, and the full-frame
-        reference on REF_FRAMES frames drawn by a fixed seed."""
-        checked = set(_rng(31).choice(count, REF_FRAMES, replace=False).tolist())
+    def test_same_bytes_on_generated_scenes(self, config, count):
+        """REF_FRAMES of the config's first ``count`` frames, drawn by a fixed seed."""
         before = compiled.runs()
-        for seed in range(count):
+        for seed in sorted(_rng(31).choice(count, REF_FRAMES, replace=False).tolist()):
             scene = generate_scene(_rng([30, seed]), config)
             args = (scene.poses, scene.occluders, scene.camera, config, SPEC)
-            default, forced = _both_paths(numpy_passes, *args)
-            assert default == forced, f"seed {seed}"
-            assert seed not in checked or default == ref_render_clean_depth(*args).tobytes(), f"seed {seed}"
-        assert compiled.runs() - before == {("render_clean", "the compiled C loop"): 2 * count,
-                                            ("render_clean", FORCED): count}
+            assert render_clean_depth(*args).tobytes() == ref_render_clean_depth(*args).tobytes(), f"seed {seed}"
+        assert compiled.runs() - before == {"render_clean": 2 * REF_FRAMES}
 
     @pytest.mark.parametrize("case", ["box-behind-camera", "short-capsules", "no-poses", "occluders-only"])
-    def test_same_bytes_on_edge_cases(self, numpy_passes, case):
+    def test_same_bytes_on_edge_cases(self, case):
         args = (*_edge_scene(case), SPEC)
-        default, forced = _both_paths(numpy_passes, *args)
-        assert default == forced == ref_render_clean_depth(*args).tobytes()
+        assert render_clean_depth(*args).tobytes() == ref_render_clean_depth(*args).tobytes()
 
     @pytest.mark.parametrize("errstate, outcome", [
         ({}, "warn"), ({"over": "raise"}, "raise"), ({"over": "ignore"}, "quiet"),
     ])
-    def test_an_overflow_obeys_errstate_on_both_paths(self, numpy_passes, errstate, outcome):
+    def test_an_overflow_obeys_errstate(self, errstate, outcome):
         """Every bone of this pose is a sphere about one point p with |p|^2
-        finite, but for the rays near p, (d.p)^2 overflows.  Both paths go
-        on to inf - inf, an invalid value that neither reports, as for a
-        ray that misses."""
+        finite, but for the rays near p, (d.p)^2 overflows.  The loop goes
+        on to inf - inf, an invalid value that it does not report, as for a
+        ray that misses; the map is the full-frame renderer's."""
         pose = np.tile([0.28 * 1.27e154, 0.0, 1.27e154], (17, 1))
         with np.errstate(over="raise"):
             np.vecdot(pose, pose)
-
-        def render():
-            expect = {"raise": pytest.raises(FloatingPointError, match="^overflow encountered in "),
-                      "warn": pytest.warns(RuntimeWarning, match="^overflow encountered in "),
-                      "quiet": contextlib.nullcontext()}[outcome]
-            with np.errstate(**errstate), expect:
-                return render_clean_depth([pose], [], CAM, SceneConfig(), SPEC)
-
-        default = render()
-        with numpy_passes():
-            forced = render()
+        expect = {"raise": pytest.raises(FloatingPointError, match="^overflow encountered in render_clean_depth$"),
+                  "warn": pytest.warns(RuntimeWarning, match="^overflow encountered in render_clean_depth$"),
+                  "quiet": contextlib.nullcontext()}[outcome]
+        with np.errstate(**errstate), expect:
+            clean = render_clean_depth([pose], [], CAM, SceneConfig(), SPEC)
         if outcome != "raise":
-            assert default.tobytes() == forced.tobytes()
-
-    @pytest.mark.parametrize("source, which, why", [
-        (compiled._SOURCE, lambda name: None, r"no C compiler \(cc\) on PATH"),
-        ("int render_clean(void) { return nope; }", shutil.which,
-         r"cc failed with status 1: \S*loops\.c:1:\d+: error: .*nope.*"),
-    ], ids=["no-cc", "cc-fails"])
-    def test_a_failed_build_names_its_reason(self, monkeypatch, source, which, why):
-        args = (*_edge_scene("short-capsules"), SPEC)
-        expected = render_clean_depth(*args).tobytes()
-        monkeypatch.setattr(compiled, "_library", None)
-        monkeypatch.setattr(compiled, "_SOURCE", source)
-        monkeypatch.setattr(shutil, "which", which)
-        before = compiled.runs()
-        assert render_clean_depth(*args).tobytes() == expected
-        (((loop, path), frames),) = (compiled.runs() - before).items()
-        assert loop == "render_clean" and re.fullmatch(rf"the numpy passes \({why}\)", path) and frames == 1
+            with np.errstate(all="ignore"):
+                assert clean.tobytes() == ref_render_clean_depth([pose], [], CAM, SceneConfig(), SPEC).tobytes()
 
 
 class TestArrayPassReferences:
-    """The array passes against the per-bone and per-pair code they replaced."""
+    """The array pose generator and the renderer's occluders against the
+    per-bone and windowed code they replaced."""
 
     def test_vecdot_rounds_as_per_row_dot(self):
         """np.vecdot on (n, 3) rows gives the bytes of one ``p.dot(q)`` per
@@ -752,33 +738,23 @@ class TestArrayPassReferences:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(occluder_frames())
-    def test_occluder_masks_equal_the_per_pair_fold(self, frame):
-        best, dx, dy, occluders = frame
-        expected = best.copy()
-        ref_fold_occluders(expected, dx, dy, occluders)
-        folded = best.reshape(dy.size, dx.size).copy()
-        _fold_occluders(folded, dx, dy, occluders)
-        assert folded.tobytes() == expected.tobytes()
+    def test_occluders_equal_the_windowed_fold(self, frame):
+        assert render_clean_depth([], *frame, SPEC).tobytes() == _occluder_reference(*frame).tobytes()
 
     def test_rectangle_edges_on_pixel_rays_are_hits(self):
         """Ray slopes k/4 meet z = 1000 at x = 250 k exactly, so the edges
         |x - cx| = 250 and |y - cy| = 250 fall on pixel rays."""
-        dx = dy = np.arange(-4.0, 5.0) / 4.0
+        cam = CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=4.0, width=9, height=9)
         occ = Occluder(center=np.array([0.0, 250.0, 1000.0]), half_width=250.0, half_height=250.0)
-        expected = np.full(81, np.inf)
-        ref_fold_occluders(expected, dx, dy, [occ])
-        folded = np.full((9, 9), np.inf)
-        _fold_occluders(folded, dx, dy, [occ])
-        assert folded.tobytes() == expected.tobytes()
-        assert np.array_equal(np.argwhere(folded == 1000.0), [[r, c] for r in (4, 5, 6) for c in (3, 4, 5)])
+        frame = ([occ], cam, SceneConfig(image_width=9, image_height=9, background_depth=None))
+        clean = render_clean_depth([], *frame, SPEC)
+        assert clean.tobytes() == _occluder_reference(*frame).tobytes()
+        assert np.array_equal(np.argwhere(clean == 1000.0), [[r, c] for r in (4, 5, 6) for c in (3, 4, 5)])
 
     def test_an_occluder_off_the_frame_leaves_it_unchanged(self):
-        dx = (np.arange(160.0) - CAM.cx) / CAM.fx
-        dy = (np.arange(120.0) - CAM.cy) / CAM.fy
+        dx, _ = _rays(CAM)
         off = Occluder(center=np.array([dx[-1] * 2000.0 + 401.0, 0.0, 2000.0]), half_width=400.0, half_height=300.0)
-        best = np.full((120, 160), np.inf)
-        _fold_occluders(best, dx, dy, [off])
-        assert np.isinf(best).all()
+        assert np.isnan(render_clean_depth([], [off], CAM, SceneConfig(background_depth=None), SPEC)).all()
 
 
 class TestGeneratePose:
@@ -1003,13 +979,7 @@ class TestGenerateDataset:
 
 class TestPinnedDatasets:
     """The first scenes of the seed-0 criterion-4 and criterion-5
-    training sets keep their bytes, on the default path and with the
-    numpy passes forced."""
-
-    @pytest.fixture(autouse=True, params=["default", "numpy"])
-    def _path(self, request, numpy_passes):
-        with numpy_passes() if request.param == "numpy" else contextlib.nullcontext():
-            yield
+    training sets keep their bytes."""
 
     def test_criterion_4_scenes(self):
         dataset = generate_dataset(_rng([0, 100]), C4_SCENE, 12, 24)
