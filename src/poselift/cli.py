@@ -28,7 +28,7 @@ def _load_config_section(path: str | None, section: str) -> dict:
         blob = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: config is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested deeper than the decoder recurses
         raise ValueError(f"{path}: invalid JSON config: {exc}") from exc
     if isinstance(blob, dict) and section in blob:
         blob = blob[section]

@@ -267,7 +267,7 @@ def read_pose_file(path: str | Path) -> list[Sample]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # nested deeper than the decoder recurses
                 raise ValueError(f"{path}:{line_no}: invalid JSON record: {exc}") from exc
             try:
                 samples.append(record_to_sample(record, base_dir=base_dir))

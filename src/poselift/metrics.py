@@ -28,40 +28,52 @@ def check_threshold(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _root_of(pose: np.ndarray, root_index: int) -> np.ndarray:
-    arr = np.asarray(pose, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"pose must be (J, 3), got {arr.shape}")
-    if not 0 <= root_index < len(arr):
-        raise ValueError(f"root_index must be in [0, J) for J = {len(arr)} joints, got {root_index}")
-    return arr[root_index]
+def _checked(gt_frames: Frames, pred_frames: Frames, root_index: int) -> tuple[list, list]:
+    """Both sides' poses as float64 arrays.  Every pose must be finite and
+    have the first ground-truth pose's (J, 3) shape, else a ValueError
+    names its frame, side and index; so must a root_index outside [0, J)."""
+    if len(gt_frames) != len(pred_frames):
+        raise ValueError(f"{len(gt_frames)} gt frames vs {len(pred_frames)} predicted frames")
+    shape, sides = None, ([], [])
+    for side, frames, out in (("gt", gt_frames, sides[0]), ("pred", pred_frames, sides[1])):
+        for f, poses in enumerate(frames):
+            out.append([np.asarray(pose, dtype=np.float64) for pose in poses])
+            for i, arr in enumerate(out[-1]):
+                where = f"frame {f}, {side} pose {i}"
+                if arr.ndim != 2 or arr.shape[1] != 3:
+                    raise ValueError(f"{where}: pose must be (J, 3), got {arr.shape}")
+                shape = shape or arr.shape
+                if arr.shape != shape:
+                    raise ValueError(f"{where}: pose shape mismatch: {shape} vs {arr.shape}")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{where}: pose is not finite")
+    if shape and not 0 <= root_index < shape[0]:
+        raise ValueError(f"root_index must be in [0, J) for J = {shape[0]} joints, got {root_index}")
+    return sides
 
 
-def match_poses(
-    gt_frames: Frames,
-    pred_frames: Frames,
-    threshold: float = MATCH_THRESHOLD_MM,
-    root_index: int = default_skeleton().root,
-) -> list[np.ndarray]:
+def match_poses(gt_frames: Frames, pred_frames: Frames, threshold: float = MATCH_THRESHOLD_MM,
+                root_index: int = default_skeleton().root) -> list[np.ndarray]:
     """Greedy one-to-one matching by ascending root distance, per frame.
 
     Returns one int array per frame, entry g holding the index of the
     prediction matched to ground-truth pose g, or -1 if the pose stayed
     unmatched (no free prediction within ``threshold`` mm).  The
-    threshold must be finite and > 0.
+    threshold must be finite and > 0, and the poses as :func:`evaluate`
+    says.
     """
     check_threshold("threshold", threshold)
-    if len(gt_frames) != len(pred_frames):
-        raise ValueError(f"{len(gt_frames)} gt frames vs {len(pred_frames)} predicted frames")
+    return _match(*_checked(gt_frames, pred_frames, root_index), threshold, root_index)
+
+
+def _match(gt_frames: list, pred_frames: list, threshold: float, root_index: int) -> list[np.ndarray]:
     matching = []
     for gt_poses, pred_poses in zip(gt_frames, pred_frames):
         assigned = np.full(len(gt_poses), -1, dtype=int)
-        gt_roots = [_root_of(pose, root_index) for pose in gt_poses]
-        pred_roots = [_root_of(pose, root_index) for pose in pred_poses]
         candidates = []
-        for g, g_root in enumerate(gt_roots):
-            for p, p_root in enumerate(pred_roots):
-                dist = float(np.linalg.norm(g_root - p_root))
+        for g, gt_pose in enumerate(gt_poses):
+            for p, pred_pose in enumerate(pred_poses):
+                dist = float(np.linalg.norm(gt_pose[root_index] - pred_pose[root_index]))
                 if dist <= threshold:
                     candidates.append((dist, g, p))
         candidates.sort()
@@ -74,12 +86,8 @@ def match_poses(
     return matching
 
 
-def _errors(
-    gt_frames: Frames,
-    pred_frames: Frames,
-    matching: list[np.ndarray],
-    root_index: int,
-) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+def _errors(gt_frames: list, pred_frames: list, matching: list[np.ndarray],
+            root_index: int) -> tuple[list[np.ndarray], list[np.ndarray], int]:
     """One walk over the matching: per matched pose the (J,) per-joint
     Euclidean errors in mm, absolute and after translating the predicted
     root onto the ground truth's, plus the joint count of unmatched poses."""
@@ -89,10 +97,7 @@ def _errors(
             if p < 0:
                 missed_joints += len(gt_poses[g])
                 continue
-            gt_pose = np.asarray(gt_poses[g], dtype=np.float64)
-            pred_pose = np.asarray(pred_poses[p], dtype=np.float64)
-            if gt_pose.shape != pred_pose.shape:
-                raise ValueError(f"pose shape mismatch: {gt_pose.shape} vs {pred_pose.shape}")
+            gt_pose, pred_pose = gt_poses[g], pred_poses[p]
             absolute.append(np.sqrt(((gt_pose - pred_pose) ** 2).sum(axis=1)))
             moved = pred_pose - pred_pose[root_index] + gt_pose[root_index]
             aligned.append(np.sqrt(((gt_pose - moved) ** 2).sum(axis=1)))
@@ -157,14 +162,9 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def evaluate(
-    gt_frames: Frames,
-    pred_frames: Frames,
-    root_index: int = default_skeleton().root,
-    match_threshold: float = MATCH_THRESHOLD_MM,
-    pck_threshold: float = PCK_THRESHOLD_MM,
-    detected_only: bool = False,
-) -> MetricReport:
+def evaluate(gt_frames: Frames, pred_frames: Frames, root_index: int = default_skeleton().root,
+             match_threshold: float = MATCH_THRESHOLD_MM, pck_threshold: float = PCK_THRESHOLD_MM,
+             detected_only: bool = False) -> MetricReport:
     """Match then compute the full metric suite in one report.
 
     A-MPJPE and R-MPJPE (after translating each predicted root onto the
@@ -174,11 +174,14 @@ def evaluate(
     undetected pose misses every joint unless ``detected_only`` restricts
     the denominators to matched poses.  The detection rate is the
     percentage of ground-truth poses matched, NaN when there are none.
-    Both thresholds must be finite and > 0.
+    Both thresholds must be finite and > 0.  Every pose must be finite
+    and of the first ground-truth pose's (J, 3) shape, else a ValueError
+    names its frame, side (gt or pred) and index in the frame.
     """
     check_threshold("match_threshold", match_threshold)
     check_threshold("pck_threshold", pck_threshold)
-    matching = match_poses(gt_frames, pred_frames, match_threshold, root_index)
+    gt_frames, pred_frames = _checked(gt_frames, pred_frames, root_index)
+    matching = _match(gt_frames, pred_frames, match_threshold, root_index)
     absolute, aligned, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
     matched = sum(int((a >= 0).sum()) for a in matching)
     gt_poses = sum(len(a) for a in matching)

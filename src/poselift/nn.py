@@ -14,8 +14,10 @@ a trainer allocates one per network and reuses it on every step.
 :func:`adam_step` updates a network in one pass of the ``adam_update``
 loop of :mod:`poselift.compiled`, built with ``cc`` on first use in a
 process and called through ctypes, which releases the interpreter lock
-so two updates, or the two element ranges of one (:func:`pair`), can
-run on two threads at once.
+so two updates, or the two element ranges of one, can run on two
+threads at once.  :func:`pair` decides where: a process has at most one
+worker thread, started by its first paired call that
+:func:`_side_by_side` lets run there.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import os
+import threading
 from collections.abc import Callable
-from concurrent.futures import Executor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,14 +277,42 @@ def _refusal(arrays: dict[str, np.ndarray]) -> str:
     return ""
 
 
-def pair(worker: Executor | None, first: Callable, second: Callable) -> tuple:
-    """``(first(), second())``.  With a worker, ``first`` runs there in a
-    copy of the caller's context, so it sees the caller's ``np.errstate``,
-    while the caller runs ``second``; if both fail, ``first``'s error is
-    raised.  With ``worker=None`` the caller runs the two in turn."""
-    if worker is None:
+def _side_by_side() -> bool:
+    """Whether :func:`pair` gives its two calls two threads: the process
+    may run on two CPUs or more, and BLAS was started single-threaded
+    (the first of ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that
+    is set is ``1``).  Two threads whose matrix products queue on one
+    multi-threaded BLAS ran slower than one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blas = next((os.environ[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if name in os.environ),
+                None)
+    return cpus >= 2 and blas == "1"
+
+
+_on_worker = threading.local()  # its flag is set in the worker thread alone
+
+
+def _start_worker() -> None:
+    """A fresh executor for :func:`pair`, whose one thread starts on its
+    first submit; a forked child, which has no worker thread, runs it too."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, initializer=lambda: setattr(_on_worker, "flag", True))
+
+
+_start_worker()
+os.register_at_fork(after_in_child=_start_worker)
+
+
+def pair(first: Callable, second: Callable) -> tuple:
+    """``(first(), second())``.  When :func:`_side_by_side` holds and the
+    caller is not the worker itself, ``first`` runs on the process's one
+    worker thread in a copy of the caller's context, so it sees the
+    caller's ``np.errstate``, while the caller runs ``second``; if both
+    fail, ``first``'s error is raised.  Otherwise the caller runs the two
+    in turn, so a pair nested in a worker's ``first`` cannot deadlock."""
+    if getattr(_on_worker, "flag", False) or not _side_by_side():
         return first(), second()
-    future = worker.submit(contextvars.copy_context().run, first)
+    future = _worker.submit(contextvars.copy_context().run, first)
     try:
         tail = second()
     finally:  # also when second failed: first's error wins
@@ -295,8 +327,7 @@ def _adam_range(update, arrays: dict[str, np.ndarray], lo: int, hi: int, c1: flo
                   ADAM_BETA1, ADAM_BETA2, c1, c2, lr, ADAM_EPS)
 
 
-def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float,
-              worker: Executor | None = None) -> None:
+def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
     With beta1, beta2 and eps the ``ADAM_*`` constants, per element this
@@ -309,11 +340,12 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     for the first vector that is not C-contiguous float64, writeable where
     written and apart, since the loop writes through raw pointers;
     FloatingPointError for a non-finite gradient; and RuntimeError where
-    the loop does not build (:func:`compiled.loop`).  With a ``worker``,
-    the elements before ``n // 2`` are updated there and the rest in the
-    caller (:func:`pair`); no element's arithmetic changes, so neither do
-    the bits.  An IEEE exception raises or warns per ``np.errstate`` once
-    for both ranges, after them.  :func:`compiled.runs` counts the updates.
+    the loop does not build (:func:`compiled.loop`).  The elements before
+    ``n // 2`` and the rest are two ranges handed to :func:`pair`: side by
+    side where it gives them two threads, else in turn.  No element's
+    arithmetic changes, so neither do the bits.  An IEEE exception raises
+    or warns per ``np.errstate`` once for both ranges, after them.
+    :func:`compiled.runs` counts the updates.
     """
     if not (fits(lr, "float") and finite(lr) and lr >= 0.0):
         raise ValueError(f"lr must be a finite float >= 0, got {lr!r}")
@@ -334,13 +366,9 @@ def adam_step(params: ParamVector, grads: ParamVector, state: AdamState, lr: flo
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    if worker is None:
-        raised = _adam_range(update, arrays, 0, n, c1, c2, lr)
-    else:
-        head, tail = pair(worker, lambda: _adam_range(update, arrays, 0, n // 2, c1, c2, lr),
-                          lambda: _adam_range(update, arrays, n // 2, n, c1, c2, lr))
-        raised = head | tail
-    compiled.report(raised, "adam_step")
+    head, tail = pair(lambda: _adam_range(update, arrays, 0, n // 2, c1, c2, lr),
+                      lambda: _adam_range(update, arrays, n // 2, n, c1, c2, lr))
+    compiled.report(head | tail, "adam_step")
 
 
 def lr_schedule(base_lr: float, epoch: int, decay: float, every: int) -> float:

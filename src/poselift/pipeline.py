@@ -12,21 +12,19 @@ The pose network reads the depth readouts at inference too: a prediction
 needs the sensor's depth at each 2D joint, not the RGB image alone.
 With two usable CPUs and single-threaded BLAS, ``train`` runs each step
 on two threads, the pose network's Adam update as two element ranges
-side by side, and ``predict_frames`` a large batch as two row blocks;
-either way the result has the bytes of one thread.  The bits depend on the numpy and OpenBLAS
-build, the BLAS thread count and the batch size, not on the schedule
-(README, "Threads").
+side by side, and ``predict_frames`` a large batch as two row blocks,
+all through :func:`nn.pair` and the process's one worker thread; either
+way the result has the bytes of one thread.  The bits depend on the
+numpy and OpenBLAS build, the BLAS thread count and the batch size, not
+on the schedule (README, "Threads").
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import zipfile
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -136,9 +134,7 @@ def fit_standardizer(batch: SampleBatch, spec: SkeletonSpec) -> StandardizerStat
     # a physically plausible window (a body shell is at most a few
     # radii plus sensor noise away) and keep offsets near that anchor.
     # The std gets a floor so the weak head's scale never collapses.
-    pooled = _robust_offset(off_mat.ravel())
-    if pooled is None:
-        pooled = (-40.0, 30.0)
+    pooled = _robust_offset(off_mat.ravel()) or (-40.0, 30.0)
     k = off_mat.shape[1]
     offset_mean = np.full(k, pooled[0])
     offset_std = np.full(k, pooled[1])
@@ -146,15 +142,7 @@ def fit_standardizer(batch: SampleBatch, spec: SkeletonSpec) -> StandardizerStat
         fit = _robust_offset(off_mat[:, j])
         if fit is not None:
             offset_mean[j], offset_std[j] = fit
-    offset_std = np.maximum(offset_std, 1.0)
-    return StandardizerStats(
-        input_mean=input_mean,
-        input_std=input_std,
-        output_mean=output_mean,
-        output_std=output_std,
-        depth_offset_mean=offset_mean,
-        depth_offset_std=offset_std,
-    )
+    return StandardizerStats(input_mean, input_std, output_mean, output_std, offset_mean, np.maximum(offset_std, 1.0))
 
 
 def build_inputs(batch: SampleBatch, stats: StandardizerStats) -> np.ndarray:
@@ -327,15 +315,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
                 raise ValueError(f"stats {name} must be positive")
         pose_config, pose_params = _stored_network(meta, "posenet", pose_flat, (dim, dim))
         depth_config, depth_params = _stored_network(meta, "jointdepthnet", depth_flat, (dim, k))
-        return ModelBundle(
-            skeleton=skeleton,
-            pose_config=pose_config,
-            pose_params=pose_params,
-            depth_config=depth_config,
-            depth_params=depth_params,
-            stats=stats,
-        )
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        return ModelBundle(skeleton, pose_config, pose_params, depth_config, depth_params, stats)
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: cannot load model bundle: {exc}") from exc
 
 
@@ -350,18 +331,18 @@ _MIN_BLOCK_MACS = 1 << 20
 
 def _eval_forward(params: nn.ParamVector, config: nn.MlpConfig, x: np.ndarray) -> np.ndarray:
     """``nn.forward(params, config, x, train=False)``'s output.  When
-    :func:`_side_by_side` holds and both halves of ``x`` are large enough
-    (``_MIN_BLOCK_MACS``), the rows before ``len(x) // 2`` run on a worker
-    thread while the caller runs the rest (:func:`nn.pair`), and the outputs
-    are stacked: the same bytes as one pass."""
+    :func:`nn._side_by_side` holds and both halves of ``x`` are large
+    enough (``_MIN_BLOCK_MACS``), the rows before ``len(x) // 2`` run on
+    the worker thread while the caller runs the rest (:func:`nn.pair`),
+    and the outputs are stacked: the same bytes as one pass.  Otherwise
+    one pass runs in the caller, which is faster than two blocks in turn."""
     half = len(x) // 2
     h = config.hidden_dim
     smallest = h * min((config.input_dim, config.output_dim) + ((h,) if config.num_blocks else ()))
-    if half < 2 or half * smallest < _MIN_BLOCK_MACS or not _side_by_side():
+    if half < 2 or half * smallest < _MIN_BLOCK_MACS or not nn._side_by_side():
         return nn.forward(params, config, x, train=False)[0]
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        head, tail = nn.pair(worker, lambda: nn.forward(params, config, x[:half], train=False)[0],
-                           lambda: nn.forward(params, config, x[half:], train=False)[0])
+    head, tail = nn.pair(lambda: nn.forward(params, config, x[:half], train=False)[0],
+                         lambda: nn.forward(params, config, x[half:], train=False)[0])
     return np.concatenate([head, tail])
 
 
@@ -487,19 +468,6 @@ def _diverged(exc: FloatingPointError, epoch: int, step: int, bundle: ModelBundl
     return FloatingPointError(f"training diverged at epoch {epoch}, step {step}, in {net}: {exc}; {found}")
 
 
-def _side_by_side() -> bool:
-    """Whether :func:`train` gives a step's halves, and
-    :func:`predict_frames` a batch's row blocks, two threads: the
-    process may run on two CPUs or more, and BLAS was started
-    single-threaded (the first of ``OPENBLAS_NUM_THREADS`` and
-    ``OMP_NUM_THREADS`` that is set is ``1``).  Two threads whose matrix
-    products queue on one multi-threaded BLAS ran slower than one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    blas = next((os.environ[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if name in os.environ),
-                None)
-    return cpus >= 2 and blas == "1"
-
-
 def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = None):
     """Train both networks; returns (ModelBundle, per-epoch log dicts).
 
@@ -517,15 +485,16 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     so with weak data a step is two :func:`nn.pair` calls and one update:
     the annotated half beside the weak half up to its pose backward pass,
     then the depth net's Adam update beside the weak pose backward pass,
-    then the pose net's update, whose two element ranges run side by
-    side (:func:`nn.adam_step`).  Without weak data a step is the
+    then the pose net's update, whose two element ranges are a third
+    pair (:func:`nn.adam_step`).  Without weak data a step is the
     annotated half and that split update.  The first of each pair, and
-    the lower range, run on a worker thread when :func:`_side_by_side`
-    holds, else in the caller; every value is computed by the same
-    operations in the same order either way, so the results are
-    bit-identical.  If both halves fail, the annotated half's error is
-    raised; if the depth net's update fails, its error, and the pose
-    net's update does not run.
+    the lower range, run on the process's worker thread when
+    :func:`nn._side_by_side` holds, else in the caller, and the depth
+    net's update, already on the worker, runs its ranges in turn; every
+    value is computed by the same operations in the same order either
+    way, so the results are bit-identical.  If both halves fail, the
+    annotated half's error is raised; if the depth net's update fails,
+    its error, and the pose net's update does not run.
     """
     spec = spec or default_skeleton()
     if not dataset.annotated:
@@ -552,52 +521,51 @@ def train(config: TrainConfig, dataset: Dataset, spec: SkeletonSpec | None = Non
     steps_per_epoch = math.ceil(n_ann / ann_per_step)
 
     logs = []
-    with ThreadPoolExecutor(max_workers=1) if _side_by_side() else nullcontext() as worker:
-        for epoch in range(config.epochs):
-            lr = nn.lr_schedule(config.base_lr, epoch, config.lr_decay, config.lr_decay_every)
-            order = order_rng.permutation(n_ann)
-            epoch_l1 = 0.0
-            epoch_weak = 0.0
-            grad_abs = {"visible": 0.0, "occluded": 0.0}
-            grad_n = {"visible": 0, "occluded": 0}
+    for epoch in range(config.epochs):
+        lr = nn.lr_schedule(config.base_lr, epoch, config.lr_decay, config.lr_decay_every)
+        order = order_rng.permutation(n_ann)
+        epoch_l1 = 0.0
+        epoch_weak = 0.0
+        grad_abs = {"visible": 0.0, "occluded": 0.0}
+        grad_n = {"visible": 0, "occluded": 0}
 
-            for step in range(steps_per_epoch):
-                try:
-                    ann = ann_all.take(order[step * ann_per_step : (step + 1) * ann_per_step])
-                    if not use_weak:
-                        l1 = annotated_step(bundle, config, ann, epoch, step, pose_grads)
-                    else:
-                        weak = weak_all.take(weak_rng.integers(n_weak, size=len(ann)))
-                        l1, (weak_value, d_depths, pose_backward) = nn.pair(
-                            worker, lambda: annotated_step(bundle, config, ann, epoch, step, pose_grads),
-                            lambda: weak_step(bundle, config, weak, epoch, step, depth_grads))
-                        epoch_weak += weak_value
-                        nn.pair(worker, lambda: _named("jointdepthnet", nn.adam_step, bundle.depth_params,
-                                                       depth_grads, depth_adam, lr), lambda: pose_backward(pose_grads))
-                        if grad_stats:
-                            valid, vis = ~np.isnan(weak.readouts[:, subset]), weak.visibility[:, subset]
-                            mags = np.abs(d_depths)
-                            for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
-                                grad_abs[label] += float(mags[mask].sum())
-                                grad_n[label] += int(mask.sum())
-                    epoch_l1 += l1
-                    nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr, worker)
-                except FloatingPointError as exc:
-                    raise _diverged(exc, epoch, step, bundle) from exc
+        for step in range(steps_per_epoch):
+            try:
+                ann = ann_all.take(order[step * ann_per_step : (step + 1) * ann_per_step])
+                if not use_weak:
+                    l1 = annotated_step(bundle, config, ann, epoch, step, pose_grads)
+                else:
+                    weak = weak_all.take(weak_rng.integers(n_weak, size=len(ann)))
+                    l1, (weak_value, d_depths, pose_backward) = nn.pair(
+                        lambda: annotated_step(bundle, config, ann, epoch, step, pose_grads),
+                        lambda: weak_step(bundle, config, weak, epoch, step, depth_grads))
+                    epoch_weak += weak_value
+                    nn.pair(lambda: _named("jointdepthnet", nn.adam_step, bundle.depth_params, depth_grads,
+                                           depth_adam, lr), lambda: pose_backward(pose_grads))
+                    if grad_stats:
+                        valid, vis = ~np.isnan(weak.readouts[:, subset]), weak.visibility[:, subset]
+                        mags = np.abs(d_depths)
+                        for label, mask in (("visible", valid & vis), ("occluded", valid & ~vis)):
+                            grad_abs[label] += float(mags[mask].sum())
+                            grad_n[label] += int(mask.sum())
+                epoch_l1 += l1
+                nn.adam_step(bundle.pose_params, pose_grads, pose_adam, lr)
+            except FloatingPointError as exc:
+                raise _diverged(exc, epoch, step, bundle) from exc
 
-            entry = {
-                "epoch": epoch,
-                "lr": lr,
-                "loss": epoch_l1 + epoch_weak,
-                "loss_l1": epoch_l1,
-                "loss_weak": epoch_weak,
-                "steps": steps_per_epoch,
-            }
-            if grad_stats:
-                entry["weak_grad_visible"] = grad_abs["visible"] / grad_n["visible"] if grad_n["visible"] else 0.0
-                entry["weak_grad_occluded"] = grad_abs["occluded"] / grad_n["occluded"] if grad_n["occluded"] else 0.0
-                entry["weak_grad_visible_n"] = grad_n["visible"]
-                entry["weak_grad_occluded_n"] = grad_n["occluded"]
-            logs.append(entry)
+        entry = {
+            "epoch": epoch,
+            "lr": lr,
+            "loss": epoch_l1 + epoch_weak,
+            "loss_l1": epoch_l1,
+            "loss_weak": epoch_weak,
+            "steps": steps_per_epoch,
+        }
+        if grad_stats:
+            entry["weak_grad_visible"] = grad_abs["visible"] / grad_n["visible"] if grad_n["visible"] else 0.0
+            entry["weak_grad_occluded"] = grad_abs["occluded"] / grad_n["occluded"] if grad_n["occluded"] else 0.0
+            entry["weak_grad_visible_n"] = grad_n["visible"]
+            entry["weak_grad_occluded_n"] = grad_n["occluded"]
+        logs.append(entry)
 
     return bundle, logs

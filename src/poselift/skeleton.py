@@ -117,7 +117,7 @@ def load_skeleton(path: str | Path) -> SkeletonSpec:
     missing or unknown field raises ValueError naming ``path``."""
     try:
         return fields_from_json(SkeletonSpec, json.loads(Path(path).read_text(encoding="utf-8")))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON nested deeper than the decoder recurses
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -107,6 +107,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("text, message", [
         ('{"n_annotated": 2', "bad.json: invalid JSON config"),
+        ("[" * 100_000, "bad.json: invalid JSON config: maximum recursion depth exceeded"),
         ('[["n_weak", 1]]', "bad.json: expected a JSON object of config fields, got list"),
         ('{"scene": [1, 2]}', "bad.json: expected a JSON object of config fields, got list"),
         ('{"n_annotated": 2.7}', "bad.json: config field 'n_annotated' must be an int >= 0, got 2.7"),
@@ -236,6 +237,13 @@ class TestTrain:
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert err == "adam_update: 12 calls\n" and "calls" not in out
+
+    def test_config_nested_too_deeply_names_the_file(self, workspace, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: invalid JSON config: maximum recursion depth "):
+            main(["train", "--config", str(bad), "--data", str(workspace["data"]), "--out", str(tmp_path / "m.npz")])
+        assert not (tmp_path / "m.npz").exists()
 
     def test_bad_config_field_names_the_file_whatever_the_flags(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"

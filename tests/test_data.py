@@ -193,6 +193,13 @@ class TestPoseFile:
         with pytest.raises(ValueError, match=r"samples\.jsonl:2"):
             read_pose_file(path)
 
+    def test_json_nested_too_deeply_names_file_and_line(self, tmp_path):
+        """Deeper than the recursion limit, json.loads raised a bare RecursionError."""
+        path = tmp_path / "samples.jsonl"
+        path.write_text(json.dumps(sample_to_record(_sample())) + "\n" + "[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: invalid JSON record: maximum recursion "):
+            read_pose_file(path)
+
     @pytest.mark.parametrize("line_no", [1, 3])
     def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, line_no):
         path = tmp_path / "samples.jsonl"

@@ -138,6 +138,28 @@ class TestErrorMetrics:
         with pytest.raises(ValueError, match=r"pose shape mismatch: \(17, 3\) vs \(16, 3\)"):
             evaluate([[gt_pose]], [[pred_pose]])
 
+    @pytest.mark.parametrize("gt, pred, message", [
+        ([[17, 16]], [[17]], "frame 0, gt pose 1: pose shape mismatch: (17, 3) vs (16, 3)"),
+        ([[], [17]], [[16], [17]], "frame 0, pred pose 0: pose shape mismatch: (17, 3) vs (16, 3)"),
+        ([[17], [17]], [[17], [17, "nan"]], "frame 1, pred pose 1: pose is not finite"),
+        ([["inf"]], [[17]], "frame 0, gt pose 0: pose is not finite"),
+        ([[17]], [[(17, 2)]], "frame 0, pred pose 0: pose must be (J, 3), got (17, 2)"),
+    ], ids=["ragged-gt", "ragged-pred", "nan-pred", "inf-gt", "not-3d"])
+    def test_a_ragged_or_non_finite_pose_names_frame_side_and_index(self, gt, pred, message):
+        """On ragged gt, A-3DPCK mixed 16- and 17-joint denominators (51.5%),
+        and a NaN prediction was counted as undetected."""
+        def pose(kind):
+            if kind in ("nan", "inf"):
+                return np.where(np.arange(17)[:, None] == 3, float(kind), _pose([0.0, 0.0, 3000.0]))
+            return _pose([0.0, 0.0, 3000.0], J=kind) if isinstance(kind, int) else np.zeros(kind)
+
+        gt_frames = [[pose(k) for k in frame] for frame in gt]
+        pred_frames = [[pose(k) for k in frame] for frame in pred]
+        for run in (lambda: evaluate(gt_frames, pred_frames), lambda: match_poses(gt_frames, pred_frames)):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == message
+
     @pytest.mark.parametrize("root_index", [-1, -18, 17, 40])
     def test_a_root_index_outside_the_pose_names_it_and_j(self, root_index):
         """-1 read the last joint as the root (R-MPJPE 0 on a shifted copy)

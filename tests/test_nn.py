@@ -4,9 +4,9 @@ Gradient correctness has its own finite-difference suite; these tests
 pin everything else: the parameter layout and its views into one
 vector, forward-pass semantics in train and eval mode, the exact Adam
 update rule against an independent scalar implementation and against
-the whole-array formula, in one element range and in two on two
-threads and through a whole training, a build that fails, and the
-learning-rate schedule values.
+the whole-array formula, with the caller alone and with the worker
+thread and through a whole training, a build that fails, :func:`nn.pair`
+and its schedule rule, and the learning-rate schedule values.
 """
 
 import contextlib
@@ -14,12 +14,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+import textwrap
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +262,16 @@ def _vectors(config, *seeds):
 
 
 class TestAdam:
+    """Adam's update rule and checks, with the caller alone (each update is
+    its two element ranges in turn); :class:`TestAdamOnTwoThreads` runs
+    every test again with the worker thread."""
+
+    @pytest.fixture(autouse=True)
+    def _schedule(self, schedule, ranges):
+        schedule(False)
+        yield
+        assert all(thread == threading.get_ident() for _, _, thread in ranges)
+
     def test_three_steps_match_scalar_reference(self):
         config = _tiny_config()
         (params,) = _vectors(config, 17)
@@ -420,17 +433,16 @@ def _hard_gradient(rng, size):
     return g
 
 
-def _updates(size, steps, seed, worker=None):
+def _updates(size, steps, seed):
     """A digest of the bytes of p, m and v after each of ``steps`` updates,
-    with the same gradients and rates on every call, split in two element
-    ranges when a ``worker`` is given."""
+    with the same gradients and rates on every call."""
     rng = np.random.default_rng(seed)
     params = _Flat(rng.normal(size=size))
     state = nn.AdamState(m=np.zeros(size), v=np.zeros(size))
     out = []
     with np.errstate(all="ignore"):
         for t in range(steps):
-            nn.adam_step(params, _Flat(_hard_gradient(rng, size)), state, nn.lr_schedule(0.05, t, 0.96, 4), worker)
+            nn.adam_step(params, _Flat(_hard_gradient(rng, size)), state, nn.lr_schedule(0.05, t, 0.96, 4))
             out.append(hashlib.sha256(b"".join(a.tobytes() for a in (params.flat, state.m, state.v))).digest())
     return out
 
@@ -447,7 +459,7 @@ def _formula_updates(size, steps, seed):
     return out
 
 
-def _formula_adam_step(params, grads, state, lr, worker=None):
+def _formula_adam_step(params, grads, state, lr):
     """:func:`nn.adam_step` by the whole-array formula, in place."""
     state.t += 1
     params.flat[:], state.m[:], state.v[:] = _formula_step(params.flat, state.m, state.v, grads.flat, state.t, lr)
@@ -555,20 +567,18 @@ class TestCompiledAdam:
             p, _, _ = _formula_step(p, np.zeros_like(p), np.zeros_like(p), grads.flat, 1, 0.1)
         assert params.flat.tobytes() == p.tobytes()
 
-    def test_an_overflow_in_both_ranges_is_warned_once(self, worker):
-        """The loop's flags from both ranges are reported together."""
-        params, grads = _vectors(_tiny_config(), 1, 2)
-        grads.flat[[0, -1]] = 1e160
-        with warnings.catch_warnings(record=True) as seen, np.errstate(over="warn"):
-            warnings.simplefilter("always")
-            nn.adam_step(params, grads, nn.init_adam(params), 0.1, worker)
-        assert [str(w.message) for w in seen] == ["overflow encountered in adam_step"]
+    def test_an_overflow_in_both_ranges_is_warned_once(self, schedule):
+        """The loop's flags from both ranges are reported together, on
+        either schedule."""
+        def warned():
+            params, grads = _vectors(_tiny_config(), 1, 2)
+            grads.flat[[0, -1]] = 1e160
+            with warnings.catch_warnings(record=True) as seen, np.errstate(over="warn"):
+                warnings.simplefilter("always")
+                nn.adam_step(params, grads, nn.init_adam(params), 0.1)
+            return [str(w.message) for w in seen]
 
-
-@pytest.fixture
-def worker():
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield pool
+        assert schedule.both(warned) == [["overflow encountered in adam_step"]] * 2
 
 
 @pytest.fixture
@@ -586,52 +596,61 @@ def ranges(monkeypatch):
 
 
 class TestAdamInTwoRanges:
-    """:func:`nn.adam_step` with a worker: the lower half of the elements
-    there, the upper half in the caller."""
+    """:func:`nn.adam_step` updates the elements before ``n // 2`` and the
+    rest as the two calls of one :func:`nn.pair`: the lower range on the
+    worker thread and the upper one in the caller, or both in the caller."""
 
     @pytest.mark.parametrize("size, steps", [(1, 400), (2, 400), (3, 400), (16_385, 400), (None, 2)],
                              ids=["1", "2", "3", "16385", "width-1024"])
-    def test_same_bytes_as_one_range(self, worker, size, steps):
+    def test_same_bytes_on_both_schedules(self, schedule, size, steps):
         if size is None:
             size = nn.ParamVector(nn.MlpConfig(51, 51, hidden_dim=1024)).flat.size
-        split, whole = _updates(size, steps, size, worker), _updates(size, steps, size)
-        for t, (a, b) in enumerate(zip(split, whole), start=1):
+        inline, side_by_side = schedule.both(lambda: _updates(size, steps, size))
+        for t, (a, b) in enumerate(zip(inline, side_by_side), start=1):
             assert a == b, f"step {t}"
 
-    def test_the_lower_range_runs_on_the_worker(self, worker, ranges):
+    def test_the_lower_range_runs_on_the_worker(self, schedule, ranges):
         params, grads = _vectors(_tiny_config(), 1, 2)
-        n = params.flat.size
-        nn.adam_step(params, grads, nn.init_adam(params), 0.1, worker)
-        (lo, mid, thread), (upper, end, caller) = sorted(ranges)
-        assert (lo, mid, upper, end) == (0, n // 2, n // 2, n)
-        assert caller == threading.get_ident() != thread
-        ranges.clear()
+        n, caller = params.flat.size, threading.get_ident()
+        schedule(True)
         nn.adam_step(params, grads, nn.init_adam(params), 0.1)
-        assert ranges == [(0, n, threading.get_ident())]
+        (lo, mid, thread), (upper, end, in_caller) = sorted(ranges)
+        assert (lo, mid, upper, end) == (0, n // 2, n // 2, n)
+        assert in_caller == caller != thread
+        ranges.clear()
+        schedule(False)
+        nn.adam_step(params, grads, nn.init_adam(params), 0.1)
+        assert ranges == [(0, n // 2, caller), (n // 2, n, caller)]
 
     @pytest.mark.parametrize("errstate, outcome", [({"over": "raise"}, "raise"), ({"over": "warn"}, "warn")])
-    def test_an_overflow_in_the_worker_range_alone_is_reported_once(self, worker, errstate, outcome):
+    def test_an_overflow_in_the_worker_range_alone_is_reported_once(self, schedule, errstate, outcome):
         """(g * (1 - beta2)) * g overflows for g = 1e160, at element 0."""
+        schedule(True)
         params, grads = _vectors(_tiny_config(), 1, 2)
         grads.flat[0] = 1e160
         with warnings.catch_warnings(record=True) as seen, np.errstate(**errstate):
             warnings.simplefilter("always")
             expect = pytest.raises(FloatingPointError, match="^overflow encountered in ")
             with expect if outcome == "raise" else contextlib.nullcontext():
-                nn.adam_step(params, grads, nn.init_adam(params), 0.1, worker)
+                nn.adam_step(params, grads, nn.init_adam(params), 0.1)
         shown = [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)]
         assert len(shown) == (outcome == "warn") and all(m.startswith("overflow encountered in ") for m in shown)
 
-    def test_runs_counts_one_call_per_update(self, worker):
+    def test_runs_counts_one_call_per_update(self, schedule):
         params, grads = _vectors(_tiny_config(), 1, 2)
         state = nn.init_adam(params)
-        before = compiled.runs()
-        for _ in range(3):
-            nn.adam_step(params, grads, state, 0.1, worker)
-        assert compiled.runs() - before == {"adam_update": 3}
+
+        def counted():
+            before = compiled.runs()
+            for _ in range(3):
+                nn.adam_step(params, grads, state, 0.1)
+            return compiled.runs() - before
+
+        assert schedule.both(counted) == [{"adam_update": 3}] * 2
 
     @pytest.mark.parametrize("spoil", ["refusal", "non-finite-gradient"])
-    def test_a_refusal_raises_before_either_range_runs(self, worker, ranges, spoil):
+    def test_a_refusal_raises_before_either_range_runs(self, schedule, ranges, spoil):
+        schedule(True)
         params, grads = _vectors(_tiny_config(), 1, 2)
         state = nn.init_adam(params)
         if spoil == "refusal":
@@ -642,23 +661,95 @@ class TestAdamInTwoRanges:
             expect = pytest.raises(FloatingPointError, match="^non-finite gradient for fc_out.b$")
         before = [a.tobytes() for a in (params.flat, state.m, state.v)]
         with expect:
-            nn.adam_step(params, grads, state, 0.1, worker)
+            nn.adam_step(params, grads, state, 0.1)
         assert ranges == [] and state.t == 0
         assert [a.tobytes() for a in (params.flat, state.m, state.v)] == before
 
 
 class TestAdamOnTwoThreads(TestAdam):
-    """Every test of :class:`TestAdam` with a worker thread, as ``train``
+    """Every test of :class:`TestAdam` with the worker thread, as ``train``
     updates the pose network where it runs two threads: each update is two
     element ranges, the lower one on the worker."""
 
     @pytest.fixture(autouse=True)
-    def _two_ranges(self, monkeypatch, worker, ranges):
-        step = nn.adam_step
-        monkeypatch.setattr(nn, "adam_step", lambda params, grads, state, lr: step(params, grads, state, lr, worker))
+    def _schedule(self, schedule, ranges):
+        schedule(True)
         yield
         caller = threading.get_ident()
         assert len(ranges) % 2 == 0 and all((lo == 0) == (thread != caller) for lo, _, thread in ranges)
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter that imports this ``poselift``
+    with :func:`nn._side_by_side` forced to hold; killed after 30 s."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(Path(nn.__file__).parents[1])}
+    env.pop("OMP_NUM_THREADS", None)
+    prelude = "import os, threading\nos.sched_getaffinity = lambda pid: {0, 1}\nfrom poselift import nn\n"
+    return subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)], env=env, capture_output=True,
+                          text=True, timeout=30)
+
+
+class TestPair:
+    """:func:`nn.pair` runs ``first`` on the process's one worker thread
+    when :func:`nn._side_by_side` holds, else the caller runs both."""
+
+    @pytest.mark.parametrize("openblas, omp, cpus, side_by_side", [
+        ("1", None, 2, True),
+        (None, "1", 2, True),
+        ("1", "4", 2, True),
+        ("2", "1", 2, False),
+        (None, None, 2, False),
+        ("1", None, 1, False),
+    ])
+    def test_the_rule(self, monkeypatch, openblas, omp, cpus, side_by_side):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        assert nn._side_by_side() is side_by_side
+
+    def test_first_runs_on_the_worker_when_the_rule_says(self, schedule):
+        caller = threading.get_ident()
+        inline, side_by_side = schedule.both(lambda: nn.pair(threading.get_ident, threading.get_ident))
+        assert inline == (caller, caller) and side_by_side[1] == caller != side_by_side[0]
+
+    def test_a_pair_nested_in_the_workers_first_runs_in_turn(self):
+        """Were the nested pair to wait on the worker it runs on, it would
+        wait for ever; the timeout makes that a failure, not a hang."""
+        done = _run_python("""
+            order = []
+
+            def first():
+                inner = nn.pair(lambda: order.append("first") or threading.get_ident(),
+                                lambda: order.append("second") or threading.get_ident())
+                return inner, threading.get_ident()
+
+            ((a, b), worker), caller = nn.pair(first, threading.get_ident)
+            assert a == b == worker != caller == threading.get_ident(), (a, b, worker, caller)
+            assert order == ["first", "second"], order
+        """)
+        assert done.returncode == 0, done.stderr
+
+    def test_a_forked_child_gets_a_working_pair(self):
+        """A forked child has no copy of its parent's worker thread; were
+        its executor the parent's, its first pair would wait for ever (the
+        alarm ends it)."""
+        done = _run_python("""
+            import signal, warnings
+
+            nn.pair(lambda: None, lambda: None)  # the parent's worker thread is running
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, Python 3.12+
+                pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                worker, caller = nn.pair(threading.get_ident, threading.get_ident)
+                os._exit(0 if worker != caller else 3)
+            raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        assert done.returncode == 0, (done.returncode, done.stderr)
 
 
 class TestLrSchedule:

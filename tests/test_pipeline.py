@@ -10,8 +10,10 @@ weak gradient at the pose network gives the same pose parameters while
 the depth network still learns.
 """
 
+import contextlib
 import dataclasses
 import json
+import re
 import sys
 import threading
 import time
@@ -496,30 +498,13 @@ class TestTrain:
             train(_tiny_config(), weak_only, SPEC)
 
 
-def _force_schedule(monkeypatch, side_by_side: bool) -> None:
-    """Make ``train`` pick its worker thread (or the caller alone) through
-    what it observes: two usable CPUs and the BLAS thread variables."""
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1" if side_by_side else "2")
-
-
-def _in_both_schedules(monkeypatch, run):
-    """``run()`` with the caller alone, then with the worker thread."""
-    results = []
-    for side_by_side in (False, True):
-        _force_schedule(monkeypatch, side_by_side)
-        results.append(run())
-    return results
-
-
 def _trained_bits(config, dataset) -> tuple:
     """The log text and both parameter vectors' bytes of one ``train``."""
     bundle, logs = train(config, dataset, SPEC)
     return json.dumps(logs), bundle.pose_params.flat.tobytes(), bundle.depth_params.flat.tobytes()
 
 
-def _divergence_in_both_schedules(monkeypatch, run) -> list[str]:
+def _divergence_in_both_schedules(schedule, run) -> list[str]:
     """The divergence message ``run()`` raises with the caller alone,
     then with the worker thread."""
     def message():
@@ -527,7 +512,7 @@ def _divergence_in_both_schedules(monkeypatch, run) -> list[str]:
             run()
         return str(info.value)
 
-    return _in_both_schedules(monkeypatch, message)
+    return schedule.both(message)
 
 
 class TestTrainSchedules:
@@ -537,24 +522,7 @@ class TestTrainSchedules:
     everything it returns or raises is the same as with the caller
     alone."""
 
-    @pytest.mark.parametrize("openblas, omp, cpus, side_by_side", [
-        ("1", None, 2, True),
-        (None, "1", 2, True),
-        ("1", "4", 2, True),
-        ("2", "1", 2, False),
-        (None, None, 2, False),
-        ("1", None, 1, False),
-    ])
-    def test_the_rule(self, monkeypatch, openblas, omp, cpus, side_by_side):
-        monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
-            if value is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, value)
-        assert pipeline._side_by_side() is side_by_side
-
-    def test_the_annotated_half_runs_on_the_worker(self, tiny_dataset, monkeypatch):
+    def test_the_annotated_half_runs_on_the_worker(self, tiny_dataset, monkeypatch, schedule):
         threads = []
         original = pipeline.annotated_step
 
@@ -565,15 +533,17 @@ class TestTrainSchedules:
         monkeypatch.setattr(pipeline, "annotated_step", spy)
         for side_by_side in (False, True):
             threads.clear()
-            _force_schedule(monkeypatch, side_by_side)
+            schedule(side_by_side)
             train(_tiny_config(), tiny_dataset, SPEC)
             assert len(set(threads)) == 1
             assert (threads[0] != threading.get_ident()) is side_by_side
 
     @pytest.mark.parametrize("weak", [True, False], ids=["weak", "no-weak-set"])
-    def test_the_pose_update_runs_on_both_threads(self, tiny_dataset, monkeypatch, weak):
-        """Each pose-net update is one element range in the caller alone,
-        or its lower half on the worker and its upper half in the caller."""
+    def test_each_update_runs_where_the_rule_says(self, tiny_dataset, monkeypatch, schedule, weak):
+        """Each Adam update is two element ranges.  With the worker thread,
+        the pose net's lower range runs there and its upper range in the
+        caller, and the depth net's update, already on the worker, runs
+        both there; with the caller alone, it runs all four."""
         calls = []
         original = nn._adam_range
 
@@ -585,36 +555,40 @@ class TestTrainSchedules:
         dataset = Dataset(tiny_dataset.annotated, tiny_dataset.weak if weak else [])
         for side_by_side in (False, True):
             calls.clear()
-            _force_schedule(monkeypatch, side_by_side)
+            schedule(side_by_side)
             bundle, logs = train(_tiny_config(), dataset, SPEC)
-            flat = bundle.pose_params.flat
-            n, caller = flat.size, threading.get_ident()
-            pose = sorted((lo, hi, thread != caller) for p, lo, hi, thread in calls if p is flat)
-            updates = sum(e["steps"] for e in logs)
-            expected = [(0, n // 2, True)] * updates + [(n // 2, n, False)] * updates if side_by_side \
-                else [(0, n, False)] * updates
-            assert pose == expected
+            updates, caller = sum(e["steps"] for e in logs), threading.get_ident()
+
+            def ranges(flat):  # (lo, hi, on the worker) of every range of one network
+                return sorted((lo, hi, thread != caller) for p, lo, hi, thread in calls if p is flat)
+
+            def split(flat, lower, upper):
+                n = flat.size
+                return [(0, n // 2, lower)] * updates + [(n // 2, n, upper)] * updates
+
+            pose, depth = bundle.pose_params.flat, bundle.depth_params.flat
+            assert ranges(pose) == split(pose, side_by_side, False)
+            assert ranges(depth) == (split(depth, side_by_side, side_by_side) if weak else [])
 
     @pytest.mark.parametrize("kwargs, weak", [
         ({"lambda_weight": 1.0}, "labelled"),
         ({}, "none"),
         ({}, "unlabelled"),
     ], ids=["weak", "no-weak-set", "no-labels"])
-    def test_same_bits(self, tiny_dataset, monkeypatch, kwargs, weak):
+    def test_same_bits(self, tiny_dataset, schedule, kwargs, weak):
         samples = {"labelled": tiny_dataset.weak, "none": [],
                    "unlabelled": [dataclasses.replace(s, eval_visibility=None) for s in tiny_dataset.weak]}[weak]
         dataset = Dataset(tiny_dataset.annotated, samples)
-        inline, side_by_side = _in_both_schedules(monkeypatch, lambda: _trained_bits(_tiny_config(**kwargs), dataset))
+        inline, side_by_side = schedule.both(lambda: _trained_bits(_tiny_config(**kwargs), dataset))
         assert inline == side_by_side
 
-    def test_same_bits_when_threads_switch_often(self, tiny_dataset, monkeypatch):
+    def test_same_bits_when_threads_switch_often(self, tiny_dataset, schedule):
         """A thread switch every microsecond gives the worker's and the
         caller's calls every chance to interleave."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            inline, side_by_side = _in_both_schedules(
-                monkeypatch, lambda: _trained_bits(_tiny_config(epochs=3), tiny_dataset))
+            inline, side_by_side = schedule.both(lambda: _trained_bits(_tiny_config(epochs=3), tiny_dataset))
         finally:
             sys.setswitchinterval(interval)
         assert inline == side_by_side
@@ -624,7 +598,8 @@ class TestTrainSchedules:
         (False, True, "jointdepthnet", "non-finite gradient for fc_out.b"),
         (True, True, "jointdepthnet", "non-finite gradient for fc_out.b"),
     ], ids=["posenet", "jointdepthnet", "both-updates"])
-    def test_a_non_finite_gradient_is_named_alike(self, tiny_dataset, monkeypatch, pose, depth, net, message):
+    def test_a_non_finite_gradient_is_named_alike(self, tiny_dataset, monkeypatch, schedule, pose, depth, net,
+                                                  message):
         """Gradients made non-finite at epoch 1, step 2: when both Adam
         updates fail, the depth net's error wins."""
         annotated, weak = pipeline.annotated_step, pipeline.weak_step
@@ -643,10 +618,10 @@ class TestTrainSchedules:
 
         monkeypatch.setattr(pipeline, "annotated_step", broken_annotated)
         monkeypatch.setattr(pipeline, "weak_step", broken_weak)
-        messages = _divergence_in_both_schedules(monkeypatch, lambda: train(_tiny_config(), tiny_dataset, SPEC))
+        messages = _divergence_in_both_schedules(schedule, lambda: train(_tiny_config(), tiny_dataset, SPEC))
         assert messages == [f"training diverged at epoch 1, step 2, in {net}: {message}; all parameters finite"] * 2
 
-    def test_when_both_halves_fail_the_annotated_error_wins(self, tiny_dataset, monkeypatch):
+    def test_when_both_halves_fail_the_annotated_error_wins(self, tiny_dataset, monkeypatch, schedule):
         def failing(name, delay):
             def fail(bundle, config, batch, epoch, step, *grads):
                 time.sleep(delay)  # the annotated half fails after the weak one
@@ -655,22 +630,22 @@ class TestTrainSchedules:
 
         monkeypatch.setattr(pipeline, "annotated_step", failing("annotated half", 0.05))
         monkeypatch.setattr(pipeline, "predicted_joint_depths", failing("weak head", 0.0))
-        messages = _divergence_in_both_schedules(monkeypatch, lambda: train(_tiny_config(), tiny_dataset, SPEC))
+        messages = _divergence_in_both_schedules(schedule, lambda: train(_tiny_config(), tiny_dataset, SPEC))
         assert messages == ["training diverged at epoch 0, step 0, in posenet: annotated half failed; "
                             "all parameters finite"] * 2
 
-    def test_an_error_in_the_head_backward_pass_names_jointdepthnet(self, tiny_dataset, monkeypatch):
+    def test_an_error_in_the_head_backward_pass_names_jointdepthnet(self, tiny_dataset, monkeypatch, schedule):
         """The head's backward pass runs inside :func:`weak_step`, so its
         error names the depth net like one from the head's forward pass."""
         def overflow(bundle, d_depths, cache, grads):
             raise FloatingPointError("overflow encountered in multiply")
 
         monkeypatch.setattr(pipeline, "joint_depth_backward", overflow)
-        messages = _divergence_in_both_schedules(monkeypatch, lambda: train(_tiny_config(), tiny_dataset, SPEC))
+        messages = _divergence_in_both_schedules(schedule, lambda: train(_tiny_config(), tiny_dataset, SPEC))
         assert messages == ["training diverged at epoch 0, step 0, in jointdepthnet: overflow encountered in multiply; "
                             "all parameters finite"] * 2
 
-    def test_the_callers_errstate_reaches_the_worker(self, tiny_dataset, monkeypatch):
+    def test_the_callers_errstate_reaches_the_worker(self, tiny_dataset, schedule):
         """Weights of about 1e300 after the first update overflow the
         next forward pass of both halves; under ``over="raise"`` that
         ends training the same way in both schedules."""
@@ -678,20 +653,9 @@ class TestTrainSchedules:
             with np.errstate(over="raise"):
                 train(_tiny_config(base_lr=1e300), tiny_dataset, SPEC)
 
-        messages = _divergence_in_both_schedules(monkeypatch, run)
+        messages = _divergence_in_both_schedules(schedule, run)
         assert messages[0] == messages[1]
         assert messages[0].startswith("training diverged at epoch 0, step 1, in posenet: overflow encountered")
-
-    def test_no_thread_outlives_train(self, tiny_dataset, monkeypatch):
-        """With weak data and with no weak set, which also has a worker."""
-        _force_schedule(monkeypatch, True)
-        before = threading.active_count()
-        for dataset in (tiny_dataset, Dataset(tiny_dataset.annotated, [])):
-            train(_tiny_config(), dataset, SPEC)
-            assert threading.active_count() == before
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
-                train(_tiny_config(base_lr=1e300), dataset, SPEC)
-            assert threading.active_count() == before
 
 
 @pytest.fixture(scope="module")
@@ -743,20 +707,20 @@ class TestPredictSchedules:
         (64, [*range(1, 9), *range(640, 651), 700]),
         (1024, [1, 2, 3, 41, 42, 43, 64, 65, 400, 401]),
     ])
-    def test_same_bits(self, many_samples, wide_bundle, monkeypatch, width, sizes):
+    def test_same_bits(self, many_samples, wide_bundle, schedule, width, sizes):
         """Width-64 batches split from 644 rows and width-1024 batches
         from 42, so both sides of the rule are covered."""
         samples, stats = many_samples
         bundle = wide_bundle if width == 1024 else _untrained_bundle(stats, width)
         for n in sizes:
-            inline, side_by_side = _in_both_schedules(monkeypatch, lambda: _predicted_bits(bundle, samples[:n]))
+            inline, side_by_side = schedule.both(lambda: _predicted_bits(bundle, samples[:n]))
             assert inline == side_by_side, n
 
     @pytest.mark.parametrize("width, n, split", [
         (64, 643, False), (64, 644, True), (1024, 3, False), (1024, 41, False), (1024, 42, True), (1024, 65, True),
     ])
-    def test_the_worker_runs_a_block_only_when_the_rule_says(self, many_samples, wide_bundle, monkeypatch, width, n,
-                                                             split):
+    def test_the_worker_runs_a_block_only_when_the_rule_says(self, many_samples, wide_bundle, monkeypatch, schedule,
+                                                             width, n, split):
         samples, stats = many_samples
         bundle = wide_bundle if width == 1024 else _untrained_bundle(stats, width)
         calls = []  # (in the caller's thread, rows) per call
@@ -769,7 +733,7 @@ class TestPredictSchedules:
         monkeypatch.setattr(nn, "forward", spy)
         for side_by_side in (False, True):
             calls.clear()
-            _force_schedule(monkeypatch, side_by_side)
+            schedule(side_by_side)
             predict_frames(bundle, samples[:n])
             if side_by_side and split:
                 assert sorted(calls) == [(False, n // 2), (True, n - n // 2)]
@@ -777,7 +741,7 @@ class TestPredictSchedules:
                 assert calls == [(True, n)]
 
     @pytest.mark.parametrize("index", [0, 63], ids=["first-block", "second-block"])
-    def test_a_non_finite_activation_is_raised_alike(self, many_samples, wide_bundle, monkeypatch, index):
+    def test_a_non_finite_activation_is_raised_alike(self, many_samples, wide_bundle, schedule, index):
         """One sample's input overflows the first hidden unit to inf; the
         other rows' squares overflow too but normalize to finite values."""
         bundle = _with_fc_in_weight(wide_bundle, 1e300)
@@ -788,20 +752,20 @@ class TestPredictSchedules:
                 predict_frames(bundle, samples)
             return str(info.value)
 
-        assert _in_both_schedules(monkeypatch, message) == ["non-finite activations in forward pass"] * 2
+        assert schedule.both(message) == ["non-finite activations in forward pass"] * 2
 
-    def test_when_both_blocks_fail_the_first_blocks_error_wins(self, many_samples, wide_bundle, monkeypatch):
+    def test_when_both_blocks_fail_the_first_blocks_error_wins(self, many_samples, wide_bundle, monkeypatch, schedule):
         def fail(params, config, x, *args, **kwargs):
             if len(x) == 32:
                 time.sleep(0.05)  # the first block fails after the second
             raise FloatingPointError(f"block of {len(x)} rows failed")
 
         monkeypatch.setattr(nn, "forward", fail)
-        _force_schedule(monkeypatch, True)
+        schedule(True)
         with pytest.raises(FloatingPointError, match="^block of 32 rows failed$"):
             predict_frames(wide_bundle, many_samples[0][:65])
 
-    def test_the_callers_errstate_reaches_the_worker(self, many_samples, wide_bundle, monkeypatch):
+    def test_the_callers_errstate_reaches_the_worker(self, many_samples, wide_bundle, schedule):
         """A first-block sample whose first hidden unit is about 1e157
         overflows LayerNorm's squares; under ``over="raise"`` that raises
         in both schedules, where the default would only warn."""
@@ -813,17 +777,36 @@ class TestPredictSchedules:
                 predict_frames(bundle, samples)
             return str(info.value)
 
-        assert _in_both_schedules(monkeypatch, message) == ["overflow encountered in multiply"] * 2
+        assert schedule.both(message) == ["overflow encountered in multiply"] * 2
 
-    def test_no_thread_outlives_predict_frames(self, many_samples, wide_bundle, monkeypatch):
-        _force_schedule(monkeypatch, True)
-        before = threading.active_count()
-        predict_frames(wide_bundle, many_samples[0][:64])
-        assert threading.active_count() == before
+    def test_a_process_has_one_worker_thread_at_most(self, many_samples, wide_bundle, tiny_dataset, monkeypatch,
+                                                     schedule):
+        """Whatever the calls and errors: 20 predictions, trainings with and
+        without a weak set, and a prediction and trainings that raise all
+        run their first calls on one thread, and start no other."""
+        schedule(True)
+        before, counts, workers = threading.active_count(), [], set()
+        original = nn.forward
+
+        def spy(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                workers.add(threading.current_thread())
+            return original(*args, **kwargs)
+
+        def run(call, *args, error=None):
+            with np.errstate(all="ignore"), pytest.raises(error) if error else contextlib.nullcontext():
+                call(*args)
+            counts.append(threading.active_count())
+
+        monkeypatch.setattr(nn, "forward", spy)
+        for _ in range(20):
+            run(predict_frames, wide_bundle, many_samples[0][:64])
+        for dataset in (tiny_dataset, Dataset(tiny_dataset.annotated, [])):
+            run(train, _tiny_config(), dataset, SPEC)
+            run(train, _tiny_config(base_lr=1e300), dataset, SPEC, error=FloatingPointError)
         bad = _with_fc_in_weight(wide_bundle, 1e300)
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            predict_frames(bad, _with_far_joint(many_samples[0][:64], 0, 1e12))
-        assert threading.active_count() == before
+        run(predict_frames, bad, _with_far_joint(many_samples[0][:64], 0, 1e12), error=FloatingPointError)
+        assert max(counts) <= before + 1 and len(workers) == 1
 
 
 class TestPredictFrames:
@@ -842,8 +825,8 @@ class TestPredictFrames:
         for pred, sample in ((preds[0][0], samples[0]), (preds[0][1], samples[2]), (preds[1][0], samples[1])):
             np.testing.assert_allclose(pred, predict_pose(bundle, sample), rtol=0, atol=1e-9)
 
-    def test_no_samples_give_no_frames(self, tiny_bundle, monkeypatch):
-        assert _in_both_schedules(monkeypatch, lambda: predict_frames(tiny_bundle, [])) == [([], [])] * 2
+    def test_no_samples_give_no_frames(self, tiny_bundle, schedule):
+        assert schedule.both(lambda: predict_frames(tiny_bundle, [])) == [([], [])] * 2
 
 
 @pytest.fixture(scope="module")
@@ -996,6 +979,17 @@ class TestBundleFormat:
             load_bundle(tmp_path / "b.npz")
         assert str(info.value) == (f"{tmp_path / 'b.npz'}: cannot load model bundle: "
                                    f"meta must be a JSON object, got {type(meta).__name__}")
+
+    def test_meta_nested_too_deeply_is_rejected(self, tiny_bundle, tmp_path):
+        """Deeper than the recursion limit, json.loads raised a bare RecursionError."""
+        save_bundle(tmp_path / "a.npz", tiny_bundle)
+        with np.load(tmp_path / "a.npz") as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        with open(tmp_path / "b.npz", "wb") as fh:
+            np.savez(fh, **{**arrays, "meta": np.array("[" * 100_000)})
+        path = re.escape(str(tmp_path / "b.npz"))
+        with pytest.raises(ValueError, match=f"^{path}: cannot load model bundle: maximum recursion depth exceeded"):
+            load_bundle(tmp_path / "b.npz")
 
     def test_truncated_or_foreign_file_is_rejected(self, tiny_bundle, tmp_path):
         save_bundle(tmp_path / "a.npz", tiny_bundle)

@@ -129,6 +129,13 @@ class TestSpecLayout:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {need}')}$"):
             load_skeleton(path)
 
+    def test_json_nested_too_deeply_is_named(self, tmp_path):
+        """Deeper than the recursion limit, json.loads raised a bare RecursionError."""
+        path = tmp_path / "skeleton.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: maximum recursion depth exceeded"):
+            load_skeleton(path)
+
     def test_file_that_is_not_utf8_is_named(self, tmp_path):
         path = tmp_path / "skeleton.json"
         path.write_bytes(b"\xff\xfe" + json.dumps(asdict(SPEC)).encode())
