@@ -55,24 +55,29 @@ class Sample:
 
     def __post_init__(self) -> None:
         """Check the fields, raising ValueError (``sample <frame_id>: <field>
-        ...`` for an array), and store the arrays as float64 or bool; J is
-        ``joints_2d``'s length.  A field assigned later is not checked again."""
+        ...`` for the camera, the depth map or an array), and store the
+        arrays as float64 or bool; J is ``joints_2d``'s length.  A field
+        assigned later is not checked again."""
         check_fields(self, [(name, fits(getattr(self, name), need), need)
                             for name, need in (("frame_id", "str"), ("depth_path", "str | None"))])
+        for name, kind, need in [("camera", CameraIntrinsics, "CameraIntrinsics"),
+                                 ("depth", (DepthMap, type(None)), "DepthMap or None")]:
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValueError(f"sample {self.frame_id}: {name} must be {need}, got {type(value).__name__}")
         joints_2d = np.asarray(self.joints_2d, dtype=np.float64)
         if joints_2d.ndim != 2:
             raise ValueError(f"sample {self.frame_id}: joints_2d has shape {joints_2d.shape}, expected (J, 2)")
         j = len(joints_2d)
         for name, shape, dtype in [("joints_2d", (j, 2), float), ("joints_3d", (j, 3), float),
-                                   ("depth_readouts", (j,), float), ("depth_valid", (j,), bool),
-                                   ("eval_visibility", (j,), bool)]:
+                                   ("eval_joints_3d", (j, 3), float), ("depth_readouts", (j,), float),
+                                   ("depth_valid", (j,), bool), ("eval_visibility", (j,), bool)]:
             value = getattr(self, name)
             if value is None:
                 continue
             arr = np.asarray(value, dtype=dtype)
             if arr.shape != shape:
                 raise ValueError(f"sample {self.frame_id}: {name} has shape {arr.shape}, expected {shape}")
-            if name in ("joints_2d", "joints_3d") and not np.isfinite(arr).all():
+            if name in ("joints_2d", "joints_3d", "eval_joints_3d") and not np.isfinite(arr).all():
                 raise ValueError(f"sample {self.frame_id}: {name} contains non-finite values")
             setattr(self, name, arr)
         if self.depth_readouts is not None:
@@ -289,12 +294,16 @@ def write_dataset(data_dir: str | Path, dataset: Dataset) -> int:
     """Write ``poselift generate``'s layout: each frame's map once as
     ``depth/<frame_id>.dmap`` (set as the samples' ``depth_path``), the
     samples, and their withheld ground truth; return the number of maps.
-    A sample without a map raises ValueError first, naming its frame."""
+    A sample without a map, or whose frame id is not one plain file name,
+    raises ValueError first, naming its frame."""
     if bare := [s.frame_id for s in dataset.all_samples() if s.depth is None]:
         raise ValueError(f"sample {bare[0]}: no depth map to write")
+    frames = group_frames(dataset.all_samples())
+    seps = {"/", "\0", os.sep, os.altsep} - {None}
+    if odd := [f for f in frames if f in ("", ".", "..") or seps & set(f)]:
+        raise ValueError(f"frame {odd[0]!r}: a frame id must be one plain file name, to write depth/<frame_id>.dmap")
     data_dir = Path(data_dir)
     (data_dir / "depth").mkdir(parents=True, exist_ok=True)
-    frames = group_frames(dataset.all_samples())
     for frame_id, samples in frames.items():
         save_depth(data_dir / "depth" / f"{frame_id}.dmap", samples[0].depth)
         for sample in samples:

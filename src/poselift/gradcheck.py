@@ -1,9 +1,14 @@
 """Central finite-difference verification of every analytic gradient.
 
-Each check perturbs inputs or parameters by h = 1e-5 in float64 and
-compares (f(x+h) - f(x-h)) / 2h against the hand-written backward pass.
-Relative error uses a small absolute floor so that true-zero gradients
-are not failed on finite-difference round-off.
+One driver, :func:`_check`, runs every check but the vectorized ``gm-loss``
+one: it perturbs entries of input or parameter arrays by h = 1e-5 in
+float64, compares (f(x+h) - f(x-h)) / 2h against the hand-written backward
+pass, and reports the worst relative error over all the arrays.  The
+primitive checks perturb every entry; the two end-to-end checks, through
+the training step functions, twelve entries of each parameter array, drawn
+by a generator seeded from the check's seed.  Relative error uses a small
+absolute floor so that true-zero gradients are not failed on
+finite-difference round-off.
 """
 
 from __future__ import annotations
@@ -40,26 +45,28 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), _FLOOR)
 
 
-def _check_array(name: str, analytic: np.ndarray, f, x: np.ndarray, tol: float, max_entries: int = 0, rng=None) -> CheckResult:
-    """Compare analytic d f/d x against central differences, entrywise."""
-    flat = x.ravel()
-    grad = np.asarray(analytic, dtype=np.float64).ravel()
-    if grad.shape != flat.shape:
-        raise AssertionError(f"{name}: gradient shape {grad.shape} vs input {flat.shape}")
-    if max_entries and flat.size > max_entries:
-        idxs = rng.choice(flat.size, size=max_entries, replace=False)
-    else:
-        idxs = np.arange(flat.size)
+def _check(name: str, loss, pairs, tol: float = PRIMITIVE_TOL, max_entries: int = 0, rng=None) -> CheckResult:
+    """The worst relative error, over every ``(label, analytic, x)`` pair, of
+    ``analytic`` against central differences of ``loss()`` in each entry of
+    ``x`` (or ``max_entries`` drawn by ``rng``, when set and ``x`` is larger)."""
     worst = 0.0
-    for i in idxs:
-        old = flat[i]
-        flat[i] = old + H
-        up = f()
-        flat[i] = old - H
-        down = f()
-        flat[i] = old
-        numeric = (up - down) / (2.0 * H)
-        worst = max(worst, _rel_err(grad[i], numeric))
+    for label, analytic, x in pairs:
+        if np.shape(analytic) != x.shape:
+            raise AssertionError(f"{name} ({label}): gradient shape {np.shape(analytic)} vs input {x.shape}")
+        flat = x.ravel()
+        grad = np.asarray(analytic, dtype=np.float64).ravel()
+        if max_entries and flat.size > max_entries:
+            idxs = rng.choice(flat.size, size=max_entries, replace=False)
+        else:
+            idxs = np.arange(flat.size)
+        for i in idxs:
+            old = flat[i]
+            flat[i] = old + H
+            up = loss()
+            flat[i] = old - H
+            down = loss()
+            flat[i] = old
+            worst = max(worst, _rel_err(grad[i], (up - down) / (2.0 * H)))
     return CheckResult(name=name, max_rel_err=worst, tolerance=tol)
 
 
@@ -70,16 +77,9 @@ def check_linear(seed: int) -> CheckResult:
     b = rng.normal(size=4)
     c = rng.normal(size=(3, 4))
 
-    def loss() -> float:
-        return float((nn._linear_forward(x, w, b) * c).sum())
-
     dx, dw, db = nn._linear_backward(c, x, w)
-    results = [
-        _check_array("linear/dx", dx, loss, x, PRIMITIVE_TOL),
-        _check_array("linear/dw", dw, loss, w, PRIMITIVE_TOL),
-        _check_array("linear/db", db, loss, b, PRIMITIVE_TOL),
-    ]
-    return _merge("linear", results)
+    return _check("linear", lambda: float((nn._linear_forward(x, w, b) * c).sum()),
+                  [("x", dx, x), ("w", dw, w), ("b", db, b)])
 
 
 def check_layernorm(seed: int) -> CheckResult:
@@ -89,18 +89,9 @@ def check_layernorm(seed: int) -> CheckResult:
     b = rng.normal(size=9)
     c = rng.normal(size=(4, 9))
 
-    def loss() -> float:
-        y, _ = nn._layernorm_forward(x, g, b)
-        return float((y * c).sum())
-
-    _, cache = nn._layernorm_forward(x, g, b)
-    dx, dg, db = nn._layernorm_backward(c, cache, g)
-    results = [
-        _check_array("layernorm/dx", dx, loss, x, PRIMITIVE_TOL),
-        _check_array("layernorm/dg", dg, loss, g, PRIMITIVE_TOL),
-        _check_array("layernorm/db", db, loss, b, PRIMITIVE_TOL),
-    ]
-    return _merge("layernorm", results)
+    dx, dg, db = nn._layernorm_backward(c, nn._layernorm_forward(x, g, b)[1], g)
+    return _check("layernorm", lambda: float((nn._layernorm_forward(x, g, b)[0] * c).sum()),
+                  [("x", dx, x), ("g", dg, g), ("b", db, b)])
 
 
 def check_relu(seed: int) -> CheckResult:
@@ -109,11 +100,7 @@ def check_relu(seed: int) -> CheckResult:
     x = np.where(np.abs(x) < 0.05, 0.1, x)  # keep clear of the kink
     c = rng.normal(size=(5, 7))
 
-    def loss() -> float:
-        return float((np.maximum(x, 0.0) * c).sum())
-
-    analytic = c * (x > 0.0)
-    return _check_array("relu/dx", analytic, loss, x, PRIMITIVE_TOL)
+    return _check("relu/dx", lambda: float((np.maximum(x, 0.0) * c).sum()), [("x", c * (x > 0.0), x)])
 
 
 def check_dropout(seed: int) -> CheckResult:
@@ -123,40 +110,23 @@ def check_dropout(seed: int) -> CheckResult:
     rate = 0.5
     mask = nn._dropout_mask(x.shape, rate, np.random.default_rng(seed + 1))
 
-    def loss() -> float:
-        return float((x * mask / (1.0 - rate) * c).sum())
-
-    analytic = c * mask / (1.0 - rate)
-    return _check_array("dropout/dx", analytic, loss, x, PRIMITIVE_TOL)
+    return _check("dropout/dx", lambda: float((x * mask / (1.0 - rate) * c).sum()), [("x", c * mask / (1.0 - rate), x)])
 
 
-def _mlp_setup(seed: int, train: bool):
+def check_mlp(seed: int, train: bool) -> CheckResult:
     rng = np.random.default_rng(seed)
     config = nn.MlpConfig(input_dim=6, output_dim=5, hidden_dim=16, num_blocks=2, dropout=0.5 if train else 0.0)
     params = nn.init_params(config, np.random.default_rng(seed + 1))
     x = rng.normal(size=(3, 6))
     c = rng.normal(size=(3, 5))
-    return config, params, x, c
 
+    def forward():
+        return nn.forward(params, config, x, train=train, rng=np.random.default_rng(seed + 2))  # pins the dropout masks
 
-def check_mlp(seed: int, train: bool) -> CheckResult:
-    config, params, x, c = _mlp_setup(seed, train)
-    mode = "train" if train else "eval"
-
-    def forward_rng():
-        return np.random.default_rng(seed + 2)  # pins the dropout masks
-
-    def loss() -> float:
-        y, _ = nn.forward(params, config, x, train=train, rng=forward_rng())
-        return float((y * c).sum())
-
-    _, cache = nn.forward(params, config, x, train=train, rng=forward_rng())
     grads = nn.ParamVector(config)
-    dx = nn.backward(params, config, cache, c, grads)
-    results = [_check_array(f"mlp-{mode}/dx", dx, loss, x, PRIMITIVE_TOL)]
-    for name in params:
-        results.append(_check_array(f"mlp-{mode}/{name}", grads[name], loss, params[name], PRIMITIVE_TOL))
-    return _merge(f"mlp-{mode}", results)
+    dx = nn.backward(params, config, forward()[1], c, grads)
+    pairs = [("x", dx, x)] + [(name, grads[name], params[name]) for name in params]
+    return _check(f"mlp-{'train' if train else 'eval'}", lambda: float((forward()[0] * c).sum()), pairs)
 
 
 def check_gm(seed: int) -> CheckResult:
@@ -176,11 +146,7 @@ def check_l1(seed: int) -> CheckResult:
     pred = rng.normal(size=(4, 17, 3))
     gt = pred + np.where(rng.normal(size=pred.shape) > 0, 1.0, -1.0) * rng.uniform(0.05, 2.0, size=pred.shape)
     _, grad = l1_pose_loss(pred, gt)
-
-    def loss() -> float:
-        return l1_pose_loss(pred, gt)[0]
-
-    return _check_array("l1/dpred", grad, loss, pred, PRIMITIVE_TOL)
+    return _check("l1/dpred", lambda: l1_pose_loss(pred, gt)[0], [("pred", grad, pred)])
 
 
 def check_total_loss(seed: int) -> CheckResult:
@@ -189,11 +155,7 @@ def check_total_loss(seed: int) -> CheckResult:
     target_d = rng.normal(scale=20.0, size=(3, 14))
     target_d[rng.random(size=(3, 14)) <= 0.3] = np.nan  # invalid readouts
     _, grad = total_loss(pred_d, target_d, 100.0, 0.7)
-
-    def loss() -> float:
-        return total_loss(pred_d, target_d, 100.0, 0.7)[0]
-
-    return _check_array("total-loss", grad, loss, pred_d, PRIMITIVE_TOL)
+    return _check("total-loss", lambda: total_loss(pred_d, target_d, 100.0, 0.7)[0], [("pred_d", grad, pred_d)])
 
 
 def _pipeline_setup(seed: int):
@@ -218,17 +180,12 @@ def _pipeline_setup(seed: int):
     return init_bundle(config, fit_standardizer(batch, spec), spec), config, batch
 
 
-def _check_step(name: str, run, nets, seed: int) -> CheckResult:
+def _check_step(name: str, run, seed: int) -> CheckResult:
     """Twelve sampled entries of every parameter of each (label, params,
-    grads) network against central differences of ``run()[0]``."""
-    sample_rng = np.random.default_rng(seed)
-    results = [
-        _check_array(f"{name}/{label}.{param}", grads[param], lambda: run()[0], params[param],
-                     END_TO_END_TOL, max_entries=12, rng=sample_rng)
-        for label, params, grads in nets
-        for param in params
-    ]
-    return _merge(name, results, tol=END_TO_END_TOL)
+    grads) network that ``run()`` returns after its loss, against central
+    differences of that loss."""
+    pairs = [(f"{label}.{param}", grads[param], params[param]) for label, params, grads in run()[1] for param in params]
+    return _check(name, lambda: run()[0], pairs, END_TO_END_TOL, max_entries=12, rng=np.random.default_rng(seed))
 
 
 def check_weak_path(seed: int) -> CheckResult:
@@ -239,11 +196,9 @@ def check_weak_path(seed: int) -> CheckResult:
         pose_grads, depth_grads = nn.ParamVector(bundle.pose_config), nn.ParamVector(bundle.depth_config)
         value, _, pose_backward = weak_step(bundle, config, batch, 0, 0, depth_grads)
         pose_backward(pose_grads)
-        return value, pose_grads, depth_grads
+        return value, (("pose", bundle.pose_params, pose_grads), ("depth", bundle.depth_params, depth_grads))
 
-    _, pose_grads, depth_grads = run()
-    nets = (("pose", bundle.pose_params, pose_grads), ("depth", bundle.depth_params, depth_grads))
-    return _check_step("weak-path", run, nets, seed + 5)
+    return _check_step("weak-path", run, seed + 5)
 
 
 def check_annotated_path(seed: int) -> CheckResult:
@@ -252,13 +207,9 @@ def check_annotated_path(seed: int) -> CheckResult:
 
     def run():
         grads = nn.ParamVector(bundle.pose_config)
-        return annotated_step(bundle, config, batch, 0, 0, grads), grads
+        return annotated_step(bundle, config, batch, 0, 0, grads), [("pose", bundle.pose_params, grads)]
 
-    return _check_step("annotated-path", run, [("pose", bundle.pose_params, run()[1])], seed + 6)
-
-
-def _merge(name: str, results: list[CheckResult], tol: float = PRIMITIVE_TOL) -> CheckResult:
-    return CheckResult(name=name, max_rel_err=max(r.max_rel_err for r in results), tolerance=tol)
+    return _check_step("annotated-path", run, seed + 6)
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

@@ -225,6 +225,10 @@ class TestFromSamples:
          r"sample f7: depth_readouts marked valid must be finite and > 0 "
          r"\(a false depth_valid, or null in a pose file, marks an invalid one\), got -5.0"),
         ("eval_visibility", np.ones(2, dtype=bool), r"sample f7: eval_visibility has shape \(2,\)"),
+        ("camera", None, "^sample f7: camera must be CameraIntrinsics, got NoneType$"),
+        ("depth", np.ones((120, 160)), "^sample f7: depth must be DepthMap or None, got ndarray$"),
+        ("eval_joints_3d", np.zeros((1, 2)), r"^sample f7: eval_joints_3d has shape \(1, 2\), expected \(17, 3\)$"),
+        ("eval_joints_3d", np.full((J, 3), np.nan), "^sample f7: eval_joints_3d contains non-finite values$"),
     ])
     def test_errors_name_the_frame_and_the_field(self, field, value, message):
         readouts = np.full(J, 3000.0)

@@ -10,6 +10,7 @@ refused in code with the same error.
 """
 
 import json
+import os
 import re
 from dataclasses import asdict
 from pathlib import Path
@@ -404,6 +405,28 @@ class TestDatasetHelpers:
         with pytest.raises(ValueError, match="^sample b: no depth map to write$"):
             write_dataset(tmp_path / "out", split_dataset(samples))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("frame_id, altsep", [("../escaped", None), ("", None), (".", None), ("..", None),
+                                                  ("a/b", None), ("a\0b", None), ("a\\b", "\\")])
+    def test_write_dataset_refuses_a_frame_id_that_is_not_one_file_name(self, tmp_path, monkeypatch, frame_id, altsep):
+        """A frame's map is ``depth/<frame_id>.dmap``: an id that would put it
+        beside ``depth/``, hide it or need a subdirectory is named before
+        anything is created (``altsep`` stands in for a system that has one)."""
+        monkeypatch.setattr(os, "altsep", altsep)
+        maps = DepthMap(np.full((120, 160), 2500.0))
+        samples = [_sample("a", depth=maps), _sample(frame_id, annotated=False, depth=maps)]
+        with pytest.raises(ValueError, match=f"^frame {re.escape(repr(frame_id))}: a frame id must be one plain file"):
+            write_dataset(tmp_path / "out", split_dataset(samples))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_dataset_writes_plain_frame_ids_inside_depth(self, tmp_path):
+        maps = DepthMap(np.full((120, 160), 2500.0))
+        ids = ["scene_0001.cam-2", "..a", "a b", "a..b"]
+        assert write_dataset(tmp_path, split_dataset([_sample(f, depth=maps) for f in ids])) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["depth", "gt_poses.jsonl", "samples.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "depth").iterdir()) == sorted(f"{f}.dmap" for f in ids)
+        assert [Path(s.depth_path) for s in load_dataset(tmp_path).all_samples()] == [
+            tmp_path / "depth" / f"{f}.dmap" for f in ids]
 
     def test_load_dataset_reads_the_samples_file(self, tmp_path):
         write_pose_file(tmp_path / "samples.jsonl", [_sample("a"), _sample("b", annotated=False)])
