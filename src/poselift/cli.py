@@ -211,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         raise ValueError(f"--seed must be >= 0, got {seed}")
     before = compiled.runs()
     status = args.func(args)
-    for loop, calls in (compiled.runs() - before).items():  # stderr: stdout and the files stay the same
+    for loop, calls in sorted((compiled.runs() - before).items()):  # stderr: stdout and the files stay the same
         print(f"{loop}: {calls} calls", file=sys.stderr)
     return status
 

@@ -2,12 +2,15 @@
 first call that wants a loop in a process and called through ctypes,
 which releases the interpreter lock while a loop runs.
 
-``adam_update`` is :func:`nn.adam_step`'s update and ``render_clean`` is
-:func:`synth.render_clean_depth`'s ray cast after the per-capsule
-products.  ``cc`` is a requirement, as numpy is: where the library does
+There are three loops.  ``adam_update`` is :func:`nn.adam_step`'s update,
+``render_clean`` is :func:`synth.render_clean_depth`'s ray cast after the
+per-capsule products, and ``layer_norm`` is one hidden layer of
+:func:`nn.forward` after its matrix product (bias, LayerNorm with numpy's
+pairwise row sums, dropout and ReLU), in place in eval mode.  ``cc`` is a
+requirement, as numpy is: where the library does
 not build, :func:`loop` raises RuntimeError naming ``cc`` and the reason,
 and the callers refuse the inputs a loop cannot take before they call it.
-The build is paid once per process (0.2 s on a 2-vCPU VM), keeps no file
+The build is paid once per process (0.27 s on a 2-vCPU VM), keeps no file
 on disk, and the compiler has exited before :func:`loop` returns.
 """
 
@@ -191,6 +194,76 @@ int render_clean(double *restrict out, double *restrict rays, long width, long h
     }
     return raised_flags() & 6;
 }
+
+/* np.add.reduce of the n contiguous doubles at x, or of their squares:
+   numpy's pairwise summation, whose order fixes the bits.  It is kept
+   out of line: inlined, it made the build 0.5 s instead of 0.27 s on a
+   2-vCPU VM, with no faster layer. */
+static __attribute__((noinline)) double pairwise(const double *x, long n, int square)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (long i = 0; i < n; i++)
+            s += square ? x[i] * x[i] : x[i];
+        return s;
+    }
+    if (n <= 128) {
+        double r[8];
+        long i;
+        for (int j = 0; j < 8; j++)
+            r[j] = square ? x[j] * x[j] : x[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += square ? x[i + j] * x[i + j] : x[i + j];
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += square ? x[i] * x[i] : x[i];
+        return s;
+    }
+    const long half = n / 2 - n / 2 % 8;
+    return pairwise(x, half, square) + pairwise(x + half, n - half, square);
+}
+
+/* One hidden layer of nn.forward after its matrix product x (rows x n),
+   row by row in numpy's order: x + bias, then LayerNorm (mean and
+   variance as np.add.reduce from 0.0, divided by n; xhat = (x - mean) *
+   inv with inv = 1 / sqrt(var + eps)), v = g * xhat + b, v * mask / keep
+   when mask is set, then ReLU into out as np.maximum(v, 0.0) gives it:
+   +0.0 for -0.0, NaN kept.  With pre set (train mode) x keeps xhat, inv
+   each row's inv and pre v; else v and out may be x.  The ReLU's
+   comparison raises invalid on NaN once vectorized, where np.maximum
+   raises nothing, so that flag is cleared unless the arithmetic raised it. */
+int layer_norm(double *x, double *out, double *pre, double *inv,
+               const double *restrict bias, const double *restrict g, const double *restrict b,
+               const double *restrict mask, long rows, long n, double keep, double eps)
+{
+    feclearexcept(FE_ALL_EXCEPT);
+    for (long row = 0; row < rows; row++) {
+        double *xr = x + row * n, *outr = out + row * n, *v = pre ? pre + row * n : outr;
+        for (long i = 0; i < n; i++)
+            xr[i] = xr[i] + bias[i];
+        const double mean = (0.0 + pairwise(xr, n, 0)) / (double)n;
+        for (long i = 0; i < n; i++)
+            xr[i] = xr[i] - mean;
+        const double var = (0.0 + pairwise(xr, n, 1)) / (double)n;
+        const double k = 1.0 / sqrt(var + eps);
+        if (inv)
+            inv[row] = k;
+        for (long i = 0; i < n; i++)
+            xr[i] = xr[i] * k;
+        for (long i = 0; i < n; i++)
+            v[i] = g[i] * xr[i] + b[i];
+        if (mask)
+            for (long i = 0; i < n; i++)
+                v[i] = v[i] * mask[row * n + i] / keep;
+        const int invalid = fetestexcept(FE_INVALID);
+        for (long i = 0; i < n; i++)
+            outr[i] = v[i] > 0.0 || v[i] != v[i] ? v[i] : 0.0;
+        if (!invalid)
+            feclearexcept(FE_INVALID);
+    }
+    return raised_flags();
+}
 """
 _CC_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 _POINTER, _LONG, _DOUBLE = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
@@ -198,6 +271,7 @@ _ARGTYPES = {
     "adam_update": [_POINTER] * 4 + [_LONG] + [_DOUBLE] * 6,
     "render_clean": [_POINTER] * 2 + [_LONG] * 2 + [_DOUBLE] * 4 + [_LONG] + [_POINTER] * 8
                     + [_LONG, _POINTER, _DOUBLE],
+    "layer_norm": [_POINTER] * 8 + [_LONG] * 2 + [_DOUBLE] * 2,
 }
 # A loop's return bits, in order, as np.errstate's keys and numpy's words.
 _FP_ERRORS = (("divide", "divide by zero"), ("over", "overflow"), ("under", "underflow"), ("invalid", "invalid value"))

@@ -8,11 +8,13 @@ primitive checks perturb every entry; the two end-to-end checks, through
 the training step functions, twelve entries of each parameter array, drawn
 by a generator seeded from the check's seed.  Relative error uses a small
 absolute floor so that true-zero gradients are not failed on
-finite-difference round-off.
+finite-difference round-off.  A non-finite error, such as a NaN
+gradient's, is the worst error and fails its check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +40,17 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
+        return math.isfinite(self.max_rel_err) and self.max_rel_err < self.tolerance
 
 
 def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), _FLOOR)
+
+
+def _worse(worst: float, err: float) -> float:
+    """The larger error, NaN once either is NaN (Python's ``max`` would keep
+    ``worst`` beside a NaN ``err``)."""
+    return float(np.maximum(worst, err))
 
 
 def _check(name: str, loss, pairs, tol: float = PRIMITIVE_TOL, max_entries: int = 0, rng=None) -> CheckResult:
@@ -66,7 +74,7 @@ def _check(name: str, loss, pairs, tol: float = PRIMITIVE_TOL, max_entries: int 
             flat[i] = old - H
             down = loss()
             flat[i] = old
-            worst = max(worst, _rel_err(grad[i], (up - down) / (2.0 * H)))
+            worst = _worse(worst, _rel_err(grad[i], (up - down) / (2.0 * H)))
     return CheckResult(name=name, max_rel_err=worst, tolerance=tol)
 
 
@@ -120,13 +128,15 @@ def check_mlp(seed: int, train: bool) -> CheckResult:
     x = rng.normal(size=(3, 6))
     c = rng.normal(size=(3, 5))
 
-    def forward():
-        return nn.forward(params, config, x, train=train, rng=np.random.default_rng(seed + 2))  # pins the dropout masks
+    def forward(mode):
+        return nn.forward(params, config, x, train=mode, rng=np.random.default_rng(seed + 2))  # pins the dropout masks
 
+    # An eval-mode pass keeps no cache; without dropout a train-mode pass
+    # is the same arithmetic, so mlp-eval differentiates that one.
     grads = nn.ParamVector(config)
-    dx = nn.backward(params, config, forward()[1], c, grads)
+    dx = nn.backward(params, config, forward(True)[1], c, grads)
     pairs = [("x", dx, x)] + [(name, grads[name], params[name]) for name in params]
-    return _check(f"mlp-{'train' if train else 'eval'}", lambda: float((forward()[0] * c).sum()), pairs)
+    return _check(f"mlp-{'train' if train else 'eval'}", lambda: float((forward(train)[0] * c).sum()), pairs)
 
 
 def check_gm(seed: int) -> CheckResult:
@@ -137,7 +147,7 @@ def check_gm(seed: int) -> CheckResult:
         analytic = gm_grad(x, alpha)
         numeric = (gm_loss(x + H, alpha) - gm_loss(x - H, alpha)) / (2.0 * H)
         for a, f in zip(analytic, numeric):
-            worst = max(worst, _rel_err(a, f))
+            worst = _worse(worst, _rel_err(a, f))
     return CheckResult(name="gm-loss", max_rel_err=worst, tolerance=PRIMITIVE_TOL)
 
 

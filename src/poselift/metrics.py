@@ -28,28 +28,71 @@ def check_threshold(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def _checked(gt_frames: Frames, pred_frames: Frames, root_index: int) -> tuple[list, list]:
-    """Both sides' poses as float64 arrays.  Every pose must be finite and
-    have the first ground-truth pose's (J, 3) shape, else a ValueError
-    names its frame, side and index; so must a root_index outside [0, J)."""
-    if len(gt_frames) != len(pred_frames):
-        raise ValueError(f"{len(gt_frames)} gt frames vs {len(pred_frames)} predicted frames")
-    shape, sides = None, ([], [])
-    for side, frames, out in (("gt", gt_frames, sides[0]), ("pred", pred_frames, sides[1])):
+def _first_refusal(gt_frames: Frames, pred_frames: Frames) -> str:
+    """Why the first pose that cannot be stacked fails: its frame, side and
+    index, then the reason (not (J, 3), another shape than the first
+    pose's, or not finite)."""
+    shape = None
+    for side, frames in (("gt", gt_frames), ("pred", pred_frames)):
         for f, poses in enumerate(frames):
-            out.append([np.asarray(pose, dtype=np.float64) for pose in poses])
-            for i, arr in enumerate(out[-1]):
+            for i, pose in enumerate(poses):
+                arr = np.asarray(pose, dtype=np.float64)
                 where = f"frame {f}, {side} pose {i}"
                 if arr.ndim != 2 or arr.shape[1] != 3:
-                    raise ValueError(f"{where}: pose must be (J, 3), got {arr.shape}")
+                    return f"{where}: pose must be (J, 3), got {arr.shape}"
                 shape = shape or arr.shape
                 if arr.shape != shape:
-                    raise ValueError(f"{where}: pose shape mismatch: {shape} vs {arr.shape}")
+                    return f"{where}: pose shape mismatch: {shape} vs {arr.shape}"
                 if not np.isfinite(arr).all():
-                    raise ValueError(f"{where}: pose is not finite")
-    if shape and not 0 <= root_index < shape[0]:
-        raise ValueError(f"root_index must be in [0, J) for J = {shape[0]} joints, got {root_index}")
-    return sides
+                    return f"{where}: pose is not finite"
+    return ""
+
+
+def _stacked(gt_frames: Frames, pred_frames: Frames, root_index: int):
+    """Every pose as one float64 array (N, J, 3), the ground truth's frame
+    by frame and then the predictions'; their (N, 3) roots; and each
+    side's pose count per frame.  Every pose must be finite and have the
+    first pose's (J, 3) shape, else a ValueError names its frame, side and
+    index; so must a root_index outside [0, J)."""
+    if len(gt_frames) != len(pred_frames):
+        raise ValueError(f"{len(gt_frames)} gt frames vs {len(pred_frames)} predicted frames")
+    flat = [pose for frames in (gt_frames, pred_frames) for poses in frames for pose in poses]
+    try:
+        poses = np.array(flat, dtype=np.float64) if flat else np.empty((0, 0, 3))
+    except (ValueError, TypeError):  # ragged, or a pose that is no array of numbers
+        poses = None
+    if poses is None or poses.ndim != 3 or poses.shape[2] != 3 or not np.isfinite(poses).all():
+        raise ValueError(_first_refusal(gt_frames, pred_frames))
+    if flat and not 0 <= root_index < poses.shape[1]:
+        raise ValueError(f"root_index must be in [0, J) for J = {poses.shape[1]} joints, got {root_index}")
+    roots = poses[:, root_index] if flat else np.empty((0, 3))
+    return poses, roots, *(np.array([len(f) for f in frames], dtype=int) for frames in (gt_frames, pred_frames))
+
+
+def _match(roots: np.ndarray, gt_counts: np.ndarray, pred_counts: np.ndarray, threshold: float) -> np.ndarray:
+    """Greedy matching on :func:`_stacked`'s roots and counts: for every gt
+    pose, frame by frame, the index into ``roots`` of its prediction, or -1.
+    The root distances of every same-frame (gt, prediction) pair come from
+    one ``np.vecdot``; the pairs within ``threshold`` are then taken in
+    order of (distance, gt index, prediction index), each pose once."""
+    n_gt = int(gt_counts.sum())
+    pairs = gt_counts * pred_counts
+    frame = np.repeat(np.arange(len(pairs)), pairs)
+    k = np.arange(pairs.sum()) - (np.cumsum(pairs) - pairs)[frame]  # pair index in its frame, gt-major
+    g = (np.cumsum(gt_counts) - gt_counts)[frame] + k // pred_counts[frame]
+    p = n_gt + (np.cumsum(pred_counts) - pred_counts)[frame] + k % pred_counts[frame]
+    diff = roots[g] - roots[p]
+    dist = np.sqrt(np.vecdot(diff, diff))
+    near = dist <= threshold
+    g, p, dist = g[near], p[near], dist[near]
+    order = np.lexsort((p, g, dist))
+    assigned = np.full(n_gt, -1, dtype=int)
+    used_pred: set[int] = set()
+    for gi, pi in zip(g[order].tolist(), p[order].tolist()):
+        if assigned[gi] == -1 and pi not in used_pred:
+            assigned[gi] = pi
+            used_pred.add(pi)
+    return assigned
 
 
 def match_poses(gt_frames: Frames, pred_frames: Frames, threshold: float = MATCH_THRESHOLD_MM,
@@ -63,55 +106,20 @@ def match_poses(gt_frames: Frames, pred_frames: Frames, threshold: float = MATCH
     says.
     """
     check_threshold("threshold", threshold)
-    return _match(*_checked(gt_frames, pred_frames, root_index), threshold, root_index)
+    _, roots, gt_counts, pred_counts = _stacked(gt_frames, pred_frames, root_index)
+    assigned = _match(roots, gt_counts, pred_counts, threshold)
+    first_pred = np.repeat(gt_counts.sum() + np.cumsum(pred_counts) - pred_counts, gt_counts)
+    local = np.where(assigned >= 0, assigned - first_pred, -1)
+    return [local[end - count : end] for count, end in zip(gt_counts, np.cumsum(gt_counts))]
 
 
-def _match(gt_frames: list, pred_frames: list, threshold: float, root_index: int) -> list[np.ndarray]:
-    matching = []
-    for gt_poses, pred_poses in zip(gt_frames, pred_frames):
-        assigned = np.full(len(gt_poses), -1, dtype=int)
-        candidates = []
-        for g, gt_pose in enumerate(gt_poses):
-            for p, pred_pose in enumerate(pred_poses):
-                dist = float(np.linalg.norm(gt_pose[root_index] - pred_pose[root_index]))
-                if dist <= threshold:
-                    candidates.append((dist, g, p))
-        candidates.sort()
-        used_pred: set[int] = set()
-        for dist, g, p in candidates:
-            if assigned[g] == -1 and p not in used_pred:
-                assigned[g] = p
-                used_pred.add(p)
-        matching.append(assigned)
-    return matching
+def _mpjpe(errors: np.ndarray) -> float:
+    return float(errors.mean()) if errors.size else math.nan
 
 
-def _errors(gt_frames: list, pred_frames: list, matching: list[np.ndarray],
-            root_index: int) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-    """One walk over the matching: per matched pose the (J,) per-joint
-    Euclidean errors in mm, absolute and after translating the predicted
-    root onto the ground truth's, plus the joint count of unmatched poses."""
-    absolute, aligned, missed_joints = [], [], 0
-    for gt_poses, pred_poses, assigned in zip(gt_frames, pred_frames, matching):
-        for g, p in enumerate(assigned):
-            if p < 0:
-                missed_joints += len(gt_poses[g])
-                continue
-            gt_pose, pred_pose = gt_poses[g], pred_poses[p]
-            absolute.append(np.sqrt(((gt_pose - pred_pose) ** 2).sum(axis=1)))
-            moved = pred_pose - pred_pose[root_index] + gt_pose[root_index]
-            aligned.append(np.sqrt(((gt_pose - moved) ** 2).sum(axis=1)))
-    return absolute, aligned, missed_joints
-
-
-def _mpjpe(errors: list[np.ndarray]) -> float:
-    return float(np.concatenate(errors).mean()) if errors else math.nan
-
-
-def _pck(errors: list[np.ndarray], missed_joints: int, threshold: float, detected_only: bool) -> float:
-    joined = np.concatenate([np.empty(0), *errors])
-    hits = int((joined < threshold).sum())  # strictly below the threshold
-    total = joined.size if detected_only else joined.size + missed_joints  # an undetected pose misses every joint
+def _pck(errors: np.ndarray, missed_joints: int, threshold: float, detected_only: bool) -> float:
+    hits = int((errors < threshold).sum())  # strictly below the threshold
+    total = errors.size if detected_only else errors.size + missed_joints  # an undetected pose misses every joint
     if total == 0:
         return math.nan
     return 100.0 * hits / total
@@ -180,11 +188,18 @@ def evaluate(gt_frames: Frames, pred_frames: Frames, root_index: int = default_s
     """
     check_threshold("match_threshold", match_threshold)
     check_threshold("pck_threshold", pck_threshold)
-    gt_frames, pred_frames = _checked(gt_frames, pred_frames, root_index)
-    matching = _match(gt_frames, pred_frames, match_threshold, root_index)
-    absolute, aligned, missed_joints = _errors(gt_frames, pred_frames, matching, root_index)
-    matched = sum(int((a >= 0).sum()) for a in matching)
-    gt_poses = sum(len(a) for a in matching)
+    poses, roots, gt_counts, pred_counts = _stacked(gt_frames, pred_frames, root_index)
+    assigned = _match(roots, gt_counts, pred_counts, match_threshold)
+    gt_idx = np.flatnonzero(assigned >= 0)  # matched gt poses, frame by frame
+    pred_idx = assigned[gt_idx]
+    # Per matched pose the (J,) per-joint Euclidean errors in mm, absolute
+    # and after translating the predicted root onto the ground truth's.
+    gt, pred = poses[gt_idx], poses[pred_idx]
+    absolute = np.sqrt(((gt - pred) ** 2).sum(axis=2)).ravel()
+    moved = pred - roots[pred_idx, None] + roots[gt_idx, None]
+    aligned = np.sqrt(((gt - moved) ** 2).sum(axis=2)).ravel()
+    matched, gt_poses = len(gt_idx), len(assigned)
+    missed_joints = (gt_poses - matched) * poses.shape[1]
     return MetricReport(
         a_mpjpe=_mpjpe(absolute),
         r_mpjpe=_mpjpe(aligned),

@@ -11,13 +11,17 @@ out by :func:`param_shapes`; :class:`ParamVector` names the views into it.
 The caller owns the gradient buffer: :func:`backward` writes into it, so
 a trainer allocates one per network and reuses it on every step.
 
-:func:`adam_step` updates a network in one pass of the ``adam_update``
-loop of :mod:`poselift.compiled`, built with ``cc`` on first use in a
-process and called through ctypes, which releases the interpreter lock
-so two updates, or the two element ranges of one, can run on two
-threads at once.  :func:`pair` decides where: a process has at most one
-worker thread, started by its first paired call that
-:func:`_side_by_side` lets run there.
+Two of the three loops of :mod:`poselift.compiled`, built with ``cc`` on
+first use in a process and called through ctypes, run here.  Every
+hidden layer of :func:`forward` after its matrix product is one pass of
+``layer_norm``, with the bits of the numpy steps it replaces; an
+eval-mode pass writes each layer over its matrix product and keeps no
+activations, a train-mode pass keeps those :func:`backward` reads.
+:func:`adam_step` updates a network in one pass of ``adam_update``.
+ctypes releases the interpreter lock, so two updates, or the two
+element ranges of one, can run on two threads at once.  :func:`pair`
+decides where: a process has at most one worker thread, started by its
+first paired call that :func:`_side_by_side` lets run there.
 """
 
 from __future__ import annotations
@@ -144,6 +148,36 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= rate).astype(np.float64)
 
 
+def _hidden_layer(a: np.ndarray, bias: np.ndarray, g: np.ndarray, b: np.ndarray, mask: np.ndarray | None,
+                  keep: float, train: bool):
+    """One hidden layer after its matrix product ``a`` (B, n): bias add,
+    LayerNorm, inverted dropout by ``mask`` when it is given, and ReLU, in
+    one pass of the compiled ``layer_norm`` loop with the bits of
+    ``np.maximum(_layernorm_forward(a + bias, g, b)[0] * mask / keep, 0.0)``.
+    Returns (output, xhat, inv, pre-ReLU values).  In eval mode ``a`` is
+    overwritten by the output and the other three are None; in train mode
+    ``a`` is overwritten by xhat.  An IEEE exception raises or warns as
+    ``np.errstate`` says, after the layer.  The loop writes through raw
+    pointers, so arrays it cannot take raise ValueError before it runs."""
+    rows, n = a.shape
+    if a.dtype != np.float64 or not (a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError("the matrix product must be a writeable C-contiguous float64 array")
+    vectors = [np.ascontiguousarray(v, dtype=np.float64) for v in (bias, g, b)]
+    if any(v.shape != (n,) for v in vectors):
+        raise ValueError(f"bias, g and b must have shape ({n},), got {[v.shape for v in vectors]}")
+    if mask is not None and (mask.dtype != np.float64 or mask.shape != a.shape or not mask.flags.c_contiguous):
+        raise ValueError(f"the dropout mask must be C-contiguous float64 of shape {a.shape}")
+    out, pre, inv = (np.empty_like(a), np.empty_like(a), np.empty((rows, 1))) if train else (a, None, None)
+
+    def ptr(v):
+        return None if v is None else v.ctypes.data
+
+    raised = compiled.loop("layer_norm")(a.ctypes.data, out.ctypes.data, ptr(pre), ptr(inv), *map(ptr, vectors),
+                                         ptr(mask), rows, n, keep, LN_EPS)
+    compiled.report(raised, "layer_norm")
+    return (out, a, inv, pre) if train else (out, None, None, None)
+
+
 def forward(
     params: dict[str, np.ndarray],
     config: MlpConfig,
@@ -153,8 +187,12 @@ def forward(
 ):
     """Run the network; returns (output, cache) with cache feeding backward.
 
-    ``train`` enables inverted dropout (activations divided by the keep
-    probability so expectations match eval mode), which requires ``rng``.
+    Each hidden layer after its matrix product is one call of
+    :func:`_hidden_layer`.  ``train`` enables inverted dropout
+    (activations divided by the keep probability so expectations match
+    eval mode), which requires ``rng``, and keeps the activations that
+    :func:`backward` reads.  An eval-mode pass keeps none: each layer
+    overwrites its matrix product in place, and the cache is None.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -166,31 +204,28 @@ def forward(
 
     keep = 1.0 - config.dropout
     use_dropout = train and config.dropout > 0.0
-    cache: dict = {"x": x, "blocks": []}
+    cache: dict | None = {"x": x, "blocks": []} if train else None
 
     h = _linear_forward(x, params["fc_in.w"], params["fc_in.b"])
     for i in range(config.num_blocks):
         block: dict = {}
         u = h
         for half in ("1", "2"):
-            a = _linear_forward(u, params[f"block{i}.fc{half}.w"], params[f"block{i}.fc{half}.b"])
-            n, ln_cache = _layernorm_forward(a, params[f"block{i}.ln{half}.g"], params[f"block{i}.ln{half}.b"])
-            if use_dropout:
-                mask = _dropout_mask(n.shape, config.dropout, rng)
-                d = n * mask / keep
-            else:
-                mask = None
-                d = n
-            r = np.maximum(d, 0.0)
-            block[f"lin_in{half}"] = u
-            block[f"ln{half}"] = ln_cache
-            block[f"mask{half}"] = mask
-            block[f"pre_relu{half}"] = d
+            fc, ln = f"block{i}.fc{half}", f"block{i}.ln{half}"
+            a = u @ params[f"{fc}.w"].T
+            mask = _dropout_mask(a.shape, config.dropout, rng) if use_dropout else None
+            r, xhat, inv, pre = _hidden_layer(a, params[f"{fc}.b"], params[f"{ln}.g"], params[f"{ln}.b"], mask, keep,
+                                              train)
+            if train:
+                block.update({f"lin_in{half}": u, f"ln{half}": (xhat, inv), f"mask{half}": mask,
+                              f"pre_relu{half}": pre})
             u = r
         h = h + u
-        cache["blocks"].append(block)
-    cache["h_out"] = h
+        if train:
+            cache["blocks"].append(block)
     y = _linear_forward(h, params["fc_out.w"], params["fc_out.b"])
+    if train:
+        cache["h_out"] = h
     if not np.isfinite(y).all():
         raise FloatingPointError("non-finite activations in forward pass")
     return y, cache
@@ -212,6 +247,8 @@ def backward(
     is computed into one scratch array the size of the largest layer and
     then added to what ``grads`` holds.
     """
+    if cache is None:
+        raise ValueError("backward needs the cache of a train-mode forward pass; an eval-mode pass keeps none")
     dy = np.asarray(dy, dtype=np.float64)
     h_out = cache["h_out"]
     if dy.shape != (h_out.shape[0], config.output_dim):

@@ -231,12 +231,15 @@ class TestTrain:
         assert out.exists()
 
     def test_stderr_counts_the_adam_updates(self, workspace, tmp_path, capsys):
-        """One epoch of 6 steps updates two networks; stdout holds no count."""
+        """One epoch of 6 steps updates two networks, and each step runs
+        three forward passes (pose annotated, pose weak, depth) of one
+        block, two hidden layers each; the lines are sorted by loop name
+        and stdout holds no count."""
         argv = ["train", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
                 "--out", str(tmp_path / "m.npz")]
         assert main(argv) == 0
         out, err = capsys.readouterr()
-        assert err == "adam_update: 12 calls\n" and "calls" not in out
+        assert err == "adam_update: 12 calls\nlayer_norm: 36 calls\n" and "calls" not in out
 
     def test_config_nested_too_deeply_names_the_file(self, workspace, tmp_path):
         bad = tmp_path / "bad.json"
@@ -352,26 +355,29 @@ class TestEval:
 
 
 class TestStderr:
-    @pytest.mark.parametrize("command", ["predict", "eval"])
-    def test_a_command_that_runs_no_compiled_loop_writes_nothing(self, workspace, tmp_path, capsys, command):
-        """The workspace's generate and train ran both loops in this process
-        first, so a report of every call so far would show up here;
-        ``TestGradcheck`` checks gradcheck the same way."""
+    @pytest.mark.parametrize("command, err", [("predict", "layer_norm: 2 calls\n"), ("eval", "")])
+    def test_a_command_reports_only_its_own_loop_calls(self, workspace, tmp_path, capsys, command, err):
+        """The workspace's generate, train and predict ran every loop in
+        this process first, so a report of every call so far would show up
+        here; ``TestGradcheck`` checks gradcheck the same way.  Predict's
+        one eval-mode pass of the one-block network runs two hidden layers;
+        eval runs no loop."""
         argv = {"predict": ["--model", str(workspace["model"]), "--data", str(workspace["data"]),
                             "--out", str(tmp_path / "pred.jsonl")],
                 "eval": ["--gt", str(workspace["data"] / "gt_poses.jsonl"), "--pred", str(workspace["pred"])]}
-        assert set(compiled.runs()) == {"adam_update", "render_clean"}
+        assert set(compiled.runs()) == {"adam_update", "layer_norm", "render_clean"}
         capsys.readouterr()
         assert main([command, *argv[command]]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == err
 
 
 class TestGradcheck:
     def test_all_checks_pass(self, workspace, capsys):
-        """Nothing on stderr, though the workspace ran both compiled loops."""
+        """Only the suite's own forward passes on stderr, though the
+        workspace ran every compiled loop: 4 hidden layers each."""
         assert main(["gradcheck", "--seed", "0"]) == 0
         out, err = capsys.readouterr()
         assert "gradient checks passed" in out
         assert "FAIL" not in out
         assert "max_rel_err" in out
-        assert err == ""
+        assert err == "layer_norm: 32516 calls\n"

@@ -5,14 +5,19 @@ reimplementation (repeatedly assigning the globally closest unmatched
 pair) plus hand-built frames that pin the boundary rules: matching uses
 <= on the root distance, PCK uses strict < on the joint error, and
 undetected poses count every joint as a miss unless detected_only.
+The array path of ``evaluate`` and ``match_poses`` is checked bit for bit
+against the earlier per-pose walk, kept here as ``_walk_report``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poselift.metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, evaluate, match_poses
+from poselift.metrics import MATCH_THRESHOLD_MM, PCK_THRESHOLD_MM, MetricReport, evaluate, match_poses
 
 
 def _pose(root, J=17, root_index=14, spread=100.0, rng=None):
@@ -288,3 +293,101 @@ class TestEvaluate:
         assert report.a_3dpck == 100.0
         assert report.detection_rate == 100.0
         assert report.matched_poses == 2
+
+
+def _walk_match(gt_frames, pred_frames, threshold, root_index):
+    """The earlier matcher: one ``np.linalg.norm`` per (gt, prediction)
+    pair, candidates sorted as (distance, gt index, prediction index)."""
+    matching = []
+    for gt_poses, pred_poses in zip(gt_frames, pred_frames):
+        assigned = np.full(len(gt_poses), -1, dtype=int)
+        candidates = []
+        for g, gt_pose in enumerate(gt_poses):
+            for p, pred_pose in enumerate(pred_poses):
+                dist = float(np.linalg.norm(gt_pose[root_index] - pred_pose[root_index]))
+                if dist <= threshold:
+                    candidates.append((dist, g, p))
+        candidates.sort()
+        used_pred = set()
+        for dist, g, p in candidates:
+            if assigned[g] == -1 and p not in used_pred:
+                assigned[g] = p
+                used_pred.add(p)
+        matching.append(assigned)
+    return matching
+
+
+def _walk_report(gt_frames, pred_frames, root_index, match_threshold, pck_threshold, detected_only):
+    """The earlier ``evaluate``, one matched pose at a time."""
+    matching = _walk_match(gt_frames, pred_frames, match_threshold, root_index)
+    absolute, aligned, missed_joints = [], [], 0
+    for gt_poses, pred_poses, assigned in zip(gt_frames, pred_frames, matching):
+        for g, p in enumerate(assigned):
+            if p < 0:
+                missed_joints += len(gt_poses[g])
+                continue
+            gt_pose, pred_pose = gt_poses[g], pred_poses[p]
+            absolute.append(np.sqrt(((gt_pose - pred_pose) ** 2).sum(axis=1)))
+            moved = pred_pose - pred_pose[root_index] + gt_pose[root_index]
+            aligned.append(np.sqrt(((gt_pose - moved) ** 2).sum(axis=1)))
+
+    def mpjpe(errors):
+        return float(np.concatenate(errors).mean()) if errors else math.nan
+
+    def pck(errors):
+        joined = np.concatenate([np.empty(0), *errors])
+        total = joined.size if detected_only else joined.size + missed_joints
+        return 100.0 * int((joined < pck_threshold).sum()) / total if total else math.nan
+
+    matched = sum(int((a >= 0).sum()) for a in matching)
+    gt_poses = sum(len(a) for a in matching)
+    return matching, MetricReport(mpjpe(absolute), mpjpe(aligned), pck(absolute), pck(aligned),
+                                  100.0 * matched / gt_poses if gt_poses else math.nan, matched, gt_poses,
+                                  detected_only)
+
+
+@st.composite
+def scored_frames(draw):
+    """Up to four frames of 0-4 gt and 0-4 predicted poses, 17 joints or
+    another count with an explicit root.  Roots sit on a 50 mm grid, so
+    distances to a gt root tie often; joints scatter around the root."""
+    joints = draw(st.sampled_from([17, 1, 5, 9]))
+    root_index = draw(st.integers(0, joints - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pose():
+        root = 50.0 * rng.integers(-4, 5, size=3) + [0.0, 0.0, 3500.0]
+        out = root + rng.normal(scale=rng.choice([20.0, 200.0]), size=(joints, 3))
+        out[root_index] = root
+        return out
+
+    frames = [([pose() for _ in range(draw(st.integers(0, 4)))], [pose() for _ in range(draw(st.integers(0, 4)))])
+              for _ in range(draw(st.integers(0, 4)))]
+    return ([gt for gt, _ in frames], [pred for _, pred in frames], root_index,
+            draw(st.sampled_from([MATCH_THRESHOLD_MM, 100.0, 1e4])), draw(st.sampled_from([PCK_THRESHOLD_MM, 40.0])),
+            draw(st.booleans()))
+
+
+class TestArrayPath:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scored_frames())
+    def test_same_bits_as_the_per_pose_walk(self, case):
+        gt_frames, pred_frames, root_index, match_t, pck_t, detected_only = case
+        matching, want = _walk_report(gt_frames, pred_frames, root_index, match_t, pck_t, detected_only)
+        got = evaluate(gt_frames, pred_frames, root_index, match_t, pck_t, detected_only)
+        for field in dataclasses.fields(MetricReport):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b) and (a.hex() == b.hex() if isinstance(a, float) else a == b), field.name
+        got_matching = match_poses(gt_frames, pred_frames, match_t, root_index)
+        assert len(got_matching) == len(matching)
+        for a, b in zip(got_matching, matching):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+    def test_a_tie_in_root_distance_goes_to_the_lower_index(self):
+        """Three pairs tie at 100 mm.  Gt pose 0 takes prediction 0, the
+        lower index, and leaves gt pose 1, whose other candidate is 300 mm
+        away, unmatched; later indices first would match both poses."""
+        gt = [_pose([0.0, 0.0, 3000.0]), _pose([0.0, 200.0, 3000.0])]
+        pred = [_pose([0.0, 100.0, 3000.0]), _pose([0.0, -100.0, 3000.0])]
+        assert match_poses([gt], [pred])[0].tolist() == [0, -1]
+        assert _walk_match([gt], [pred], MATCH_THRESHOLD_MM, 14)[0].tolist() == [0, -1]

@@ -250,7 +250,7 @@ class TestWeakHead:
         rng = np.random.Generator(np.random.Philox(10))
         o_std = rng.normal(size=(2, 51))
         bundle = _head_bundle(params, config, stats)
-        depths, cache = predicted_joint_depths(bundle, o_std)
+        depths, cache = predicted_joint_depths(bundle, o_std, train=True)  # eval mode keeps no cache
         d_depths = rng.normal(size=depths.shape)
         d_o = joint_depth_backward(bundle, d_depths, cache, nn.ParamVector(config))
 
@@ -767,8 +767,9 @@ class TestPredictSchedules:
 
     def test_the_callers_errstate_reaches_the_worker(self, many_samples, wide_bundle, schedule):
         """A first-block sample whose first hidden unit is about 1e157
-        overflows LayerNorm's squares; under ``over="raise"`` that raises
-        in both schedules, where the default would only warn."""
+        overflows LayerNorm's squares in the ``layer_norm`` loop; under
+        ``over="raise"`` that raises in both schedules, where the default
+        would only warn."""
         bundle = _with_fc_in_weight(wide_bundle, 1e150)
         samples = _with_far_joint(many_samples[0][:64], 0, 1e9)
 
@@ -777,7 +778,7 @@ class TestPredictSchedules:
                 predict_frames(bundle, samples)
             return str(info.value)
 
-        assert schedule.both(message) == ["overflow encountered in multiply"] * 2
+        assert schedule.both(message) == ["overflow encountered in layer_norm"] * 2
 
     def test_a_process_has_one_worker_thread_at_most(self, many_samples, wide_bundle, tiny_dataset, monkeypatch,
                                                      schedule):
